@@ -21,14 +21,19 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .chebpoly import ChebPoly, _refine, embed_univariate, grid_extrema, lobatto_axis
-from .kernelop import apply_inverse, constant_C, theorem_threshold
+from .chebpoly import (
+    ChebPoly,
+    _refine,
+    check_point_budget,
+    embed_univariate,
+    grid_extrema,
+    lobatto_axis,
+)
+from .kernelop import _check_degree, apply_inverse, constant_C, theorem_threshold
 from .quadrature import chebyshev_nodes
 from .sos1d import decompose_kernel_slice
 
@@ -38,6 +43,8 @@ RESIDUAL_TOL = 1e-8
 GATE_TOL = 1e-10
 #: node weights more negative than this abort; values in [-NODE_CLAMP, 0) drop
 NODE_CLAMP = 1e-12
+#: golden-section polish rounds of the grid extrema behind a lower bound
+_BOUND_REFINE_ITERS = 3
 
 
 class NotCertifiable(Exception):
@@ -58,15 +65,9 @@ class ResidualTooLarge(Exception):
         self.residual = residual
 
 
-def _max_threads() -> int:
-    try:
-        return max(1, int(os.environ.get("JC_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _gate_points(n: int) -> int:
-    return {1: 2049, 2: 257, 3: 65}.get(n, 17)
+def _grid_points(n: int) -> tuple:
+    """Default grid points per axis for n variables: (certify's gate, bounds)."""
+    return {1: (2049, 4097), 2: (257, 513), 3: (65, 65)}.get(n, (17, 17))
 
 
 def _g_subset(num_vars: int, subset) -> ChebPoly:
@@ -152,24 +153,21 @@ def _relative_residual(recon: ChebPoly, target: ChebPoly) -> float:
     return diff.max_abs_coeff() / scale
 
 
-def certify(f: ChebPoly, eta: float, r: int, *, gate_points: int | None = None,
-            refine_iters: int = 2, threads: int | None = None) -> SchmudgenCertificate:
+def certify(f: ChebPoly, eta: float, r: int) -> SchmudgenCertificate:
     """Build an explicit square decomposition of f + eta over the cube.
 
     Raises :class:`NotCertifiable` when the unsmoothed polynomial
     K_r^{-1}(f + eta) dips below the gate tolerance on a refined grid (or a
     quadrature node weight comes out negative beyond round-off), and
     :class:`ResidualTooLarge` if the assembled identity fails to re-expand
-    to f + eta within ``RESIDUAL_TOL``.
+    to f + eta within ``RESIDUAL_TOL``.  Raises ``ValueError`` when the
+    (r + 1)^n quadrature nodes exceed ``POINT_BUDGET``.
     """
     n = f.num_vars
     eta = float(eta)
     if r < 0:
         raise ValueError("need r >= 0")
-    if any(d > r for d in f.per_variable_degrees()):
-        raise ValueError(
-            f"per-variable degree {max(f.per_variable_degrees())} exceeds r={r}"
-        )
+    _check_degree(f, r)
     target = f.shift(eta)
 
     # constants are fixed points of the operator: certify them directly
@@ -184,9 +182,9 @@ def certify(f: ChebPoly, eta: float, r: int, *, gate_points: int | None = None,
                                     residual=0.0)
 
     unsmoothed = apply_inverse(target, r)
-    points = gate_points if gate_points is not None else _gate_points(n)
-    tmin, _, tmax, _ = grid_extrema(target, points, refine_iters)
-    gmin, gloc, _, _ = grid_extrema(unsmoothed, points, refine_iters)
+    points = _grid_points(n)[0]
+    tmin, _, tmax, _ = grid_extrema(target, points)
+    gmin, gloc, _, _ = grid_extrema(unsmoothed, points)
     norm = max(abs(tmin), abs(tmax))
     if gmin < -GATE_TOL * norm:
         raise NotCertifiable(
@@ -196,16 +194,12 @@ def certify(f: ChebPoly, eta: float, r: int, *, gate_points: int | None = None,
         )
 
     m = r + 1
+    check_point_budget(m, n)
     axis = chebyshev_nodes(m)
     gvals = unsmoothed.eval_grid([axis] * n)
     weight = 1.0 / m ** n
 
-    workers = threads if threads is not None else _max_threads()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            slices = list(pool.map(lambda y: decompose_kernel_slice(r, y), axis))
-    else:
-        slices = [decompose_kernel_slice(r, float(y)) for y in axis]
+    slices = [decompose_kernel_slice(r, float(y)) for y in axis]
     embedded = [
         [
             (
@@ -285,25 +279,19 @@ class BoundReport:
     argmin: tuple
 
 
-def _default_bound_grid(n: int) -> int:
-    return {1: 4097, 2: 513, 3: 65}.get(n, 17)
-
-
-def kernel_lower_bound(f: ChebPoly, r: int, grid: int | None = None,
-                       refine_iters: int = 3) -> BoundReport:
+def kernel_lower_bound(f: ChebPoly, r: int, grid: int | None = None) -> BoundReport:
     """Certified lower bound on min f over the cube via unsmoothing.
 
     lambda_star is the refined grid minimum of K_r^{-1} f minus a safety
     margin; it never exceeds the true minimum of f because
     f - lambda_star is the smoothing of the pointwise-nonnegative
-    polynomial K_r^{-1} f - lambda_star.
+    polynomial K_r^{-1} f - lambda_star.  Raises ``ValueError`` when
+    ``grid``^n points exceed ``POINT_BUDGET``.
     """
     n = f.num_vars
-    if any(d > r for d in f.per_variable_degrees()):
-        raise ValueError(
-            f"per-variable degree {max(f.per_variable_degrees())} exceeds r={r}"
-        )
-    points = grid if grid is not None else _default_bound_grid(n)
+    _check_degree(f, r)
+    points = grid if grid is not None else _grid_points(n)[1]
+    check_point_budget(points, n)
     d = f.degree()
 
     unsmoothed = apply_inverse(f, r)
@@ -321,10 +309,10 @@ def kernel_lower_bound(f: ChebPoly, r: int, grid: int | None = None,
 
     idx = np.unravel_index(int(np.argmin(vals)), vals.shape)
     qmin, argmin = _refine(unsmoothed, axis, idx, float(vals[idx]), 1.0,
-                           refine_iters)
+                           _BOUND_REFINE_ITERS)
     lambda_star = qmin - delta
 
-    fmin_est, _, fmax_est, _ = grid_extrema(f, points, refine_iters)
+    fmin_est, _, fmax_est, _ = grid_extrema(f, points, _BOUND_REFINE_ITERS)
     gap = fmin_est - lambda_star
 
     if d >= 1:
@@ -352,14 +340,12 @@ def kernel_lower_bound(f: ChebPoly, r: int, grid: int | None = None,
     )
 
 
-def rate_sweep(f: ChebPoly, r_values, grid: int | None = None,
-               refine_iters: int = 3) -> list:
+def rate_sweep(f: ChebPoly, r_values, grid: int | None = None) -> list:
     """One :class:`BoundReport` per kernel degree in ``r_values``."""
-    return [kernel_lower_bound(f, int(r), grid=grid, refine_iters=refine_iters)
-            for r in r_values]
+    return [kernel_lower_bound(f, int(r), grid=grid) for r in r_values]
 
 
-def corollary_degree(f: ChebPoly, eta: float, grid: int | None = None) -> int:
+def corollary_degree(f: ChebPoly, eta: float) -> int:
     """Smallest kernel degree guaranteed to certify f + eta.
 
     Returns the least integer r at or above both the threshold
@@ -373,8 +359,7 @@ def corollary_degree(f: ChebPoly, eta: float, grid: int | None = None) -> int:
     d = f.degree()
     if d == 0:
         return 0
-    points = grid if grid is not None else _default_bound_grid(n)
-    fmin, _, fmax, _ = grid_extrema(f, points, 2)
+    fmin, _, fmax, _ = grid_extrema(f, _grid_points(n)[1], 2)
     c_used = constant_C(n, d).sharpest
     need = max(theorem_threshold(n, d),
                math.sqrt(c_used * (fmax - fmin) / eta))

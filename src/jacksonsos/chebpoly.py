@@ -349,6 +349,14 @@ def enumerate_multidegrees(n: int, d: int) -> list[Multidegree]:
 # -- grid extremum estimation ---------------------------------------------------
 
 
+def check_point_budget(points_per_axis: int, num_vars: int) -> None:
+    """Refuse a tensor grid of more than ``POINT_BUDGET`` points."""
+    if points_per_axis ** num_vars > POINT_BUDGET:
+        raise ValueError(
+            f"grid of {points_per_axis}^{num_vars} points exceeds budget {POINT_BUDGET}"
+        )
+
+
 def lobatto_axis(points: int) -> np.ndarray:
     """``points`` Chebyshev-Lobatto nodes cos(j*pi/(points-1)), ascending."""
     if points < 2:
@@ -421,10 +429,7 @@ def grid_extrema(p: ChebPoly, points_per_axis: int, refine_iters: int = 2):
     if points_per_axis < 2:
         raise ValueError("points_per_axis must be >= 2")
     n = p.num_vars
-    if points_per_axis ** n > POINT_BUDGET:
-        raise ValueError(
-            f"grid of {points_per_axis}^{n} points exceeds budget {POINT_BUDGET}"
-        )
+    check_point_budget(points_per_axis, n)
     axis = lobatto_axis(points_per_axis)
     vals = p.eval_grid([axis] * n)
     flat_min = int(np.argmin(vals))

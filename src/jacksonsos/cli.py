@@ -1,8 +1,7 @@
 """Command-line front end: certify, bound, figure1, selftest, inspect-kernel.
 
 Exit codes: 0 success, 2 not certifiable, 3 residual failure, 64 usage.
-The environment variable JC_THREADS caps internal parallelism.  All output
-is deterministic given the flags and --seed.
+All output is deterministic given the flags and --seed.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from .certificate import (
     ResidualTooLarge,
     SchmudgenCertificate,
     certify,
-    kernel_lower_bound,
+    rate_sweep,
     verify,
 )
 from .chebpoly import ChebPoly, MonoPoly, cheb_from_monomial
@@ -249,10 +248,6 @@ def _write_text(path: str | None, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _default_grid(n: int) -> int:
-    return {1: 4097, 2: 513, 3: 65}.get(n, 17)
-
-
 def _parse_sweep(spec: str) -> list:
     parts = spec.split(":")
     if len(parts) != 3:
@@ -291,18 +286,13 @@ def cmd_bound(args) -> int:
         r_values = _parse_sweep(args.r_sweep)
     else:
         raise ValueError("one of --r or --r-sweep is required")
-    max_deg = max(f.per_variable_degrees())
-    for r in r_values:
-        if r < max_deg:
-            raise ValueError(f"r={r} below the per-variable degree {max_deg}")
-    grid = args.grid if args.grid else _default_grid(f.num_vars)
+    reports = rate_sweep(f, r_values, grid=args.grid or None)
 
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["r", "lambda_star", "fmin_est", "gap", "C", "threshold",
                      "bound", "ok"])
-    for r in r_values:
-        rep = kernel_lower_bound(f, r, grid=grid)
+    for rep in reports:
         writer.writerow([rep.r, repr(rep.lambda_star), repr(rep.fmin_est),
                          repr(rep.gap), repr(rep.C_used), repr(rep.threshold),
                          repr(rep.bound), str(rep.theorem_satisfied).lower()])
@@ -491,7 +481,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta", type=float, required=True, help="constant shift >= 0")
     p.add_argument("--r", type=int, required=True, help="kernel degree")
     p.add_argument("--out", default=None, help="output path (default stdout)")
-    p.add_argument("--format", choices=["json"], default="json")
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("bound", help="certified lower bounds on the minimum")
@@ -499,7 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, default=None, help="single kernel degree")
     p.add_argument("--r-sweep", default=None, help="range A:B:STEP")
     p.add_argument("--grid", type=int, default=None,
-                   help="grid points per axis (default 4097 for n=1, 513 for n=2)")
+                   help="grid points per axis (default set by the variable count)")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_bound)
 

@@ -19,8 +19,8 @@ import numpy as np
 from .chebpoly import (
     ChebPoly,
     enumerate_multidegrees,
-    grid_extrema,
     hamming_weight,
+    sup_norm_estimate,
 )
 from .jackson import multi_lambda, spectrum
 
@@ -33,32 +33,26 @@ def _check_degree(p: ChebPoly, r: int) -> None:
         )
 
 
-def apply_forward(p: ChebPoly, r: int) -> ChebPoly:
-    """Smooth ``p``: scale each coefficient by its eigenvalue."""
+def _eigenpairs(p: ChebPoly, r: int):
+    """Yield ``(kappa, c, lambda_kappa)`` for every stored term of ``p``."""
     _check_degree(p, r)
     lams = spectrum(r).lambdas
-    out = {}
     for kappa, c in p.coeffs.items():
         lam = 1.0
         for k in kappa:
             if k:
                 lam *= lams[k]
-        out[kappa] = c * lam
-    return ChebPoly(p.num_vars, out)
+        yield kappa, c, lam
+
+
+def apply_forward(p: ChebPoly, r: int) -> ChebPoly:
+    """Smooth ``p``: scale each coefficient by its eigenvalue."""
+    return ChebPoly(p.num_vars, {kappa: c * lam for kappa, c, lam in _eigenpairs(p, r)})
 
 
 def apply_inverse(p: ChebPoly, r: int) -> ChebPoly:
     """Unsmooth ``p``: divide each coefficient by its eigenvalue."""
-    _check_degree(p, r)
-    lams = spectrum(r).lambdas
-    out = {}
-    for kappa, c in p.coeffs.items():
-        lam = 1.0
-        for k in kappa:
-            if k:
-                lam *= lams[k]
-        out[kappa] = c / lam
-    return ChebPoly(p.num_vars, out)
+    return ChebPoly(p.num_vars, {kappa: c / lam for kappa, c, lam in _eigenpairs(p, r)})
 
 
 def deviation_bound_exact(p: ChebPoly, r: int) -> float:
@@ -69,14 +63,8 @@ def deviation_bound_exact(p: ChebPoly, r: int) -> float:
     dominates the true sup-norm.  In terms of the stored basis coefficients
     the 2^w factors cancel.
     """
-    _check_degree(p, r)
-    lams = spectrum(r).lambdas
     total = 0.0
-    for kappa, c in p.coeffs.items():
-        lam = 1.0
-        for k in kappa:
-            if k:
-                lam *= lams[k]
+    for _, c, lam in _eigenpairs(p, r):
         total += abs(c) * abs(1.0 - 1.0 / lam)
     return total
 
@@ -158,8 +146,7 @@ def _random_sup_normalized(n: int, d: int, rng: np.random.Generator) -> ChebPoly
     keys = enumerate_multidegrees(n, d)
     coeffs = {k: rng.standard_normal() for k in keys}
     p = ChebPoly(n, coeffs)
-    lo, _, hi, _ = grid_extrema(p, 129 if n <= 2 else 33, 1)
-    scale = max(abs(lo), abs(hi))
+    scale = sup_norm_estimate(p, 129 if n <= 2 else 33, 1)
     if scale == 0.0:
         return ChebPoly.constant(n, 1.0)
     # shrink a touch so the grid estimate cannot undershoot the true sup norm

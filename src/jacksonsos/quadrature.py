@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .chebpoly import ChebPoly, POINT_BUDGET
+from .chebpoly import ChebPoly, check_point_budget
 
 
 @dataclass(slots=True, frozen=True)
@@ -54,8 +54,7 @@ def gauss_chebyshev(n: int, m: int) -> QuadratureRule:
         raise ValueError("need n >= 1")
     if m < 1:
         raise ValueError("need m >= 1 nodes per axis")
-    if m ** n > POINT_BUDGET:
-        raise ValueError(f"{m}^{n} nodes exceed budget {POINT_BUDGET}")
+    check_point_budget(m, n)
     axis = chebyshev_nodes(m)
     w = 1.0 / m ** n
     nodes = tuple(tuple(float(axis[i]) for i in combo)

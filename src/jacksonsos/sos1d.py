@@ -36,6 +36,10 @@ RECON_TOL = 1e-8
 _MODULUS_BAND = 1e-7      # |z| within this of 1 counts as an on-circle root
 _ANGLE_TOLS = (1e-5, 1e-3)  # clustering tolerances tried for on-circle roots
 
+_ONE_MINUS_X2 = ChebPoly(1, {(0,): 0.5, (2,): -0.5})    # 1 - x^2
+_ONE_PLUS_X = ChebPoly(1, {(0,): 1.0, (1,): 1.0})
+_ONE_MINUS_X = ChebPoly(1, {(0,): 1.0, (1,): -1.0})
+
 
 class NotNonnegative(ValueError):
     """The input polynomial dips below zero on [-1, 1] beyond tolerance."""
@@ -321,11 +325,10 @@ class LukacsPair:
 
     def reconstruct(self) -> ChebPoly:
         if self.parity == "even":
-            weight = ChebPoly(1, {(0,): 0.5, (2,): -0.5})     # 1 - x^2
-            return self.first * self.first + weight * (self.second * self.second)
-        up = ChebPoly(1, {(0,): 1.0, (1,): 1.0})              # 1 + x
-        dn = ChebPoly(1, {(0,): 1.0, (1,): -1.0})             # 1 - x
-        return up * (self.first * self.first) + dn * (self.second * self.second)
+            return (self.first * self.first
+                    + _ONE_MINUS_X2 * (self.second * self.second))
+        return (_ONE_PLUS_X * (self.first * self.first)
+                + _ONE_MINUS_X * (self.second * self.second))
 
 
 def lukacs_decompose(p: ChebPoly) -> LukacsPair:
@@ -390,9 +393,8 @@ class PreorderPair1D:
         out = ChebPoly.zero(1)
         for qpoly in self.sigma0:
             out = out + qpoly * qpoly
-        weight = ChebPoly(1, {(0,): 0.5, (2,): -0.5})
         for qpoly in self.sigma1:
-            out = out + weight * (qpoly * qpoly)
+            out = out + _ONE_MINUS_X2 * (qpoly * qpoly)
         return out
 
 
@@ -407,10 +409,8 @@ def to_preorder_pair(pair: LukacsPair) -> PreorderPair1D:
         sigma1 = tuple(q for q in (pair.second,) if not q.is_zero())
         return PreorderPair1D(sigma0=sigma0, sigma1=sigma1)
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    up = ChebPoly(1, {(0,): 1.0, (1,): 1.0})
-    dn = ChebPoly(1, {(0,): 1.0, (1,): -1.0})
-    sigma0 = tuple(q for q in ((up * pair.first).scale(inv_sqrt2),
-                               (dn * pair.second).scale(inv_sqrt2))
+    sigma0 = tuple(q for q in ((_ONE_PLUS_X * pair.first).scale(inv_sqrt2),
+                               (_ONE_MINUS_X * pair.second).scale(inv_sqrt2))
                    if not q.is_zero())
     sigma1 = tuple(q for q in (pair.first.scale(inv_sqrt2),
                                pair.second.scale(inv_sqrt2))

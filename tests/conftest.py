@@ -1,6 +1,29 @@
+import math
+
+import numpy as np
 import pytest
 
+from jacksonsos.chebpoly import POINT_BUDGET, ChebPoly
+
 _CRITERION_LINES = []
+
+
+@pytest.fixture
+def grid_budget_enforced(monkeypatch):
+    """Make ChebPoly.eval_grid refuse, rather than allocate, an over-budget grid.
+
+    A caller that checks the budget first raises ValueError; one that does
+    not reaches eval_grid and fails the test with AssertionError.
+    """
+    original = ChebPoly.eval_grid
+
+    def guarded(self, axes):
+        size = math.prod(np.size(a) for a in axes)
+        if size > POINT_BUDGET:
+            raise AssertionError(f"eval_grid asked for {size} points")
+        return original(self, axes)
+
+    monkeypatch.setattr(ChebPoly, "eval_grid", guarded)
 
 
 @pytest.fixture

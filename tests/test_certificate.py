@@ -1,5 +1,6 @@
 """Tests for certificate construction, verification, and certified bounds."""
 
+import json
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from jacksonsos.certificate import (
     verify,
 )
 from jacksonsos.chebpoly import ChebPoly, grid_extrema, mono_from_cheb
+from jacksonsos.cli import certificate_to_dict
 from jacksonsos.kernelop import apply_forward, apply_inverse, constant_C, theorem_threshold
 
 from helpers import demo_f, random_cheb
@@ -92,19 +94,21 @@ class TestCertify:
         cert = certify(demo_f(), 0.1, 7)
         assert all(d <= 8 for d in cert.term_degrees().values())
 
-    def test_thread_count_does_not_change_output(self, monkeypatch):
-        f = demo_f()
-        serial = certify(f, 0.1, 7, threads=1)
-        threaded = certify(f, 0.1, 7, threads=4)
-        monkeypatch.setenv("JC_THREADS", "3")
-        from_env = certify(f, 0.1, 7)
-        for other in (threaded, from_env):
-            assert other.terms.keys() == serial.terms.keys()
-            for subset in serial.terms:
-                for (s1, q1), (s2, q2) in zip(serial.terms[subset],
-                                              other.terms[subset]):
-                    assert s1 == s2 and q1.coeffs == q2.coeffs
-            assert other.residual == serial.residual
+    def test_output_is_deterministic(self):
+        """Two calls give byte-identical certificate JSON."""
+        rng = np.random.default_rng(5)
+        q = random_cheb(rng, 2, 2)
+        square = apply_forward(q * q + ChebPoly.constant(2, 0.1), 4)
+        for f, eta, r in ((demo_f(), 0.1, 7), (square, 0.0, 4)):
+            first, second = (json.dumps(certificate_to_dict(certify(f, eta, r)))
+                             for _ in range(2))
+            assert first == second
+
+    def test_node_budget_checked_before_evaluation(self, grid_budget_enforced):
+        # passes the gate, then needs 251^3 quadrature nodes
+        f3 = ChebPoly(3, {(0, 0, 0): 1.0, (1, 0, 0): 0.1})
+        with pytest.raises(ValueError, match="budget"):
+            certify(f3, 0.0, 250)
 
 
 class TestVerifyTampering:
@@ -192,6 +196,11 @@ class TestKernelLowerBound:
     def test_degree_guard(self):
         with pytest.raises(ValueError):
             kernel_lower_bound(demo_f(), 3)
+
+    def test_grid_budget_checked_before_evaluation(self, grid_budget_enforced):
+        f2 = ChebPoly(2, {(0, 0): 1.0, (1, 1): 0.5})
+        with pytest.raises(ValueError, match="budget"):
+            kernel_lower_bound(f2, 4, grid=3200)
 
 
 class TestRateSweep:

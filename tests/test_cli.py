@@ -161,9 +161,17 @@ class TestBoundCommand:
         assert len(rows) == 1
         assert float(rows[0]["gap"]) == pytest.approx(0.0, abs=1e-15)
 
-    def test_r_below_degree_usage_error(self, capsys):
-        code = main(["bound", "--poly", DEMO, "--r", "3"])
+    def test_r_below_degree_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "rows.csv"
+        for degrees in (["--r", "3"], ["--r-sweep", "2:10:1"]):
+            code = main(["bound", "--poly", DEMO, *degrees, "--out", str(out)])
+            assert code == EXIT_USAGE
+            assert not out.exists()
+
+    def test_grid_over_budget_usage_error(self, grid_budget_enforced, capsys):
+        code = main(["bound", "--poly", "x1*x2*x3", "--r", "3", "--grid", "2000"])
         assert code == EXIT_USAGE
+        assert "budget" in capsys.readouterr().err
 
     def test_deterministic_output(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from jacksonsos.chebpoly import ChebPoly, grid_extrema, hamming_weight, mono_from_cheb
-from jacksonsos.jackson import jackson_lambda, kernel_eval_nd
+from jacksonsos.jackson import jackson_lambda, kernel_eval_nd, multi_lambda
 from jacksonsos.kernelop import (
     apply_forward,
     apply_inverse,
@@ -88,6 +88,26 @@ class TestInverse:
         lhs = apply_inverse(p.scale(a).shift(b), 9)
         rhs = apply_inverse(p, 9).scale(a).shift(b)
         assert (lhs - rhs).max_abs_coeff() <= 1e-13 * max(lhs.max_abs_coeff(), 1.0)
+
+
+class TestAgainstMultiLambda:
+    def test_coefficientwise_equal(self):
+        """All three coefficient maps use prod_i lambda_{kappa_i} exactly."""
+        rng = np.random.default_rng(6)
+        for n in (1, 2, 3):
+            for _ in range(5):
+                d = int(rng.integers(1, 5))
+                r = d + int(rng.integers(0, 12))
+                p = random_cheb(rng, n, d)
+                lam = {k: multi_lambda(k, r) for k in p.coeffs}
+                assert apply_forward(p, r).coeffs == {
+                    k: c * lam[k] for k, c in p.coeffs.items()}
+                assert apply_inverse(p, r).coeffs == {
+                    k: c / lam[k] for k, c in p.coeffs.items()}
+                total = 0.0
+                for k, c in p.coeffs.items():
+                    total += abs(c) * abs(1.0 - 1.0 / lam[k])
+                assert deviation_bound_exact(p, r) == total
 
 
 class TestDeviationBound:
