@@ -160,8 +160,10 @@ def certify(f: ChebPoly, eta: float, r: int) -> SchmudgenCertificate:
     K_r^{-1}(f + eta) dips below the gate tolerance on a refined grid (or a
     quadrature node weight comes out negative beyond round-off), and
     :class:`ResidualTooLarge` if the assembled identity fails to re-expand
-    to f + eta within ``RESIDUAL_TOL``.  Raises ``ValueError`` when the
-    (r + 1)^n quadrature nodes exceed ``POINT_BUDGET``.
+    to f + eta within ``RESIDUAL_TOL``.  A kernel slice that does not split
+    into squares raises sos1d's ``IllConditioned`` (as from r=58 on) or
+    ``NotNonnegative``.  Raises ``ValueError`` when the (r + 1)^n quadrature
+    nodes exceed ``POINT_BUDGET``.
     """
     n = f.num_vars
     eta = float(eta)
@@ -199,7 +201,11 @@ def certify(f: ChebPoly, eta: float, r: int) -> SchmudgenCertificate:
     gvals = unsmoothed.eval_grid([axis] * n)
     weight = 1.0 / m ** n
 
-    slices = [decompose_kernel_slice(r, float(y)) for y in axis]
+    # K_r(x, -y) = K_r(-x, y) and the nodes are symmetric about 0: factor the
+    # slices at y >= 0 (the middle node too for odd m) and mirror the rest
+    half = m // 2
+    upper = [decompose_kernel_slice(r, float(y)) for y in axis[half:]]
+    slices = [upper[-1 - t].mirrored() for t in range(half)] + upper
     embedded = [
         [
             (

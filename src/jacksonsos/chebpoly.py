@@ -397,19 +397,30 @@ def _golden_min(f, lo: float, hi: float, iters: int = 80):
 
 def _refine(p: ChebPoly, axis: np.ndarray, idx, start_val: float, sign: float,
             refine_iters: int):
-    """Coordinate-wise golden-section polish of ``sign * p`` from a grid cell."""
+    """Coordinate-wise golden-section polish of ``sign * p`` from a grid cell.
+
+    Each coordinate line is a univariate Chebyshev series: the dense
+    coefficient tensor contracted at ``best_x`` on the other axes, evaluated
+    as sum_k line_k cos(k acos t) (every probe lies in the cube).
+    """
     m = axis.size
     x = [float(axis[i]) for i in idx]
     brackets = [(float(axis[max(i - 1, 0)]), float(axis[min(i + 1, m - 1)])) for i in idx]
     best_v, best_x = sign * start_val, list(x)
+    dense = np.zeros(tuple(d + 1 for d in p.per_variable_degrees()))
+    for kappa, c in p.coeffs.items():
+        dense[kappa] = c
+    ks = [np.arange(size) for size in dense.shape]
     for _ in range(max(refine_iters, 0)):
         for j in range(p.num_vars):
             lo, hi = brackets[j]
+            line = np.moveaxis(dense, j, -1)
+            for i in range(p.num_vars):
+                if i != j:
+                    line = np.tensordot(np.cos(ks[i] * math.acos(best_x[i])), line, 1)
 
-            def slice_fn(t, j=j):
-                pt = list(best_x)
-                pt[j] = t
-                return sign * p.eval(pt)
+            def slice_fn(t, line=line, kj=ks[j]):
+                return sign * float(np.cos(kj * math.acos(t)) @ line)
 
             v, t = _golden_min(slice_fn, lo, hi)
             if v < best_v:

@@ -1,6 +1,7 @@
 """Command-line front end: certify, bound, figure1, selftest, inspect-kernel.
 
-Exit codes: 0 success, 2 not certifiable, 3 residual failure, 64 usage.
+Exit codes: 0 success, 2 not certifiable, 3 residual or kernel-slice
+factorization failure, 64 usage.
 All output is deterministic given the flags and --seed.
 """
 
@@ -28,7 +29,12 @@ from .chebpoly import ChebPoly, MonoPoly, cheb_from_monomial
 from .jackson import jackson_lambda, kernel_eval_1d, spectrum
 from .kernelop import apply_forward, apply_inverse
 from .quadrature import chebyshev_nodes, gauss_chebyshev, integrate
-from .sos1d import decompose_kernel_slice, lukacs_decompose
+from .sos1d import (
+    IllConditioned,
+    NotNonnegative,
+    decompose_kernel_slice,
+    lukacs_decompose,
+)
 
 EXIT_OK = 0
 EXIT_NOT_CERTIFIABLE = 2
@@ -270,6 +276,9 @@ def cmd_certify(args) -> int:
         return EXIT_NOT_CERTIFIABLE
     except ResidualTooLarge as exc:
         print(f"residual failure: {exc}", file=sys.stderr)
+        return EXIT_RESIDUAL
+    except (IllConditioned, NotNonnegative) as exc:
+        print(f"kernel-slice factorization failed: {exc}", file=sys.stderr)
         return EXIT_RESIDUAL
     payload = json.dumps(certificate_to_dict(cert), indent=2)
     _write_text(args.out, payload + "\n")

@@ -397,6 +397,15 @@ class PreorderPair1D:
             out = out + _ONE_MINUS_X2 * (qpoly * qpoly)
         return out
 
+    def mirrored(self) -> "PreorderPair1D":
+        """The pair of x -> p(-x), exactly: T_k(-x) = (-1)^k T_k(x)."""
+
+        def reflect(q: ChebPoly) -> ChebPoly:
+            return ChebPoly(1, {k: -c if k[0] % 2 else c for k, c in q.coeffs.items()})
+
+        return PreorderPair1D(sigma0=tuple(map(reflect, self.sigma0)),
+                              sigma1=tuple(map(reflect, self.sigma1)))
+
 
 def to_preorder_pair(pair: LukacsPair) -> PreorderPair1D:
     """Regroup a two-square pair into the sigma_0 / sigma_1 form.

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from jacksonsos import certificate as certificate_module
 from jacksonsos.certificate import (
     NotCertifiable,
     SchmudgenCertificate,
@@ -103,6 +104,27 @@ class TestCertify:
             first, second = (json.dumps(certificate_to_dict(certify(f, eta, r)))
                              for _ in range(2))
             assert first == second
+
+    @pytest.mark.parametrize("n, r", [(1, 7), (1, 8), (2, 4), (2, 5)])
+    def test_factors_only_nonnegative_nodes(self, monkeypatch, n, r):
+        """ceil((r+1)/2) slices are factored; the rest are mirrored."""
+        calls = []
+        original = certificate_module.decompose_kernel_slice
+
+        def counted(r_, y):
+            calls.append(y)
+            return original(r_, y)
+
+        monkeypatch.setattr(certificate_module, "decompose_kernel_slice", counted)
+        if n == 1:
+            f, eta = demo_f(), 0.1
+        else:
+            q = random_cheb(np.random.default_rng(5), 2, 2)
+            f, eta = apply_forward(q * q + ChebPoly.constant(2, 0.1), r), 0.0
+        cert = certify(f, eta, r)
+        assert len(calls) == (r + 2) // 2
+        assert all(y >= 0.0 for y in calls)
+        assert verify(cert, f).valid
 
     def test_node_budget_checked_before_evaluation(self, grid_budget_enforced):
         # passes the gate, then needs 251^3 quadrature nodes

@@ -13,6 +13,7 @@ from jacksonsos.chebpoly import (
     enumerate_multidegrees,
     grid_extrema,
     hamming_weight,
+    lobatto_axis,
     mono_from_cheb,
     total_degree,
 )
@@ -274,6 +275,20 @@ class TestGridExtrema:
     def test_min_points(self):
         with pytest.raises(ValueError):
             grid_extrema(ChebPoly.constant(1, 0.0), 1, 1)
+
+    @pytest.mark.parametrize("n, d, points", [(1, 8, 33), (2, 5, 17), (3, 3, 9)])
+    def test_polished_extrema_are_values_of_p(self, n, d, points):
+        """The polish evaluates like ChebPoly.eval and never loses to the grid."""
+        rng = np.random.default_rng(40 + n)
+        raw_axis = lobatto_axis(points)
+        for _ in range(6):
+            p = random_cheb(rng, n, d)
+            tol = 1e-12 * p.max_abs_coeff()
+            lo, argmin, hi, argmax = grid_extrema(p, points)
+            assert abs(lo - p.eval(argmin)) <= tol
+            assert abs(hi - p.eval(argmax)) <= tol
+            raw = p.eval_grid([raw_axis] * n)
+            assert lo <= raw.min() and hi >= raw.max()
 
 
 class TestEmbedding:

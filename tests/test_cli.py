@@ -7,11 +7,13 @@ import math
 
 import pytest
 
+from jacksonsos import certificate as certificate_module
 from jacksonsos.certificate import verify
 from jacksonsos.chebpoly import MonoPoly, cheb_from_monomial
 from jacksonsos.cli import (
     EXIT_NOT_CERTIFIABLE,
     EXIT_OK,
+    EXIT_RESIDUAL,
     EXIT_USAGE,
     PolynomialSyntaxError,
     certificate_from_dict,
@@ -20,6 +22,7 @@ from jacksonsos.cli import (
     main,
     parse_polynomial,
 )
+from jacksonsos.sos1d import NotNonnegative
 
 from helpers import demo_f
 
@@ -101,6 +104,25 @@ class TestCertifyCommand:
                      "--out", str(tmp_path / "c.json")])
         assert code == EXIT_NOT_CERTIFIABLE
         assert "not certifiable" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("r, refuse", [(60, False), (7, True)])
+    def test_slice_failure_exit(self, monkeypatch, tmp_path, capsys, r, refuse):
+        """A slice that fails to factor (r=60) or to pass its gate exits 3."""
+        if refuse:
+            def refuse_slice(r_, y):
+                raise NotNonnegative("sampled value -1.000e-03 below tolerance",
+                                     value=-1e-3)
+
+            monkeypatch.setattr(certificate_module, "decompose_kernel_slice",
+                                refuse_slice)
+        out = tmp_path / "c.json"
+        code = main(["certify", "--poly", DEMO, "--eta", "0.1", "--r", str(r),
+                     "--out", str(out)])
+        assert code == EXIT_RESIDUAL
+        err = capsys.readouterr().err
+        assert err.startswith("kernel-slice factorization failed:")
+        assert err.count("\n") == 1
+        assert not out.exists()
 
     def test_malformed_poly_usage_exit(self, capsys):
         code = main(["certify", "--poly", "1 - x1^^", "--eta", "0.1", "--r", "5"])

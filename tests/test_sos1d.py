@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import chebyshev as npcheb
 
 from jacksonsos.chebpoly import ChebPoly
 from jacksonsos.jackson import jackson_lambda
@@ -231,3 +232,32 @@ class TestKernelSlices:
     def test_rejects_outside_interval(self):
         with pytest.raises(ValueError):
             decompose_kernel_slice(3, 1.5)
+
+    def test_mirrored_slices_match_lower_nodes(self):
+        """The mirror of the slice at node m-1-t is the slice at node t.
+
+        Squares are re-expanded with numpy's chebmul and the target uses
+        cos(k acos y), so neither side shares code with the slice path.
+        """
+        weight = np.array([0.5, 0.0, -0.5])
+        worst = 0.0
+        for r in range(1, 58):
+            m = r + 1
+            axis = chebyshev_nodes(m)
+            for t in range(m // 2):
+                pre = decompose_kernel_slice(r, float(axis[m - 1 - t])).mirrored()
+                recon = np.zeros(r + 3)
+                for sigma, factor in ((pre.sigma0, [1.0]), (pre.sigma1, weight)):
+                    for q in sigma:
+                        dense = np.zeros(q.degree() + 1)
+                        for (k,), c in q.coeffs.items():
+                            dense[k] = c
+                        sq = npcheb.chebmul(factor, npcheb.chebmul(dense, dense))
+                        recon[: sq.size] += sq
+                y = float(axis[t])
+                target = np.zeros(r + 3)
+                target[0] = 1.0
+                for k in range(1, r + 1):
+                    target[k] = 2.0 * jackson_lambda(k, r) * math.cos(k * math.acos(y))
+                worst = max(worst, float(np.max(np.abs(recon - target))))
+        assert worst <= 1e-12
