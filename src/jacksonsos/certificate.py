@@ -183,6 +183,8 @@ def certify(f: ChebPoly, eta: float, r: int) -> SchmudgenCertificate:
         return SchmudgenCertificate(num_vars=n, r=r, eta=eta, terms=terms,
                                     residual=0.0)
 
+    m = r + 1
+    check_point_budget(m, n)
     unsmoothed = apply_inverse(target, r)
     points = _grid_points(n)[0]
     tmin, _, tmax, _ = grid_extrema(target, points)
@@ -195,8 +197,6 @@ def certify(f: ChebPoly, eta: float, r: int) -> SchmudgenCertificate:
             location=gloc,
         )
 
-    m = r + 1
-    check_point_budget(m, n)
     axis = chebyshev_nodes(m)
     gvals = unsmoothed.eval_grid([axis] * n)
     weight = 1.0 / m ** n

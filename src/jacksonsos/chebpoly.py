@@ -399,27 +399,29 @@ def _refine(p: ChebPoly, axis: np.ndarray, idx, start_val: float, sign: float,
             refine_iters: int):
     """Coordinate-wise golden-section polish of ``sign * p`` from a grid cell.
 
-    Each coordinate line is a univariate Chebyshev series: the dense
-    coefficient tensor contracted at ``best_x`` on the other axes, evaluated
+    Each coordinate line is a univariate Chebyshev series, gathered from the
+    sparse terms with the other coordinates fixed at ``best_x`` (so memory
+    grows with the number of terms, not with prod(d_i + 1)), and evaluated
     as sum_k line_k cos(k acos t) (every probe lies in the cube).
     """
     m = axis.size
     x = [float(axis[i]) for i in idx]
     brackets = [(float(axis[max(i - 1, 0)]), float(axis[min(i + 1, m - 1)])) for i in idx]
     best_v, best_x = sign * start_val, list(x)
-    dense = np.zeros(tuple(d + 1 for d in p.per_variable_degrees()))
-    for kappa, c in p.coeffs.items():
-        dense[kappa] = c
-    ks = [np.arange(size) for size in dense.shape]
+    n = p.num_vars
+    degs = p.per_variable_degrees()
+    kappas = np.array(list(p.coeffs), dtype=np.intp).reshape(-1, n)
+    cs = np.fromiter(p.coeffs.values(), dtype=float, count=len(p.coeffs))
     for _ in range(max(refine_iters, 0)):
-        for j in range(p.num_vars):
+        for j in range(n):
             lo, hi = brackets[j]
-            line = np.moveaxis(dense, j, -1)
-            for i in range(p.num_vars):
+            w = cs.copy()
+            for i in range(n):
                 if i != j:
-                    line = np.tensordot(np.cos(ks[i] * math.acos(best_x[i])), line, 1)
+                    w *= np.asarray(_t_values(best_x[i], degs[i]))[kappas[:, i]]
+            line = np.bincount(kappas[:, j], weights=w, minlength=degs[j] + 1)
 
-            def slice_fn(t, line=line, kj=ks[j]):
+            def slice_fn(t, line=line, kj=np.arange(degs[j] + 1)):
                 return sign * float(np.cos(kj * math.acos(t)) @ line)
 
             v, t = _golden_min(slice_fn, lo, hi)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -127,10 +128,19 @@ class TestCertify:
         assert verify(cert, f).valid
 
     def test_node_budget_checked_before_evaluation(self, grid_budget_enforced):
-        # passes the gate, then needs 251^3 quadrature nodes
+        # would pass the gate, but needs 251^3 quadrature nodes
         f3 = ChebPoly(3, {(0, 0, 0): 1.0, (1, 0, 0): 0.1})
         with pytest.raises(ValueError, match="budget"):
             certify(f3, 0.0, 250)
+
+    def test_node_budget_checked_before_gate(self, monkeypatch):
+        def gate(*args):
+            raise AssertionError("gate ran before the node budget check")
+
+        monkeypatch.setattr(certificate_module, "grid_extrema", gate)
+        f5 = ChebPoly(5, {tuple(60 * (i == j) for i in range(5)): 1.0 for j in range(5)})
+        with pytest.raises(ValueError, match="61\\^5"):
+            certify(f5, 0.1, 60)
 
 
 class TestVerifyTampering:
@@ -223,6 +233,18 @@ class TestKernelLowerBound:
         f2 = ChebPoly(2, {(0, 0): 1.0, (1, 1): 0.5})
         with pytest.raises(ValueError, match="budget"):
             kernel_lower_bound(f2, 4, grid=3200)
+
+    def test_polish_memory_follows_terms(self):
+        # 5 sparse terms of degree 24: a dense coefficient tensor would be ~78 MB
+        f5 = ChebPoly(5, {tuple(24 * (i == j) for i in range(5)): 1.0 for j in range(5)})
+        tracemalloc.start()
+        try:
+            rep = kernel_lower_bound(f5, 24, grid=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 22
+        assert rep.lambda_star <= rep.fmin_est
 
 
 class TestRateSweep:

@@ -1,6 +1,7 @@
 """Tests for the tensor Chebyshev polynomial algebra."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -289,6 +290,20 @@ class TestGridExtrema:
             assert abs(hi - p.eval(argmax)) <= tol
             raw = p.eval_grid([raw_axis] * n)
             assert lo <= raw.min() and hi >= raw.max()
+
+    def test_polish_memory_follows_terms(self):
+        """The polish never builds the dense prod(d_i + 1) coefficient tensor."""
+        # 5 terms; the dense tensor would be 25^5 doubles, about 78 MB
+        p = ChebPoly(5, {tuple(24 * (i == j) for i in range(5)): 1.0 for j in range(5)})
+        tracemalloc.start()
+        try:
+            lo, argmin, hi, argmax = grid_extrema(p, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 22
+        assert lo == pytest.approx(p.eval(argmin), abs=1e-12)
+        assert hi == pytest.approx(p.eval(argmax), abs=1e-12)
 
 
 class TestEmbedding:
