@@ -45,10 +45,17 @@ def hamming_weight(kappa: Multidegree) -> int:
     return sum(1 for k in kappa if k)
 
 
+def _require_finite(coeffs: dict) -> None:
+    """Raise ValueError on an inf or NaN coefficient, which no cut may drop."""
+    if not all(map(math.isfinite, coeffs.values())):
+        raise ValueError("polynomial coefficient is not finite")
+
+
 def _canon(coeffs: dict) -> dict:
     """Drop zeros and relatively negligible coefficients."""
     if not coeffs:
         return {}
+    _require_finite(coeffs)
     top = max(abs(c) for c in coeffs.values())
     if top == 0.0:
         return {}
@@ -83,6 +90,7 @@ class ChebPoly:
         if self.num_vars < 1:
             raise ValueError("num_vars must be >= 1")
         self.coeffs = {tuple(k): float(c) for k, c in self.coeffs.items() if c != 0.0}
+        _require_finite(self.coeffs)
 
     @classmethod
     def zero(cls, num_vars: int) -> "ChebPoly":
@@ -246,6 +254,7 @@ class MonoPoly:
         if self.num_vars < 1:
             raise ValueError("num_vars must be >= 1")
         self.coeffs = {tuple(k): float(c) for k, c in self.coeffs.items() if c != 0.0}
+        _require_finite(self.coeffs)
 
     @classmethod
     def constant(cls, num_vars: int, value: float) -> "MonoPoly":

@@ -100,6 +100,7 @@ def parse_polynomial(text: str, num_vars: int | None = None) -> MonoPoly:
             i += 1
         elif not first:
             raise PolynomialSyntaxError("expected '+' or '-' between terms", pos)
+        start = tokens[i][2]
 
         coeff = sign
         exps: dict = {}
@@ -154,8 +155,10 @@ def parse_polynomial(text: str, num_vars: int | None = None) -> MonoPoly:
             break
         if not saw_factor:
             raise PolynomialSyntaxError("expected a term", pos)
-        key = frozenset(exps.items())
+        key = frozenset((idx, e) for idx, e in exps.items() if e)
         raw[key] = raw.get(key, 0.0) + coeff
+        if not math.isfinite(raw[key]):
+            raise PolynomialSyntaxError("coefficient is not finite", start)
         first = False
     if first:
         raise PolynomialSyntaxError("empty polynomial", 0)
@@ -170,7 +173,7 @@ def parse_polynomial(text: str, num_vars: int | None = None) -> MonoPoly:
         alpha = [0] * n
         for idx, e in key:
             alpha[idx - 1] = e
-        coeffs[tuple(alpha)] = coeffs.get(tuple(alpha), 0.0) + c
+        coeffs[tuple(alpha)] = c
     return MonoPoly(n, coeffs)
 
 

@@ -1,19 +1,19 @@
 """Constructive sum-of-squares splittings for polynomials on [-1, 1].
 
-A univariate polynomial p that is nonnegative on [-1, 1] can be written as
+A univariate polynomial p of degree d that is nonnegative on [-1, 1] is
+written as
 
-    p = u^2 + (1 - x^2) v^2          (even degree 2m: deg u <= m, deg v <= m-1)
-    p = (1 + x) s^2 + (1 - x) t^2    (odd degree 2m+1: deg s, deg t <= m)
+    p = u^2 + (1 - x^2) v^2          (2 deg u <= d + 1, 2 deg v + 2 <= d + 1)
 
-and either form regroups into p = sigma_0 + sigma_1 (1 - x^2) with explicit
-sums of squares sigma_0, sigma_1 of controlled degree.  The construction
-here goes through the circle: the Chebyshev coefficients of p are the
-cosine coefficients of the nonnegative trigonometric polynomial p(cos t),
-whose spectral factor h (a real polynomial in z with |h(e^{it})|^2 =
-p(cos t)) is recovered by rooting the symmetrized Laurent polynomial and
-keeping one root from each reciprocal pair inside the closed unit disc.
-Splitting h by frequency parity then yields (u, v); half-angle splitting
-yields (s, t).
+which is the form p = sigma_0 + sigma_1 (1 - x^2) with one square in each
+of sigma_0 and sigma_1.  The construction goes through the circle: the
+Chebyshev coefficients of p are the cosine coefficients of the nonnegative
+trigonometric polynomial p(cos t), whose spectral factor h (a real
+polynomial in z with |h(e^{it})|^2 = p(cos t)) is recovered by rooting the
+symmetrized Laurent polynomial and keeping one root from each reciprocal
+pair inside the closed unit disc.  A factor of odd degree is multiplied by
+z, which keeps its modulus on the circle and makes its degree even;
+splitting h by frequency parity then yields (u, v).
 """
 
 from __future__ import annotations
@@ -22,9 +22,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebvander
 
 from .chebpoly import ChebPoly, _canon, grid_extrema
-from .jackson import jackson_lambda
+from .jackson import _kernel_coeffs
 
 #: relative tolerance for the sampled nonnegativity gate
 NONNEG_TOL = 1e-10
@@ -37,8 +38,6 @@ _MODULUS_BAND = 1e-7      # |z| within this of 1 counts as an on-circle root
 _ANGLE_TOLS = (1e-5, 1e-3)  # clustering tolerances tried for on-circle roots
 
 _ONE_MINUS_X2 = ChebPoly(1, {(0,): 0.5, (2,): -0.5})    # 1 - x^2
-_ONE_PLUS_X = ChebPoly(1, {(0,): 1.0, (1,): 1.0})
-_ONE_MINUS_X = ChebPoly(1, {(0,): 1.0, (1,): -1.0})
 
 
 class NotNonnegative(ValueError):
@@ -245,30 +244,6 @@ def fejer_riesz(q) -> np.ndarray:
 # -- splitting the spectral factor ----------------------------------------------
 
 
-def _double_x(a: np.ndarray) -> np.ndarray:
-    """T-basis coefficients of 2x * (sum a_k T_k)."""
-    out = np.zeros(a.size + 1)
-    out[1] += 2.0 * a[0]
-    for k in range(1, a.size):
-        out[k + 1] += a[k]
-        out[k - 1] += a[k]
-    return out
-
-
-def _half_angle_basis(kind: str, jmax: int) -> list:
-    """T-basis coefficients of cos((2j+1)t/2)/cos(t/2) ('V') or the sine
-    analogue sin((2j+1)t/2)/sin(t/2) ('W'), for j = 0..jmax."""
-    first = np.array([1.0])
-    basis = [first]
-    if jmax >= 1:
-        basis.append(np.array([-1.0, 2.0]) if kind == "V" else np.array([1.0, 2.0]))
-    for _ in range(2, jmax + 1):
-        nxt = _double_x(basis[-1])
-        nxt[: basis[-2].size] -= basis[-2]
-        basis.append(nxt)
-    return basis
-
-
 def _dense_to_poly(a: np.ndarray) -> ChebPoly:
     return ChebPoly(1, _canon({(k,): float(c) for k, c in enumerate(a)}))
 
@@ -292,43 +267,20 @@ def _split_even(h: np.ndarray) -> tuple:
     return _dense_to_poly(u), _dense_to_poly(v)
 
 
-def _split_odd(h: np.ndarray) -> tuple:
-    """h of odd degree 2m+1: half-angle split into the (s, t) pair."""
-    m = (h.size - 2) // 2
-    e = np.array([h[m + 1 + j] + h[m - j] for j in range(m + 1)])
-    f = np.array([h[m + 1 + j] - h[m - j] for j in range(m + 1)])
-    vbasis = _half_angle_basis("V", m)
-    wbasis = _half_angle_basis("W", m)
-    s = np.zeros(m + 1)
-    t = np.zeros(m + 1)
-    for j in range(m + 1):
-        if e[j]:
-            s[: vbasis[j].size] += e[j] * vbasis[j]
-        if f[j]:
-            t[: wbasis[j].size] += f[j] * wbasis[j]
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    return (_dense_to_poly(s * inv_sqrt2), _dense_to_poly(t * inv_sqrt2))
-
-
 @dataclass(slots=True, frozen=True)
 class LukacsPair:
-    """Two-square representation of a polynomial nonnegative on [-1, 1].
+    """Two-square representation of a polynomial p nonnegative on [-1, 1].
 
-    Even parity: p = first^2 + (1 - x^2) second^2.
-    Odd parity:  p = (1 + x) first^2 + (1 - x) second^2.
+    p = first^2 + (1 - x^2) second^2 with 2 deg first <= deg p + 1 and
+    2 deg second + 2 <= deg p + 1, for even and odd deg p alike.
     """
 
-    parity: str
     first: ChebPoly
     second: ChebPoly
     residual: float
 
     def reconstruct(self) -> ChebPoly:
-        if self.parity == "even":
-            return (self.first * self.first
-                    + _ONE_MINUS_X2 * (self.second * self.second))
-        return (_ONE_PLUS_X * (self.first * self.first)
-                + _ONE_MINUS_X * (self.second * self.second))
+        return to_preorder_pair(self).reconstruct()
 
 
 def lukacs_decompose(p: ChebPoly) -> LukacsPair:
@@ -342,7 +294,7 @@ def lukacs_decompose(p: ChebPoly) -> LukacsPair:
         raise ValueError("decomposition is univariate only")
     if p.is_zero():
         zero = ChebPoly.zero(1)
-        return LukacsPair(parity="even", first=zero, second=zero, residual=0.0)
+        return LukacsPair(first=zero, second=zero, residual=0.0)
 
     lo, loc, hi, _ = grid_extrema(p, 1025, 1)
     norm = max(abs(lo), abs(hi))
@@ -358,23 +310,18 @@ def lukacs_decompose(p: ChebPoly) -> LukacsPair:
     for (k,), c in p.coeffs.items():
         dense[k] = c
     h = fejer_riesz(dense)
-    dq = h.size - 1
-    if dq % 2 == 0:
-        first, second = _split_even(h)
-        parity = "even"
-    else:
-        first, second = _split_odd(h)
-        parity = "odd"
+    if h.size % 2 == 0:
+        h = np.concatenate(([0.0], h))      # z h: same modulus, even degree
+    first, second = _split_even(h)
 
-    pair = LukacsPair(parity=parity, first=first, second=second, residual=0.0)
+    pair = LukacsPair(first=first, second=second, residual=0.0)
     diff = pair.reconstruct() - p
     residual = diff.max_abs_coeff() / p.max_abs_coeff()
     if residual > RECON_TOL:
         raise IllConditioned(
             f"reconstruction residual {residual:.3e} exceeds {RECON_TOL:.0e}"
         )
-    return LukacsPair(parity=parity, first=first, second=second,
-                      residual=residual)
+    return LukacsPair(first=first, second=second, residual=residual)
 
 
 @dataclass(slots=True, frozen=True)
@@ -408,32 +355,17 @@ class PreorderPair1D:
 
 
 def to_preorder_pair(pair: LukacsPair) -> PreorderPair1D:
-    """Regroup a two-square pair into the sigma_0 / sigma_1 form.
-
-    The odd case uses (1 +- x) = ((1 +- x)^2 + (1 - x^2)) / 2, so each of
-    s and t contributes one square to sigma_0 and one to sigma_1.
-    """
-    if pair.parity == "even":
-        sigma0 = tuple(q for q in (pair.first,) if not q.is_zero())
-        sigma1 = tuple(q for q in (pair.second,) if not q.is_zero())
-        return PreorderPair1D(sigma0=sigma0, sigma1=sigma1)
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    sigma0 = tuple(q for q in ((_ONE_PLUS_X * pair.first).scale(inv_sqrt2),
-                               (_ONE_MINUS_X * pair.second).scale(inv_sqrt2))
-                   if not q.is_zero())
-    sigma1 = tuple(q for q in (pair.first.scale(inv_sqrt2),
-                               pair.second.scale(inv_sqrt2))
-                   if not q.is_zero())
-    return PreorderPair1D(sigma0=sigma0, sigma1=sigma1)
+    """The sigma_0 / sigma_1 square lists of a pair, zero squares dropped."""
+    return PreorderPair1D(
+        sigma0=tuple(q for q in (pair.first,) if not q.is_zero()),
+        sigma1=tuple(q for q in (pair.second,) if not q.is_zero()),
+    )
 
 
 def decompose_kernel_slice(r: int, y: float) -> PreorderPair1D:
     """Square decomposition of the kernel slice x -> K_r(x, y), y in [-1, 1]."""
     if not -1.0 <= y <= 1.0:
         raise ValueError(f"slice point {y} outside [-1, 1]")
-    coeffs = {(0,): 1.0}
-    tk_prev, tk = 1.0, y
-    for k in range(1, r + 1):
-        coeffs[(k,)] = 2.0 * jackson_lambda(k, r) * tk
-        tk_prev, tk = tk, 2.0 * y * tk - tk_prev
-    return to_preorder_pair(lukacs_decompose(ChebPoly(1, coeffs)))
+    coeffs = _kernel_coeffs(r) * chebvander(y, r)[0]
+    slice_poly = ChebPoly(1, {(k,): c for k, c in enumerate(coeffs)})
+    return to_preorder_pair(lukacs_decompose(slice_poly))

@@ -18,7 +18,7 @@ from jacksonsos.certificate import (
     verify,
 )
 from jacksonsos.chebpoly import ChebPoly, grid_extrema, mono_from_cheb
-from jacksonsos.cli import certificate_to_dict
+from jacksonsos.cli import certificate_from_dict, certificate_to_dict
 from jacksonsos.kernelop import apply_forward, apply_inverse, constant_C, theorem_threshold
 
 from helpers import demo_f, random_cheb
@@ -54,6 +54,12 @@ class TestCertify:
         with pytest.raises(NotCertifiable):
             certify(ChebPoly.constant(1, -0.5), 0.2, 3)
 
+    @pytest.mark.parametrize("eta", [math.nan, math.inf])
+    def test_non_finite_eta_rejected(self, eta):
+        """A NaN or inf shift must not vanish into an empty certificate."""
+        with pytest.raises(ValueError, match="not finite"):
+            certify(demo_f(), eta, 4)
+
     def test_constant_zero_gives_empty(self):
         cert = certify(ChebPoly.constant(1, -1.0), 1.0, 2)
         assert cert.terms == {}
@@ -88,9 +94,15 @@ class TestCertify:
         f = demo_f()
         cert = certify(f, 0.1, 7)
         nodes = 8
-        per_node_limit = 2  # odd slices contribute two squares per sigma list
+        per_node_limit = 1  # every slice, odd r too, has one square per sigma list
         for subset, count in cert.squares_per_subset().items():
             assert count <= nodes * per_node_limit
+        # n=2, r=5: one square per node and subset, so at most (r + 1)^n
+        q = random_cheb(np.random.default_rng(5), 2, 2)
+        cert2 = certify(apply_forward(q * q + ChebPoly.constant(2, 0.1), 5), 0.0, 5)
+        assert set(cert2.terms) == {(), (0,), (1,), (0, 1)}
+        for subset, count in cert2.squares_per_subset().items():
+            assert count <= 6 ** 2
 
     def test_term_degree_bound(self):
         cert = certify(demo_f(), 0.1, 7)
@@ -175,6 +187,13 @@ class TestVerifyTampering:
         assert report.residual > 1e-8
         assert not report.valid
 
+    def test_nan_eta_rejected(self):
+        f, cert = self._base()
+        data = certificate_to_dict(cert)
+        data["eta"] = math.nan
+        with pytest.raises(ValueError, match="not finite"):
+            verify(certificate_from_dict(json.loads(json.dumps(data))), f)
+
     def test_hand_built_certificate(self):
         """sigma_empty = {}, sigma_{1} = {1} certifies 1 - x^2 exactly."""
         weight = ChebPoly(1, {(0,): 0.5, (2,): -0.5})
@@ -228,6 +247,15 @@ class TestKernelLowerBound:
     def test_degree_guard(self):
         with pytest.raises(ValueError):
             kernel_lower_bound(demo_f(), 3)
+
+    def test_nan_coefficient_rejected(self):
+        with pytest.raises(ValueError, match="not finite"):
+            kernel_lower_bound(ChebPoly(1, {(0,): math.nan, (2,): 1.0}), 8)
+        # a NaN written into the map after construction is refused too
+        f = ChebPoly(1, {(0,): -5.0, (2,): 1.0})
+        f.coeffs[(0,)] = math.nan
+        with pytest.raises(ValueError, match="not finite"):
+            kernel_lower_bound(f, 8)
 
     def test_grid_budget_checked_before_evaluation(self, grid_budget_enforced):
         f2 = ChebPoly(2, {(0, 0): 1.0, (1, 1): 0.5})

@@ -9,6 +9,7 @@ import pytest
 from jacksonsos.chebpoly import (
     ChebPoly,
     MonoPoly,
+    _canon,
     cheb_from_monomial,
     embed_univariate,
     enumerate_multidegrees,
@@ -204,6 +205,22 @@ class TestAlgebra:
         p = random_cheb(rng, 1, 3)
         q = random_cheb(rng, 1, 4)
         assert (p * q).degree() == p.degree() + q.degree()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coefficient_rejected(self, bad):
+        """An inf or NaN raises instead of wiping or skipping terms."""
+        for cls in (ChebPoly, MonoPoly):
+            with pytest.raises(ValueError, match="not finite"):
+                cls(1, {(0,): 1.0, (2,): bad})
+        # _canon's relative cut would drop them (or skip a NaN in its max)
+        with pytest.raises(ValueError, match="not finite"):
+            _canon({(0,): 1.0, (1,): bad})
+        with pytest.raises(ValueError, match="not finite"):
+            ChebPoly.constant(1, 1.0).shift(bad)
+        # overflow inside arithmetic raises too
+        big = ChebPoly.constant(1, 1e300)
+        with pytest.raises(ValueError, match="not finite"):
+            big * big
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):

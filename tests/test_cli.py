@@ -87,6 +87,17 @@ class TestParser:
         with pytest.raises(PolynomialSyntaxError):
             parse_polynomial("x1^1.5")
 
+    @pytest.mark.parametrize("text, position", [
+        ("1e400*x1^2 - 5", 0),
+        ("1 + 1e300/1e-300 x1", 4),
+        ("x1 - 1e200*1e200", 5),
+        ("1e308*x1 + 1e308*x1", 11),
+    ])
+    def test_non_finite_coefficient_rejected(self, text, position):
+        with pytest.raises(PolynomialSyntaxError, match="not finite") as err:
+            parse_polynomial(text)
+        assert err.value.position == position
+
 
 class TestCertifyCommand:
     def test_valid_run(self, tmp_path):
@@ -127,6 +138,22 @@ class TestCertifyCommand:
     def test_malformed_poly_usage_exit(self, capsys):
         code = main(["certify", "--poly", "1 - x1^^", "--eta", "0.1", "--r", "5"])
         assert code == EXIT_USAGE
+
+    def test_non_finite_coefficient_usage_exit(self, tmp_path, capsys):
+        out = tmp_path / "c.json"
+        code = main(["certify", "--poly", "1e400*x1^2 - 5", "--eta", "0.1",
+                     "--r", "4", "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert "not finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("eta", ["nan", "inf"])
+    def test_non_finite_eta_usage_exit(self, tmp_path, eta):
+        out = tmp_path / "c.json"
+        code = main(["certify", "--poly", DEMO, "--eta", eta, "--r", "7",
+                     "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert not out.exists()
 
     def test_missing_poly_usage_exit(self, capsys):
         code = main(["certify", "--eta", "0.1", "--r", "5"])
@@ -189,6 +216,14 @@ class TestBoundCommand:
             code = main(["bound", "--poly", DEMO, *degrees, "--out", str(out)])
             assert code == EXIT_USAGE
             assert not out.exists()
+
+    def test_non_finite_coefficient_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "rows.csv"
+        code = main(["bound", "--poly", "1e400*x1^2 - 5", "--r", "8",
+                     "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert "not finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_grid_over_budget_usage_error(self, grid_budget_enforced, capsys):
         code = main(["bound", "--poly", "x1*x2*x3", "--r", "3", "--grid", "2000"])

@@ -8,9 +8,11 @@ from numpy.polynomial import chebyshev as npcheb
 
 from jacksonsos.chebpoly import ChebPoly
 from jacksonsos.jackson import jackson_lambda
+from jacksonsos import sos1d
 from jacksonsos.quadrature import chebyshev_nodes
 from jacksonsos.sos1d import (
     IllConditioned,
+    LukacsPair,
     NotNonnegative,
     decompose_kernel_slice,
     fejer_riesz,
@@ -43,6 +45,14 @@ def _random_nonneg(rng, max_half_degree: int):
     u = ChebPoly(1, {(k,): rng.standard_normal() for k in range(du + 1)})
     v = ChebPoly(1, {(k,): rng.standard_normal() for k in range(dv + 1)})
     return u * u + WEIGHT * (v * v)
+
+
+def _random_odd_nonneg(rng, max_half_degree: int):
+    """(1 + x) s^2 + (1 - x) t^2 with deg s = deg t, so of odd degree."""
+    d = int(rng.integers(0, max_half_degree + 1))
+    s = ChebPoly(1, {(k,): rng.standard_normal() for k in range(d + 1)})
+    t = ChebPoly(1, {(k,): rng.standard_normal() for k in range(d + 1)})
+    return ONE_PLUS * (s * s) + ONE_MINUS * (t * t)
 
 
 class TestFejerRiesz:
@@ -86,7 +96,6 @@ class TestFejerRiesz:
 class TestLukacsPairs:
     def test_weight_poly(self):
         pair = lukacs_decompose(WEIGHT)
-        assert pair.parity == "even"
         assert pair.first.is_zero()
         assert {k: pytest.approx(abs(v)) for k, v in pair.second.coeffs.items()} \
             == {(0,): pytest.approx(1.0)}
@@ -94,15 +103,18 @@ class TestLukacsPairs:
 
     def test_x_squared(self):
         pair = lukacs_decompose(ChebPoly(1, {(0,): 0.5, (2,): 0.5}))
-        assert pair.parity == "even"
         assert abs(pair.first.coeffs.get((1,), 0.0)) == pytest.approx(1.0)
         assert pair.second.is_zero()
 
     def test_one_minus_x(self):
+        """1 - x = ((1 - x)/sqrt(2))^2 + (1 - x^2) (1/sqrt(2))^2."""
         pair = lukacs_decompose(ONE_MINUS)
-        assert pair.parity == "odd"
-        assert pair.first.is_zero()
-        assert abs(pair.second.coeffs.get((0,), 0.0)) == pytest.approx(1.0)
+        half = 1 / math.sqrt(2)
+        assert {k: abs(v) for k, v in pair.first.coeffs.items()} == {
+            (0,): pytest.approx(half, abs=1e-12), (1,): pytest.approx(half, abs=1e-12)}
+        assert pair.first.coeffs[(0,)] * pair.first.coeffs[(1,)] < 0
+        assert {k: abs(v) for k, v in pair.second.coeffs.items()} == {
+            (0,): pytest.approx(half, abs=1e-12)}
 
     def test_touching_square(self):
         """(1 - x^2)^2 has two double circle zeros; splitting still works."""
@@ -127,21 +139,23 @@ class TestLukacsPairs:
             lukacs_decompose(ChebPoly.basis(2, (1, 1)))
 
     def test_random_corpus_reconstruction(self):
-        """Random two-square inputs reconstruct and meet the degree bounds."""
+        """Random inputs of even and odd degree reconstruct and meet the
+        degree bounds with at most one square per sigma list."""
         rng = np.random.default_rng(1)
-        for _ in range(40):
-            p = _random_nonneg(rng, 12)
+        for trial in range(40):
+            if trial % 2:
+                p = _random_nonneg(rng, 12)
+            else:
+                p = _random_odd_nonneg(rng, 12)
+                assert p.degree() % 2 == 1
             pair = lukacs_decompose(p)
             assert pair.residual <= 1e-8
             deg = p.degree()
-            if pair.parity == "even":
-                assert 2 * pair.first.degree() <= deg or pair.first.is_zero()
-                assert pair.second.is_zero() or \
-                    2 * pair.second.degree() + 2 <= deg + 2
-            else:
-                m = (deg - 1) // 2
-                assert pair.first.is_zero() or pair.first.degree() <= m
-                assert pair.second.is_zero() or pair.second.degree() <= m
+            assert 2 * pair.first.degree() <= deg + 1
+            assert pair.second.is_zero() or \
+                2 * pair.second.degree() + 2 <= deg + 1
+            pre = to_preorder_pair(pair)
+            assert len(pre.sigma0) <= 1 and len(pre.sigma1) <= 1
 
     def test_squares_evaluate_nonnegative(self):
         rng = np.random.default_rng(2)
@@ -199,7 +213,7 @@ class TestKernelSlices:
         assert pre.sigma0[0].eval((0.0,)) == pytest.approx(1.0)
 
     def test_r1_slice_at_one(self):
-        """K_1(x, 1) = 1 + x splits through the half-angle route."""
+        """K_1(x, 1) = 1 + x splits into one square per sigma list."""
         pre = decompose_kernel_slice(1, 1.0)
         recon = pre.reconstruct()
         target = _kernel_slice_poly(1, 1.0)
@@ -232,6 +246,22 @@ class TestKernelSlices:
     def test_rejects_outside_interval(self):
         with pytest.raises(ValueError):
             decompose_kernel_slice(3, 1.5)
+
+    def test_slice_polynomial_matches_loop_reference(self, monkeypatch):
+        """The slice handed to the splitter is bit-identical to the loop form
+        1, 2 lambda_k T_k(y) by the three-term recurrence."""
+        seen = []
+
+        def capture(p):
+            seen.append(p)
+            zero = ChebPoly.zero(1)
+            return LukacsPair(first=zero, second=zero, residual=0.0)
+
+        monkeypatch.setattr(sos1d, "lukacs_decompose", capture)
+        for r in range(0, 120, 7):
+            for y in chebyshev_nodes(r + 1):
+                decompose_kernel_slice(r, float(y))
+                assert seen.pop().coeffs == _kernel_slice_poly(r, float(y)).coeffs
 
     def test_mirrored_slices_match_lower_nodes(self):
         """The mirror of the slice at node m-1-t is the slice at node t.
