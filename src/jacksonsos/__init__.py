@@ -6,6 +6,10 @@ The package builds explicit sum-of-squares decompositions
 
 for polynomials f nonnegative on the cube, and certified lower bounds on
 cube minima with an O(1/r^2) convergence guarantee in the kernel degree r.
+A certificate is stored in factored form: nonnegative node weights W and
+one square split S_t = u_t^2 + (1 - x^2) v_t^2 per node, with
+f + eta = sum_idx W[idx] prod_j S_{idx_j}(x_j); multiplying out gives the
+sigma_J.
 """
 
 from .certificate import (

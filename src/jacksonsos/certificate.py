@@ -5,12 +5,14 @@ explicit decomposition
 
     f + eta = sum_{J subset of {1..n}} sigma_J * prod_{j in J} (1 - x_j^2)
 
-in which every sigma_J is a recorded positive combination of squares, so
-validity is machine-checkable by re-expansion alone.  The construction
-unsmooths f + eta with the inverse Jackson operator, checks the result is
-still nonnegative, re-smooths it through the kernel written as a positive
-combination of its values at tensor Gauss-Chebyshev nodes, and splits every
-univariate kernel slice into squares.
+in which every sigma_J is a positive combination of squares.  The
+construction unsmooths f + eta with the inverse Jackson operator, checks the
+result is still nonnegative, re-smooths it through the kernel written as a
+positive combination of its values at tensor Gauss-Chebyshev nodes, and
+splits every univariate kernel slice into u^2 + (1 - x^2) v^2.  The
+certificate stores exactly that: one nonnegative weight per node and one
+square split per node coordinate.  Its validity is machine-checkable by
+contracting the weights with the split slices, without expanding the squares.
 
 ``kernel_lower_bound`` turns the same operator into certified lower bounds
 on the minimum of f: the minimum of the unsmoothed polynomial is a valid
@@ -19,7 +21,6 @@ lower bound because constants are fixed points of the smoothing operator.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -29,15 +30,14 @@ from .chebpoly import (
     ChebPoly,
     _refine,
     check_point_budget,
-    embed_univariate,
     grid_extrema,
     lobatto_axis,
 )
 from .kernelop import _check_degree, apply_inverse, constant_C, theorem_threshold
 from .quadrature import chebyshev_nodes
-from .sos1d import decompose_kernel_slice
+from .sos1d import PreorderPair1D, _dense, decompose_kernel_slice, split_coeffs
 
-#: a certificate is valid when its re-expansion matches f + eta this closely
+#: a certificate is valid when its reconstruction matches f + eta this closely
 RESIDUAL_TOL = 1e-8
 #: relative tolerance of the nonnegativity gate on the unsmoothed polynomial
 GATE_TOL = 1e-10
@@ -57,7 +57,7 @@ class NotCertifiable(Exception):
 
 
 class ResidualTooLarge(Exception):
-    """The assembled identity failed its own re-expansion check."""
+    """The assembled identity failed its own reconstruction check."""
 
     def __init__(self, residual: float):
         super().__init__(f"certificate residual {residual:.3e} exceeds "
@@ -70,69 +70,70 @@ def _grid_points(n: int) -> tuple:
     return {1: (2049, 4097), 2: (257, 513), 3: (65, 65)}.get(n, (17, 17))
 
 
-def _g_subset(num_vars: int, subset) -> ChebPoly:
-    """The product prod_{j in subset} (1 - x_j^2)."""
-    out = ChebPoly.constant(num_vars, 1.0)
-    for j in subset:
-        key_c = [0] * num_vars
-        key_2 = [0] * num_vars
-        key_2[j] = 2
-        out = out * ChebPoly(num_vars, {tuple(key_c): 0.5, tuple(key_2): -0.5})
-    return out
-
-
 @dataclass(slots=True)
 class SchmudgenCertificate:
     """Explicit membership witness for f + eta in the truncated preordering.
 
-    ``terms`` maps each subset J of variable indices (0-based, sorted tuple)
-    to a list of ``(scale, square_root)`` pairs: sigma_J is the sum of
-    ``scale * square_root**2`` over the list, every scale positive.
+    ``rows[t] = (u_t, v_t)`` are dense Chebyshev coefficient arrays (empty
+    for zero) of the square split S_t = u_t^2 + (1 - x^2) v_t^2 of the kernel
+    slice at node t, and ``weights`` is the len(rows)^n array of node weights
+    W >= 0 (clamped nodes hold 0).  The identity is
+
+        f + eta = sum_idx W[idx] prod_j S_{idx_j}(x_j),
+
+    and multiplying it out gives the Schmudgen form: sigma_J is the sum over
+    the nodes idx of W[idx] * (prod_{j not in J} u_{idx_j}(x_j)
+    prod_{j in J} v_{idx_j}(x_j))^2.
     """
 
     num_vars: int
     r: int
     eta: float
-    terms: dict
+    weights: np.ndarray
+    rows: tuple
     residual: float
 
     def reconstruct(self) -> ChebPoly:
-        """Re-expand sum_J sigma_J g_J from the stored squares."""
-        total: dict = {}
-        for subset, pairs in sorted(self.terms.items()):
-            sigma: dict = {}
-            for scale, root in pairs:
-                sq = root * root
-                for key, c in sq.coeffs.items():
-                    sigma[key] = sigma.get(key, 0.0) + scale * c
-            term = ChebPoly(self.num_vars, sigma) * _g_subset(self.num_vars, subset)
-            for key, c in term.coeffs.items():
-                total[key] = total.get(key, 0.0) + c
-        return ChebPoly(self.num_vars, total)
-
-    def square_count(self) -> int:
-        return sum(len(pairs) for pairs in self.terms.values())
+        """sum_idx W[idx] prod_j S_{idx_j}(x_j), contracting W along every axis."""
+        values = [split_coeffs(u, v) for u, v in self.rows]
+        table = np.zeros((len(values), max((s.size for s in values), default=1)))
+        for t, s in enumerate(values):
+            table[t, :s.size] = s
+        dense = self.weights
+        for _ in range(self.num_vars):
+            dense = np.tensordot(dense, table, axes=(0, 0))
+        return ChebPoly(self.num_vars, dict(np.ndenumerate(dense)))
 
     def squares_per_subset(self) -> dict:
-        return {subset: len(pairs) for subset, pairs in self.terms.items()}
-
-    def term_degrees(self) -> dict:
-        """Max per-variable degree of sigma_J g_J for each stored subset."""
+        """Squares in each expanded sigma_J: nodes with W > 0 and every factor nonzero."""
+        n = self.num_vars
+        present = np.array([[np.any(u), np.any(v)] for u, v in self.rows],
+                           dtype=bool).reshape(-1, 2)
         out = {}
-        for subset, pairs in self.terms.items():
-            worst = 0
-            for _, root in pairs:
-                degs = root.per_variable_degrees()
-                for j in range(self.num_vars):
-                    d = 2 * degs[j] + (2 if j in subset else 0)
-                    worst = max(worst, d)
-            out[subset] = worst
+        for mask in range(2 ** n):
+            subset = tuple(j for j in range(n) if mask >> j & 1)
+            live = self.weights > 0.0
+            for j in range(n):
+                factor = present[:, int(j in subset)]      # u for j not in J, v for j in J
+                live = live & factor.reshape((-1,) + (1,) * (n - 1 - j))
+            if live.any():
+                out[subset] = int(live.sum())
         return out
+
+    def square_count(self) -> int:
+        return sum(self.squares_per_subset().values())
+
+
+def _row(pair: PreorderPair1D) -> tuple:
+    """Dense (u, v) of a slice split, which has at most one square per list."""
+    (u,) = pair.sigma0 or (ChebPoly.zero(1),)
+    (v,) = pair.sigma1 or (ChebPoly.zero(1),)
+    return _dense(u), _dense(v)
 
 
 @dataclass(slots=True, frozen=True)
 class VerificationReport:
-    """Independent re-expansion check of a stored certificate."""
+    """Independent check of a stored certificate."""
 
     residual: float
     scales_positive: bool
@@ -159,8 +160,8 @@ def certify(f: ChebPoly, eta: float, r: int) -> SchmudgenCertificate:
     Raises :class:`NotCertifiable` when the unsmoothed polynomial
     K_r^{-1}(f + eta) dips below the gate tolerance on a refined grid (or a
     quadrature node weight comes out negative beyond round-off), and
-    :class:`ResidualTooLarge` if the assembled identity fails to re-expand
-    to f + eta within ``RESIDUAL_TOL``.  A kernel slice that does not split
+    :class:`ResidualTooLarge` if the assembled identity fails to reconstruct
+    f + eta within ``RESIDUAL_TOL``.  A kernel slice that does not split
     into squares raises sos1d's ``IllConditioned`` (as from r=58 on) or
     ``NotNonnegative``.  Raises ``ValueError`` when the (r + 1)^n quadrature
     nodes exceed ``POINT_BUDGET``.
@@ -179,9 +180,9 @@ def certify(f: ChebPoly, eta: float, r: int) -> SchmudgenCertificate:
             raise NotCertifiable(
                 f"constant target {const:.3e} is negative", min_value=const
             )
-        terms = {(): [(const, ChebPoly.constant(n, 1.0))]} if const > 0.0 else {}
-        return SchmudgenCertificate(num_vars=n, r=r, eta=eta, terms=terms,
-                                    residual=0.0)
+        return SchmudgenCertificate(num_vars=n, r=r, eta=eta,
+                                    weights=np.full((1,) * n, const),
+                                    rows=((np.ones(1), np.zeros(0)),), residual=0.0)
 
     m = r + 1
     check_point_budget(m, n)
@@ -199,50 +200,24 @@ def certify(f: ChebPoly, eta: float, r: int) -> SchmudgenCertificate:
 
     axis = chebyshev_nodes(m)
     gvals = unsmoothed.eval_grid([axis] * n)
-    weight = 1.0 / m ** n
 
     # K_r(x, -y) = K_r(-x, y) and the nodes are symmetric about 0: factor the
     # slices at y >= 0 (the middle node too for odd m) and mirror the rest
     half = m // 2
     upper = [decompose_kernel_slice(r, float(y)) for y in axis[half:]]
     slices = [upper[-1 - t].mirrored() for t in range(half)] + upper
-    embedded = [
-        [
-            (
-                tuple(embed_univariate(q, n, j) for q in slices[t].sigma0),
-                tuple(embed_univariate(q, n, j) for q in slices[t].sigma1),
-            )
-            for j in range(n)
-        ]
-        for t in range(m)
-    ]
 
-    subsets = [tuple(j for j in range(n) if mask >> j & 1)
-               for mask in range(2 ** n)]
-    terms: dict = {}
-    for idx in itertools.product(range(m), repeat=n):
-        wg = weight * float(gvals[idx])
-        if wg < -NODE_CLAMP:
-            raise NotCertifiable(
-                f"negative node weight {wg:.3e} at node {idx}", min_value=wg
-            )
-        if wg <= 0.0:
-            continue
-        for subset in subsets:
-            factor_lists = [
-                embedded[idx[j]][j][1 if j in subset else 0] for j in range(n)
-            ]
-            if any(not lst for lst in factor_lists):
-                continue
-            bucket = terms.setdefault(subset, [])
-            for combo in itertools.product(*factor_lists):
-                root = combo[0]
-                for extra in combo[1:]:
-                    root = root * extra
-                bucket.append((wg, root))
+    weights = (1.0 / m ** n) * gvals
+    if weights.min() < -NODE_CLAMP:
+        idx = tuple(int(i) for i in np.argwhere(weights < -NODE_CLAMP)[0])
+        raise NotCertifiable(
+            f"negative node weight {weights[idx]:.3e} at node {idx}",
+            min_value=float(weights[idx]),
+        )
+    weights[weights <= 0.0] = 0.0
 
-    cert = SchmudgenCertificate(num_vars=n, r=r, eta=eta, terms=terms,
-                                residual=0.0)
+    cert = SchmudgenCertificate(num_vars=n, r=r, eta=eta, weights=weights,
+                                rows=tuple(map(_row, slices)), residual=0.0)
     residual = _relative_residual(cert.reconstruct(), target)
     if residual > RESIDUAL_TOL:
         raise ResidualTooLarge(residual)
@@ -251,12 +226,17 @@ def certify(f: ChebPoly, eta: float, r: int) -> SchmudgenCertificate:
 
 
 def verify(cert: SchmudgenCertificate, f: ChebPoly) -> VerificationReport:
-    """Re-expand a certificate against f + eta using only stored squares."""
+    """Check a certificate against f + eta using only its stored weights and rows.
+
+    The weights must be nonnegative, every square split must keep degree
+    r + 1 (2 deg u <= r + 1 and 2 deg v + 2 <= r + 1), and the contraction
+    must match f + eta to ``RESIDUAL_TOL`` relative.
+    """
     target = f.shift(cert.eta)
     residual = _relative_residual(cert.reconstruct(), target)
-    scales_positive = all(scale > 0.0 for pairs in cert.terms.values()
-                          for scale, _ in pairs)
-    degrees_ok = all(d <= cert.r + 1 for d in cert.term_degrees().values())
+    scales_positive = bool(np.all(cert.weights >= 0.0))
+    degrees_ok = all(2 * len(u) - 2 <= cert.r + 1 and 2 * len(v) <= cert.r + 1
+                     for u, v in cert.rows)
     return VerificationReport(
         residual=residual,
         scales_positive=scales_positive,

@@ -321,20 +321,6 @@ def mono_from_cheb(p: ChebPoly) -> MonoPoly:
     return MonoPoly(p.num_vars, _convert(p.coeffs, _cheb_as_xpow))
 
 
-def embed_univariate(p: ChebPoly, num_vars: int, axis: int) -> ChebPoly:
-    """Lift a univariate polynomial into ``num_vars`` variables at ``axis``."""
-    if p.num_vars != 1:
-        raise ValueError("only univariate polynomials can be embedded")
-    if not 0 <= axis < num_vars:
-        raise ValueError(f"axis {axis} out of range for {num_vars} variables")
-    out = {}
-    for (k,), c in p.coeffs.items():
-        key = [0] * num_vars
-        key[axis] = k
-        out[tuple(key)] = c
-    return ChebPoly(num_vars, out)
-
-
 def enumerate_multidegrees(n: int, d: int) -> list[Multidegree]:
     """All multidegrees with ``n`` entries and total degree <= ``d``.
 

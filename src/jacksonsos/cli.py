@@ -186,43 +186,49 @@ def demo_polynomial() -> MonoPoly:
 
 
 def certificate_to_dict(cert: SchmudgenCertificate) -> dict:
-    """JSON-ready form; subset indices are 1-based, keys comma-joined."""
-    terms = []
-    for subset, pairs in sorted(cert.terms.items()):
-        squares = [
-            {
-                "scale": scale,
-                "coeffs": {",".join(map(str, key)): c
-                           for key, c in sorted(root.coeffs.items())},
-            }
-            for scale, root in pairs
-        ]
-        terms.append({"J": [j + 1 for j in subset], "squares": squares})
+    """JSON-ready form: weights flattened in C order, one (u, v) row per node."""
     return {
         "num_vars": cert.num_vars,
         "r": cert.r,
         "eta": cert.eta,
         "residual": cert.residual,
-        "terms": terms,
+        "weights": cert.weights.ravel().tolist(),
+        "rows": [{"u": u.tolist(), "v": v.tolist()} for u, v in cert.rows],
     }
 
 
+def _finite_array(values, what: str) -> np.ndarray:
+    out = np.asarray(values, dtype=float)
+    if out.ndim != 1 or not np.all(np.isfinite(out)):
+        raise ValueError(f"certificate {what} must be a flat list of finite numbers")
+    return out
+
+
 def certificate_from_dict(data: dict) -> SchmudgenCertificate:
+    """Inverse of :func:`certificate_to_dict`; malformed data raises ValueError."""
+    if "terms" in data:
+        raise ValueError("expanded 'terms' certificates are no longer read; "
+                         "run certify again to write the factored form")
+    missing = [key for key in ("num_vars", "r", "eta", "residual", "weights", "rows")
+               if key not in data]
+    if missing:
+        raise ValueError(f"certificate lacks {', '.join(missing)}")
+    if not all(isinstance(row, dict) and {"u", "v"} <= row.keys()
+               for row in data["rows"]):
+        raise ValueError("every certificate row needs 'u' and 'v'")
     n = int(data["num_vars"])
-    terms: dict = {}
-    for entry in data["terms"]:
-        subset = tuple(sorted(int(j) - 1 for j in entry["J"]))
-        pairs = []
-        for square in entry["squares"]:
-            coeffs = {tuple(int(s) for s in key.split(",")): float(c)
-                      for key, c in square["coeffs"].items()}
-            pairs.append((float(square["scale"]), ChebPoly(n, coeffs)))
-        terms[subset] = pairs
+    rows = tuple((_finite_array(row["u"], "row coefficients"),
+                  _finite_array(row["v"], "row coefficients")) for row in data["rows"])
+    weights = _finite_array(data["weights"], "weights")
+    if n < 1 or weights.size != len(rows) ** n:
+        raise ValueError(f"{weights.size} weights for {len(rows)} rows "
+                         f"in {n} variables")
     return SchmudgenCertificate(
         num_vars=n,
         r=int(data["r"]),
         eta=float(data["eta"]),
-        terms=terms,
+        weights=weights.reshape((len(rows),) * n),
+        rows=rows,
         residual=float(data["residual"]),
     )
 

@@ -20,9 +20,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
-from numpy.polynomial.chebyshev import chebvander
+from numpy.polynomial.chebyshev import chebadd, chebmul, chebvander
 
 from .chebpoly import ChebPoly, _canon, grid_extrema
 from .jackson import _kernel_coeffs
@@ -37,7 +38,7 @@ RECON_TOL = 1e-8
 _MODULUS_BAND = 1e-7      # |z| within this of 1 counts as an on-circle root
 _ANGLE_TOLS = (1e-5, 1e-3)  # clustering tolerances tried for on-circle roots
 
-_ONE_MINUS_X2 = ChebPoly(1, {(0,): 0.5, (2,): -0.5})    # 1 - x^2
+_ONE_MINUS_X2 = np.array([0.5, 0.0, -0.5])     # Chebyshev coefficients of 1 - x^2
 
 
 class NotNonnegative(ValueError):
@@ -248,6 +249,27 @@ def _dense_to_poly(a: np.ndarray) -> ChebPoly:
     return ChebPoly(1, _canon({(k,): float(c) for k, c in enumerate(a)}))
 
 
+def _dense(q: ChebPoly) -> np.ndarray:
+    """Coefficients c_0..c_deg of a univariate polynomial; empty for zero."""
+    out = np.zeros(q.degree() + 1 if q.coeffs else 0)
+    for (k,), c in q.coeffs.items():
+        out[k] = c
+    return out
+
+
+def split_coeffs(u, v) -> np.ndarray:
+    """Chebyshev coefficients of u^2 + (1 - x^2) v^2 from dense u, v.
+
+    An empty coefficient array stands for the zero polynomial.
+    """
+    out = np.zeros(1)
+    if len(u):
+        out = chebadd(out, chebmul(u, u))
+    if len(v):
+        out = chebadd(out, chebmul(_ONE_MINUS_X2, chebmul(v, v)))
+    return out
+
+
 def _split_even(h: np.ndarray) -> tuple:
     """h of even degree 2m: factor as u(x) + i sin(t) v(x) on the circle."""
     m = (h.size - 1) // 2
@@ -305,11 +327,7 @@ def lukacs_decompose(p: ChebPoly) -> LukacsPair:
             location=loc[0],
         )
 
-    deg = p.degree()
-    dense = np.zeros(deg + 1)
-    for (k,), c in p.coeffs.items():
-        dense[k] = c
-    h = fejer_riesz(dense)
+    h = fejer_riesz(_dense(p))
     if h.size % 2 == 0:
         h = np.concatenate(([0.0], h))      # z h: same modulus, even degree
     first, second = _split_even(h)
@@ -337,12 +355,9 @@ class PreorderPair1D:
     sigma1: tuple
 
     def reconstruct(self) -> ChebPoly:
-        out = ChebPoly.zero(1)
-        for qpoly in self.sigma0:
-            out = out + qpoly * qpoly
-        for qpoly in self.sigma1:
-            out = out + _ONE_MINUS_X2 * (qpoly * qpoly)
-        return out
+        parts = [split_coeffs(_dense(q), ()) for q in self.sigma0]
+        parts += [split_coeffs((), _dense(q)) for q in self.sigma1]
+        return _dense_to_poly(reduce(chebadd, parts, np.zeros(1)))
 
     def mirrored(self) -> "PreorderPair1D":
         """The pair of x -> p(-x), exactly: T_k(-x) = (-1)^k T_k(x)."""

@@ -5,7 +5,13 @@ from __future__ import annotations
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from jacksonsos import ChebPoly, MonoPoly, cheb_from_monomial, mono_from_cheb
+from jacksonsos import (
+    ChebPoly,
+    MonoPoly,
+    SchmudgenCertificate,
+    cheb_from_monomial,
+    mono_from_cheb,
+)
 from jacksonsos.chebpoly import enumerate_multidegrees
 
 
@@ -21,6 +27,52 @@ def random_cheb(rng: np.random.Generator, n: int, d: int,
     """Dense random polynomial over the total-degree-d simplex."""
     keys = enumerate_multidegrees(n, d)
     return ChebPoly(n, {k: scale * rng.standard_normal() for k in keys})
+
+
+def tamper_heaviest_node(cert: SchmudgenCertificate,
+                         factor: float) -> SchmudgenCertificate:
+    """Copy of ``cert`` with its largest node weight multiplied by ``factor``."""
+    weights = cert.weights.copy()
+    weights[np.unravel_index(int(np.argmax(weights)), weights.shape)] *= factor
+    return SchmudgenCertificate(cert.num_vars, cert.r, cert.eta, weights,
+                                cert.rows, cert.residual)
+
+
+def expand_certificate(cert: SchmudgenCertificate):
+    """Multiply a certificate out square by square with ``ChebPoly`` products.
+
+    Independent of the library's tensor contraction: for every node idx with
+    W[idx] > 0 and every subset J, the square of prod_{j not in J} u_{idx_j}
+    prod_{j in J} v_{idx_j} is formed, weighted, and multiplied by
+    prod_{j in J} (1 - x_j^2).  Returns (sum_J sigma_J g_J, squares per J).
+    """
+    n = cert.num_vars
+
+    def lift(coeffs, j):
+        return ChebPoly(n, {tuple(k if i == j else 0 for i in range(n)): c
+                            for k, c in enumerate(coeffs)})
+
+    weight = [lift([0.5, 0.0, -0.5], j) for j in range(n)]    # 1 - x_j^2
+    total = ChebPoly.zero(n)
+    counts: dict = {}
+    for idx in np.ndindex(cert.weights.shape):
+        w = float(cert.weights[idx])
+        if w <= 0.0:
+            continue
+        for mask in range(2 ** n):
+            subset = tuple(j for j in range(n) if mask >> j & 1)
+            factors = [cert.rows[t][int(j in subset)] for j, t in enumerate(idx)]
+            if not all(np.any(q) for q in factors):
+                continue
+            root = ChebPoly.constant(n, 1.0)
+            for j, q in enumerate(factors):
+                root = root * lift(q, j)
+            term = (root * root).scale(w)
+            for j in subset:
+                term = term * weight[j]
+            total = total + term
+            counts[subset] = counts.get(subset, 0) + 1
+    return total, counts
 
 
 def _dense_mono_coeffs(p: MonoPoly) -> np.ndarray:

@@ -20,8 +20,10 @@ from jacksonsos.certificate import (
 from jacksonsos.chebpoly import ChebPoly, grid_extrema, mono_from_cheb
 from jacksonsos.cli import certificate_from_dict, certificate_to_dict
 from jacksonsos.kernelop import apply_forward, apply_inverse, constant_C, theorem_threshold
+from jacksonsos.quadrature import chebyshev_nodes
+from jacksonsos.sos1d import decompose_kernel_slice
 
-from helpers import demo_f, random_cheb
+from helpers import demo_f, expand_certificate, random_cheb, tamper_heaviest_node
 
 
 class TestCertify:
@@ -32,9 +34,18 @@ class TestCertify:
         report = verify(cert, f)
         assert report.valid
         assert report.degrees_ok
-        assert set(cert.terms) <= {(), (0,)}
-        assert all(scale > 0 for pairs in cert.terms.values()
-                   for scale, _ in pairs)
+        assert set(cert.squares_per_subset()) <= {(), (0,)}
+        # the weights are the unsmoothed values at the nodes over m, bit for bit
+        nodes = chebyshev_nodes(8)
+        unsmoothed = apply_inverse(f.shift(0.1), 7).eval_grid([nodes])
+        assert np.all(unsmoothed > 0.0)
+        assert np.array_equal(cert.weights, (1.0 / 8) * unsmoothed)
+        # the rows at y >= 0 are the dense square roots of the slice splits
+        for t in range(4, 8):
+            pre = decompose_kernel_slice(7, float(nodes[t]))
+            for stored, (root,) in zip(cert.rows[t], (pre.sigma0, pre.sigma1)):
+                assert stored.tolist() == [root.coeffs.get((k,), 0.0)
+                                           for k in range(len(stored))]
 
     def test_demo_r5_not_certifiable(self):
         f = demo_f()
@@ -45,10 +56,9 @@ class TestCertify:
     def test_zero_with_eta(self):
         cert = certify(ChebPoly.zero(1), 1.0, 4)
         assert cert.residual == 0.0
-        assert list(cert.terms) == [()]
-        [(scale, root)] = cert.terms[()]
-        assert scale == pytest.approx(1.0)
-        assert root.coeffs == {(0,): 1.0}
+        assert cert.weights.tolist() == [1.0]
+        assert [(u.tolist(), v.tolist()) for u, v in cert.rows] == [([1.0], [])]
+        assert cert.squares_per_subset() == {(): 1}
 
     def test_constant_negative(self):
         with pytest.raises(NotCertifiable):
@@ -62,7 +72,10 @@ class TestCertify:
 
     def test_constant_zero_gives_empty(self):
         cert = certify(ChebPoly.constant(1, -1.0), 1.0, 2)
-        assert cert.terms == {}
+        assert cert.weights.tolist() == [0.0]
+        assert [(u.tolist(), v.tolist()) for u, v in cert.rows] == [([1.0], [])]
+        assert cert.squares_per_subset() == {}
+        assert cert.square_count() == 0
         assert verify(cert, ChebPoly.constant(1, -1.0)).residual == 0.0
 
     def test_degree_guard(self):
@@ -97,16 +110,28 @@ class TestCertify:
         per_node_limit = 1  # every slice, odd r too, has one square per sigma list
         for subset, count in cert.squares_per_subset().items():
             assert count <= nodes * per_node_limit
+        assert cert.square_count() == 16
         # n=2, r=5: one square per node and subset, so at most (r + 1)^n
         q = random_cheb(np.random.default_rng(5), 2, 2)
         cert2 = certify(apply_forward(q * q + ChebPoly.constant(2, 0.1), 5), 0.0, 5)
-        assert set(cert2.terms) == {(), (0,), (1,), (0, 1)}
+        assert set(cert2.squares_per_subset()) == {(), (0,), (1,), (0, 1)}
         for subset, count in cert2.squares_per_subset().items():
             assert count <= 6 ** 2
 
     def test_term_degree_bound(self):
-        cert = certify(demo_f(), 0.1, 7)
-        assert all(d <= 8 for d in cert.term_degrees().values())
+        f = demo_f()
+        cert = certify(f, 0.1, 7)
+        assert all(2 * len(u) - 2 <= 8 and 2 * len(v) <= 8 for u, v in cert.rows)
+        assert verify(cert, f).degrees_ok
+        # one extra coefficient in one row gives sigma_J of degree 10 > r + 1
+        rows = list(cert.rows)
+        u, v = rows[3]
+        rows[3] = (u, np.append(v, 1e-3))
+        tampered = SchmudgenCertificate(
+            num_vars=1, r=7, eta=0.1, weights=cert.weights, rows=tuple(rows),
+            residual=cert.residual)
+        assert not verify(tampered, f).degrees_ok
+        assert not verify(tampered, f).valid
 
     def test_output_is_deterministic(self):
         """Two calls give byte-identical certificate JSON."""
@@ -155,6 +180,43 @@ class TestCertify:
             certify(f5, 0.1, 60)
 
 
+def _smoothed_square(n: int, r: int) -> ChebPoly:
+    q = random_cheb(np.random.default_rng(5), n, max(1, r // 2))
+    return apply_forward(q * q + ChebPoly.constant(n, 0.1), r)
+
+
+class TestFactoredForm:
+    @pytest.mark.parametrize("n, r", [(1, 7), (1, 12), (2, 4), (2, 5), (3, 3)])
+    def test_matches_product_expansion(self, n, r):
+        """Multiplying every square out gives f + eta and the contraction."""
+        f, eta = (demo_f(), 0.1) if n == 1 else (_smoothed_square(n, r), 0.0)
+        cert = certify(f, eta, r)
+        expanded, counts = expand_certificate(cert)
+        assert counts == cert.squares_per_subset()
+        target = f.shift(eta)
+        scale = target.max_abs_coeff()
+        assert (expanded - target).max_abs_coeff() <= 1e-12 * scale
+        assert (expanded - cert.reconstruct()).max_abs_coeff() <= 1e-12 * scale
+
+    @pytest.mark.parametrize("n, r, squares", [
+        (1, 40, 82), (2, 4, 100), (2, 5, 144), (2, 8, 324), (3, 3, 512), (3, 4, 1000),
+    ])
+    def test_implied_square_counts(self, n, r, squares):
+        assert certify(_smoothed_square(n, r), 0.0, r).square_count() == squares
+
+    @pytest.mark.parametrize("n, r", [(3, 10), (4, 6)])
+    def test_large_smoothed_squares(self, n, r):
+        """Sizes the expanded form could not reach certify, reload and verify."""
+        f = _smoothed_square(n, r)
+        cert = certify(f, 0.0, r)
+        loaded = certificate_from_dict(json.loads(json.dumps(certificate_to_dict(cert))))
+        report = verify(loaded, f)
+        assert report.valid
+        assert report.residual == cert.residual
+        stored = cert.weights.size + sum(len(u) + len(v) for u, v in cert.rows)
+        assert stored <= (r + 1) ** n + (r + 1) * (r + 3)
+
+
 class TestVerifyTampering:
     def _base(self):
         f = demo_f()
@@ -162,28 +224,13 @@ class TestVerifyTampering:
 
     def test_sign_flip_detected(self):
         f, cert = self._base()
-        subset = max(cert.terms, key=lambda s: len(cert.terms[s]))
-        pairs = list(cert.terms[subset])
-        idx = max(range(len(pairs)), key=lambda i: pairs[i][0])
-        pairs[idx] = (-pairs[idx][0], pairs[idx][1])
-        tampered = SchmudgenCertificate(
-            num_vars=cert.num_vars, r=cert.r, eta=cert.eta,
-            terms={**cert.terms, subset: pairs}, residual=cert.residual)
-        report = verify(tampered, f)
+        report = verify(tamper_heaviest_node(cert, -1.0), f)
         assert not report.valid
         assert not report.scales_positive
 
     def test_dropped_square_detected(self):
         f, cert = self._base()
-        subset = max(cert.terms, key=lambda s: len(cert.terms[s]))
-        pairs = list(cert.terms[subset])
-        idx = max(range(len(pairs)),
-                  key=lambda i: pairs[i][0] * pairs[i][1].max_abs_coeff() ** 2)
-        del pairs[idx]
-        tampered = SchmudgenCertificate(
-            num_vars=cert.num_vars, r=cert.r, eta=cert.eta,
-            terms={**cert.terms, subset: pairs}, residual=cert.residual)
-        report = verify(tampered, f)
+        report = verify(tamper_heaviest_node(cert, 0.0), f)
         assert report.residual > 1e-8
         assert not report.valid
 
@@ -198,11 +245,12 @@ class TestVerifyTampering:
         """sigma_empty = {}, sigma_{1} = {1} certifies 1 - x^2 exactly."""
         weight = ChebPoly(1, {(0,): 0.5, (2,): -0.5})
         cert = SchmudgenCertificate(
-            num_vars=1, r=2, eta=0.0,
-            terms={(0,): [(1.0, ChebPoly.constant(1, 1.0))]}, residual=0.0)
+            num_vars=1, r=2, eta=0.0, weights=np.array([1.0]),
+            rows=((np.zeros(0), np.array([1.0])),), residual=0.0)
         report = verify(cert, weight)
         assert report.residual == 0.0
         assert report.valid
+        assert cert.squares_per_subset() == {(0,): 1}
 
 
 class TestKernelLowerBound:

@@ -11,7 +11,6 @@ from jacksonsos.chebpoly import (
     MonoPoly,
     _canon,
     cheb_from_monomial,
-    embed_univariate,
     enumerate_multidegrees,
     grid_extrema,
     hamming_weight,
@@ -321,14 +320,3 @@ class TestGridExtrema:
         assert peak < 2 ** 22
         assert lo == pytest.approx(p.eval(argmin), abs=1e-12)
         assert hi == pytest.approx(p.eval(argmax), abs=1e-12)
-
-
-class TestEmbedding:
-    def test_embed_univariate(self):
-        p = ChebPoly(1, {(2,): 1.5, (0,): -0.5})
-        q = embed_univariate(p, 3, 1)
-        assert q.coeffs == {(0, 2, 0): 1.5, (0, 0, 0): -0.5}
-        with pytest.raises(ValueError):
-            embed_univariate(p, 2, 2)
-        with pytest.raises(ValueError):
-            embed_univariate(ChebPoly.basis(2, (1, 1)), 3, 0)

@@ -8,7 +8,7 @@ import math
 import pytest
 
 from jacksonsos import certificate as certificate_module
-from jacksonsos.certificate import verify
+from jacksonsos.certificate import certify, verify
 from jacksonsos.chebpoly import MonoPoly, cheb_from_monomial
 from jacksonsos.cli import (
     EXIT_NOT_CERTIFIABLE,
@@ -108,7 +108,10 @@ class TestCertifyCommand:
         data = json.loads(out.read_text())
         assert data["num_vars"] == 1 and data["r"] == 7
         assert data["residual"] <= 1e-8
-        assert all(set(term["J"]) <= {1} for term in data["terms"])
+        cert = certify(demo_f(), 0.1, 7)
+        assert data["weights"] == cert.weights.tolist()
+        assert data["rows"] == [{"u": u.tolist(), "v": v.tolist()}
+                                for u, v in cert.rows]
 
     def test_not_certifiable_exit(self, tmp_path, capsys):
         code = main(["certify", "--poly", DEMO, "--eta", "0.1", "--r", "5",
@@ -177,16 +180,63 @@ class TestCertifyCommand:
         assert abs(report.residual - data["residual"]) <= 1e-12
 
     def test_dict_round_trip_identity(self):
-        from jacksonsos.certificate import certify
         cert = certify(demo_f(), 0.1, 7)
         again = certificate_from_dict(
             json.loads(json.dumps(certificate_to_dict(cert))))
-        assert again.terms.keys() == cert.terms.keys()
-        for subset in cert.terms:
-            for (s1, q1), (s2, q2) in zip(cert.terms[subset],
-                                          again.terms[subset]):
-                assert s1 == s2
-                assert q1.coeffs == q2.coeffs
+        assert again.weights.shape == cert.weights.shape
+        assert again.weights.tobytes() == cert.weights.tobytes()
+        assert len(again.rows) == len(cert.rows) == 8
+        for (u1, v1), (u2, v2) in zip(cert.rows, again.rows):
+            assert u1.tobytes() == u2.tobytes()
+            assert v1.tobytes() == v2.tobytes()
+
+
+class TestCertificateFromDict:
+    """Malformed certificate JSON is refused with ValueError at load time."""
+
+    @staticmethod
+    def _data(n=2):
+        if n == 1:
+            return certificate_to_dict(certify(demo_f(), 0.1, 7))
+        f = cheb_from_monomial(MonoPoly(2, {(0, 0): 1.0, (1, 1): 0.2}))
+        return certificate_to_dict(certify(f, 0.0, 3))
+
+    def test_wrong_weight_count(self):
+        data = self._data()
+        assert len(data["weights"]) == len(data["rows"]) ** 2 == 16
+        data["weights"] = data["weights"][:-1]
+        with pytest.raises(ValueError, match="15 weights for 4 rows"):
+            certificate_from_dict(data)
+
+    @pytest.mark.parametrize("where", ["weights", "u", "v"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_number(self, where, bad):
+        data = json.loads(json.dumps(self._data(1)))
+        target = data["weights"] if where == "weights" else data["rows"][5][where]
+        target[0] = bad
+        with pytest.raises(ValueError, match="must be a flat list of finite numbers"):
+            certificate_from_dict(json.loads(json.dumps(data)))
+
+    @pytest.mark.parametrize("key", ["num_vars", "r", "eta", "residual",
+                                     "weights", "rows"])
+    def test_missing_key(self, key):
+        data = self._data(1)
+        del data[key]
+        with pytest.raises(ValueError, match=f"certificate lacks {key}"):
+            certificate_from_dict(data)
+
+    def test_missing_row_key(self):
+        data = self._data(1)
+        del data["rows"][2]["v"]
+        with pytest.raises(ValueError, match="'u' and 'v'"):
+            certificate_from_dict(data)
+
+    def test_expanded_terms_format(self):
+        data = {"num_vars": 1, "r": 7, "eta": 0.1, "residual": 2e-16,
+                "terms": [{"J": [], "squares": [{"scale": 0.29,
+                                                  "coeffs": {"0": 1.0}}]}]}
+        with pytest.raises(ValueError, match="run certify again"):
+            certificate_from_dict(data)
 
 
 class TestBoundCommand:
