@@ -225,22 +225,49 @@ class ChebPoly:
     __call__ = eval
 
     def eval_grid(self, axes) -> np.ndarray:
-        """Evaluate on the tensor grid spanned by the 1-D arrays ``axes``."""
+        """Evaluate on the tensor grid spanned by the 1-D arrays ``axes``.
+
+        Sum factorization over the sparse terms, one axis at a time from the
+        last.  After axes i+1 .. n-1 are done, each row holds the sum, on
+        their grid, of the terms sharing one prefix (k_0 .. k_i).  Axis i
+        scatters the rows into (k_0 .. k_{i-1}, k_i, grid) and contracts
+        k_i with the T_k(axes[i]) table, which merges the rows that share
+        k_0 .. k_{i-1}.  The scattered array has (distinct k_0 .. k_{i-1})
+        x (distinct k_i) x grid entries, each count at most the number of
+        terms, and never prod(d_i + 1).  The last axis adds the terms in map
+        order, so a one-variable grid is the plain term-by-term sum.
+        """
         if len(axes) != self.num_vars:
             raise ValueError("one axis array per variable required")
         axes = [np.atleast_1d(np.asarray(a, dtype=float)) for a in axes]
         shape = tuple(a.size for a in axes)
-        out = np.zeros(shape)
         if not self.coeffs:
-            return out
-        degs = self.per_variable_degrees()
-        tables = [_ncheb.chebvander(a, d) for a, d in zip(axes, degs)]
-        for kappa, c in self.coeffs.items():
-            prod = tables[0][:, kappa[0]]
-            for i in range(1, self.num_vars):
-                prod = np.multiply.outer(prod, tables[i][:, kappa[i]])
-            out += c * prod
-        return out
+            return np.zeros(shape)
+        n = self.num_vars
+        keys = np.array(list(self.coeffs), dtype=np.intp)
+        cs = np.fromiter(self.coeffs.values(), dtype=float, count=len(keys))
+        degs = keys.max(axis=0)
+        # prefix[i][t]: term t's (k_0 .. k_{i-1}) numbered among the distinct ones
+        prefix = [np.zeros(len(keys), dtype=np.intp)]
+        for i in range(n - 1):
+            code = prefix[-1] * (degs[i] + 1) + keys[:, i]
+            prefix.append(np.unique(code, return_inverse=True)[1])
+
+        table = _ncheb.chebvander(axes[-1], degs[-1]).T
+        vals = np.zeros((prefix[-1].max() + 1, shape[-1]))
+        for row, k, c in zip(prefix[-1].tolist(), keys[:, -1].tolist(), cs.tolist()):
+            vals[row] += c * table[k]
+
+        points = shape[-1]
+        for i in range(n - 2, -1, -1):
+            _, rep = np.unique(prefix[i + 1], return_index=True)   # a term per row
+            kset, kidx = np.unique(keys[rep, i], return_inverse=True)
+            scattered = np.zeros((prefix[i].max() + 1, kset.size, points))
+            scattered[prefix[i][rep], kidx] = vals
+            points *= shape[i]
+            table = _ncheb.chebvander(axes[i], degs[i])[:, kset]
+            vals = (table @ scattered).reshape(len(scattered), points)
+        return vals.reshape(shape)
 
 
 @dataclass(slots=True)
@@ -398,6 +425,10 @@ def _refine(p: ChebPoly, axis: np.ndarray, idx, start_val: float, sign: float,
     sparse terms with the other coordinates fixed at ``best_x`` (so memory
     grows with the number of terms, not with prod(d_i + 1)), and evaluated
     as sum_k line_k cos(k acos t) (every probe lies in the cube).
+
+    Line j depends only on the other coordinates, so it is searched again
+    only after one of them has moved; a repeat would return the same point
+    and value and change nothing.
     """
     m = axis.size
     x = [float(axis[i]) for i in idx]
@@ -407,8 +438,12 @@ def _refine(p: ChebPoly, axis: np.ndarray, idx, start_val: float, sign: float,
     degs = p.per_variable_degrees()
     kappas = np.array(list(p.coeffs), dtype=np.intp).reshape(-1, n)
     cs = np.fromiter(p.coeffs.values(), dtype=float, count=len(p.coeffs))
+    stale = [True] * n
     for _ in range(max(refine_iters, 0)):
         for j in range(n):
+            if not stale[j]:
+                continue
+            stale[j] = False
             lo, hi = brackets[j]
             w = cs.copy()
             for i in range(n):
@@ -423,6 +458,7 @@ def _refine(p: ChebPoly, axis: np.ndarray, idx, start_val: float, sign: float,
             if v < best_v:
                 best_v = v
                 best_x[j] = t
+                stale = [i != j for i in range(n)]
     return sign * best_v, tuple(best_x)
 
 

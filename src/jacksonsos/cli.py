@@ -304,7 +304,7 @@ def cmd_bound(args) -> int:
         r_values = _parse_sweep(args.r_sweep)
     else:
         raise ValueError("one of --r or --r-sweep is required")
-    reports = rate_sweep(f, r_values, grid=args.grid or None)
+    reports = rate_sweep(f, r_values, grid=args.grid)
 
     buf = io.StringIO()
     writer = csv.writer(buf)

@@ -100,6 +100,14 @@ def _autocorrelation(h: np.ndarray, d: int) -> np.ndarray:
     return acf
 
 
+def _autocorrelation_jacobian(h: np.ndarray, d: int) -> np.ndarray:
+    """Jacobian of :func:`_autocorrelation` at ``h``: d a_k / d h_j."""
+    padded = np.concatenate([np.zeros(d), h, np.zeros(d)])
+    j = np.arange(h.size)
+    k = np.arange(d + 1)[:, None]
+    return (padded[d + j + k] + padded[d + j - k]) * np.where(k == 0, 1.0, 2.0)
+
+
 def _polish_factor(h: np.ndarray, q: np.ndarray, iters: int = 6) -> np.ndarray:
     """Damped Gauss-Newton on ||autocorrelation(h) - q||.
 
@@ -111,23 +119,12 @@ def _polish_factor(h: np.ndarray, q: np.ndarray, iters: int = 6) -> np.ndarray:
     manifold is harmless.
     """
     d = q.size - 1
-    size = h.size
     best = h.copy()
     best_res = float(np.linalg.norm(_autocorrelation(best, d) - q))
     cur = best
     for _ in range(iters):
         res = _autocorrelation(cur, d) - q
-        jac = np.zeros((d + 1, size))
-        for k in range(d + 1):
-            factor = 1.0 if k == 0 else 2.0
-            for j in range(size):
-                val = 0.0
-                if j + k < size:
-                    val += cur[j + k]
-                if j - k >= 0:
-                    val += cur[j - k]
-                jac[k, j] = factor * val
-        step = np.linalg.lstsq(jac, -res, rcond=None)[0]
+        step = np.linalg.lstsq(_autocorrelation_jacobian(cur, d), -res, rcond=None)[0]
         scale = 1.0
         nxt = cur + step
         nres = float(np.linalg.norm(_autocorrelation(nxt, d) - q))

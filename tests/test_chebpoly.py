@@ -6,10 +6,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from jacksonsos import chebpoly
 from jacksonsos.chebpoly import (
     ChebPoly,
     MonoPoly,
     _canon,
+    _golden_min,
+    _refine,
+    _t_values,
     cheb_from_monomial,
     enumerate_multidegrees,
     grid_extrema,
@@ -148,6 +152,54 @@ class TestEvaluation:
             for j, y in enumerate(ax):
                 assert grid[i, j] == pytest.approx(p.eval((x, y)), rel=1e-12,
                                                    abs=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("keep", [1.0, 0.3])
+    def test_eval_grid_matches_eval(self, n, keep):
+        """Dense and sparse maps, axes of unequal length, size-1 axes."""
+        rng = np.random.default_rng(60 + n)
+        d = {1: 9, 2: 7, 3: 5, 4: 4}[n]
+        for lengths in ([5, 3, 4, 2][:n], [1, 6, 1, 3][:n]):
+            keys = [k for k in enumerate_multidegrees(n, d) if rng.random() < keep]
+            p = ChebPoly(n, {keys[i]: rng.standard_normal()
+                             for i in rng.permutation(len(keys))})
+            axes = [rng.uniform(-1.2, 1.2, m) for m in lengths]
+            grid = p.eval_grid(axes)
+            assert grid.shape == tuple(lengths)
+            tol = 1e-12 * sum(abs(c) for c in p.coeffs.values())
+            for idx in np.ndindex(grid.shape):
+                pt = [axes[i][j] for i, j in enumerate(idx)]
+                assert abs(grid[idx] - p.eval(pt)) <= tol
+
+    def test_eval_grid_zero_polynomial(self):
+        grid = ChebPoly.zero(3).eval_grid([np.ones(2), np.ones(1), np.ones(4)])
+        assert grid.shape == (2, 1, 4) and not grid.any()
+
+    def test_eval_grid_univariate_is_term_by_term_sum(self):
+        """One variable: the terms add in map order, bit for bit."""
+        rng = np.random.default_rng(7)
+        p = ChebPoly(1, {(k,): rng.standard_normal() for k in (3, 0, 6, 1, 5)})
+        ax = lobatto_axis(129)
+        expected = np.zeros(ax.size)
+        for (k,), c in p.coeffs.items():
+            expected += c * np.polynomial.chebyshev.chebvander(ax, 6)[:, k]
+        assert np.array_equal(p.eval_grid([ax]), expected)
+
+    def test_eval_grid_memory_follows_terms(self):
+        """A sparse degree-24 map in 5 variables never goes dense on a 9^5 grid."""
+        keys = [tuple(24 * (i == j) for i in range(5)) for j in range(5)]
+        keys += [(12, 0, 12, 0, 0), (0, 8, 0, 8, 8), (6, 6, 6, 6, 0), (0,) * 5]
+        p = ChebPoly(5, {k: 1.0 + 0.1 * i for i, k in enumerate(keys)})
+        axes = [lobatto_axis(9)] * 5
+        tracemalloc.start()
+        try:
+            grid = p.eval_grid(axes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * grid.nbytes
+        pt = [axes[i][j] for i, j in enumerate((1, 7, 3, 0, 8))]
+        assert grid[1, 7, 3, 0, 8] == pytest.approx(p.eval(pt), abs=1e-12 * 10)
 
 
 class TestAlgebra:
@@ -320,3 +372,62 @@ class TestGridExtrema:
         assert peak < 2 ** 22
         assert lo == pytest.approx(p.eval(argmin), abs=1e-12)
         assert hi == pytest.approx(p.eval(argmax), abs=1e-12)
+
+
+def _refine_full_sweep(p, axis, idx, start_val, sign, refine_iters):
+    """The polish that searches every line in every sweep (reference copy)."""
+    m = axis.size
+    brackets = [(float(axis[max(i - 1, 0)]), float(axis[min(i + 1, m - 1)])) for i in idx]
+    best_v, best_x = sign * start_val, [float(axis[i]) for i in idx]
+    n = p.num_vars
+    degs = p.per_variable_degrees()
+    kappas = np.array(list(p.coeffs), dtype=np.intp).reshape(-1, n)
+    cs = np.fromiter(p.coeffs.values(), dtype=float, count=len(p.coeffs))
+    for _ in range(max(refine_iters, 0)):
+        for j in range(n):
+            lo, hi = brackets[j]
+            w = cs.copy()
+            for i in range(n):
+                if i != j:
+                    w *= np.asarray(_t_values(best_x[i], degs[i]))[kappas[:, i]]
+            line = np.bincount(kappas[:, j], weights=w, minlength=degs[j] + 1)
+
+            def slice_fn(t, line=line, kj=np.arange(degs[j] + 1)):
+                return sign * float(np.cos(kj * math.acos(t)) @ line)
+
+            v, t = _golden_min(slice_fn, lo, hi)
+            if v < best_v:
+                best_v = v
+                best_x[j] = t
+    return sign * best_v, tuple(best_x)
+
+
+class TestPolishSkipsRepeatedLines:
+    @pytest.mark.parametrize("n, d, points", [(1, 7, 33), (2, 5, 17), (3, 4, 9)])
+    @pytest.mark.parametrize("refine_iters", [1, 2, 3])
+    def test_matches_full_sweep(self, n, d, points, refine_iters):
+        rng = np.random.default_rng(80 + 10 * n + refine_iters)
+        axis = lobatto_axis(points)
+        for _ in range(4):
+            p = random_cheb(rng, n, d)
+            vals = p.eval_grid([axis] * n)
+            for sign, pick in ((1.0, np.argmin), (-1.0, np.argmax)):
+                idx = np.unravel_index(int(pick(vals)), vals.shape)
+                args = (p, axis, idx, float(vals[idx]), sign, refine_iters)
+                assert _refine(*args) == _refine_full_sweep(*args)
+
+    @pytest.mark.parametrize("refine_iters", [1, 2, 3, 5])
+    def test_univariate_searches_once(self, monkeypatch, refine_iters):
+        calls = []
+
+        def counting(f, lo, hi):
+            calls.append((lo, hi))
+            return _golden_min(f, lo, hi)
+
+        monkeypatch.setattr(chebpoly, "_golden_min", counting)
+        p = demo_f()
+        axis = lobatto_axis(65)
+        vals = p.eval_grid([axis])
+        idx = (int(np.argmin(vals)),)
+        _refine(p, axis, idx, float(vals[idx]), 1.0, refine_iters)
+        assert len(calls) == 1

@@ -280,6 +280,15 @@ class TestBoundCommand:
         assert code == EXIT_USAGE
         assert "budget" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("points", ["0", "1"])
+    def test_too_few_grid_points_usage_error(self, tmp_path, capsys, points):
+        out = tmp_path / "rows.csv"
+        code = main(["bound", "--poly", DEMO, "--r", "8", "--grid", points,
+                     "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert "need at least 2 points per axis" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_deterministic_output(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         main(["bound", "--poly", DEMO, "--r-sweep", "18:42:8",

@@ -92,6 +92,22 @@ class TestFejerRiesz:
     def test_zero_input(self):
         assert list(fejer_riesz([0.0, 0.0])) == [0.0]
 
+    def test_polish_jacobian_matches_loop(self):
+        """The polish's Jacobian, against the entry-by-entry definition."""
+        rng = np.random.default_rng(11)
+        for size, d in ((1, 0), (3, 2), (5, 4), (8, 7), (6, 9)):
+            h = rng.standard_normal(size)
+            expected = np.zeros((d + 1, size))
+            for k in range(d + 1):
+                for j in range(size):
+                    val = 0.0
+                    if j + k < size:
+                        val += h[j + k]
+                    if j - k >= 0:
+                        val += h[j - k]
+                    expected[k, j] = (1.0 if k == 0 else 2.0) * val
+            assert np.array_equal(sos1d._autocorrelation_jacobian(h, d), expected)
+
 
 class TestLukacsPairs:
     def test_weight_poly(self):
