@@ -162,9 +162,9 @@ def certify(f: ChebPoly, eta: float, r: int) -> SchmudgenCertificate:
     quadrature node weight comes out negative beyond round-off), and
     :class:`ResidualTooLarge` if the assembled identity fails to reconstruct
     f + eta within ``RESIDUAL_TOL``.  A kernel slice that does not split
-    into squares raises sos1d's ``IllConditioned`` (as from r=58 on) or
-    ``NotNonnegative``.  Raises ``ValueError`` when the (r + 1)^n quadrature
-    nodes exceed ``POINT_BUDGET``.
+    into squares raises sos1d's ``IllConditioned`` or ``NotNonnegative``
+    (none does for r = 1..300).  Raises ``ValueError`` when the (r + 1)^n
+    quadrature nodes exceed ``POINT_BUDGET``.
     """
     n = f.num_vars
     eta = float(eta)
@@ -274,14 +274,16 @@ def kernel_lower_bound(f: ChebPoly, r: int, grid: int | None = None) -> BoundRep
     polynomial K_r^{-1} f - lambda_star.  Raises ``ValueError`` when
     ``grid``^n points exceed ``POINT_BUDGET``.
     """
+    return rate_sweep(f, [r], grid=grid)[0]
+
+
+def _lower_bound(f: ChebPoly, r: int, axis: np.ndarray, fmin_est: float,
+                 fmax_est: float) -> BoundReport:
+    """One :func:`rate_sweep` row, given f's own extrema on the same grid."""
     n = f.num_vars
-    _check_degree(f, r)
-    points = grid if grid is not None else _grid_points(n)[1]
-    check_point_budget(points, n)
     d = f.degree()
 
     unsmoothed = apply_inverse(f, r)
-    axis = lobatto_axis(points)
     vals = unsmoothed.eval_grid([axis] * n)
 
     spacing = np.diff(axis)
@@ -298,7 +300,6 @@ def kernel_lower_bound(f: ChebPoly, r: int, grid: int | None = None) -> BoundRep
                            _BOUND_REFINE_ITERS)
     lambda_star = qmin - delta
 
-    fmin_est, _, fmax_est, _ = grid_extrema(f, points, _BOUND_REFINE_ITERS)
     gap = fmin_est - lambda_star
 
     if d >= 1:
@@ -327,8 +328,21 @@ def kernel_lower_bound(f: ChebPoly, r: int, grid: int | None = None) -> BoundRep
 
 
 def rate_sweep(f: ChebPoly, r_values, grid: int | None = None) -> list:
-    """One :class:`BoundReport` per kernel degree in ``r_values``."""
-    return [kernel_lower_bound(f, int(r), grid=grid) for r in r_values]
+    """One :class:`BoundReport` per kernel degree in ``r_values``.
+
+    f's own extrema do not depend on r, so they are found once per sweep.
+    """
+    n = f.num_vars
+    rows = []
+    for r in map(int, r_values):
+        _check_degree(f, r)
+        points = grid if grid is not None else _grid_points(n)[1]
+        check_point_budget(points, n)
+        axis = lobatto_axis(points)
+        if not rows:
+            fmin_est, _, fmax_est, _ = grid_extrema(f, points, _BOUND_REFINE_ITERS)
+        rows.append(_lower_bound(f, r, axis, fmin_est, fmax_est))
+    return rows
 
 
 def corollary_degree(f: ChebPoly, eta: float) -> int:

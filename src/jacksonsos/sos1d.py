@@ -9,11 +9,14 @@ which is the form p = sigma_0 + sigma_1 (1 - x^2) with one square in each
 of sigma_0 and sigma_1.  The construction goes through the circle: the
 Chebyshev coefficients of p are the cosine coefficients of the nonnegative
 trigonometric polynomial p(cos t), whose spectral factor h (a real
-polynomial in z with |h(e^{it})|^2 = p(cos t)) is recovered by rooting the
-symmetrized Laurent polynomial and keeping one root from each reciprocal
-pair inside the closed unit disc.  A factor of odd degree is multiplied by
-z, which keeps its modulus on the circle and makes its degree even;
-splitting h by frequency parity then yields (u, v).
+polynomial in z with |h(e^{it})|^2 = p(cos t)) has one root from each
+reciprocal pair of roots of the palindromic z^d p((z + 1/z) / 2) inside
+the closed unit disc.  Those pairs are x -/+ sqrt(x^2 - 1) over the d roots
+x of p itself, which are the eigenvalues of p's d x d Chebyshev colleague
+matrix (I. J. Good, Q. J. Math. 12, 1961), so no 2d x 2d power-basis
+companion matrix is formed.  A factor of odd degree is multiplied by z,
+which keeps its modulus on the circle and makes its degree even; splitting
+h by frequency parity then yields (u, v).
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
-from numpy.polynomial.chebyshev import chebadd, chebmul, chebvander
+from numpy.polynomial.chebyshev import chebadd, chebmul, chebroots, chebvander
 
 from .chebpoly import ChebPoly, _canon, grid_extrema
 from .jackson import _kernel_coeffs
@@ -95,7 +98,9 @@ def _cluster_circle_roots(roots: np.ndarray, angle_tol: float):
 
 def _autocorrelation(h: np.ndarray, d: int) -> np.ndarray:
     """Cosine coefficients a_0..a_d of |h(e^{it})|^2."""
-    acf = np.array([float(np.dot(h[: h.size - k], h[k:])) for k in range(d + 1)])
+    acf = np.zeros(d + 1)
+    lags = np.correlate(h, h, "full")[h.size - 1:][: d + 1]
+    acf[: lags.size] = lags
     acf[1:] *= 2.0
     return acf
 
@@ -140,6 +145,34 @@ def _polish_factor(h: np.ndarray, q: np.ndarray, iters: int = 6) -> np.ndarray:
         if best_res <= 1e-15 * max(1.0, float(np.linalg.norm(q))):
             break
     return best
+
+
+def _circle_roots(q: np.ndarray) -> np.ndarray:
+    """The 2 deg q roots in z of z^deg q * q((z + 1/z) / 2), inside first.
+
+    The deg q roots x of the Chebyshev series are the eigenvalues of its
+    colleague matrix; each maps to the reciprocal pair 1/s and s, where
+    s = x + sqrt(x^2 - 1) on the branch with |s| >= 1.
+    """
+    x = chebroots(q).astype(complex)
+    w = np.sqrt(x * x - 1.0)
+    s = np.where(np.abs(x + w) >= np.abs(x - w), x + w, x - w)
+    return np.concatenate([1.0 / s, s])
+
+
+def _expand(roots: np.ndarray) -> np.ndarray:
+    """Real coefficients (ascending powers) of prod (z - root).
+
+    The factors are multiplied in van der Corput order of their angles
+    (angular ranks sorted by their reversed binary digits), so every
+    partial product has its roots spread round the circle.  In
+    angular order (as the colleague roots come) the partial products'
+    coefficients grow like binomials and the expansion loses up to half
+    the digits.
+    """
+    by_angle = np.argsort(np.angle(roots))
+    spread = sorted(range(roots.size), key=lambda i: f"{i:b}"[::-1])
+    return np.real(np.poly(roots[by_angle[spread]]))[::-1]
 
 
 def fejer_riesz(q) -> np.ndarray:
@@ -190,13 +223,7 @@ def fejer_riesz(q) -> np.ndarray:
     if dq == 0:
         return np.array([math.sqrt(max(q[0], 0.0))])
 
-    # symmetrized Laurent polynomial z^dq * p((z + 1/z) / 2), ascending
-    lau = np.zeros(2 * dq + 1)
-    lau[dq] = q[0]
-    for k in range(1, dq + 1):
-        lau[dq + k] += 0.5 * q[k]
-        lau[dq - k] += 0.5 * q[k]
-    roots = np.roots(lau[::-1])
+    roots = _circle_roots(q)
 
     moduli = np.abs(roots)
     on_circle = np.abs(moduli - 1.0) <= _MODULUS_BAND
@@ -215,7 +242,7 @@ def fejer_riesz(q) -> np.ndarray:
             f"selected {selected.size} roots for a degree-{dq} factor"
         )
 
-    h = np.real(np.poly(selected))[::-1]
+    h = _expand(selected)
 
     # scale so the autocorrelation best matches q, then polish
     acf = _autocorrelation(h, dq)

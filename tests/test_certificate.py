@@ -143,6 +143,15 @@ class TestCertify:
                              for _ in range(2))
             assert first == second
 
+    @pytest.mark.parametrize("r", [56, 57, 58, 100])
+    def test_top_of_slice_range_verifies(self, r):
+        """Degrees at and past the old slice-factorization edge (r=58)."""
+        f = ChebPoly(1, {(0,): 2.0, (1,): 1.0})
+        cert = certify(f, 0.1, r)
+        report = verify(cert, f)
+        assert report.residual <= 1e-12
+        assert report.scales_positive and report.degrees_ok
+
     @pytest.mark.parametrize("n, r", [(1, 7), (1, 8), (2, 4), (2, 5)])
     def test_factors_only_nonnegative_nodes(self, monkeypatch, n, r):
         """ceil((r+1)/2) slices are factored; the rest are mirrored."""
@@ -336,6 +345,27 @@ class TestRateSweep:
             exact = -1.0 / math.cos(math.pi / (rep.r + 2))
             assert rep.lambda_star == pytest.approx(exact - rep.delta, abs=1e-9)
             assert rep.r ** 2 * rep.gap <= c_range
+
+    def test_rows_equal_single_bounds_with_one_extrema_pass(self, monkeypatch):
+        """A sweep's rows are kernel_lower_bound's, with f's extrema found once."""
+        calls = []
+
+        def counting(p, *args):
+            calls.append(p)
+            return grid_extrema(p, *args)
+
+        monkeypatch.setattr(certificate_module, "grid_extrema", counting)
+        rs = [9, 14, 27]
+        cubic = random_cheb(np.random.default_rng(4), 2, 3)
+        for f, grid in ((demo_f(), None), (cubic, 33)):
+            expected = [kernel_lower_bound(f, r, grid=grid) for r in rs]
+            assert len(calls) == len(rs)
+            calls.clear()
+            assert rate_sweep(f, rs, grid=grid) == expected
+            assert calls == [f]
+            calls.clear()
+        assert rate_sweep(demo_f(), []) == []
+        assert calls == []
 
     def test_reports_monotone_not_required(self):
         f = demo_f()

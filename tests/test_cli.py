@@ -22,7 +22,7 @@ from jacksonsos.cli import (
     main,
     parse_polynomial,
 )
-from jacksonsos.sos1d import NotNonnegative
+from jacksonsos.sos1d import IllConditioned, NotNonnegative
 
 from helpers import demo_f
 
@@ -119,18 +119,22 @@ class TestCertifyCommand:
         assert code == EXIT_NOT_CERTIFIABLE
         assert "not certifiable" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("r, refuse", [(60, False), (7, True)])
-    def test_slice_failure_exit(self, monkeypatch, tmp_path, capsys, r, refuse):
-        """A slice that fails to factor (r=60) or to pass its gate exits 3."""
-        if refuse:
-            def refuse_slice(r_, y):
-                raise NotNonnegative("sampled value -1.000e-03 below tolerance",
-                                     value=-1e-3)
+    @pytest.mark.parametrize("error", [
+        IllConditioned("factorization residual 3.043e-08 exceeds 1e-09 * 2.427e+01"),
+        NotNonnegative("sampled value -1.000e-03 below tolerance", value=-1e-3),
+    ], ids=["factor", "gate"])
+    def test_slice_failure_exit(self, monkeypatch, tmp_path, capsys, error):
+        """A slice that fails to factor or to pass its gate exits 3.
 
-            monkeypatch.setattr(certificate_module, "decompose_kernel_slice",
-                                refuse_slice)
+        Every y >= 0 kernel slice factors for r = 1..300, so no degree fails
+        cheaply: the factorization error is injected like the gate refusal.
+        """
+        def fail_slice(r_, y):
+            raise error
+
+        monkeypatch.setattr(certificate_module, "decompose_kernel_slice", fail_slice)
         out = tmp_path / "c.json"
-        code = main(["certify", "--poly", DEMO, "--eta", "0.1", "--r", str(r),
+        code = main(["certify", "--poly", DEMO, "--eta", "0.1", "--r", "7",
                      "--out", str(out)])
         assert code == EXIT_RESIDUAL
         err = capsys.readouterr().err

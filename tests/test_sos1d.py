@@ -92,6 +92,60 @@ class TestFejerRiesz:
     def test_zero_input(self):
         assert list(fejer_riesz([0.0, 0.0])) == [0.0]
 
+    def test_autocorrelation_matches_loop(self):
+        """One correlate call, against the per-lag dot products."""
+        rng = np.random.default_rng(12)
+        for size in (1, 2, 5, 17, 58):
+            for d in (size - 1, size, size + 3):
+                h = rng.standard_normal(size)
+                expected = np.zeros(d + 1)
+                for k in range(min(d, size - 1) + 1):
+                    expected[k] = float(np.dot(h[: size - k], h[k:]))
+                expected[1:] *= 2.0
+                got = sos1d._autocorrelation(h, d)
+                assert got.shape == expected.shape
+                assert np.max(np.abs(got - expected)) <= 1e-15 * expected[0]
+
+    def test_circle_roots_match_laurent_roots(self):
+        """Colleague roots mapped to the circle, against np.roots of the
+        palindromic power-basis polynomial z^d q((z + 1/z) / 2)."""
+        rng = np.random.default_rng(13)
+        for d in (1, 2, 5, 12, 20):
+            q = rng.standard_normal(d + 1)
+            lau = np.zeros(2 * d + 1)
+            lau[d] = q[0]
+            lau[d + 1:] += 0.5 * q[1:]
+            lau[: d][::-1] += 0.5 * q[1:]
+            expected = np.roots(lau[::-1])
+            got = sos1d._circle_roots(q)
+            assert got.size == 2 * d
+            assert np.all(np.abs(got[:d]) <= 1.0 + 1e-12)
+            for z in expected:
+                assert np.min(np.abs(got - z)) <= 1e-8 * max(1.0, abs(z))
+
+    def test_expand_is_accurate_in_angular_order(self):
+        """The m-th roots of -1 (m even) in angular order expand to z^m + 1;
+        np.poly in that order is off by 0.09 already at m = 64."""
+        for m in (2, 8, 16, 64, 100):
+            roots = np.exp(1j * np.pi * (2 * np.arange(m) + 1 - m) / m)
+            expected = np.zeros(m + 1)
+            expected[[0, m]] = 1.0
+            assert np.max(np.abs(sos1d._expand(roots) - expected)) <= 1e-13
+
+    def test_expand_matches_poly(self):
+        """Exact input stays exact, and random conjugate-closed roots in the
+        unit disc agree with np.poly."""
+        assert list(sos1d._expand(np.array([1.0, -1.0]))) == [-1.0, 0.0, 1.0]
+        rng = np.random.default_rng(14)
+        for size in (0, 1, 4, 9, 16):
+            angles = rng.uniform(0, np.pi, size)
+            half = rng.uniform(0.2, 1.0, size) * np.exp(1j * angles)
+            roots = np.concatenate([half, half.conj(), rng.uniform(-1.0, 1.0, 1)])
+            expected = np.real(np.poly(roots))[::-1]
+            got = sos1d._expand(roots)
+            assert got.shape == expected.shape
+            assert np.max(np.abs(got - expected)) <= 1e-13 * np.sum(np.abs(expected))
+
     def test_polish_jacobian_matches_loop(self):
         """The polish's Jacobian, against the entry-by-entry definition."""
         rng = np.random.default_rng(11)
@@ -256,6 +310,15 @@ class TestKernelSlices:
         y = -math.sqrt(0.5)
         pre = decompose_kernel_slice(30, y)
         target = _kernel_slice_poly(30, y)
+        diff = pre.reconstruct() - target
+        assert diff.max_abs_coeff() / target.max_abs_coeff() <= 1e-8
+
+    @pytest.mark.parametrize("y", [0.7071067811865476, -0.7071067811865476,
+                                   0.7071067811865475, -0.7071067811865475])
+    def test_slice_does_not_turn_on_last_bit(self, y):
+        """r=26 slices at +-1/sqrt(2) and their neighbouring doubles all factor."""
+        pre = decompose_kernel_slice(26, y)
+        target = _kernel_slice_poly(26, y)
         diff = pre.reconstruct() - target
         assert diff.max_abs_coeff() / target.max_abs_coeff() <= 1e-8
 
