@@ -57,11 +57,9 @@ from .sos1d import (
     IllConditioned,
     LukacsPair,
     NotNonnegative,
-    PreorderPair1D,
     decompose_kernel_slice,
     fejer_riesz,
     lukacs_decompose,
-    to_preorder_pair,
 )
 
 __version__ = "0.1.0"
@@ -76,7 +74,6 @@ __all__ = [
     "MonoPoly",
     "NotCertifiable",
     "NotNonnegative",
-    "PreorderPair1D",
     "QuadratureRule",
     "ResidualTooLarge",
     "SchmudgenCertificate",
@@ -106,7 +103,6 @@ __all__ = [
     "rate_sweep",
     "spectrum",
     "theorem_threshold",
-    "to_preorder_pair",
     "total_degree",
     "verify",
     "verify_prop21",

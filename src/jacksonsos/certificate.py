@@ -35,7 +35,7 @@ from .chebpoly import (
 )
 from .kernelop import _check_degree, apply_inverse, constant_C, theorem_threshold
 from .quadrature import chebyshev_nodes
-from .sos1d import PreorderPair1D, _dense, decompose_kernel_slice, split_coeffs
+from .sos1d import decompose_kernel_slice, split_coeffs
 
 #: a certificate is valid when its reconstruction matches f + eta this closely
 RESIDUAL_TOL = 1e-8
@@ -124,13 +124,6 @@ class SchmudgenCertificate:
         return sum(self.squares_per_subset().values())
 
 
-def _row(pair: PreorderPair1D) -> tuple:
-    """Dense (u, v) of a slice split, which has at most one square per list."""
-    (u,) = pair.sigma0 or (ChebPoly.zero(1),)
-    (v,) = pair.sigma1 or (ChebPoly.zero(1),)
-    return _dense(u), _dense(v)
-
-
 @dataclass(slots=True, frozen=True)
 class VerificationReport:
     """Independent check of a stored certificate."""
@@ -217,7 +210,7 @@ def certify(f: ChebPoly, eta: float, r: int) -> SchmudgenCertificate:
     weights[weights <= 0.0] = 0.0
 
     cert = SchmudgenCertificate(num_vars=n, r=r, eta=eta, weights=weights,
-                                rows=tuple(map(_row, slices)), residual=0.0)
+                                rows=tuple((s.u, s.v) for s in slices), residual=0.0)
     residual = _relative_residual(cert.reconstruct(), target)
     if residual > RESIDUAL_TOL:
         raise ResidualTooLarge(residual)

@@ -16,19 +16,22 @@ x of p itself, which are the eigenvalues of p's d x d Chebyshev colleague
 matrix (I. J. Good, Q. J. Math. 12, 1961), so no 2d x 2d power-basis
 companion matrix is formed.  A factor of odd degree is multiplied by z,
 which keeps its modulus on the circle and makes its degree even; splitting
-h by frequency parity then yields (u, v).
+h by frequency parity then yields u and v as dense Chebyshev coefficient
+arrays.  ``LukacsPair(u, v)`` is the one split type: ``certify`` stores its
+two arrays as a certificate row as they are, and the mirrored slice
+x -> p(-x) is a sign flip of their odd entries.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
-from numpy.polynomial.chebyshev import chebadd, chebmul, chebroots, chebvander
+from numpy.polynomial.chebyshev import (chebadd, chebmul, chebroots, chebsub,
+                                        chebval, chebvander)
 
-from .chebpoly import ChebPoly, _canon, grid_extrema
+from .chebpoly import DROP_TOL, ChebPoly, grid_extrema
 from .jackson import _kernel_coeffs
 
 #: relative tolerance for the sampled nonnegativity gate
@@ -55,12 +58,6 @@ class NotNonnegative(ValueError):
 
 class IllConditioned(ArithmeticError):
     """Root clustering or cancellation spoiled the requested tolerance."""
-
-
-def _cos_eval(q: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """Evaluate sum_k q_k cos(k theta)."""
-    k = np.arange(q.size)
-    return np.cos(np.outer(theta, k)) @ q
 
 
 def _cluster_circle_roots(roots: np.ndarray, angle_tol: float):
@@ -211,7 +208,7 @@ def fejer_riesz(q) -> np.ndarray:
     q = q[: dq + 1]
 
     theta = np.linspace(0.0, math.pi, 512)
-    vals = _cos_eval(q, theta)
+    vals = chebval(np.cos(theta), q)
     vmin = float(np.min(vals))
     if vmin < -NONNEG_TOL * scale:
         raise NotNonnegative(
@@ -256,9 +253,9 @@ def fejer_riesz(q) -> np.ndarray:
 
     check = np.linspace(0.0, math.pi, 256)
     hv = np.polyval(h[::-1], np.exp(1j * check))
-    resid = float(np.max(np.abs(np.abs(hv) ** 2 - _cos_eval(q, check))))
+    resid = float(np.max(np.abs(np.abs(hv) ** 2 - chebval(np.cos(check), q))))
     val_scale = max(float(np.max(np.abs(vals))), 1e-300)
-    if resid > FACTOR_TOL * val_scale:
+    if not resid <= FACTOR_TOL * val_scale:
         raise IllConditioned(
             f"factorization residual {resid:.3e} exceeds "
             f"{FACTOR_TOL:.0e} * {val_scale:.3e}"
@@ -269,16 +266,22 @@ def fejer_riesz(q) -> np.ndarray:
 # -- splitting the spectral factor ----------------------------------------------
 
 
-def _dense_to_poly(a: np.ndarray) -> ChebPoly:
-    return ChebPoly(1, _canon({(k,): float(c) for k, c in enumerate(a)}))
-
-
 def _dense(q: ChebPoly) -> np.ndarray:
     """Coefficients c_0..c_deg of a univariate polynomial; empty for zero."""
     out = np.zeros(q.degree() + 1 if q.coeffs else 0)
     for (k,), c in q.coeffs.items():
         out[k] = c
     return out
+
+
+def _cut(a: np.ndarray) -> np.ndarray:
+    """``a`` with every |c| <= DROP_TOL * max|c| zeroed and trailing zeros dropped.
+
+    The same cut as :func:`chebpoly._canon`, on a dense array.
+    """
+    a = np.where(np.abs(a) > DROP_TOL * np.max(np.abs(a), initial=0.0), a, 0.0)
+    nonzero = np.flatnonzero(a)
+    return a[: nonzero[-1] + 1 if nonzero.size else 0]
 
 
 def split_coeffs(u, v) -> np.ndarray:
@@ -310,23 +313,32 @@ def _split_even(h: np.ndarray) -> tuple:
         while k >= 0:
             v[k] += c * (1.0 if k == 0 else 2.0)
             k -= 2
-    return _dense_to_poly(u), _dense_to_poly(v)
+    return _cut(u), _cut(v)
 
 
 @dataclass(slots=True, frozen=True)
 class LukacsPair:
     """Two-square representation of a polynomial p nonnegative on [-1, 1].
 
-    p = first^2 + (1 - x^2) second^2 with 2 deg first <= deg p + 1 and
-    2 deg second + 2 <= deg p + 1, for even and odd deg p alike.
+    p = u^2 + (1 - x^2) v^2, where ``u`` and ``v`` are dense Chebyshev
+    coefficient arrays (empty for zero) with 2 deg u <= deg p + 1 and
+    2 deg v + 2 <= deg p + 1, for even and odd deg p alike.
     """
 
-    first: ChebPoly
-    second: ChebPoly
+    u: np.ndarray
+    v: np.ndarray
     residual: float
 
-    def reconstruct(self) -> ChebPoly:
-        return to_preorder_pair(self).reconstruct()
+    def reconstruct(self) -> np.ndarray:
+        """Chebyshev coefficients of u^2 + (1 - x^2) v^2."""
+        return split_coeffs(self.u, self.v)
+
+    def mirrored(self) -> "LukacsPair":
+        """The pair of x -> p(-x), exactly: T_k(-x) = (-1)^k T_k(x)."""
+        u, v = self.u.copy(), self.v.copy()
+        u[1::2] *= -1.0
+        v[1::2] *= -1.0
+        return LukacsPair(u=u, v=v, residual=self.residual)
 
 
 def lukacs_decompose(p: ChebPoly) -> LukacsPair:
@@ -339,8 +351,7 @@ def lukacs_decompose(p: ChebPoly) -> LukacsPair:
     if p.num_vars != 1:
         raise ValueError("decomposition is univariate only")
     if p.is_zero():
-        zero = ChebPoly.zero(1)
-        return LukacsPair(first=zero, second=zero, residual=0.0)
+        return LukacsPair(u=np.zeros(0), v=np.zeros(0), residual=0.0)
 
     lo, loc, hi, _ = grid_extrema(p, 1025, 1)
     norm = max(abs(lo), abs(hi))
@@ -351,60 +362,27 @@ def lukacs_decompose(p: ChebPoly) -> LukacsPair:
             location=loc[0],
         )
 
-    h = fejer_riesz(_dense(p))
+    target = _dense(p)
+    h = fejer_riesz(target)
     if h.size % 2 == 0:
         h = np.concatenate(([0.0], h))      # z h: same modulus, even degree
-    first, second = _split_even(h)
+    u, v = _split_even(h)
 
-    pair = LukacsPair(first=first, second=second, residual=0.0)
-    diff = pair.reconstruct() - p
-    residual = diff.max_abs_coeff() / p.max_abs_coeff()
-    if residual > RECON_TOL:
+    diff = chebsub(split_coeffs(u, v), target)
+    residual = float(np.max(np.abs(diff))) / p.max_abs_coeff()
+    if not residual <= RECON_TOL:
         raise IllConditioned(
             f"reconstruction residual {residual:.3e} exceeds {RECON_TOL:.0e}"
         )
-    return LukacsPair(first=first, second=second, residual=residual)
+    return LukacsPair(u=u, v=v, residual=residual)
 
 
-@dataclass(slots=True, frozen=True)
-class PreorderPair1D:
-    """Explicit square lists realizing p = sigma_0 + sigma_1 (1 - x^2).
-
-    ``sigma0`` and ``sigma1`` hold the square roots: sigma_i = sum q^2 over
-    the respective list.  Degrees satisfy deg sigma_0 <= deg p + 1 and
-    deg(sigma_1 (1 - x^2)) <= deg p + 1.
-    """
-
-    sigma0: tuple
-    sigma1: tuple
-
-    def reconstruct(self) -> ChebPoly:
-        parts = [split_coeffs(_dense(q), ()) for q in self.sigma0]
-        parts += [split_coeffs((), _dense(q)) for q in self.sigma1]
-        return _dense_to_poly(reduce(chebadd, parts, np.zeros(1)))
-
-    def mirrored(self) -> "PreorderPair1D":
-        """The pair of x -> p(-x), exactly: T_k(-x) = (-1)^k T_k(x)."""
-
-        def reflect(q: ChebPoly) -> ChebPoly:
-            return ChebPoly(1, {k: -c if k[0] % 2 else c for k, c in q.coeffs.items()})
-
-        return PreorderPair1D(sigma0=tuple(map(reflect, self.sigma0)),
-                              sigma1=tuple(map(reflect, self.sigma1)))
-
-
-def to_preorder_pair(pair: LukacsPair) -> PreorderPair1D:
-    """The sigma_0 / sigma_1 square lists of a pair, zero squares dropped."""
-    return PreorderPair1D(
-        sigma0=tuple(q for q in (pair.first,) if not q.is_zero()),
-        sigma1=tuple(q for q in (pair.second,) if not q.is_zero()),
-    )
-
-
-def decompose_kernel_slice(r: int, y: float) -> PreorderPair1D:
+def decompose_kernel_slice(r: int, y: float) -> LukacsPair:
     """Square decomposition of the kernel slice x -> K_r(x, y), y in [-1, 1]."""
+    if r < 0:
+        raise ValueError("need r >= 0")
     if not -1.0 <= y <= 1.0:
         raise ValueError(f"slice point {y} outside [-1, 1]")
     coeffs = _kernel_coeffs(r) * chebvander(y, r)[0]
     slice_poly = ChebPoly(1, {(k,): c for k, c in enumerate(coeffs)})
-    return to_preorder_pair(lukacs_decompose(slice_poly))
+    return lukacs_decompose(slice_poly)

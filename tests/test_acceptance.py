@@ -32,7 +32,7 @@ from jacksonsos.kernelop import (
     theorem_threshold,
 )
 from jacksonsos.quadrature import chebyshev_nodes
-from jacksonsos.sos1d import decompose_kernel_slice, lukacs_decompose, to_preorder_pair
+from jacksonsos.sos1d import decompose_kernel_slice, lukacs_decompose
 
 from helpers import demo_f, oracle_extrema, random_cheb, tamper_heaviest_node
 
@@ -152,17 +152,20 @@ def test_criterion_5_square_decompositions(criterion_record):
 
     def check(p):
         nonlocal worst, degree_ok
-        pre = to_preorder_pair(lukacs_decompose(p))
-        diff = pre.reconstruct() - p
-        worst = max(worst, diff.max_abs_coeff() / p.max_abs_coeff())
+        pair = lukacs_decompose(p)
+        recon = pair.reconstruct()
+        diff = np.zeros(max(recon.size, p.degree() + 1))
+        for (k,), c in p.coeffs.items():
+            diff[k] = c
+        diff[: recon.size] -= recon
+        worst = max(worst, float(np.max(np.abs(diff))) / p.max_abs_coeff())
         deg = p.degree()
-        for q in pre.sigma0:
-            if 2 * q.degree() > deg + 1:
-                degree_ok = False
-        for q in pre.sigma1:
-            if 2 * q.degree() + 2 > deg + 1 and not (
-                    deg % 2 == 0 and 2 * q.degree() + 2 <= deg + 2):
-                degree_ok = False
+        du, dv = pair.u.size - 1, pair.v.size - 1     # -1 for an empty array
+        if pair.u.size and 2 * du > deg + 1:
+            degree_ok = False
+        if pair.v.size and 2 * dv + 2 > deg + 1 and not (
+                deg % 2 == 0 and 2 * dv + 2 <= deg + 2):
+            degree_ok = False
 
     for _ in range(200):
         du = int(rng.integers(0, 13))

@@ -5,9 +5,11 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
 
 from jacksonsos import certificate as certificate_module
+from jacksonsos import sos1d
 from jacksonsos.certificate import certify, verify
 from jacksonsos.chebpoly import MonoPoly, cheb_from_monomial
 from jacksonsos.cli import (
@@ -139,6 +141,19 @@ class TestCertifyCommand:
         assert code == EXIT_RESIDUAL
         err = capsys.readouterr().err
         assert err.startswith("kernel-slice factorization failed:")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_nan_factor_exit(self, monkeypatch, tmp_path, capsys):
+        """A spectral factor that comes out NaN is a slice failure, not usage."""
+        monkeypatch.setattr(sos1d, "_polish_factor",
+                            lambda h, q: np.full_like(h, np.nan))
+        out = tmp_path / "c.json"
+        code = main(["certify", "--poly", DEMO, "--eta", "0.1", "--r", "7",
+                     "--out", str(out)])
+        assert code == EXIT_RESIDUAL
+        err = capsys.readouterr().err
+        assert err.startswith("kernel-slice factorization failed: factorization residual")
         assert err.count("\n") == 1
         assert not out.exists()
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import chebyshev as npcheb
 
-from jacksonsos.chebpoly import ChebPoly
+from jacksonsos.chebpoly import ChebPoly, _canon
 from jacksonsos.jackson import jackson_lambda
 from jacksonsos import sos1d
 from jacksonsos.quadrature import chebyshev_nodes
@@ -17,7 +17,6 @@ from jacksonsos.sos1d import (
     decompose_kernel_slice,
     fejer_riesz,
     lukacs_decompose,
-    to_preorder_pair,
 )
 
 WEIGHT = ChebPoly(1, {(0,): 0.5, (2,): -0.5})      # 1 - x^2
@@ -163,36 +162,47 @@ class TestFejerRiesz:
             assert np.array_equal(sos1d._autocorrelation_jacobian(h, d), expected)
 
 
+def _coeff_error(recon: np.ndarray, p: ChebPoly) -> float:
+    """Largest coefficient of recon - p, recon dense."""
+    target = np.zeros(max(recon.size, p.degree() + 1))
+    for (k,), c in p.coeffs.items():
+        target[k] = c
+    target[: recon.size] -= recon
+    return float(np.max(np.abs(target)))
+
+
+def _check_dense_form(a: np.ndarray) -> None:
+    """A split array is 1-D, and its last entry is nonzero unless it is empty."""
+    assert a.ndim == 1
+    assert a.size == 0 or a[-1] != 0.0
+
+
 class TestLukacsPairs:
     def test_weight_poly(self):
         pair = lukacs_decompose(WEIGHT)
-        assert pair.first.is_zero()
-        assert {k: pytest.approx(abs(v)) for k, v in pair.second.coeffs.items()} \
-            == {(0,): pytest.approx(1.0)}
+        assert pair.u.size == 0
+        assert np.abs(pair.v).tolist() == [pytest.approx(1.0)]
         assert pair.residual <= 1e-12
 
     def test_x_squared(self):
         pair = lukacs_decompose(ChebPoly(1, {(0,): 0.5, (2,): 0.5}))
-        assert abs(pair.first.coeffs.get((1,), 0.0)) == pytest.approx(1.0)
-        assert pair.second.is_zero()
+        assert abs(pair.u[1]) == pytest.approx(1.0)
+        assert pair.v.size == 0
 
     def test_one_minus_x(self):
         """1 - x = ((1 - x)/sqrt(2))^2 + (1 - x^2) (1/sqrt(2))^2."""
         pair = lukacs_decompose(ONE_MINUS)
         half = 1 / math.sqrt(2)
-        assert {k: abs(v) for k, v in pair.first.coeffs.items()} == {
-            (0,): pytest.approx(half, abs=1e-12), (1,): pytest.approx(half, abs=1e-12)}
-        assert pair.first.coeffs[(0,)] * pair.first.coeffs[(1,)] < 0
-        assert {k: abs(v) for k, v in pair.second.coeffs.items()} == {
-            (0,): pytest.approx(half, abs=1e-12)}
+        assert np.abs(pair.u).tolist() == [pytest.approx(half, abs=1e-12)] * 2
+        assert pair.u[0] * pair.u[1] < 0
+        assert np.abs(pair.v).tolist() == [pytest.approx(half, abs=1e-12)]
 
     def test_touching_square(self):
         """(1 - x^2)^2 has two double circle zeros; splitting still works."""
         p = WEIGHT * WEIGHT
         pair = lukacs_decompose(p)
         assert pair.residual <= 1e-8
-        diff = pair.reconstruct() - p
-        assert diff.max_abs_coeff() <= 1e-8
+        assert _coeff_error(pair.reconstruct(), p) <= 1e-8
 
     def test_gate_rejects_negative(self):
         with pytest.raises(NotNonnegative):
@@ -202,7 +212,7 @@ class TestLukacsPairs:
 
     def test_zero_polynomial(self):
         pair = lukacs_decompose(ChebPoly.zero(1))
-        assert pair.first.is_zero() and pair.second.is_zero()
+        assert pair.u.size == 0 and pair.v.size == 0
 
     def test_multivariate_rejected(self):
         with pytest.raises(ValueError):
@@ -210,7 +220,7 @@ class TestLukacsPairs:
 
     def test_random_corpus_reconstruction(self):
         """Random inputs of even and odd degree reconstruct and meet the
-        degree bounds with at most one square per sigma list."""
+        degree bounds with one dense array per sigma list."""
         rng = np.random.default_rng(1)
         for trial in range(40):
             if trial % 2:
@@ -221,46 +231,61 @@ class TestLukacsPairs:
             pair = lukacs_decompose(p)
             assert pair.residual <= 1e-8
             deg = p.degree()
-            assert 2 * pair.first.degree() <= deg + 1
-            assert pair.second.is_zero() or \
-                2 * pair.second.degree() + 2 <= deg + 1
-            pre = to_preorder_pair(pair)
-            assert len(pre.sigma0) <= 1 and len(pre.sigma1) <= 1
+            assert 2 * (pair.u.size - 1) <= deg + 1
+            assert pair.v.size == 0 or 2 * (pair.v.size - 1) + 2 <= deg + 1
+            _check_dense_form(pair.u)
+            _check_dense_form(pair.v)
 
     def test_squares_evaluate_nonnegative(self):
         rng = np.random.default_rng(2)
         xs = rng.uniform(-1, 1, 200)
         for _ in range(10):
             p = _random_nonneg(rng, 8)
-            pre = to_preorder_pair(lukacs_decompose(p))
+            pair = lukacs_decompose(p)
             for x in xs[:50]:
-                s0 = sum(q.eval((x,)) ** 2 for q in pre.sigma0)
-                s1 = sum(q.eval((x,)) ** 2 for q in pre.sigma1)
+                s0 = npcheb.chebval(x, pair.u) ** 2 if pair.u.size else 0.0
+                s1 = npcheb.chebval(x, pair.v) ** 2 if pair.v.size else 0.0
                 assert s0 >= -1e-12 and s1 >= -1e-12
+
+    def test_dense_cut_matches_canon(self):
+        """The split's cut is chebpoly's sparse canonical form, bit for bit."""
+        rng = np.random.default_rng(4)
+        for size in range(1, 40):
+            a = rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(-20, 0, size)
+            a[rng.random(size) < 0.2] = 0.0
+            a[size - int(rng.integers(0, size)):] *= 1e-16     # trailing tiny entries
+            sparse = _canon({(k,): float(c) for k, c in enumerate(a)})
+            expected = sos1d._dense(ChebPoly(1, sparse))
+            got = sos1d._cut(a)
+            assert got.tobytes() == expected.tobytes()
+
+    def test_nan_factor_names_the_factorization(self, monkeypatch):
+        monkeypatch.setattr(sos1d, "_polish_factor",
+                            lambda h, q: np.full_like(h, np.nan))
+        with pytest.raises(IllConditioned, match="factorization residual"):
+            decompose_kernel_slice(8, 0.3)
 
 
 class TestPreorderPairs:
+    """The sigma_0 = u^2 / sigma_1 = v^2 reading of a split."""
+
     def test_one_minus_x_identity(self):
-        pre = to_preorder_pair(lukacs_decompose(ONE_MINUS))
-        assert len(pre.sigma0) == 1 and len(pre.sigma1) == 1
-        recon = pre.reconstruct()
-        assert (recon - ONE_MINUS).max_abs_coeff() <= 1e-12
+        pair = lukacs_decompose(ONE_MINUS)
+        assert pair.u.size > 0 and pair.v.size > 0
+        assert _coeff_error(pair.reconstruct(), ONE_MINUS) <= 1e-12
         # explicit form: sigma0 = {(1-x)/sqrt(2)}, sigma1 = {1/sqrt(2)}
-        root0 = pre.sigma0[0]
-        assert abs(root0.coeffs.get((0,), 0.0)) == pytest.approx(
-            1 / math.sqrt(2), abs=1e-12)
-        assert abs(root0.coeffs.get((1,), 0.0)) == pytest.approx(
-            1 / math.sqrt(2), abs=1e-12)
+        assert abs(pair.u[0]) == pytest.approx(1 / math.sqrt(2), abs=1e-12)
+        assert abs(pair.u[1]) == pytest.approx(1 / math.sqrt(2), abs=1e-12)
 
     def test_weight_form(self):
-        pre = to_preorder_pair(lukacs_decompose(WEIGHT))
-        assert pre.sigma0 == ()
-        assert len(pre.sigma1) == 1
+        pair = lukacs_decompose(WEIGHT)
+        assert pair.u.size == 0
+        assert pair.v.size > 0
 
     def test_x_squared_form(self):
-        pre = to_preorder_pair(lukacs_decompose(ChebPoly(1, {(0,): 0.5, (2,): 0.5})))
-        assert len(pre.sigma0) == 1
-        assert pre.sigma1 == ()
+        pair = lukacs_decompose(ChebPoly(1, {(0,): 0.5, (2,): 0.5}))
+        assert pair.u.size > 0
+        assert pair.v.size == 0
 
     def test_degree_bounds_on_corpus(self):
         """deg sigma0 <= deg p + 1 and deg(sigma1 * (1-x^2)) <= deg p + 1."""
@@ -268,63 +293,63 @@ class TestPreorderPairs:
         for _ in range(30):
             p = _random_nonneg(rng, 10)
             deg = p.degree()
-            pre = to_preorder_pair(lukacs_decompose(p))
-            for q in pre.sigma0:
-                assert 2 * q.degree() <= deg + 1
-            for q in pre.sigma1:
-                assert 2 * q.degree() + 2 <= deg + 1 or \
-                    (deg % 2 == 0 and 2 * q.degree() + 2 <= deg + 2)
+            pair = lukacs_decompose(p)
+            if pair.u.size:
+                assert 2 * (pair.u.size - 1) <= deg + 1
+            if pair.v.size:
+                assert 2 * (pair.v.size - 1) + 2 <= deg + 1 or \
+                    (deg % 2 == 0 and 2 * (pair.v.size - 1) + 2 <= deg + 2)
 
 
 class TestKernelSlices:
     def test_r0_slice(self):
-        pre = decompose_kernel_slice(0, 0.3)
-        assert len(pre.sigma0) == 1 and pre.sigma1 == ()
-        assert pre.sigma0[0].eval((0.0,)) == pytest.approx(1.0)
+        pair = decompose_kernel_slice(0, 0.3)
+        assert pair.u.size > 0 and pair.v.size == 0
+        assert npcheb.chebval(0.0, pair.u) == pytest.approx(1.0)
 
     def test_r1_slice_at_one(self):
         """K_1(x, 1) = 1 + x splits into one square per sigma list."""
-        pre = decompose_kernel_slice(1, 1.0)
-        recon = pre.reconstruct()
+        pair = decompose_kernel_slice(1, 1.0)
         target = _kernel_slice_poly(1, 1.0)
-        assert (recon - target).max_abs_coeff() <= 1e-12
-        assert len(pre.sigma0) == 1 and len(pre.sigma1) == 1
+        assert _coeff_error(pair.reconstruct(), target) <= 1e-12
+        assert pair.u.size > 0 and pair.v.size > 0
 
     def test_r8_residual(self):
         target = _kernel_slice_poly(8, 0.3)
-        pre = decompose_kernel_slice(8, 0.3)
-        diff = pre.reconstruct() - target
-        assert diff.max_abs_coeff() / target.max_abs_coeff() <= 1e-8
+        pair = decompose_kernel_slice(8, 0.3)
+        assert _coeff_error(pair.reconstruct(), target) / target.max_abs_coeff() <= 1e-8
 
     def test_slice_sweep(self):
         ys = chebyshev_nodes(20)
         for r in range(13):
             for y in ys:
-                pre = decompose_kernel_slice(r, float(y))
+                pair = decompose_kernel_slice(r, float(y))
                 target = _kernel_slice_poly(r, float(y))
-                diff = pre.reconstruct() - target
-                assert diff.max_abs_coeff() / target.max_abs_coeff() <= 1e-8
+                assert _coeff_error(pair.reconstruct(), target) \
+                    / target.max_abs_coeff() <= 1e-8
 
     def test_touching_slice(self):
         """The r=30 slice at -sqrt(2)/2 touches zero; still decomposes."""
         y = -math.sqrt(0.5)
-        pre = decompose_kernel_slice(30, y)
+        pair = decompose_kernel_slice(30, y)
         target = _kernel_slice_poly(30, y)
-        diff = pre.reconstruct() - target
-        assert diff.max_abs_coeff() / target.max_abs_coeff() <= 1e-8
+        assert _coeff_error(pair.reconstruct(), target) / target.max_abs_coeff() <= 1e-8
 
     @pytest.mark.parametrize("y", [0.7071067811865476, -0.7071067811865476,
                                    0.7071067811865475, -0.7071067811865475])
     def test_slice_does_not_turn_on_last_bit(self, y):
         """r=26 slices at +-1/sqrt(2) and their neighbouring doubles all factor."""
-        pre = decompose_kernel_slice(26, y)
+        pair = decompose_kernel_slice(26, y)
         target = _kernel_slice_poly(26, y)
-        diff = pre.reconstruct() - target
-        assert diff.max_abs_coeff() / target.max_abs_coeff() <= 1e-8
+        assert _coeff_error(pair.reconstruct(), target) / target.max_abs_coeff() <= 1e-8
 
     def test_rejects_outside_interval(self):
         with pytest.raises(ValueError):
             decompose_kernel_slice(3, 1.5)
+
+    def test_rejects_negative_degree(self):
+        with pytest.raises(ValueError, match="need r >= 0"):
+            decompose_kernel_slice(-1, 0.0)
 
     def test_slice_polynomial_matches_loop_reference(self, monkeypatch):
         """The slice handed to the splitter is bit-identical to the loop form
@@ -333,8 +358,7 @@ class TestKernelSlices:
 
         def capture(p):
             seen.append(p)
-            zero = ChebPoly.zero(1)
-            return LukacsPair(first=zero, second=zero, residual=0.0)
+            return LukacsPair(u=np.zeros(0), v=np.zeros(0), residual=0.0)
 
         monkeypatch.setattr(sos1d, "lukacs_decompose", capture)
         for r in range(0, 120, 7):
@@ -354,14 +378,11 @@ class TestKernelSlices:
             m = r + 1
             axis = chebyshev_nodes(m)
             for t in range(m // 2):
-                pre = decompose_kernel_slice(r, float(axis[m - 1 - t])).mirrored()
+                pair = decompose_kernel_slice(r, float(axis[m - 1 - t])).mirrored()
                 recon = np.zeros(r + 3)
-                for sigma, factor in ((pre.sigma0, [1.0]), (pre.sigma1, weight)):
-                    for q in sigma:
-                        dense = np.zeros(q.degree() + 1)
-                        for (k,), c in q.coeffs.items():
-                            dense[k] = c
-                        sq = npcheb.chebmul(factor, npcheb.chebmul(dense, dense))
+                for root, factor in ((pair.u, [1.0]), (pair.v, weight)):
+                    if root.size:
+                        sq = npcheb.chebmul(factor, npcheb.chebmul(root, root))
                         recon[: sq.size] += sq
                 y = float(axis[t])
                 target = np.zeros(r + 3)
