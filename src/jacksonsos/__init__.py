@@ -52,7 +52,6 @@ from .kernelop import (
     lemma_bounds_check,
     theorem_threshold,
 )
-from .quadrature import QuadratureRule, gauss_chebyshev, integrate
 from .sos1d import (
     IllConditioned,
     LukacsPair,
@@ -74,7 +73,6 @@ __all__ = [
     "MonoPoly",
     "NotCertifiable",
     "NotNonnegative",
-    "QuadratureRule",
     "ResidualTooLarge",
     "SchmudgenCertificate",
     "VerificationReport",
@@ -88,10 +86,8 @@ __all__ = [
     "deviation_bound_exact",
     "enumerate_multidegrees",
     "fejer_riesz",
-    "gauss_chebyshev",
     "grid_extrema",
     "hamming_weight",
-    "integrate",
     "jackson_lambda",
     "kernel_eval_1d",
     "kernel_eval_nd",

@@ -27,14 +27,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chebpoly import (
+    POINT_BUDGET,
     ChebPoly,
     _refine,
     check_point_budget,
+    chebyshev_nodes,
     grid_extrema,
     lobatto_axis,
 )
 from .kernelop import _check_degree, apply_inverse, constant_C, theorem_threshold
-from .quadrature import chebyshev_nodes
 from .sos1d import decompose_kernel_slice, split_coeffs
 
 #: a certificate is valid when its reconstruction matches f + eta this closely
@@ -66,8 +67,15 @@ class ResidualTooLarge(Exception):
 
 
 def _grid_points(n: int) -> tuple:
-    """Default grid points per axis for n variables: (certify's gate, bounds)."""
-    return {1: (2049, 4097), 2: (257, 513), 3: (65, 65)}.get(n, (17, 17))
+    """Default grid points per axis for n variables: (certify's gate, bounds).
+
+    From n = 4 on, both are the largest k <= 17 with k^n <= ``POINT_BUDGET``
+    (14 at n = 6), or 2, so that n >= 24 still meets the budget error.
+    """
+    k = 17
+    while k > 2 and k ** n > POINT_BUDGET:
+        k -= 1
+    return {1: (2049, 4097), 2: (257, 513), 3: (65, 65)}.get(n, (k, k))
 
 
 @dataclass(slots=True)

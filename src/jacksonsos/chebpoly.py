@@ -368,7 +368,7 @@ def enumerate_multidegrees(n: int, d: int) -> list[Multidegree]:
     return list(rec(n, d))
 
 
-# -- grid extremum estimation ---------------------------------------------------
+# -- node sets, the grid budget and grid extremum estimation ---------------------
 
 
 def check_point_budget(points_per_axis: int, num_vars: int) -> None:
@@ -377,6 +377,20 @@ def check_point_budget(points_per_axis: int, num_vars: int) -> None:
         raise ValueError(
             f"grid of {points_per_axis}^{num_vars} points exceeds budget {POINT_BUDGET}"
         )
+
+
+def chebyshev_nodes(m: int) -> np.ndarray:
+    """The m Gauss-Chebyshev nodes cos((2j - 1) pi / (2m)), ascending.
+
+    Weight 1/m^n per point of their n-fold grid integrates every polynomial of
+    per-variable degree <= 2m - 1 exactly against prod_j dx_j / (pi sqrt(1 - x_j^2)):
+    the mean of ``p.eval_grid([chebyshev_nodes(m)] * n)`` is p's constant
+    Chebyshev coefficient.  ``certify`` relies on this for m = r + 1.
+    """
+    if m < 1:
+        raise ValueError("need m >= 1 nodes per axis")
+    j = np.arange(m, 0, -1)
+    return np.cos((2 * j - 1) * math.pi / (2 * m))
 
 
 def lobatto_axis(points: int) -> np.ndarray:
@@ -470,16 +484,12 @@ def grid_extrema(p: ChebPoly, points_per_axis: int, refine_iters: int = 2):
     ``(min_est, argmin, max_est, argmax)``.  These are estimates, not
     certified bounds; ties go to the lexicographically smallest point.
     """
-    if points_per_axis < 2:
-        raise ValueError("points_per_axis must be >= 2")
     n = p.num_vars
     check_point_budget(points_per_axis, n)
     axis = lobatto_axis(points_per_axis)
     vals = p.eval_grid([axis] * n)
-    flat_min = int(np.argmin(vals))
-    flat_max = int(np.argmax(vals))
-    idx_min = np.unravel_index(flat_min, vals.shape)
-    idx_max = np.unravel_index(flat_max, vals.shape)
+    idx_min = np.unravel_index(int(np.argmin(vals)), vals.shape)
+    idx_max = np.unravel_index(int(np.argmax(vals)), vals.shape)
     min_est, argmin = _refine(p, axis, idx_min, float(vals[idx_min]), 1.0, refine_iters)
     max_est, argmax = _refine(p, axis, idx_max, float(vals[idx_max]), -1.0, refine_iters)
     return min_est, argmin, max_est, argmax

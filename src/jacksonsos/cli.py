@@ -12,6 +12,7 @@ import csv
 import io
 import json
 import math
+import numbers
 import re
 import sys
 
@@ -25,10 +26,9 @@ from .certificate import (
     rate_sweep,
     verify,
 )
-from .chebpoly import ChebPoly, MonoPoly, cheb_from_monomial
+from .chebpoly import ChebPoly, MonoPoly, cheb_from_monomial, chebyshev_nodes
 from .jackson import jackson_lambda, kernel_eval_1d, spectrum
 from .kernelop import apply_forward, apply_inverse
-from .quadrature import chebyshev_nodes, gauss_chebyshev, integrate
 from .sos1d import (
     IllConditioned,
     NotNonnegative,
@@ -198,10 +198,25 @@ def certificate_to_dict(cert: SchmudgenCertificate) -> dict:
 
 
 def _finite_array(values, what: str) -> np.ndarray:
-    out = np.asarray(values, dtype=float)
-    if out.ndim != 1 or not np.all(np.isfinite(out)):
-        raise ValueError(f"certificate {what} must be a flat list of finite numbers")
-    return out
+    message = f"certificate {what} must be a flat list of finite numbers"
+    try:
+        out = np.asarray(values)
+    except ValueError:                  # ragged nesting
+        raise ValueError(message) from None
+    if out.ndim != 1 or out.dtype.kind not in "iuf" or not np.all(np.isfinite(out)):
+        raise ValueError(message)
+    return out.astype(float, copy=False)
+
+
+def _number(data: dict, key: str, kind) -> int | float:
+    """data[key] if it is a ``kind`` (integral or real) other than bool, and finite."""
+    value = data[key]
+    if isinstance(value, bool) or not isinstance(value, kind):
+        what = "an integer" if kind is numbers.Integral else "a number"
+        raise ValueError(f"certificate {key} is not {what}")
+    if kind is numbers.Real and not math.isfinite(value):
+        raise ValueError(f"certificate {key} is not finite")
+    return value
 
 
 def certificate_from_dict(data: dict) -> SchmudgenCertificate:
@@ -213,10 +228,10 @@ def certificate_from_dict(data: dict) -> SchmudgenCertificate:
                if key not in data]
     if missing:
         raise ValueError(f"certificate lacks {', '.join(missing)}")
-    if not all(isinstance(row, dict) and {"u", "v"} <= row.keys()
-               for row in data["rows"]):
-        raise ValueError("every certificate row needs 'u' and 'v'")
-    n = int(data["num_vars"])
+    if not isinstance(data["rows"], list) or not all(
+            isinstance(row, dict) and {"u", "v"} <= row.keys() for row in data["rows"]):
+        raise ValueError("certificate rows must be a list of rows with 'u' and 'v'")
+    n = int(_number(data, "num_vars", numbers.Integral))
     rows = tuple((_finite_array(row["u"], "row coefficients"),
                   _finite_array(row["v"], "row coefficients")) for row in data["rows"])
     weights = _finite_array(data["weights"], "weights")
@@ -225,11 +240,11 @@ def certificate_from_dict(data: dict) -> SchmudgenCertificate:
                          f"in {n} variables")
     return SchmudgenCertificate(
         num_vars=n,
-        r=int(data["r"]),
-        eta=float(data["eta"]),
+        r=int(_number(data, "r", numbers.Integral)),
+        eta=float(_number(data, "eta", numbers.Real)),
         weights=weights.reshape((len(rows),) * n),
         rows=rows,
-        residual=float(data["residual"]),
+        residual=float(_number(data, "residual", numbers.Real)),
     )
 
 
@@ -379,13 +394,12 @@ def _check_quadrature(level: str) -> dict:
     worst = 0.0
     for n in (1, 2):
         for m in range(1, m_max + 1):
-            rule = gauss_chebyshev(n, m)
-            dmax = rule.exact_degree
+            grid = [chebyshev_nodes(m)] * n
+            dmax = 2 * m - 1
             kappas = ([(k,) for k in range(dmax + 1)] if n == 1 else
                       [(a, b) for a in range(dmax + 1) for b in range(0, dmax + 1, max(1, dmax // 3))])
             for kappa in kappas:
-                value, exact = integrate(rule, ChebPoly.basis(n, kappa))
-                assert exact
+                value = float(np.mean(ChebPoly.basis(n, kappa).eval_grid(grid)))
                 expected = 1.0 if all(k == 0 for k in kappa) else 0.0
                 worst = max(worst, abs(value - expected))
     ok = worst <= 1e-12

@@ -18,6 +18,7 @@ from jacksonsos.certificate import (
 )
 from jacksonsos.chebpoly import (
     ChebPoly,
+    chebyshev_nodes,
     enumerate_multidegrees,
     grid_extrema,
     hamming_weight,
@@ -31,7 +32,6 @@ from jacksonsos.kernelop import (
     deviation_bound_exact,
     theorem_threshold,
 )
-from jacksonsos.quadrature import chebyshev_nodes
 from jacksonsos.sos1d import decompose_kernel_slice, lukacs_decompose
 
 from helpers import demo_f, oracle_extrema, random_cheb, tamper_heaviest_node

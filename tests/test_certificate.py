@@ -17,10 +17,15 @@ from jacksonsos.certificate import (
     rate_sweep,
     verify,
 )
-from jacksonsos.chebpoly import ChebPoly, grid_extrema, mono_from_cheb
+from jacksonsos.chebpoly import (
+    POINT_BUDGET,
+    ChebPoly,
+    chebyshev_nodes,
+    grid_extrema,
+    mono_from_cheb,
+)
 from jacksonsos.cli import certificate_from_dict, certificate_to_dict
 from jacksonsos.kernelop import apply_forward, apply_inverse, constant_C, theorem_threshold
-from jacksonsos.quadrature import chebyshev_nodes
 from jacksonsos.sos1d import decompose_kernel_slice
 
 from helpers import demo_f, expand_certificate, random_cheb, tamper_heaviest_node
@@ -187,6 +192,29 @@ class TestCertify:
         f5 = ChebPoly(5, {tuple(60 * (i == j) for i in range(5)): 1.0 for j in range(5)})
         with pytest.raises(ValueError, match="61\\^5"):
             certify(f5, 0.1, 60)
+
+
+class TestDefaultGrids:
+    @pytest.mark.parametrize("n", range(1, 24))
+    def test_within_budget(self, n):
+        gate, bound = certificate_module._grid_points(n)
+        assert gate ** n <= POINT_BUDGET and bound ** n <= POINT_BUDGET
+
+    def test_rows_past_three_variables(self):
+        assert [certificate_module._grid_points(n) for n in (4, 5, 6, 7, 23, 24)] == [
+            (17, 17), (17, 17), (14, 14), (10, 10), (2, 2), (2, 2)]
+
+    def test_six_variables_certify(self, grid_budget_enforced):
+        q = random_cheb(np.random.default_rng(5), 6, 1)
+        f = apply_forward(q * q + ChebPoly.constant(6, 0.1), 2)
+        cert = certify(f, 0.0, 2)
+        assert verify(cert, f).valid
+        assert corollary_degree(f, 0.1) >= theorem_threshold(6, 2)
+
+    def test_twenty_four_variables_still_refused(self, grid_budget_enforced):
+        f = ChebPoly(24, {(0,) * 24: 1.0, (1,) + (0,) * 23: 0.5})
+        with pytest.raises(ValueError, match="2\\^24 points exceeds budget"):
+            kernel_lower_bound(f, 1)
 
 
 def _smoothed_square(n: int, r: int) -> ChebPoly:

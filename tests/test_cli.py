@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from jacksonsos import certificate as certificate_module
-from jacksonsos import sos1d
+from jacksonsos import cli, sos1d
 from jacksonsos.certificate import certify, verify
 from jacksonsos.chebpoly import MonoPoly, cheb_from_monomial
 from jacksonsos.cli import (
@@ -157,6 +157,14 @@ class TestCertifyCommand:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    def test_six_variables_reach_the_gate(self, grid_budget_enforced, capsys):
+        # 17^6 default gate points used to exceed the budget (exit 64); the
+        # unsmoothed 2.1 + 8 x1 x2 x3 x4 x5 x6 dips to -5.9 on the cube
+        code = main(["certify", "--poly", "2 + x1*x2*x3*x4*x5*x6", "--eta", "0.1",
+                     "--r", "2"])
+        assert code == EXIT_NOT_CERTIFIABLE
+        assert "unsmoothed polynomial reaches -5.9" in capsys.readouterr().err
+
     def test_malformed_poly_usage_exit(self, capsys):
         code = main(["certify", "--poly", "1 - x1^^", "--eta", "0.1", "--r", "5"])
         assert code == EXIT_USAGE
@@ -227,14 +235,49 @@ class TestCertificateFromDict:
         with pytest.raises(ValueError, match="15 weights for 4 rows"):
             certificate_from_dict(data)
 
-    @pytest.mark.parametrize("where", ["weights", "u", "v"])
+    @pytest.mark.parametrize("where", ["weights", "u", "v", "eta", "residual"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_number(self, where, bad):
         data = json.loads(json.dumps(self._data(1)))
-        target = data["weights"] if where == "weights" else data["rows"][5][where]
-        target[0] = bad
-        with pytest.raises(ValueError, match="must be a flat list of finite numbers"):
+        if where in ("eta", "residual"):
+            data[where] = bad
+            message = f"{where} is not finite"
+        else:
+            target = data["weights"] if where == "weights" else data["rows"][5][where]
+            target[0] = bad
+            message = "must be a flat list of finite numbers"
+        with pytest.raises(ValueError, match=message):
             certificate_from_dict(json.loads(json.dumps(data)))
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("num_vars", None, "num_vars is not an integer"),
+        ("num_vars", 1.0, "num_vars is not an integer"),
+        ("num_vars", "1", "num_vars is not an integer"),
+        ("num_vars", True, "num_vars is not an integer"),
+        ("r", None, "r is not an integer"),
+        ("r", "7", "r is not an integer"),
+        ("eta", None, "eta is not a number"),
+        ("eta", "0.1", "eta is not a number"),
+        ("residual", None, "residual is not a number"),
+        ("rows", None, "rows must be a list"),
+        ("rows", {"u": [1.0], "v": []}, "rows must be a list"),
+        ("weights", None, "weights must be a flat list"),
+        ("weights", {"0": 1.0}, "weights must be a flat list"),
+        ("weights", ["1.0"] * 8, "weights must be a flat list"),
+    ])
+    def test_null_or_mistyped_field(self, key, value, message):
+        data = json.loads(json.dumps(self._data(1)))
+        data[key] = value
+        with pytest.raises(ValueError, match=message):
+            certificate_from_dict(data)
+
+    @pytest.mark.parametrize("value", [None, {"0": 1.0}, ["0.5"], [0.5, None],
+                                       [[0.5]], [0.5, [0.1]]])
+    def test_mistyped_row_coefficients(self, value):
+        data = json.loads(json.dumps(self._data(1)))
+        data["rows"][0]["u"] = value
+        with pytest.raises(ValueError, match="row coefficients must be a flat list"):
+            certificate_from_dict(data)
 
     @pytest.mark.parametrize("key", ["num_vars", "r", "eta", "residual",
                                      "weights", "rows"])
@@ -357,6 +400,11 @@ class TestSelftest:
         assert {c["name"] for c in summary["checks"]} == {
             "spectral_bounds", "quadrature_exactness", "sos_reconstruction",
             "certificate_roundtrip"}
+
+    def test_full_quadrature_check(self):
+        check = cli._check_quadrature("full")
+        assert check["name"] == "quadrature_exactness"
+        assert check["ok"] is True
 
     def test_deterministic_given_seed(self, capsys):
         main(["selftest", "--level", "quick", "--seed", "3"])

@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 from numpy.polynomial import chebyshev as npcheb
 
-from jacksonsos.chebpoly import ChebPoly, _canon
+from jacksonsos.chebpoly import ChebPoly, _canon, chebyshev_nodes
 from jacksonsos.jackson import jackson_lambda
 from jacksonsos import sos1d
-from jacksonsos.quadrature import chebyshev_nodes
 from jacksonsos.sos1d import (
     IllConditioned,
     LukacsPair,
