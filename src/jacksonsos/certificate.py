@@ -29,10 +29,10 @@ import numpy as np
 from .chebpoly import (
     POINT_BUDGET,
     ChebPoly,
-    _refine,
     check_point_budget,
     chebyshev_nodes,
     grid_extrema,
+    grid_minimum,
     lobatto_axis,
 )
 from .kernelop import _check_degree, apply_inverse, constant_C, theorem_threshold
@@ -40,7 +40,8 @@ from .sos1d import decompose_kernel_slice, split_coeffs
 
 #: a certificate is valid when its reconstruction matches f + eta this closely
 RESIDUAL_TOL = 1e-8
-#: relative tolerance of the nonnegativity gate on the unsmoothed polynomial
+#: tolerance of the nonnegativity gate on the unsmoothed polynomial, relative
+#: to max |f + eta| on the gate grid
 GATE_TOL = 1e-10
 #: node weights more negative than this abort; values in [-NODE_CLAMP, 0) drop
 NODE_CLAMP = 1e-12
@@ -158,9 +159,11 @@ def _relative_residual(recon: ChebPoly, target: ChebPoly) -> float:
 def certify(f: ChebPoly, eta: float, r: int) -> SchmudgenCertificate:
     """Build an explicit square decomposition of f + eta over the cube.
 
-    Raises :class:`NotCertifiable` when the unsmoothed polynomial
-    K_r^{-1}(f + eta) dips below the gate tolerance on a refined grid (or a
-    quadrature node weight comes out negative beyond round-off), and
+    Raises :class:`NotCertifiable` when the polished grid minimum of the
+    unsmoothed polynomial K_r^{-1}(f + eta) lies below -``GATE_TOL`` times
+    the gate's scale, max |f + eta| over the same Chebyshev-Lobatto grid
+    (unpolished), or when a quadrature node weight comes out negative beyond
+    round-off; and
     :class:`ResidualTooLarge` if the assembled identity fails to reconstruct
     f + eta within ``RESIDUAL_TOL``.  A kernel slice that does not split
     into squares raises sos1d's ``IllConditioned`` or ``NotNonnegative``
@@ -188,10 +191,12 @@ def certify(f: ChebPoly, eta: float, r: int) -> SchmudgenCertificate:
     m = r + 1
     check_point_budget(m, n)
     unsmoothed = apply_inverse(target, r)
-    points = _grid_points(n)[0]
-    tmin, _, tmax, _ = grid_extrema(target, points)
-    gmin, gloc, _, _ = grid_extrema(unsmoothed, points)
-    norm = max(abs(tmin), abs(tmax))
+    lobatto = lobatto_axis(_grid_points(n)[0])
+    gmin, gloc = grid_minimum(unsmoothed, lobatto)[:2]
+    # the gate's scale: max |f + eta| on the same grid, unpolished (min and
+    # max, so that no second grid-sized array is alive at once)
+    tvals = target.eval_grid([lobatto] * n)
+    norm = max(-float(tvals.min()), float(tvals.max()))
     if gmin < -GATE_TOL * norm:
         raise NotCertifiable(
             f"unsmoothed polynomial reaches {gmin:.6e} at {gloc}",
@@ -285,20 +290,20 @@ def _lower_bound(f: ChebPoly, r: int, axis: np.ndarray, fmin_est: float,
     d = f.degree()
 
     unsmoothed = apply_inverse(f, r)
-    vals = unsmoothed.eval_grid([axis] * n)
+    qmin, argmin, vals = grid_minimum(unsmoothed, axis, _BOUND_REFINE_ITERS)
 
+    # one difference array at a time, made absolute and divided in place
     spacing = np.diff(axis)
     grad_est = 0.0
     for j in range(n):
-        diffs = np.abs(np.diff(vals, axis=j))
         shape = [1] * n
         shape[j] = spacing.size
-        grad_est = max(grad_est, float(np.max(diffs / spacing.reshape(shape))))
+        diffs = np.diff(vals, axis=j)
+        np.abs(diffs, out=diffs)
+        np.divide(diffs, spacing.reshape(shape), out=diffs)
+        grad_est = max(grad_est, float(np.max(diffs)))
+        del diffs
     delta = grad_est * float(np.max(spacing))
-
-    idx = np.unravel_index(int(np.argmin(vals)), vals.shape)
-    qmin, argmin = _refine(unsmoothed, axis, idx, float(vals[idx]), 1.0,
-                           _BOUND_REFINE_ITERS)
     lambda_star = qmin - delta
 
     gap = fmin_est - lambda_star

@@ -476,22 +476,35 @@ def _refine(p: ChebPoly, axis: np.ndarray, idx, start_val: float, sign: float,
     return sign * best_v, tuple(best_x)
 
 
-def grid_extrema(p: ChebPoly, points_per_axis: int, refine_iters: int = 2):
-    """Estimate extrema of ``p`` over the cube [-1, 1]^n.
+def grid_minimum(p: ChebPoly, axis: np.ndarray, refine_iters: int = 2):
+    """Polished grid minimum of ``p`` over the cube [-1, 1]^n.
 
-    Evaluates on the tensor Chebyshev-Lobatto grid and polishes the best
-    cells by coordinate-wise golden section.  Returns
-    ``(min_est, argmin, max_est, argmax)``.  These are estimates, not
-    certified bounds; ties go to the lexicographically smallest point.
+    Evaluates on the tensor grid of the Lobatto ``axis`` (within
+    ``POINT_BUDGET``), polishes the lowest cell by coordinate-wise golden
+    section and returns ``(min_est, argmin, vals)`` with the grid values,
+    from which a caller reads a scale such as max |p|.  An estimate, not a
+    certified bound; ties go to the lexicographically smallest point.
     """
     n = p.num_vars
-    check_point_budget(points_per_axis, n)
-    axis = lobatto_axis(points_per_axis)
+    check_point_budget(axis.size, n)
     vals = p.eval_grid([axis] * n)
-    idx_min = np.unravel_index(int(np.argmin(vals)), vals.shape)
-    idx_max = np.unravel_index(int(np.argmax(vals)), vals.shape)
-    min_est, argmin = _refine(p, axis, idx_min, float(vals[idx_min]), 1.0, refine_iters)
-    max_est, argmax = _refine(p, axis, idx_max, float(vals[idx_max]), -1.0, refine_iters)
+    idx = np.unravel_index(int(np.argmin(vals)), vals.shape)
+    min_est, argmin = _refine(p, axis, idx, float(vals[idx]), 1.0, refine_iters)
+    return min_est, argmin, vals
+
+
+def grid_extrema(p: ChebPoly, points_per_axis: int, refine_iters: int = 2):
+    """Estimate both extrema of ``p`` over the cube [-1, 1]^n.
+
+    :func:`grid_minimum` on ``points_per_axis`` Chebyshev-Lobatto points per
+    axis, plus the same polish of the highest grid cell.  Returns
+    ``(min_est, argmin, max_est, argmax)``.
+    """
+    check_point_budget(points_per_axis, p.num_vars)
+    axis = lobatto_axis(points_per_axis)
+    min_est, argmin, vals = grid_minimum(p, axis, refine_iters)
+    idx = np.unravel_index(int(np.argmax(vals)), vals.shape)
+    max_est, argmax = _refine(p, axis, idx, float(vals[idx]), -1.0, refine_iters)
     return min_est, argmin, max_est, argmax
 
 

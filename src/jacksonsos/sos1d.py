@@ -31,10 +31,11 @@ import numpy as np
 from numpy.polynomial.chebyshev import (chebadd, chebmul, chebroots, chebsub,
                                         chebval, chebvander)
 
-from .chebpoly import DROP_TOL, ChebPoly, grid_extrema
+from .chebpoly import DROP_TOL, ChebPoly, grid_minimum, lobatto_axis
 from .jackson import _kernel_coeffs
 
-#: relative tolerance for the sampled nonnegativity gate
+#: relative tolerance of the sampled nonnegativity gates: to max |p| on the
+#: grid of lukacs_decompose, to max |q| in fejer_riesz
 NONNEG_TOL = 1e-10
 #: relative tolerance on the spectral factorization residual
 FACTOR_TOL = 1e-9
@@ -344,17 +345,19 @@ class LukacsPair:
 def lukacs_decompose(p: ChebPoly) -> LukacsPair:
     """Decompose a univariate polynomial nonnegative on [-1, 1].
 
-    The nonnegativity gate is a refined-grid minimum at relative tolerance
-    ``NONNEG_TOL``; the output reconstructs ``p`` coefficientwise to
-    ``RECON_TOL`` relative or the decomposition is rejected.
+    The nonnegativity gate refuses ``p`` when its polished minimum on the
+    1025-point Chebyshev-Lobatto grid lies below -``NONNEG_TOL`` times
+    max |p| over the same grid (unpolished); the output reconstructs ``p``
+    coefficientwise to ``RECON_TOL`` relative or the decomposition is
+    rejected.
     """
     if p.num_vars != 1:
         raise ValueError("decomposition is univariate only")
     if p.is_zero():
         return LukacsPair(u=np.zeros(0), v=np.zeros(0), residual=0.0)
 
-    lo, loc, hi, _ = grid_extrema(p, 1025, 1)
-    norm = max(abs(lo), abs(hi))
+    lo, loc, vals = grid_minimum(p, lobatto_axis(1025), 1)
+    norm = float(np.max(np.abs(vals)))
     if lo < -NONNEG_TOL * norm:
         raise NotNonnegative(
             f"grid minimum {lo:.3e} at x={loc[0]:.6f} below tolerance",

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from jacksonsos import certificate as certificate_module
+from jacksonsos import chebpoly as chebpoly_module
 from jacksonsos.certificate import (
     NotCertifiable,
     SchmudgenCertificate,
@@ -185,13 +186,53 @@ class TestCertify:
             certify(f3, 0.0, 250)
 
     def test_node_budget_checked_before_gate(self, monkeypatch):
+        # the gate's first step, on either polynomial, is a grid evaluation
         def gate(*args):
             raise AssertionError("gate ran before the node budget check")
 
-        monkeypatch.setattr(certificate_module, "grid_extrema", gate)
+        monkeypatch.setattr(ChebPoly, "eval_grid", gate)
         f5 = ChebPoly(5, {tuple(60 * (i == j) for i in range(5)): 1.0 for j in range(5)})
         with pytest.raises(ValueError, match="61\\^5"):
             certify(f5, 0.1, 60)
+
+    @pytest.mark.parametrize("r", [5, 7, 8, 12])
+    def test_gate_polishes_only_the_minimum(self, monkeypatch, r):
+        """One polish for the gate, and one per factored slice (n = 1)."""
+        calls = []
+        golden_min = chebpoly_module._golden_min
+
+        def counting(*args):
+            calls.append(args)
+            return golden_min(*args)
+
+        monkeypatch.setattr(chebpoly_module, "_golden_min", counting)
+        if r == 5:
+            with pytest.raises(NotCertifiable):
+                certify(demo_f(), 0.1, r)
+            assert len(calls) == 1
+        else:
+            certify(demo_f(), 0.1, r)
+            assert len(calls) == 1 + math.ceil((r + 1) / 2)
+
+    def test_gate_holds_one_grid_array_at_a_time(self):
+        # the 65^3 gate grid values take 2.1 MiB; holding the unsmoothed
+        # values while f + eta is evaluated, or an |f + eta| copy, adds more
+        f = _smoothed_square(3, 4)
+        tracemalloc.start()
+        try:
+            certify(f, 0.0, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * 2 ** 20
+
+    def test_refusal_reports_the_polished_minimum(self):
+        f = demo_f()
+        with pytest.raises(NotCertifiable) as err:
+            certify(f, 0.1, 5)
+        lo, loc, _, _ = grid_extrema(apply_inverse(f.shift(0.1), 5), 2049)
+        assert (err.value.min_value, err.value.location) == (lo, loc)
+        assert str(err.value) == f"unsmoothed polynomial reaches {lo:.6e} at {loc}"
 
 
 class TestDefaultGrids:
@@ -358,6 +399,23 @@ class TestKernelLowerBound:
             tracemalloc.stop()
         assert peak < 2 ** 22
         assert rep.lambda_star <= rep.fmin_est
+
+    def test_margin_memory_at_six_variables(self):
+        """The finite-difference margin keeps one difference array at a time.
+
+        The default 14^6 grid values take 60 MB and each axis's differences
+        13/14 of that; full-grid temporaries per axis took the peak to 228 MB.
+        """
+        f6 = ChebPoly(6, {(0,) * 6: 2.0, (1,) * 6: 1.0})
+        tracemalloc.start()
+        try:
+            rep = kernel_lower_bound(f6, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 160e6
+        assert rep.lambda_star == -7.928586884085165
+        assert rep.delta == 1.928586884085167
 
 
 class TestRateSweep:

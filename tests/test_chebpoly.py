@@ -17,6 +17,7 @@ from jacksonsos.chebpoly import (
     cheb_from_monomial,
     enumerate_multidegrees,
     grid_extrema,
+    grid_minimum,
     hamming_weight,
     lobatto_axis,
     mono_from_cheb,
@@ -358,6 +359,17 @@ class TestGridExtrema:
             assert abs(hi - p.eval(argmax)) <= tol
             raw = p.eval_grid([raw_axis] * n)
             assert lo <= raw.min() and hi >= raw.max()
+
+    @pytest.mark.parametrize("n, d, points", [(1, 9, 65), (2, 5, 17), (3, 3, 9)])
+    def test_minimum_is_the_one_sided_helpers(self, n, d, points):
+        """grid_extrema's minimum is grid_minimum's, bit for bit."""
+        rng = np.random.default_rng(60 + n)
+        axis = lobatto_axis(points)
+        for refine_iters in (1, 2, 3):
+            p = random_cheb(rng, n, d)
+            lo, argmin, vals = grid_minimum(p, axis, refine_iters)
+            assert grid_extrema(p, points, refine_iters)[:2] == (lo, argmin)
+            assert vals.tobytes() == p.eval_grid([axis] * n).tobytes()
 
     def test_polish_memory_follows_terms(self):
         """The polish never builds the dense prod(d_i + 1) coefficient tensor."""

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from numpy.polynomial import chebyshev as npcheb
 
-from jacksonsos.chebpoly import ChebPoly, _canon, chebyshev_nodes
+from jacksonsos import chebpoly
+from jacksonsos.chebpoly import ChebPoly, _canon, chebyshev_nodes, grid_extrema
 from jacksonsos.jackson import jackson_lambda
 from jacksonsos import sos1d
 from jacksonsos.sos1d import (
@@ -208,6 +209,28 @@ class TestLukacsPairs:
             lukacs_decompose(ChebPoly.basis(1, (1,)))
         with pytest.raises(NotNonnegative):
             lukacs_decompose(ChebPoly(1, {(0,): -0.5, (2,): 0.5}))
+
+    def test_gate_polishes_only_the_minimum(self, monkeypatch):
+        calls = []
+        golden_min = chebpoly._golden_min
+
+        def counting(*args):
+            calls.append(args)
+            return golden_min(*args)
+
+        monkeypatch.setattr(chebpoly, "_golden_min", counting)
+        rng = np.random.default_rng(6)
+        for p in (_random_nonneg(rng, 6), _kernel_slice_poly(9, 0.3), ONE_MINUS):
+            calls.clear()
+            lukacs_decompose(p)
+            assert len(calls) == 1
+
+    def test_gate_reports_the_polished_minimum(self):
+        p = ChebPoly(1, {(0,): 0.1, (1,): 0.3, (3,): -0.4})
+        with pytest.raises(NotNonnegative) as err:
+            lukacs_decompose(p)
+        lo, loc, _, _ = grid_extrema(p, 1025, 1)
+        assert (err.value.value, err.value.location) == (lo, loc[0])
 
     def test_zero_polynomial(self):
         pair = lukacs_decompose(ChebPoly.zero(1))
