@@ -57,6 +57,7 @@ from .sos1d import (
     LukacsPair,
     NotNonnegative,
     decompose_kernel_slice,
+    decompose_kernel_slices,
     fejer_riesz,
     lukacs_decompose,
 )
@@ -83,6 +84,7 @@ __all__ = [
     "constant_C",
     "corollary_degree",
     "decompose_kernel_slice",
+    "decompose_kernel_slices",
     "deviation_bound_exact",
     "enumerate_multidegrees",
     "fejer_riesz",

@@ -36,7 +36,10 @@ from .chebpoly import (
     lobatto_axis,
 )
 from .kernelop import _check_degree, apply_inverse, constant_C, theorem_threshold
-from .sos1d import decompose_kernel_slice, split_coeffs
+# decompose_kernel_slice is no longer called here, but stays importable from
+# this module for callers that look it up or wrap it here (bench/tracing.py)
+from .sos1d import (decompose_kernel_slice, decompose_kernel_slices,  # noqa: F401
+                    split_coeffs)
 
 #: a certificate is valid when its reconstruction matches f + eta this closely
 RESIDUAL_TOL = 1e-8
@@ -207,11 +210,9 @@ def certify(f: ChebPoly, eta: float, r: int) -> SchmudgenCertificate:
     axis = chebyshev_nodes(m)
     gvals = unsmoothed.eval_grid([axis] * n)
 
-    # K_r(x, -y) = K_r(-x, y) and the nodes are symmetric about 0: factor the
-    # slices at y >= 0 (the middle node too for odd m) and mirror the rest
-    half = m // 2
-    upper = [decompose_kernel_slice(r, float(y)) for y in axis[half:]]
-    slices = [upper[-1 - t].mirrored() for t in range(half)] + upper
+    # factor the slices at y >= 0 (the middle node too for odd m) in one
+    # call; unfold_rows mirrors the rest
+    upper = decompose_kernel_slices(r, axis[m // 2:])
 
     weights = (1.0 / m ** n) * gvals
     if weights.min() < -NODE_CLAMP:
@@ -223,12 +224,23 @@ def certify(f: ChebPoly, eta: float, r: int) -> SchmudgenCertificate:
     weights[weights <= 0.0] = 0.0
 
     cert = SchmudgenCertificate(num_vars=n, r=r, eta=eta, weights=weights,
-                                rows=tuple((s.u, s.v) for s in slices), residual=0.0)
+                                rows=unfold_rows(upper, m), residual=0.0)
     residual = _relative_residual(cert.reconstruct(), target)
     if residual > RESIDUAL_TOL:
         raise ResidualTooLarge(residual)
     cert.residual = residual
     return cert
+
+
+def unfold_rows(upper, m: int) -> tuple:
+    """The m rows (u_t, v_t) from the ``LukacsPair`` of each node t >= m // 2.
+
+    K_r(x, -y) = K_r(-x, y) and the nodes are symmetric about 0, so the
+    slice at node t < m // 2 is the one at node m - 1 - t with x -> -x, and
+    its row is that pair ``mirrored`` (exactly).
+    """
+    pairs = [upper[-1 - t].mirrored() for t in range(m // 2)] + list(upper)
+    return tuple((s.u, s.v) for s in pairs)
 
 
 def verify(cert: SchmudgenCertificate, f: ChebPoly) -> VerificationReport:

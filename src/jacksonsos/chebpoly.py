@@ -488,9 +488,14 @@ def grid_minimum(p: ChebPoly, axis: np.ndarray, refine_iters: int = 2):
     n = p.num_vars
     check_point_budget(axis.size, n)
     vals = p.eval_grid([axis] * n)
+    return (*polish_minimum(p, axis, vals, refine_iters), vals)
+
+
+def polish_minimum(p: ChebPoly, axis: np.ndarray, vals: np.ndarray, refine_iters: int):
+    """``(min_est, argmin)``: the lowest of ``vals``, ``p`` on the tensor grid
+    of ``axis``, polished as in :func:`grid_minimum`."""
     idx = np.unravel_index(int(np.argmin(vals)), vals.shape)
-    min_est, argmin = _refine(p, axis, idx, float(vals[idx]), 1.0, refine_iters)
-    return min_est, argmin, vals
+    return _refine(p, axis, idx, float(vals[idx]), 1.0, refine_iters)
 
 
 def grid_extrema(p: ChebPoly, points_per_axis: int, refine_iters: int = 2):

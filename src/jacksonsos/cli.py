@@ -3,6 +3,12 @@
 Exit codes: 0 success, 2 not certifiable, 3 residual or kernel-slice
 factorization failure, 64 usage.
 All output is deterministic given the flags and --seed.
+
+``certify`` writes the certificate as JSON: num_vars, r, eta, residual, the
+m^n node weights (m = r + 1 nodes per axis) flattened in C order, and the
+(u, v) rows of the nodes t >= m // 2 only.  Row t < m // 2 is the mirror of
+row m - 1 - t (odd coefficients negated), so the reader rebuilds it exactly
+and the writer refuses a certificate whose lower rows are not mirrors.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ from .certificate import (
     SchmudgenCertificate,
     certify,
     rate_sweep,
+    unfold_rows,
     verify,
 )
 from .chebpoly import ChebPoly, MonoPoly, cheb_from_monomial, chebyshev_nodes
@@ -31,8 +38,9 @@ from .jackson import jackson_lambda, kernel_eval_1d, spectrum
 from .kernelop import apply_forward, apply_inverse
 from .sos1d import (
     IllConditioned,
+    LukacsPair,
     NotNonnegative,
-    decompose_kernel_slice,
+    decompose_kernel_slices,
     lukacs_decompose,
 )
 
@@ -186,14 +194,26 @@ def demo_polynomial() -> MonoPoly:
 
 
 def certificate_to_dict(cert: SchmudgenCertificate) -> dict:
-    """JSON-ready form: weights flattened in C order, one (u, v) row per node."""
+    """JSON-ready form: weights flattened in C order, and the (u, v) rows of
+    the nodes t >= m // 2 of the m per axis.
+
+    The rows t < m // 2 are left out: each must be the exact mirror of row
+    m - 1 - t (as ``certify`` makes it), or ValueError is raised.
+    """
+    m = len(cert.rows)
+    upper = cert.rows[m // 2:]
+    mirrors = unfold_rows([LukacsPair(u, v, 0.0) for u, v in upper], m)
+    for t in range(m // 2):
+        if any(a.tobytes() != b.tobytes() for a, b in zip(cert.rows[t], mirrors[t])):
+            raise ValueError(f"certificate row {t} is not the mirror of row {m - 1 - t}; "
+                             "only mirrored rows can be written")
     return {
         "num_vars": cert.num_vars,
         "r": cert.r,
         "eta": cert.eta,
         "residual": cert.residual,
         "weights": cert.weights.ravel().tolist(),
-        "rows": [{"u": u.tolist(), "v": v.tolist()} for u, v in cert.rows],
+        "rows": [{"u": u.tolist(), "v": v.tolist()} for u, v in upper],
     }
 
 
@@ -232,18 +252,26 @@ def certificate_from_dict(data: dict) -> SchmudgenCertificate:
             isinstance(row, dict) and {"u", "v"} <= row.keys() for row in data["rows"]):
         raise ValueError("certificate rows must be a list of rows with 'u' and 'v'")
     n = int(_number(data, "num_vars", numbers.Integral))
-    rows = tuple((_finite_array(row["u"], "row coefficients"),
-                  _finite_array(row["v"], "row coefficients")) for row in data["rows"])
+    upper = [LukacsPair(_finite_array(row["u"], "row coefficients"),
+                        _finite_array(row["v"], "row coefficients"), 0.0)
+             for row in data["rows"]]
     weights = _finite_array(data["weights"], "weights")
-    if n < 1 or weights.size != len(rows) ** n:
-        raise ValueError(f"{weights.size} weights for {len(rows)} rows "
-                         f"in {n} variables")
+    m = round(weights.size ** (1.0 / n)) if n >= 1 else 0
+    if m < 1 or m ** n != weights.size:
+        raise ValueError(f"{weights.size} weights are not m^{n} for a node count m")
+    if len(upper) != m - m // 2:
+        if len(upper) == m:
+            raise ValueError(f"certificate holds all {m} rows; the mirrored rows "
+                             "are no longer read: run certify again to write "
+                             "the rows of nodes t >= m // 2 only")
+        raise ValueError(f"{len(upper)} rows for {m} nodes per axis; need the "
+                         f"{m - m // 2} of nodes t >= m // 2")
     return SchmudgenCertificate(
         num_vars=n,
         r=int(_number(data, "r", numbers.Integral)),
         eta=float(_number(data, "eta", numbers.Real)),
-        weights=weights.reshape((len(rows),) * n),
-        rows=rows,
+        weights=weights.reshape((m,) * n),
+        rows=unfold_rows(upper, m),
         residual=float(_number(data, "residual", numbers.Real)),
     )
 
@@ -425,8 +453,8 @@ def _check_sos(level: str, seed: int) -> dict:
     n_y = 50 if level == "full" else 10
     ys = chebyshev_nodes(n_y)
     for r in range(r_max + 1):
-        for y in ys:
-            recon = decompose_kernel_slice(r, float(y)).reconstruct()
+        for y, pair in zip(ys, decompose_kernel_slices(r, ys)):
+            recon = pair.reconstruct()
             diff = np.zeros(max(recon.size, r + 1))    # the slice, then minus recon
             diff[0] = 1.0
             for k in range(1, r + 1):

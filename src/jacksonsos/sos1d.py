@@ -20,6 +20,12 @@ h by frequency parity then yields u and v as dense Chebyshev coefficient
 arrays.  ``LukacsPair(u, v)`` is the one split type: ``certify`` stores its
 two arrays as a certificate row as they are, and the mirrored slice
 x -> p(-x) is a sign flip of their odd entries.
+
+``decompose_kernel_slices`` factors all the slices x -> K_r(x, y) of one
+degree r in one call: the kernel coefficients and the T_k tables of the
+nonnegativity gate and of the factorization's sampled checks are built once
+and shared, and each slice then runs on its own through the same gate,
+polish, roots, split and reconstruction check as ``lukacs_decompose``.
 """
 
 from __future__ import annotations
@@ -28,10 +34,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.chebyshev import (chebadd, chebmul, chebroots, chebsub,
-                                        chebval, chebvander)
+from numpy.polynomial.chebyshev import chebadd, chebmul, chebroots, chebsub, chebvander
 
-from .chebpoly import DROP_TOL, ChebPoly, grid_minimum, lobatto_axis
+from .chebpoly import DROP_TOL, ChebPoly, lobatto_axis, polish_minimum
 from .jackson import _kernel_coeffs
 
 #: relative tolerance of the sampled nonnegativity gates: to max |p| on the
@@ -173,6 +178,28 @@ def _expand(roots: np.ndarray) -> np.ndarray:
     return np.real(np.poly(roots[by_angle[spread]]))[::-1]
 
 
+@dataclass(slots=True, frozen=True)
+class _Tables:
+    """T_k tables up to one degree d, built once per call and shared by its
+    polynomials: the Lobatto grid of the nonnegativity gate, and the sample
+    and check angles of :func:`fejer_riesz` (0 to pi, 512 and 256 of them)."""
+
+    axis: np.ndarray        # the gate's 1025 Chebyshev-Lobatto points
+    gate: np.ndarray        # T_k(axis), one row per k: (d + 1, 1025)
+    sample: np.ndarray      # T_k(cos t) at the sample angles: (512, d + 1)
+    check: np.ndarray       # T_k(cos t) at the check angles: (256, d + 1)
+    check_z: np.ndarray     # e^{ikt} at the check angles: (256, d + 1)
+
+
+def _tables(d: int) -> _Tables:
+    axis = lobatto_axis(1025)
+    check = np.linspace(0.0, math.pi, 256)
+    return _Tables(axis=axis, gate=np.ascontiguousarray(chebvander(axis, d).T),
+                   sample=chebvander(np.cos(np.linspace(0.0, math.pi, 512)), d),
+                   check=chebvander(np.cos(check), d),
+                   check_z=np.exp(1j * np.outer(check, np.arange(d + 1))))
+
+
 def fejer_riesz(q) -> np.ndarray:
     """Spectral factor of a nonnegative cosine polynomial.
 
@@ -199,6 +226,11 @@ def fejer_riesz(q) -> np.ndarray:
     q = np.asarray(q, dtype=float)
     if q.ndim != 1 or q.size == 0:
         raise ValueError("expected a nonempty 1-D coefficient sequence")
+    return _spectral_factor(q, _tables(q.size - 1))
+
+
+def _spectral_factor(q: np.ndarray, tables: _Tables) -> np.ndarray:
+    """:func:`fejer_riesz` of a validated ``q``, sampled on shared tables."""
     scale = float(np.max(np.abs(q)))
     if scale == 0.0:
         return np.zeros(1)
@@ -208,10 +240,10 @@ def fejer_riesz(q) -> np.ndarray:
         dq -= 1
     q = q[: dq + 1]
 
-    theta = np.linspace(0.0, math.pi, 512)
-    vals = chebval(np.cos(theta), q)
+    vals = tables.sample[:, : dq + 1] @ q
     vmin = float(np.min(vals))
     if vmin < -NONNEG_TOL * scale:
+        theta = np.linspace(0.0, math.pi, 512)
         raise NotNonnegative(
             f"sampled value {vmin:.3e} below tolerance for a nonnegative input",
             value=vmin,
@@ -252,9 +284,8 @@ def fejer_riesz(q) -> np.ndarray:
         raise IllConditioned(f"normalization failed (gamma^2 = {gamma2:.3e})")
     h = _polish_factor(math.sqrt(gamma2) * h, q)
 
-    check = np.linspace(0.0, math.pi, 256)
-    hv = np.polyval(h[::-1], np.exp(1j * check))
-    resid = float(np.max(np.abs(np.abs(hv) ** 2 - chebval(np.cos(check), q))))
+    hv = tables.check_z[:, : h.size] @ h
+    resid = float(np.max(np.abs(np.abs(hv) ** 2 - tables.check[:, : dq + 1] @ q)))
     val_scale = max(float(np.max(np.abs(vals))), 1e-300)
     if not resid <= FACTOR_TOL * val_scale:
         raise IllConditioned(
@@ -353,10 +384,19 @@ def lukacs_decompose(p: ChebPoly) -> LukacsPair:
     """
     if p.num_vars != 1:
         raise ValueError("decomposition is univariate only")
+    return _split(p, _tables(p.degree()))
+
+
+def _split(p: ChebPoly, tables: _Tables) -> LukacsPair:
+    """:func:`lukacs_decompose` of a univariate ``p`` on shared tables."""
     if p.is_zero():
         return LukacsPair(u=np.zeros(0), v=np.zeros(0), residual=0.0)
 
-    lo, loc, vals = grid_minimum(p, lobatto_axis(1025), 1)
+    # the grid values of eval_grid, bit for bit: the terms in map order
+    vals = np.zeros(tables.axis.size)
+    for (k,), c in p.coeffs.items():
+        vals += c * tables.gate[k]
+    lo, loc = polish_minimum(p, tables.axis, vals, 1)
     norm = float(np.max(np.abs(vals)))
     if lo < -NONNEG_TOL * norm:
         raise NotNonnegative(
@@ -366,7 +406,7 @@ def lukacs_decompose(p: ChebPoly) -> LukacsPair:
         )
 
     target = _dense(p)
-    h = fejer_riesz(target)
+    h = _spectral_factor(target, tables)
     if h.size % 2 == 0:
         h = np.concatenate(([0.0], h))      # z h: same modulus, even degree
     u, v = _split_even(h)
@@ -380,12 +420,30 @@ def lukacs_decompose(p: ChebPoly) -> LukacsPair:
     return LukacsPair(u=u, v=v, residual=residual)
 
 
-def decompose_kernel_slice(r: int, y: float) -> LukacsPair:
-    """Square decomposition of the kernel slice x -> K_r(x, y), y in [-1, 1]."""
+def decompose_kernel_slices(r: int, ys) -> list:
+    """Square decompositions of the kernel slices x -> K_r(x, y), y in ``ys``.
+
+    One :class:`LukacsPair` per slice point, each as :func:`lukacs_decompose`
+    gives it for the slice 1 + 2 sum_k lambda_k T_k(y) T_k(x).  The kernel
+    coefficients and the gate's and the factorization's T_k tables are
+    built once for all slices; the slices are split one at a time in the
+    order of ``ys``, and the first that fails raises.
+    """
     if r < 0:
         raise ValueError("need r >= 0")
-    if not -1.0 <= y <= 1.0:
-        raise ValueError(f"slice point {y} outside [-1, 1]")
-    coeffs = _kernel_coeffs(r) * chebvander(y, r)[0]
-    slice_poly = ChebPoly(1, {(k,): c for k, c in enumerate(coeffs)})
-    return lukacs_decompose(slice_poly)
+    ys = np.asarray(ys, dtype=float)
+    if ys.ndim != 1:
+        raise ValueError("slice points must be a 1-D sequence")
+    for y in ys:
+        if not -1.0 <= y <= 1.0:
+            raise ValueError(f"slice point {float(y)} outside [-1, 1]")
+    stack = _kernel_coeffs(r) * chebvander(ys, r)
+    tables = _tables(r)
+    return [_split(ChebPoly(1, {(k,): c for k, c in enumerate(coeffs)}), tables)
+            for coeffs in stack]
+
+
+def decompose_kernel_slice(r: int, y: float) -> LukacsPair:
+    """Square decomposition of the kernel slice x -> K_r(x, y), y in [-1, 1]:
+    :func:`decompose_kernel_slices` at the one node ``y``."""
+    return decompose_kernel_slices(r, [y])[0]

@@ -160,23 +160,24 @@ class TestCertify:
 
     @pytest.mark.parametrize("n, r", [(1, 7), (1, 8), (2, 4), (2, 5)])
     def test_factors_only_nonnegative_nodes(self, monkeypatch, n, r):
-        """ceil((r+1)/2) slices are factored; the rest are mirrored."""
+        """ceil((r+1)/2) slices are factored, in one call; the rest are mirrored."""
         calls = []
-        original = certificate_module.decompose_kernel_slice
+        original = certificate_module.decompose_kernel_slices
 
-        def counted(r_, y):
-            calls.append(y)
-            return original(r_, y)
+        def counted(r_, ys):
+            calls.append(list(ys))
+            return original(r_, ys)
 
-        monkeypatch.setattr(certificate_module, "decompose_kernel_slice", counted)
+        monkeypatch.setattr(certificate_module, "decompose_kernel_slices", counted)
         if n == 1:
             f, eta = demo_f(), 0.1
         else:
             q = random_cheb(np.random.default_rng(5), 2, 2)
             f, eta = apply_forward(q * q + ChebPoly.constant(2, 0.1), r), 0.0
         cert = certify(f, eta, r)
-        assert len(calls) == (r + 2) // 2
-        assert all(y >= 0.0 for y in calls)
+        assert len(calls) == 1
+        assert len(calls[0]) == (r + 2) // 2
+        assert all(y >= 0.0 for y in calls[0])
         assert verify(cert, f).valid
 
     def test_node_budget_checked_before_evaluation(self, grid_budget_enforced):

@@ -10,8 +10,9 @@ import pytest
 
 from jacksonsos import certificate as certificate_module
 from jacksonsos import cli, sos1d
-from jacksonsos.certificate import certify, verify
-from jacksonsos.chebpoly import MonoPoly, cheb_from_monomial
+from jacksonsos.certificate import SchmudgenCertificate, certify, verify
+from jacksonsos.chebpoly import ChebPoly, MonoPoly, cheb_from_monomial
+from jacksonsos.kernelop import apply_forward
 from jacksonsos.cli import (
     EXIT_NOT_CERTIFIABLE,
     EXIT_OK,
@@ -26,7 +27,7 @@ from jacksonsos.cli import (
 )
 from jacksonsos.sos1d import IllConditioned, NotNonnegative
 
-from helpers import demo_f
+from helpers import demo_f, random_cheb
 
 DEMO = "1 - x1^2 - x1^3 + x1^4"
 
@@ -112,8 +113,9 @@ class TestCertifyCommand:
         assert data["residual"] <= 1e-8
         cert = certify(demo_f(), 0.1, 7)
         assert data["weights"] == cert.weights.tolist()
+        # only the rows of nodes t >= m // 2 are written
         assert data["rows"] == [{"u": u.tolist(), "v": v.tolist()}
-                                for u, v in cert.rows]
+                                for u, v in cert.rows[4:]]
 
     def test_not_certifiable_exit(self, tmp_path, capsys):
         code = main(["certify", "--poly", DEMO, "--eta", "0.1", "--r", "5",
@@ -131,10 +133,10 @@ class TestCertifyCommand:
         Every y >= 0 kernel slice factors for r = 1..300, so no degree fails
         cheaply: the factorization error is injected like the gate refusal.
         """
-        def fail_slice(r_, y):
+        def fail_slices(r_, ys):
             raise error
 
-        monkeypatch.setattr(certificate_module, "decompose_kernel_slice", fail_slice)
+        monkeypatch.setattr(certificate_module, "decompose_kernel_slices", fail_slices)
         out = tmp_path / "c.json"
         code = main(["certify", "--poly", DEMO, "--eta", "0.1", "--r", "7",
                      "--out", str(out)])
@@ -230,9 +232,9 @@ class TestCertificateFromDict:
 
     def test_wrong_weight_count(self):
         data = self._data()
-        assert len(data["weights"]) == len(data["rows"]) ** 2 == 16
+        assert len(data["weights"]) == 16 and len(data["rows"]) == 2
         data["weights"] = data["weights"][:-1]
-        with pytest.raises(ValueError, match="15 weights for 4 rows"):
+        with pytest.raises(ValueError, match="15 weights are not m\\^2"):
             certificate_from_dict(data)
 
     @pytest.mark.parametrize("where", ["weights", "u", "v", "eta", "residual"])
@@ -243,7 +245,7 @@ class TestCertificateFromDict:
             data[where] = bad
             message = f"{where} is not finite"
         else:
-            target = data["weights"] if where == "weights" else data["rows"][5][where]
+            target = data["weights"] if where == "weights" else data["rows"][1][where]
             target[0] = bad
             message = "must be a flat list of finite numbers"
         with pytest.raises(ValueError, match=message):
@@ -298,6 +300,73 @@ class TestCertificateFromDict:
                 "terms": [{"J": [], "squares": [{"scale": 0.29,
                                                   "coeffs": {"0": 1.0}}]}]}
         with pytest.raises(ValueError, match="run certify again"):
+            certificate_from_dict(data)
+
+
+class TestMirroredRows:
+    """Certificate JSON stores the rows of nodes t >= m // 2 only."""
+
+    @staticmethod
+    def _square(n, r):
+        q = random_cheb(np.random.default_rng([7, n, r]), n, max(1, r // 2))
+        return apply_forward(q * q + ChebPoly.constant(n, 0.1), r)
+
+    @pytest.mark.parametrize("n, r", [(1, 6), (1, 7), (2, 4), (2, 5), (3, 3), (3, 4)])
+    def test_reload_is_bitwise(self, n, r):
+        """Odd and even m = r + 1: the reloaded rows are the in-memory rows."""
+        f = self._square(n, r)
+        cert = certify(f, 0.0, r)
+        m = r + 1
+        data = json.loads(json.dumps(certificate_to_dict(cert)))
+        assert len(data["rows"]) == m - m // 2 and len(data["weights"]) == m ** n
+        again = certificate_from_dict(data)
+        assert len(again.rows) == len(cert.rows) == m
+        assert again.weights.tobytes() == cert.weights.tobytes()
+        for (u1, v1), (u2, v2) in zip(cert.rows, again.rows):
+            assert u1.tobytes() == u2.tobytes() and v1.tobytes() == v2.tobytes()
+        assert (again.num_vars, again.r, again.eta, again.residual) == \
+            (cert.num_vars, cert.r, cert.eta, cert.residual)
+        assert verify(again, f).residual == cert.residual
+
+    def test_constant_certificate(self):
+        cert = certify(ChebPoly.constant(2, 3.0), 0.1, 4)
+        data = json.loads(json.dumps(certificate_to_dict(cert)))
+        assert data["rows"] == [{"u": [1.0], "v": []}]
+        again = certificate_from_dict(data)
+        assert again.weights.tobytes() == cert.weights.tobytes()
+        assert [(u.tolist(), v.tolist()) for u, v in again.rows] == [([1.0], [])]
+
+    @pytest.mark.parametrize("change", ["value", "zero sign", "length"])
+    def test_writer_refuses_rows_that_are_not_mirrors(self, change):
+        cert = certify(demo_f(), 0.1, 7)
+        rows = list(cert.rows)
+        u, v = (a.copy() for a in rows[1])
+        if change == "value":
+            u[0] = np.nextafter(u[0], np.inf)
+        elif change == "zero sign":
+            # v gains T_4 and T_5 terms of 0.0; the mirror of row 6's has -0.0
+            assert v.size == 4
+            v = np.append(v, [0.0, 0.0])
+            rows[6] = (rows[6][0], np.append(rows[6][1], [0.0, 0.0]))
+        else:
+            v = np.append(v, 0.0)
+        rows[1] = (u, v)
+        tampered = SchmudgenCertificate(1, 7, 0.1, cert.weights, tuple(rows), cert.residual)
+        with pytest.raises(ValueError, match="row 1 is not the mirror of row 6"):
+            certificate_to_dict(tampered)
+
+    @pytest.mark.parametrize("n, r, keep, message", [
+        (1, 7, 3, "3 rows for 8 nodes per axis; need the 4"),
+        (1, 6, 3, "3 rows for 7 nodes per axis; need the 4"),
+        (2, 4, 4, "4 rows for 5 nodes per axis; need the 3"),
+        (1, 7, 8, "holds all 8 rows"),
+        (2, 5, 6, "holds all 6 rows"),
+    ])
+    def test_reader_refuses_wrong_row_counts(self, n, r, keep, message):
+        cert = certify(self._square(n, r), 0.0, r)
+        data = certificate_to_dict(cert)
+        data["rows"] = [{"u": u.tolist(), "v": v.tolist()} for u, v in cert.rows][-keep:]
+        with pytest.raises(ValueError, match=message):
             certificate_from_dict(data)
 
 

@@ -1,6 +1,7 @@
 """Tests for the univariate square decompositions."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from jacksonsos.sos1d import (
     LukacsPair,
     NotNonnegative,
     decompose_kernel_slice,
+    decompose_kernel_slices,
     fejer_riesz,
     lukacs_decompose,
 )
@@ -378,15 +380,17 @@ class TestKernelSlices:
         1, 2 lambda_k T_k(y) by the three-term recurrence."""
         seen = []
 
-        def capture(p):
+        def capture(p, tables):
             seen.append(p)
             return LukacsPair(u=np.zeros(0), v=np.zeros(0), residual=0.0)
 
-        monkeypatch.setattr(sos1d, "lukacs_decompose", capture)
+        monkeypatch.setattr(sos1d, "_split", capture)
         for r in range(0, 120, 7):
-            for y in chebyshev_nodes(r + 1):
-                decompose_kernel_slice(r, float(y))
-                assert seen.pop().coeffs == _kernel_slice_poly(r, float(y)).coeffs
+            ys = chebyshev_nodes(r + 1)
+            decompose_kernel_slices(r, ys)
+            assert [p.coeffs for p in seen] == \
+                [_kernel_slice_poly(r, float(y)).coeffs for y in ys]
+            seen.clear()
 
     def test_mirrored_slices_match_lower_nodes(self):
         """The mirror of the slice at node m-1-t is the slice at node t.
@@ -413,3 +417,79 @@ class TestKernelSlices:
                     target[k] = 2.0 * jackson_lambda(k, r) * math.cos(k * math.acos(y))
                 worst = max(worst, float(np.max(np.abs(recon - target))))
         assert worst <= 1e-12
+
+
+class TestSliceBatches:
+    """decompose_kernel_slices: one call per degree on shared tables."""
+
+    @staticmethod
+    def _assert_equal_to_lukacs(r, ys):
+        for y, pair in zip(ys, decompose_kernel_slices(r, ys)):
+            ref = lukacs_decompose(_kernel_slice_poly(r, float(y)))
+            assert pair.u.tobytes() == ref.u.tobytes(), (r, y)
+            assert pair.v.tobytes() == ref.v.tobytes(), (r, y)
+            assert pair.residual == ref.residual, (r, y)
+
+    def test_equals_lukacs_of_loop_slices(self):
+        """u, v and residual are bit for bit lukacs_decompose's of the loop form."""
+        for r in range(1, 81):
+            self._assert_equal_to_lukacs(r, chebyshev_nodes(r + 1)[(r + 1) // 2:])
+
+    @pytest.mark.parametrize("r, step", [(150, 1), (300, 25)])
+    def test_equals_lukacs_at_large_degree(self, r, step):
+        # every node y >= 0 at r = 150; every 25th at r = 300, where one
+        # slice takes about 0.1 s
+        self._assert_equal_to_lukacs(r, chebyshev_nodes(r + 1)[(r + 1) // 2::step])
+
+    def test_one_node_call(self):
+        for y in (-1.0, -0.3, 0.0, 0.7071067811865476, 1.0):
+            pair = decompose_kernel_slice(9, y)
+            (batch,) = decompose_kernel_slices(9, [y])
+            assert pair.u.tobytes() == batch.u.tobytes()
+            assert pair.v.tobytes() == batch.v.tobytes()
+        assert decompose_kernel_slices(4, []) == []
+
+    @pytest.mark.parametrize("r, ys, message", [
+        (-1, [0.0], "need r >= 0"),
+        (3, [0.2, 1.5], "slice point 1.5 outside \\[-1, 1\\]"),
+        (3, [-1.0000000000000002], "slice point -1.0000000000000002 outside"),
+        (3, [0.5, math.nan], "slice point nan outside \\[-1, 1\\]"),
+        (3, [[0.5]], "1-D"),
+    ])
+    def test_refuses_bad_input(self, r, ys, message):
+        with pytest.raises(ValueError, match=message):
+            decompose_kernel_slices(r, ys)
+
+    def test_first_failing_slice_raises(self, monkeypatch):
+        """Slices are split in the given order, and the first failure stops the call."""
+        seen = []
+        split = sos1d._split
+
+        def failing_second(p, tables):
+            seen.append(p)
+            if len(seen) == 2:
+                raise IllConditioned(f"slice {len(seen)}")
+            return split(p, tables)
+
+        monkeypatch.setattr(sos1d, "_split", failing_second)
+        ys = chebyshev_nodes(8)[4:]
+        with pytest.raises(IllConditioned, match="slice 2"):
+            decompose_kernel_slices(7, ys)
+        assert len(seen) == 2
+        assert seen[1].coeffs == _kernel_slice_poly(7, float(ys[1])).coeffs
+
+    def test_peak_memory_holds_one_slice_at_a_time(self):
+        """Only the tables are shared; at r = 56 they take about 0.7 MiB.
+
+        Rooting every slice in one stacked eigensolve would hold all the
+        colleague matrices at once and peak above 2 MiB.
+        """
+        ys = chebyshev_nodes(57)[28:]
+        decompose_kernel_slices(56, ys)
+        tracemalloc.start()
+        try:
+            decompose_kernel_slices(56, ys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2 ** 20
