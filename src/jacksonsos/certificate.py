@@ -11,8 +11,9 @@ result is still nonnegative, re-smooths it through the kernel written as a
 positive combination of its values at tensor Gauss-Chebyshev nodes, and
 splits every univariate kernel slice into u^2 + (1 - x^2) v^2.  The
 certificate stores exactly that: one nonnegative weight per node and one
-square split per node coordinate.  Its validity is machine-checkable by
-contracting the weights with the split slices, without expanding the squares.
+square split per node coordinate y >= 0, since the slices at -y are those at
+y with x -> -x.  Its validity is machine-checkable by contracting the
+weights with the split slices, without expanding the squares.
 
 ``kernel_lower_bound`` turns the same operator into certified lower bounds
 on the minimum of f: the minimum of the unsmoothed polynomial is a valid
@@ -86,10 +87,14 @@ def _grid_points(n: int) -> tuple:
 class SchmudgenCertificate:
     """Explicit membership witness for f + eta in the truncated preordering.
 
-    ``rows[t] = (u_t, v_t)`` are dense Chebyshev coefficient arrays (empty
-    for zero) of the square split S_t = u_t^2 + (1 - x^2) v_t^2 of the kernel
-    slice at node t, and ``weights`` is the len(rows)^n array of node weights
-    W >= 0 (clamped nodes hold 0).  The identity is
+    ``weights`` is the m^n array of node weights W >= 0 (clamped nodes hold
+    0), m nodes per axis.  ``rows`` holds the ceil(m / 2) pairs (u_t, v_t)
+    of the nodes t >= m // 2 (those at y >= 0), in node order: dense
+    Chebyshev coefficient arrays (empty for zero) of the square split
+    S_t = u_t^2 + (1 - x^2) v_t^2 of the kernel slice at node t.  As
+    K_r(x, -y) = K_r(-x, y) and the nodes are symmetric, S_t for t < m // 2
+    is S_{m-1-t} with its odd coefficients negated, and so are u_t and v_t.
+    The identity is
 
         f + eta = sum_idx W[idx] prod_j S_{idx_j}(x_j),
 
@@ -105,12 +110,21 @@ class SchmudgenCertificate:
     rows: tuple
     residual: float
 
+    def __post_init__(self):
+        m = len(self.weights)
+        if len(self.rows) != m - m // 2:
+            raise ValueError(f"{len(self.rows)} rows for {m} nodes per axis; need the "
+                             f"{m - m // 2} of nodes t >= m // 2")
+
     def reconstruct(self) -> ChebPoly:
         """sum_idx W[idx] prod_j S_{idx_j}(x_j), contracting W along every axis."""
         values = [split_coeffs(u, v) for u, v in self.rows]
-        table = np.zeros((len(values), max((s.size for s in values), default=1)))
+        upper = np.zeros((len(values), max((s.size for s in values), default=1)))
         for t, s in enumerate(values):
-            table[t, :s.size] = s
+            upper[t, :s.size] = s
+        # S_t of the nodes t < m // 2: row m - 1 - t with T_k(-x) = (-1)^k T_k(x)
+        lower = upper[::-1][:len(self.weights) // 2] * (-1.0) ** np.arange(upper.shape[1])
+        table = np.concatenate([lower, upper])
         dense = self.weights
         for _ in range(self.num_vars):
             dense = np.tensordot(dense, table, axes=(0, 0))
@@ -119,8 +133,9 @@ class SchmudgenCertificate:
     def squares_per_subset(self) -> dict:
         """Squares in each expanded sigma_J: nodes with W > 0 and every factor nonzero."""
         n = self.num_vars
-        present = np.array([[np.any(u), np.any(v)] for u, v in self.rows],
-                           dtype=bool).reshape(-1, 2)
+        upper = np.array([[np.any(u), np.any(v)] for u, v in self.rows],
+                         dtype=bool).reshape(-1, 2)
+        present = np.concatenate([upper[::-1][:len(self.weights) // 2], upper])
         out = {}
         for mask in range(2 ** n):
             subset = tuple(j for j in range(n) if mask >> j & 1)
@@ -210,8 +225,7 @@ def certify(f: ChebPoly, eta: float, r: int) -> SchmudgenCertificate:
     axis = chebyshev_nodes(m)
     gvals = unsmoothed.eval_grid([axis] * n)
 
-    # factor the slices at y >= 0 (the middle node too for odd m) in one
-    # call; unfold_rows mirrors the rest
+    # factor the slices at y >= 0 (the middle node too for odd m) in one call
     upper = decompose_kernel_slices(r, axis[m // 2:])
 
     weights = (1.0 / m ** n) * gvals
@@ -224,23 +238,12 @@ def certify(f: ChebPoly, eta: float, r: int) -> SchmudgenCertificate:
     weights[weights <= 0.0] = 0.0
 
     cert = SchmudgenCertificate(num_vars=n, r=r, eta=eta, weights=weights,
-                                rows=unfold_rows(upper, m), residual=0.0)
+                                rows=tuple((s.u, s.v) for s in upper), residual=0.0)
     residual = _relative_residual(cert.reconstruct(), target)
     if residual > RESIDUAL_TOL:
         raise ResidualTooLarge(residual)
     cert.residual = residual
     return cert
-
-
-def unfold_rows(upper, m: int) -> tuple:
-    """The m rows (u_t, v_t) from the ``LukacsPair`` of each node t >= m // 2.
-
-    K_r(x, -y) = K_r(-x, y) and the nodes are symmetric about 0, so the
-    slice at node t < m // 2 is the one at node m - 1 - t with x -> -x, and
-    its row is that pair ``mirrored`` (exactly).
-    """
-    pairs = [upper[-1 - t].mirrored() for t in range(m // 2)] + list(upper)
-    return tuple((s.u, s.v) for s in pairs)
 
 
 def verify(cert: SchmudgenCertificate, f: ChebPoly) -> VerificationReport:
@@ -304,16 +307,15 @@ def _lower_bound(f: ChebPoly, r: int, axis: np.ndarray, fmin_est: float,
     unsmoothed = apply_inverse(f, r)
     qmin, argmin, vals = grid_minimum(unsmoothed, axis, _BOUND_REFINE_ITERS)
 
-    # one difference array at a time, made absolute and divided in place
+    # one difference array at a time, made absolute in place and reduced over
+    # the other axes before the division: x -> x / h is monotone for h > 0
     spacing = np.diff(axis)
     grad_est = 0.0
     for j in range(n):
-        shape = [1] * n
-        shape[j] = spacing.size
         diffs = np.diff(vals, axis=j)
         np.abs(diffs, out=diffs)
-        np.divide(diffs, spacing.reshape(shape), out=diffs)
-        grad_est = max(grad_est, float(np.max(diffs)))
+        steepest = diffs.max(axis=tuple(i for i in range(n) if i != j)) / spacing
+        grad_est = max(grad_est, float(np.max(steepest)))
         del diffs
     delta = grad_est * float(np.max(spacing))
     lambda_star = qmin - delta
@@ -351,16 +353,16 @@ def rate_sweep(f: ChebPoly, r_values, grid: int | None = None) -> list:
     f's own extrema do not depend on r, so they are found once per sweep.
     """
     n = f.num_vars
-    rows = []
-    for r in map(int, r_values):
+    r_values = [int(r) for r in r_values]
+    for r in r_values:
         _check_degree(f, r)
-        points = grid if grid is not None else _grid_points(n)[1]
-        check_point_budget(points, n)
-        axis = lobatto_axis(points)
-        if not rows:
-            fmin_est, _, fmax_est, _ = grid_extrema(f, points, _BOUND_REFINE_ITERS)
-        rows.append(_lower_bound(f, r, axis, fmin_est, fmax_est))
-    return rows
+    if not r_values:
+        return []
+    points = grid if grid is not None else _grid_points(n)[1]
+    check_point_budget(points, n)
+    axis = lobatto_axis(points)
+    fmin_est, _, fmax_est, _ = grid_extrema(f, points, _BOUND_REFINE_ITERS)
+    return [_lower_bound(f, r, axis, fmin_est, fmax_est) for r in r_values]
 
 
 def corollary_degree(f: ChebPoly, eta: float) -> int:

@@ -6,9 +6,8 @@ All output is deterministic given the flags and --seed.
 
 ``certify`` writes the certificate as JSON: num_vars, r, eta, residual, the
 m^n node weights (m = r + 1 nodes per axis) flattened in C order, and the
-(u, v) rows of the nodes t >= m // 2 only.  Row t < m // 2 is the mirror of
-row m - 1 - t (odd coefficients negated), so the reader rebuilds it exactly
-and the writer refuses a certificate whose lower rows are not mirrors.
+certificate's ``rows`` as they are: the (u, v) pairs of the ceil(m / 2)
+nodes t >= m // 2.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ from .certificate import (
     SchmudgenCertificate,
     certify,
     rate_sweep,
-    unfold_rows,
     verify,
 )
 from .chebpoly import ChebPoly, MonoPoly, cheb_from_monomial, chebyshev_nodes
@@ -38,7 +36,6 @@ from .jackson import jackson_lambda, kernel_eval_1d, spectrum
 from .kernelop import apply_forward, apply_inverse
 from .sos1d import (
     IllConditioned,
-    LukacsPair,
     NotNonnegative,
     decompose_kernel_slices,
     lukacs_decompose,
@@ -194,26 +191,14 @@ def demo_polynomial() -> MonoPoly:
 
 
 def certificate_to_dict(cert: SchmudgenCertificate) -> dict:
-    """JSON-ready form: weights flattened in C order, and the (u, v) rows of
-    the nodes t >= m // 2 of the m per axis.
-
-    The rows t < m // 2 are left out: each must be the exact mirror of row
-    m - 1 - t (as ``certify`` makes it), or ValueError is raised.
-    """
-    m = len(cert.rows)
-    upper = cert.rows[m // 2:]
-    mirrors = unfold_rows([LukacsPair(u, v, 0.0) for u, v in upper], m)
-    for t in range(m // 2):
-        if any(a.tobytes() != b.tobytes() for a, b in zip(cert.rows[t], mirrors[t])):
-            raise ValueError(f"certificate row {t} is not the mirror of row {m - 1 - t}; "
-                             "only mirrored rows can be written")
+    """JSON-ready form: weights flattened in C order, and the (u, v) rows."""
     return {
         "num_vars": cert.num_vars,
         "r": cert.r,
         "eta": cert.eta,
         "residual": cert.residual,
         "weights": cert.weights.ravel().tolist(),
-        "rows": [{"u": u.tolist(), "v": v.tolist()} for u, v in upper],
+        "rows": [{"u": u.tolist(), "v": v.tolist()} for u, v in cert.rows],
     }
 
 
@@ -241,6 +226,8 @@ def _number(data: dict, key: str, kind) -> int | float:
 
 def certificate_from_dict(data: dict) -> SchmudgenCertificate:
     """Inverse of :func:`certificate_to_dict`; malformed data raises ValueError."""
+    if not isinstance(data, dict):
+        raise ValueError("certificate must be a JSON object")
     if "terms" in data:
         raise ValueError("expanded 'terms' certificates are no longer read; "
                          "run certify again to write the factored form")
@@ -252,26 +239,22 @@ def certificate_from_dict(data: dict) -> SchmudgenCertificate:
             isinstance(row, dict) and {"u", "v"} <= row.keys() for row in data["rows"]):
         raise ValueError("certificate rows must be a list of rows with 'u' and 'v'")
     n = int(_number(data, "num_vars", numbers.Integral))
-    upper = [LukacsPair(_finite_array(row["u"], "row coefficients"),
-                        _finite_array(row["v"], "row coefficients"), 0.0)
-             for row in data["rows"]]
+    rows = tuple((_finite_array(row["u"], "row coefficients"),
+                  _finite_array(row["v"], "row coefficients")) for row in data["rows"])
     weights = _finite_array(data["weights"], "weights")
     m = round(weights.size ** (1.0 / n)) if n >= 1 else 0
     if m < 1 or m ** n != weights.size:
         raise ValueError(f"{weights.size} weights are not m^{n} for a node count m")
-    if len(upper) != m - m // 2:
-        if len(upper) == m:
-            raise ValueError(f"certificate holds all {m} rows; the mirrored rows "
-                             "are no longer read: run certify again to write "
-                             "the rows of nodes t >= m // 2 only")
-        raise ValueError(f"{len(upper)} rows for {m} nodes per axis; need the "
-                         f"{m - m // 2} of nodes t >= m // 2")
+    if m > 1 and len(rows) == m:
+        raise ValueError(f"certificate holds all {m} rows; the mirrored rows "
+                         "are no longer read: run certify again to write "
+                         "the rows of nodes t >= m // 2 only")
     return SchmudgenCertificate(
         num_vars=n,
         r=int(_number(data, "r", numbers.Integral)),
         eta=float(_number(data, "eta", numbers.Real)),
         weights=weights.reshape((m,) * n),
-        rows=unfold_rows(upper, m),
+        rows=rows,
         residual=float(_number(data, "residual", numbers.Real)),
     )
 
@@ -366,8 +349,9 @@ def cmd_figure1(args) -> int:
     shifted = f.shift(0.1)
     inv5 = apply_inverse(shifted, 5)
     inv7 = apply_inverse(shifted, 7)
-    samples = args.samples
-    xs = np.linspace(-1.0, 1.0, samples + 1)
+    if args.samples < 1:
+        raise ValueError("--samples must be at least 1")
+    xs = np.linspace(-1.0, 1.0, args.samples + 1)
 
     buf = io.StringIO()
     writer = csv.writer(buf)
@@ -577,10 +561,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
-        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

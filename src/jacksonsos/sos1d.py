@@ -18,8 +18,7 @@ companion matrix is formed.  A factor of odd degree is multiplied by z,
 which keeps its modulus on the circle and makes its degree even; splitting
 h by frequency parity then yields u and v as dense Chebyshev coefficient
 arrays.  ``LukacsPair(u, v)`` is the one split type: ``certify`` stores its
-two arrays as a certificate row as they are, and the mirrored slice
-x -> p(-x) is a sign flip of their odd entries.
+two arrays as a certificate row as they are.
 
 ``decompose_kernel_slices`` factors all the slices x -> K_r(x, y) of one
 degree r in one call: the kernel coefficients and the T_k tables of the
@@ -364,13 +363,6 @@ class LukacsPair:
     def reconstruct(self) -> np.ndarray:
         """Chebyshev coefficients of u^2 + (1 - x^2) v^2."""
         return split_coeffs(self.u, self.v)
-
-    def mirrored(self) -> "LukacsPair":
-        """The pair of x -> p(-x), exactly: T_k(-x) = (-1)^k T_k(x)."""
-        u, v = self.u.copy(), self.v.copy()
-        u[1::2] *= -1.0
-        v[1::2] *= -1.0
-        return LukacsPair(u=u, v=v, residual=self.residual)
 
 
 def lukacs_decompose(p: ChebPoly) -> LukacsPair:

@@ -45,8 +45,19 @@ def expand_certificate(cert: SchmudgenCertificate):
     W[idx] > 0 and every subset J, the square of prod_{j not in J} u_{idx_j}
     prod_{j in J} v_{idx_j} is formed, weighted, and multiplied by
     prod_{j in J} (1 - x_j^2).  Returns (sum_J sigma_J g_J, squares per J).
+    The rows of the nodes t < m // 2 are built here from the stored rows of
+    the nodes m - 1 - t by negating their odd Chebyshev entries.
     """
     n = cert.num_vars
+    m = len(cert.weights)
+
+    def mirror(a):
+        a = a.copy()
+        a[1::2] *= -1.0
+        return a
+
+    rows = [tuple(map(mirror, cert.rows[m - 1 - t - m // 2])) for t in range(m // 2)]
+    rows += list(cert.rows)
 
     def lift(coeffs, j):
         return ChebPoly(n, {tuple(k if i == j else 0 for i in range(n)): c
@@ -61,7 +72,7 @@ def expand_certificate(cert: SchmudgenCertificate):
             continue
         for mask in range(2 ** n):
             subset = tuple(j for j in range(n) if mask >> j & 1)
-            factors = [cert.rows[t][int(j in subset)] for j, t in enumerate(idx)]
+            factors = [rows[t][int(j in subset)] for j, t in enumerate(idx)]
             if not all(np.any(q) for q in factors):
                 continue
             root = ChebPoly.constant(n, 1.0)

@@ -46,11 +46,13 @@ class TestCertify:
         unsmoothed = apply_inverse(f.shift(0.1), 7).eval_grid([nodes])
         assert np.all(unsmoothed > 0.0)
         assert np.array_equal(cert.weights, (1.0 / 8) * unsmoothed)
-        # the rows at y >= 0 are the slice splits' arrays, bit for bit
+        # the rows are those of the nodes at y >= 0, the slice splits' arrays
+        # bit for bit
+        assert len(cert.rows) == 4
         for t in range(4, 8):
             pair = decompose_kernel_slice(7, float(nodes[t]))
             assert pair.u.size > 0 and pair.v.size > 0
-            for stored, root in zip(cert.rows[t], (pair.u, pair.v)):
+            for stored, root in zip(cert.rows[t - 4], (pair.u, pair.v)):
                 assert stored.tobytes() == root.tobytes()
 
     def test_demo_r5_not_certifiable(self):
@@ -160,7 +162,7 @@ class TestCertify:
 
     @pytest.mark.parametrize("n, r", [(1, 7), (1, 8), (2, 4), (2, 5)])
     def test_factors_only_nonnegative_nodes(self, monkeypatch, n, r):
-        """ceil((r+1)/2) slices are factored, in one call; the rest are mirrored."""
+        """ceil((r+1)/2) slices are factored, in one call, and stored as the rows."""
         calls = []
         original = certificate_module.decompose_kernel_slices
 
@@ -178,6 +180,7 @@ class TestCertify:
         assert len(calls) == 1
         assert len(calls[0]) == (r + 2) // 2
         assert all(y >= 0.0 for y in calls[0])
+        assert len(cert.rows) == (r + 2) // 2
         assert verify(cert, f).valid
 
     def test_node_budget_checked_before_evaluation(self, grid_budget_enforced):
@@ -265,17 +268,41 @@ def _smoothed_square(n: int, r: int) -> ChebPoly:
 
 
 class TestFactoredForm:
-    @pytest.mark.parametrize("n, r", [(1, 7), (1, 12), (2, 4), (2, 5), (3, 3)])
+    @pytest.mark.parametrize("n, r", [(1, 7), (1, 12), (2, 4), (2, 5), (3, 3), (2, 0)])
     def test_matches_product_expansion(self, n, r):
-        """Multiplying every square out gives f + eta and the contraction."""
-        f, eta = (demo_f(), 0.1) if n == 1 else (_smoothed_square(n, r), 0.0)
+        """Multiplying every square out gives f + eta and the contraction.
+
+        Odd and even m = r + 1 nodes per axis, and at r = 0 a constant, whose
+        certificate has one node and one row.
+        """
+        if r == 0:
+            f, eta = ChebPoly.constant(n, 0.3), 0.1
+        else:
+            f, eta = (demo_f(), 0.1) if n == 1 else (_smoothed_square(n, r), 0.0)
         cert = certify(f, eta, r)
+        assert len(cert.rows) == r // 2 + 1
         expanded, counts = expand_certificate(cert)
         assert counts == cert.squares_per_subset()
         target = f.shift(eta)
         scale = target.max_abs_coeff()
         assert (expanded - target).max_abs_coeff() <= 1e-12 * scale
         assert (expanded - cert.reconstruct()).max_abs_coeff() <= 1e-12 * scale
+
+    @pytest.mark.parametrize("n, r", [(1, 7), (1, 6), (2, 4), (3, 3), (2, 0)])
+    def test_row_count_is_checked_on_construction(self, n, r):
+        """Only the ceil(m / 2) rows of the nodes t >= m // 2 make a certificate."""
+        f = _smoothed_square(n, r) if r else ChebPoly.constant(n, 0.3)
+        cert = certify(f, 0.0, r)
+        m = len(cert.weights)
+        lower = tuple(tuple(a * (-1.0) ** np.arange(a.size) for a in row)
+                      for row in cert.rows[::-1][:m // 2])
+        # all m rows (the valid count itself when m = 1), none, one too few or many
+        counts = {m, 0, len(cert.rows) - 1, len(cert.rows) + 1} - {len(cert.rows)}
+        for k in counts:
+            rows = ((lower + cert.rows) * 2)[:k]
+            with pytest.raises(ValueError, match=f"^{k} rows for {m} nodes per axis; "
+                               f"need the {m - m // 2} of nodes t >= m // 2$"):
+                SchmudgenCertificate(n, r, cert.eta, cert.weights, rows, cert.residual)
 
     @pytest.mark.parametrize("n, r, squares", [
         (1, 40, 82), (2, 4, 100), (2, 5, 144), (2, 8, 324), (3, 3, 512), (3, 4, 1000),

@@ -10,7 +10,7 @@ import pytest
 
 from jacksonsos import certificate as certificate_module
 from jacksonsos import cli, sos1d
-from jacksonsos.certificate import SchmudgenCertificate, certify, verify
+from jacksonsos.certificate import certify, verify
 from jacksonsos.chebpoly import ChebPoly, MonoPoly, cheb_from_monomial
 from jacksonsos.kernelop import apply_forward
 from jacksonsos.cli import (
@@ -113,9 +113,10 @@ class TestCertifyCommand:
         assert data["residual"] <= 1e-8
         cert = certify(demo_f(), 0.1, 7)
         assert data["weights"] == cert.weights.tolist()
-        # only the rows of nodes t >= m // 2 are written
+        # the rows of the nodes t >= m // 2, as they are in memory
+        assert len(cert.rows) == 4
         assert data["rows"] == [{"u": u.tolist(), "v": v.tolist()}
-                                for u, v in cert.rows[4:]]
+                                for u, v in cert.rows]
 
     def test_not_certifiable_exit(self, tmp_path, capsys):
         code = main(["certify", "--poly", DEMO, "--eta", "0.1", "--r", "5",
@@ -214,7 +215,7 @@ class TestCertifyCommand:
             json.loads(json.dumps(certificate_to_dict(cert))))
         assert again.weights.shape == cert.weights.shape
         assert again.weights.tobytes() == cert.weights.tobytes()
-        assert len(again.rows) == len(cert.rows) == 8
+        assert len(again.rows) == len(cert.rows) == 4
         for (u1, v1), (u2, v2) in zip(cert.rows, again.rows):
             assert u1.tobytes() == u2.tobytes()
             assert v1.tobytes() == v2.tobytes()
@@ -295,6 +296,11 @@ class TestCertificateFromDict:
         with pytest.raises(ValueError, match="'u' and 'v'"):
             certificate_from_dict(data)
 
+    @pytest.mark.parametrize("text", ["null", "5", "[1, 2]", '"rows"'])
+    def test_not_an_object(self, text):
+        with pytest.raises(ValueError, match="certificate must be a JSON object"):
+            certificate_from_dict(json.loads(text))
+
     def test_expanded_terms_format(self):
         data = {"num_vars": 1, "r": 7, "eta": 0.1, "residual": 2e-16,
                 "terms": [{"J": [], "squares": [{"scale": 0.29,
@@ -320,7 +326,7 @@ class TestMirroredRows:
         data = json.loads(json.dumps(certificate_to_dict(cert)))
         assert len(data["rows"]) == m - m // 2 and len(data["weights"]) == m ** n
         again = certificate_from_dict(data)
-        assert len(again.rows) == len(cert.rows) == m
+        assert len(again.rows) == len(cert.rows) == m - m // 2
         assert again.weights.tobytes() == cert.weights.tobytes()
         for (u1, v1), (u2, v2) in zip(cert.rows, again.rows):
             assert u1.tobytes() == u2.tobytes() and v1.tobytes() == v2.tobytes()
@@ -336,25 +342,6 @@ class TestMirroredRows:
         assert again.weights.tobytes() == cert.weights.tobytes()
         assert [(u.tolist(), v.tolist()) for u, v in again.rows] == [([1.0], [])]
 
-    @pytest.mark.parametrize("change", ["value", "zero sign", "length"])
-    def test_writer_refuses_rows_that_are_not_mirrors(self, change):
-        cert = certify(demo_f(), 0.1, 7)
-        rows = list(cert.rows)
-        u, v = (a.copy() for a in rows[1])
-        if change == "value":
-            u[0] = np.nextafter(u[0], np.inf)
-        elif change == "zero sign":
-            # v gains T_4 and T_5 terms of 0.0; the mirror of row 6's has -0.0
-            assert v.size == 4
-            v = np.append(v, [0.0, 0.0])
-            rows[6] = (rows[6][0], np.append(rows[6][1], [0.0, 0.0]))
-        else:
-            v = np.append(v, 0.0)
-        rows[1] = (u, v)
-        tampered = SchmudgenCertificate(1, 7, 0.1, cert.weights, tuple(rows), cert.residual)
-        with pytest.raises(ValueError, match="row 1 is not the mirror of row 6"):
-            certificate_to_dict(tampered)
-
     @pytest.mark.parametrize("n, r, keep, message", [
         (1, 7, 3, "3 rows for 8 nodes per axis; need the 4"),
         (1, 6, 3, "3 rows for 7 nodes per axis; need the 4"),
@@ -363,9 +350,13 @@ class TestMirroredRows:
         (2, 5, 6, "holds all 6 rows"),
     ])
     def test_reader_refuses_wrong_row_counts(self, n, r, keep, message):
+        """The last ``keep`` rows of all m nodes, the lower ones mirrored here."""
         cert = certify(self._square(n, r), 0.0, r)
         data = certificate_to_dict(cert)
-        data["rows"] = [{"u": u.tolist(), "v": v.tolist()} for u, v in cert.rows][-keep:]
+        m = r + 1
+        lower = [{key: [-c if k % 2 else c for k, c in enumerate(row[key])]
+                  for key in ("u", "v")} for row in data["rows"][::-1][:m // 2]]
+        data["rows"] = (lower + data["rows"])[-keep:]
         with pytest.raises(ValueError, match=message):
             certificate_from_dict(data)
 
@@ -446,6 +437,15 @@ class TestFigureCommand:
         out = tmp_path / "fig.csv"
         main(["figure1", "--samples", "10", "--out", str(out)])
         assert len(_rows(out)) == 11
+
+    @pytest.mark.parametrize("samples", ["-1", "0"])
+    def test_too_few_samples_usage_error(self, tmp_path, capsys, samples):
+        out = tmp_path / "fig.csv"
+        code = main(["figure1", "--samples", samples, "--out", str(out)])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == "jacksonsos: error: --samples must be at least 1\n"
+        assert not out.exists()
 
 
 class TestInspectKernel:
