@@ -183,10 +183,12 @@ def certify(f: ChebPoly, eta: float, r: int) -> SchmudgenCertificate:
     (unpolished), or when a quadrature node weight comes out negative beyond
     round-off; and
     :class:`ResidualTooLarge` if the assembled identity fails to reconstruct
-    f + eta within ``RESIDUAL_TOL``.  A kernel slice that does not split
-    into squares raises sos1d's ``IllConditioned`` or ``NotNonnegative``
-    (none does for r = 1..300).  Raises ``ValueError`` when the (r + 1)^n
-    quadrature nodes exceed ``POINT_BUDGET``.
+    f + eta within ``RESIDUAL_TOL``.  Kernel slices are nonnegative by
+    construction and skip sos1d's Lobatto gate; one that does not split
+    into squares raises sos1d's ``IllConditioned``, or ``NotNonnegative``
+    from the Fejer-Riesz sampled gate (none does for r = 1..300).  Raises
+    ``ValueError`` when the (r + 1)^n quadrature nodes exceed
+    ``POINT_BUDGET``.
     """
     n = f.num_vars
     eta = float(eta)
@@ -373,8 +375,8 @@ def corollary_degree(f: ChebPoly, eta: float) -> int:
     taken from a refined grid estimate.  Guaranteed sufficiency comes from
     the O(1/r^2) convergence bound; practice usually succeeds far earlier.
     """
-    if eta <= 0.0:
-        raise ValueError("need eta > 0")
+    if not 0.0 < eta < math.inf:
+        raise ValueError("need finite eta > 0")
     n = f.num_vars
     d = f.degree()
     if d == 0:

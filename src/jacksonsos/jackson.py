@@ -71,10 +71,8 @@ def multi_lambda(kappa: Multidegree, r: int) -> float:
 
 def _kernel_coeffs(r: int) -> np.ndarray:
     """Coefficients (1, 2*lambda_1, ..., 2*lambda_r) of the kernel expansion."""
-    coef = np.empty(r + 1)
+    coef = 2.0 * np.array(spectrum(r).lambdas)
     coef[0] = 1.0
-    for k in range(1, r + 1):
-        coef[k] = 2.0 * jackson_lambda(k, r)
     return coef
 
 

@@ -20,11 +20,14 @@ h by frequency parity then yields u and v as dense Chebyshev coefficient
 arrays.  ``LukacsPair(u, v)`` is the one split type: ``certify`` stores its
 two arrays as a certificate row as they are.
 
+``lukacs_decompose`` takes an arbitrary polynomial, so it first runs a
+sampled nonnegativity gate on a 1025-point Chebyshev-Lobatto grid.
 ``decompose_kernel_slices`` factors all the slices x -> K_r(x, y) of one
-degree r in one call: the kernel coefficients and the T_k tables of the
-nonnegativity gate and of the factorization's sampled checks are built once
-and shared, and each slice then runs on its own through the same gate,
-polish, roots, split and reconstruction check as ``lukacs_decompose``.
+degree r in one call, as dense coefficient rows of one stack.  The kernel
+is nonnegative by construction (an autocorrelation), so the slices skip
+that gate; the T_k tables of the factorization's sampled checks are built
+once and shared, and each slice then runs on its own through the same
+roots, split and reconstruction check as ``lukacs_decompose``.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.chebyshev import chebadd, chebmul, chebroots, chebsub, chebvander
 
-from .chebpoly import DROP_TOL, ChebPoly, lobatto_axis, polish_minimum
+from .chebpoly import DROP_TOL, ChebPoly, grid_minimum, lobatto_axis
 from .jackson import _kernel_coeffs
 
 #: relative tolerance of the sampled nonnegativity gates: to max |p| on the
@@ -180,21 +183,17 @@ def _expand(roots: np.ndarray) -> np.ndarray:
 @dataclass(slots=True, frozen=True)
 class _Tables:
     """T_k tables up to one degree d, built once per call and shared by its
-    polynomials: the Lobatto grid of the nonnegativity gate, and the sample
-    and check angles of :func:`fejer_riesz` (0 to pi, 512 and 256 of them)."""
+    polynomials: the sample and check angles of :func:`fejer_riesz` (0 to pi,
+    512 and 256 of them)."""
 
-    axis: np.ndarray        # the gate's 1025 Chebyshev-Lobatto points
-    gate: np.ndarray        # T_k(axis), one row per k: (d + 1, 1025)
     sample: np.ndarray      # T_k(cos t) at the sample angles: (512, d + 1)
     check: np.ndarray       # T_k(cos t) at the check angles: (256, d + 1)
     check_z: np.ndarray     # e^{ikt} at the check angles: (256, d + 1)
 
 
 def _tables(d: int) -> _Tables:
-    axis = lobatto_axis(1025)
     check = np.linspace(0.0, math.pi, 256)
-    return _Tables(axis=axis, gate=np.ascontiguousarray(chebvander(axis, d).T),
-                   sample=chebvander(np.cos(np.linspace(0.0, math.pi, 512)), d),
+    return _Tables(sample=chebvander(np.cos(np.linspace(0.0, math.pi, 512)), d),
                    check=chebvander(np.cos(check), d),
                    check_z=np.exp(1j * np.outer(check, np.arange(d + 1))))
 
@@ -217,6 +216,8 @@ def fejer_riesz(q) -> np.ndarray:
 
     Raises
     ------
+    ValueError
+        If ``q`` is not a nonempty 1-D sequence of finite numbers.
     NotNonnegative
         If sampling finds values below ``-NONNEG_TOL * max|q|``.
     IllConditioned
@@ -225,6 +226,8 @@ def fejer_riesz(q) -> np.ndarray:
     q = np.asarray(q, dtype=float)
     if q.ndim != 1 or q.size == 0:
         raise ValueError("expected a nonempty 1-D coefficient sequence")
+    if not np.all(np.isfinite(q)):
+        raise ValueError("cosine coefficient is not finite")
     return _spectral_factor(q, _tables(q.size - 1))
 
 
@@ -370,41 +373,31 @@ def lukacs_decompose(p: ChebPoly) -> LukacsPair:
 
     The nonnegativity gate refuses ``p`` when its polished minimum on the
     1025-point Chebyshev-Lobatto grid lies below -``NONNEG_TOL`` times
-    max |p| over the same grid (unpolished); the output reconstructs ``p``
-    coefficientwise to ``RECON_TOL`` relative or the decomposition is
-    rejected.
+    max |p| over the same grid (unpolished), and ``fejer_riesz``'s sampled
+    gate then applies as well; the output reconstructs ``p`` coefficientwise
+    to ``RECON_TOL`` relative or the decomposition is rejected.
     """
     if p.num_vars != 1:
         raise ValueError("decomposition is univariate only")
-    return _split(p, _tables(p.degree()))
-
-
-def _split(p: ChebPoly, tables: _Tables) -> LukacsPair:
-    """:func:`lukacs_decompose` of a univariate ``p`` on shared tables."""
     if p.is_zero():
         return LukacsPair(u=np.zeros(0), v=np.zeros(0), residual=0.0)
+    lo, (loc,), vals = grid_minimum(p, lobatto_axis(1025), 1)
+    if lo < -NONNEG_TOL * float(np.max(np.abs(vals))):
+        raise NotNonnegative(f"grid minimum {lo:.3e} at x={loc:.6f} below tolerance",
+                             value=lo, location=loc)
+    return _split(_dense(p), _tables(p.degree()))
 
-    # the grid values of eval_grid, bit for bit: the terms in map order
-    vals = np.zeros(tables.axis.size)
-    for (k,), c in p.coeffs.items():
-        vals += c * tables.gate[k]
-    lo, loc = polish_minimum(p, tables.axis, vals, 1)
-    norm = float(np.max(np.abs(vals)))
-    if lo < -NONNEG_TOL * norm:
-        raise NotNonnegative(
-            f"grid minimum {lo:.3e} at x={loc[0]:.6f} below tolerance",
-            value=lo,
-            location=loc[0],
-        )
 
-    target = _dense(p)
+def _split(target: np.ndarray, tables: _Tables) -> LukacsPair:
+    """Split the nonzero dense Chebyshev array ``target`` on shared tables,
+    checking the reconstruction to ``RECON_TOL`` relative to max |target|."""
     h = _spectral_factor(target, tables)
     if h.size % 2 == 0:
         h = np.concatenate(([0.0], h))      # z h: same modulus, even degree
     u, v = _split_even(h)
 
     diff = chebsub(split_coeffs(u, v), target)
-    residual = float(np.max(np.abs(diff))) / p.max_abs_coeff()
+    residual = float(np.max(np.abs(diff))) / float(np.max(np.abs(target)))
     if not residual <= RECON_TOL:
         raise IllConditioned(
             f"reconstruction residual {residual:.3e} exceeds {RECON_TOL:.0e}"
@@ -416,10 +409,12 @@ def decompose_kernel_slices(r: int, ys) -> list:
     """Square decompositions of the kernel slices x -> K_r(x, y), y in ``ys``.
 
     One :class:`LukacsPair` per slice point, each as :func:`lukacs_decompose`
-    gives it for the slice 1 + 2 sum_k lambda_k T_k(y) T_k(x).  The kernel
-    coefficients and the gate's and the factorization's T_k tables are
-    built once for all slices; the slices are split one at a time in the
-    order of ``ys``, and the first that fails raises.
+    gives it for the slice 1 + 2 sum_k lambda_k T_k(y) T_k(x).  The slices
+    are the rows of one dense coefficient stack and skip the Lobatto gate,
+    since K_r >= 0 by construction; ``fejer_riesz``'s sampled gate and every
+    residual check still run.  The factorization's T_k tables are built once
+    for all slices; the slices are split one at a time in the order of
+    ``ys``, and the first that fails raises.
     """
     if r < 0:
         raise ValueError("need r >= 0")
@@ -429,10 +424,10 @@ def decompose_kernel_slices(r: int, ys) -> list:
     for y in ys:
         if not -1.0 <= y <= 1.0:
             raise ValueError(f"slice point {float(y)} outside [-1, 1]")
-    stack = _kernel_coeffs(r) * chebvander(ys, r)
+    # contiguous rows: matrix products on strided views round differently
+    stack = np.ascontiguousarray(_kernel_coeffs(r) * chebvander(ys, r))
     tables = _tables(r)
-    return [_split(ChebPoly(1, {(k,): c for k, c in enumerate(coeffs)}), tables)
-            for coeffs in stack]
+    return [_split(row, tables) for row in stack]
 
 
 def decompose_kernel_slice(r: int, y: float) -> LukacsPair:

@@ -201,7 +201,7 @@ class TestCertify:
 
     @pytest.mark.parametrize("r", [5, 7, 8, 12])
     def test_gate_polishes_only_the_minimum(self, monkeypatch, r):
-        """One polish for the gate, and one per factored slice (n = 1)."""
+        """One polish, the gate's (n = 1): kernel slices run no Lobatto gate."""
         calls = []
         golden_min = chebpoly_module._golden_min
 
@@ -213,10 +213,9 @@ class TestCertify:
         if r == 5:
             with pytest.raises(NotCertifiable):
                 certify(demo_f(), 0.1, r)
-            assert len(calls) == 1
         else:
             certify(demo_f(), 0.1, r)
-            assert len(calls) == 1 + math.ceil((r + 1) / 2)
+        assert len(calls) == 1
 
     def test_gate_holds_one_grid_array_at_a_time(self):
         # the 65^3 gate grid values take 2.1 MiB; holding the unsmoothed
@@ -503,3 +502,9 @@ class TestCorollaryDegree:
     def test_eta_guard(self):
         with pytest.raises(ValueError):
             corollary_degree(demo_f(), 0.0)
+
+    @pytest.mark.parametrize("eta", [math.nan, math.inf])
+    def test_non_finite_eta_rejected(self, eta):
+        """max(threshold, nan) would drop the NaN and return the threshold."""
+        with pytest.raises(ValueError, match="need finite eta > 0"):
+            corollary_degree(demo_f(), eta)

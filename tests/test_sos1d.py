@@ -93,6 +93,11 @@ class TestFejerRiesz:
     def test_zero_input(self):
         assert list(fejer_riesz([0.0, 0.0])) == [0.0]
 
+    @pytest.mark.parametrize("q", [[math.inf, 0.5], [1.0, math.nan], [2.0, 1.0, math.nan]])
+    def test_rejects_non_finite_input(self, q):
+        with pytest.raises(ValueError, match="not finite"):
+            fejer_riesz(q)
+
     def test_autocorrelation_matches_loop(self):
         """One correlate call, against the per-lag dot products."""
         rng = np.random.default_rng(12)
@@ -376,20 +381,20 @@ class TestKernelSlices:
             decompose_kernel_slice(-1, 0.0)
 
     def test_slice_polynomial_matches_loop_reference(self, monkeypatch):
-        """The slice handed to the splitter is bit-identical to the loop form
-        1, 2 lambda_k T_k(y) by the three-term recurrence."""
+        """The dense slice handed to the splitter is bit-identical to the loop
+        form 1, 2 lambda_k T_k(y) by the three-term recurrence."""
         seen = []
 
-        def capture(p, tables):
-            seen.append(p)
+        def capture(target, tables):
+            seen.append(target)
             return LukacsPair(u=np.zeros(0), v=np.zeros(0), residual=0.0)
 
         monkeypatch.setattr(sos1d, "_split", capture)
         for r in range(0, 120, 7):
             ys = chebyshev_nodes(r + 1)
             decompose_kernel_slices(r, ys)
-            assert [p.coeffs for p in seen] == \
-                [_kernel_slice_poly(r, float(y)).coeffs for y in ys]
+            assert [a.tobytes() for a in seen] == \
+                [sos1d._dense(_kernel_slice_poly(r, float(y))).tobytes() for y in ys]
             seen.clear()
 
     def test_mirrored_slices_match_lower_nodes(self):
@@ -466,24 +471,25 @@ class TestSliceBatches:
         seen = []
         split = sos1d._split
 
-        def failing_second(p, tables):
-            seen.append(p)
+        def failing_second(target, tables):
+            seen.append(target)
             if len(seen) == 2:
                 raise IllConditioned(f"slice {len(seen)}")
-            return split(p, tables)
+            return split(target, tables)
 
         monkeypatch.setattr(sos1d, "_split", failing_second)
         ys = chebyshev_nodes(8)[4:]
         with pytest.raises(IllConditioned, match="slice 2"):
             decompose_kernel_slices(7, ys)
         assert len(seen) == 2
-        assert seen[1].coeffs == _kernel_slice_poly(7, float(ys[1])).coeffs
+        assert seen[1].tobytes() == sos1d._dense(_kernel_slice_poly(7, float(ys[1]))).tobytes()
 
     def test_peak_memory_holds_one_slice_at_a_time(self):
-        """Only the tables are shared; at r = 56 they take about 0.7 MiB.
+        """Only the tables are shared; at r = 56 they take 0.56 MiB, and the
+        call peaks at 0.81 MiB.
 
-        Rooting every slice in one stacked eigensolve would hold all the
-        colleague matrices at once and peak above 2 MiB.
+        Rooting every slice in one stacked eigensolve would hold all 29
+        colleague matrices at once; that eigensolve alone peaks at 1.4 MiB.
         """
         ys = chebyshev_nodes(57)[28:]
         decompose_kernel_slices(56, ys)
@@ -493,4 +499,4 @@ class TestSliceBatches:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2 * 2 ** 20
+        assert peak < 1.25 * 2 ** 20
