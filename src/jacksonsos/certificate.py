@@ -15,9 +15,9 @@ square split per node coordinate y >= 0, since the slices at -y are those at
 y with x -> -x.  Its validity is machine-checkable by contracting the
 weights with the split slices, without expanding the squares.
 
-``kernel_lower_bound`` turns the same operator into certified lower bounds
-on the minimum of f: the minimum of the unsmoothed polynomial is a valid
-lower bound because constants are fixed points of the smoothing operator.
+``kernel_lower_bound`` turns the same identity into certified lower bounds
+on the minimum of f: f - lambda is a nonnegative node combination of kernel
+slices when lambda is the least unsmoothed value at the nodes.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ RESIDUAL_TOL = 1e-8
 GATE_TOL = 1e-10
 #: node weights more negative than this abort; values in [-NODE_CLAMP, 0) drop
 NODE_CLAMP = 1e-12
-#: golden-section polish rounds of the grid extrema behind a lower bound
+#: golden-section polish rounds of f's own grid extrema in a bound sweep
 _BOUND_REFINE_ITERS = 3
 
 
@@ -72,7 +72,7 @@ class ResidualTooLarge(Exception):
 
 
 def _grid_points(n: int) -> tuple:
-    """Default grid points per axis for n variables: (certify's gate, bounds).
+    """Default grid points per axis for n variables: (certify's gate, f's extrema).
 
     From n = 4 on, both are the largest k <= 17 with k^n <= ``POINT_BUDGET``
     (14 at n = 6), or 2, so that n >= 24 still meets the budget error.
@@ -111,7 +111,11 @@ class SchmudgenCertificate:
     residual: float
 
     def __post_init__(self):
-        m = len(self.weights)
+        shape = np.shape(self.weights)
+        m = shape[0] if shape else 0
+        if shape != (m,) * self.num_vars:
+            raise ValueError(f"weights of shape {shape} for {self.num_vars} variables; "
+                             f"need shape {(m,) * self.num_vars}")
         if len(self.rows) != m - m // 2:
             raise ValueError(f"{len(self.rows)} rows for {m} nodes per axis; need the "
                              f"{m - m // 2} of nodes t >= m // 2")
@@ -276,51 +280,39 @@ class BoundReport:
     """Certified kernel lower bound and its convergence bookkeeping."""
 
     r: int
-    lambda_star: float
-    fmin_est: float
+    lambda_star: float          # min of K_r^{-1} f over the quadrature nodes
+    fmin_est: float             # polished grid estimates of f's own extrema
     fmax_est: float
     gap: float                  # fmin_est - lambda_star
     C_used: float
     threshold: float
     bound: float                # (fmax_est - fmin_est) * C_used / r^2
     theorem_satisfied: bool
-    delta: float                # safety margin subtracted from the grid minimum
-    argmin: tuple
+    argmin: tuple               # the node where lambda_star falls
 
 
-def kernel_lower_bound(f: ChebPoly, r: int, grid: int | None = None) -> BoundReport:
+def kernel_lower_bound(f: ChebPoly, r: int) -> BoundReport:
     """Certified lower bound on min f over the cube via unsmoothing.
 
-    lambda_star is the refined grid minimum of K_r^{-1} f minus a safety
-    margin; it never exceeds the true minimum of f because
-    f - lambda_star is the smoothing of the pointwise-nonnegative
-    polynomial K_r^{-1} f - lambda_star.  Raises ``ValueError`` when
-    ``grid``^n points exceed ``POINT_BUDGET``.
+    lambda_star is the minimum of g = K_r^{-1} f over the m^n Gauss-Chebyshev
+    nodes, m = ceil((r + d + 1) / 2) with d the largest per-variable degree:
+    that rule makes f - lambda = sum_idx m^-n (g(y_idx) - lambda) prod_j
+    K_r(x_j, y_idx_j) exact, and K_r >= 0.  Raises ``ValueError`` when the
+    m^n nodes exceed ``POINT_BUDGET``.
     """
-    return rate_sweep(f, [r], grid=grid)[0]
+    return rate_sweep(f, [r])[0]
 
 
-def _lower_bound(f: ChebPoly, r: int, axis: np.ndarray, fmin_est: float,
+def _lower_bound(f: ChebPoly, r: int, m: int, fmin_est: float,
                  fmax_est: float) -> BoundReport:
-    """One :func:`rate_sweep` row, given f's own extrema on the same grid."""
+    """One :func:`rate_sweep` row on m nodes per axis, given f's own extrema."""
     n = f.num_vars
     d = f.degree()
 
-    unsmoothed = apply_inverse(f, r)
-    qmin, argmin, vals = grid_minimum(unsmoothed, axis, _BOUND_REFINE_ITERS)
-
-    # one difference array at a time, made absolute in place and reduced over
-    # the other axes before the division: x -> x / h is monotone for h > 0
-    spacing = np.diff(axis)
-    grad_est = 0.0
-    for j in range(n):
-        diffs = np.diff(vals, axis=j)
-        np.abs(diffs, out=diffs)
-        steepest = diffs.max(axis=tuple(i for i in range(n) if i != j)) / spacing
-        grad_est = max(grad_est, float(np.max(steepest)))
-        del diffs
-    delta = grad_est * float(np.max(spacing))
-    lambda_star = qmin - delta
+    axis = chebyshev_nodes(m)
+    vals = apply_inverse(f, r).eval_grid([axis] * n)
+    idx = np.unravel_index(int(np.argmin(vals)), vals.shape)
+    lambda_star = float(vals[idx])
 
     gap = fmin_est - lambda_star
 
@@ -344,27 +336,26 @@ def _lower_bound(f: ChebPoly, r: int, axis: np.ndarray, fmin_est: float,
         threshold=threshold,
         bound=bound,
         theorem_satisfied=theorem_satisfied,
-        delta=delta,
-        argmin=argmin,
+        argmin=tuple(float(axis[i]) for i in idx),
     )
 
 
-def rate_sweep(f: ChebPoly, r_values, grid: int | None = None) -> list:
+def rate_sweep(f: ChebPoly, r_values) -> list:
     """One :class:`BoundReport` per kernel degree in ``r_values``.
 
+    Every degree and node count is checked before any grid is evaluated.
     f's own extrema do not depend on r, so they are found once per sweep.
     """
     n = f.num_vars
     r_values = [int(r) for r in r_values]
-    for r in r_values:
+    nodes = [(r + max(f.per_variable_degrees()) + 2) // 2 for r in r_values]
+    for r, m in zip(r_values, nodes):
         _check_degree(f, r)
+        check_point_budget(m, n)
     if not r_values:
         return []
-    points = grid if grid is not None else _grid_points(n)[1]
-    check_point_budget(points, n)
-    axis = lobatto_axis(points)
-    fmin_est, _, fmax_est, _ = grid_extrema(f, points, _BOUND_REFINE_ITERS)
-    return [_lower_bound(f, r, axis, fmin_est, fmax_est) for r in r_values]
+    fmin_est, _, fmax_est, _ = grid_extrema(f, _grid_points(n)[1], _BOUND_REFINE_ITERS)
+    return [_lower_bound(f, r, m, fmin_est, fmax_est) for r, m in zip(r_values, nodes)]
 
 
 def corollary_degree(f: ChebPoly, eta: float) -> int:

@@ -385,7 +385,8 @@ def chebyshev_nodes(m: int) -> np.ndarray:
     Weight 1/m^n per point of their n-fold grid integrates every polynomial of
     per-variable degree <= 2m - 1 exactly against prod_j dx_j / (pi sqrt(1 - x_j^2)):
     the mean of ``p.eval_grid([chebyshev_nodes(m)] * n)`` is p's constant
-    Chebyshev coefficient.  ``certify`` relies on this for m = r + 1.
+    Chebyshev coefficient.  ``certify`` relies on this for m = r + 1, and
+    ``kernel_lower_bound`` for m = ceil((r + d + 1) / 2), d = max_j deg_{x_j} f.
     """
     if m < 1:
         raise ValueError("need m >= 1 nodes per axis")
@@ -495,16 +496,25 @@ def grid_minimum(p: ChebPoly, axis: np.ndarray, refine_iters: int = 2):
 def grid_extrema(p: ChebPoly, points_per_axis: int, refine_iters: int = 2):
     """Estimate both extrema of ``p`` over the cube [-1, 1]^n.
 
-    :func:`grid_minimum` on ``points_per_axis`` Chebyshev-Lobatto points per
-    axis, plus the same polish of the highest grid cell.  Returns
-    ``(min_est, argmin, max_est, argmax)``.
+    Polishes the lowest and highest cell (ties: lexicographically first) of
+    the grid on ``points_per_axis`` Lobatto points per axis, evaluated in
+    blocks of last-axis points (about 2^16 values, at least one point) so
+    that no grid-sized array is held.  Returns ``(min_est, argmin, max_est, argmax)``.
     """
-    check_point_budget(points_per_axis, p.num_vars)
+    n = p.num_vars
+    check_point_budget(points_per_axis, n)
     axis = lobatto_axis(points_per_axis)
-    min_est, argmin, vals = grid_minimum(p, axis, refine_iters)
-    idx = np.unravel_index(int(np.argmax(vals)), vals.shape)
-    max_est, argmax = _refine(p, axis, idx, float(vals[idx]), -1.0, refine_iters)
-    return min_est, argmin, max_est, argmax
+    cols = max(1, 2 ** 16 // points_per_axis ** (n - 1))
+    best = {}
+    for a in range(0, points_per_axis, cols):
+        vals = p.eval_grid([axis] * (n - 1) + [axis[a:a + cols]])
+        for sign, pick in ((1.0, np.argmin), (-1.0, np.argmax)):
+            idx = np.unravel_index(int(pick(vals)), vals.shape)
+            cell = (sign * float(vals[idx]), idx[:-1] + (a + idx[-1],))
+            best[sign] = min(best.get(sign, cell), cell)
+    (lo, i), (hi, j) = best[1.0], best[-1.0]
+    return (*_refine(p, axis, i, lo, 1.0, refine_iters),
+            *_refine(p, axis, j, -hi, -1.0, refine_iters))
 
 
 def sup_norm_estimate(p: ChebPoly, points_per_axis: int = 257, refine_iters: int = 1) -> float:

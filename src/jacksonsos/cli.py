@@ -330,7 +330,7 @@ def cmd_bound(args) -> int:
         r_values = _parse_sweep(args.r_sweep)
     else:
         raise ValueError("one of --r or --r-sweep is required")
-    reports = rate_sweep(f, r_values, grid=args.grid)
+    reports = rate_sweep(f, r_values)
 
     buf = io.StringIO()
     writer = csv.writer(buf)
@@ -530,8 +530,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_poly_flags(p)
     p.add_argument("--r", type=int, default=None, help="single kernel degree")
     p.add_argument("--r-sweep", default=None, help="range A:B:STEP")
-    p.add_argument("--grid", type=int, default=None,
-                   help="grid points per axis (default set by the variable count)")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_bound)
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -26,6 +27,7 @@ from jacksonsos.chebpoly import (
     mono_from_cheb,
 )
 from jacksonsos.cli import certificate_from_dict, certificate_to_dict
+from jacksonsos.jackson import jackson_lambda
 from jacksonsos.kernelop import apply_forward, apply_inverse, constant_C, theorem_threshold
 from jacksonsos.sos1d import decompose_kernel_slice
 
@@ -303,6 +305,15 @@ class TestFactoredForm:
                                f"need the {m - m // 2} of nodes t >= m // 2$"):
                 SchmudgenCertificate(n, r, cert.eta, cert.weights, rows, cert.residual)
 
+    @pytest.mark.parametrize("n, shape", [(2, (8,)), (1, (8, 8)), (2, (8, 7)), (1, ())])
+    def test_weight_shape_is_checked_on_construction(self, n, shape):
+        """Weights are m^n with m nodes on every axis, for the certificate's n."""
+        rows = certify(demo_f(), 0.1, 7).rows
+        m = shape[0] if shape else 0
+        with pytest.raises(ValueError, match=re.escape(
+                f"weights of shape {shape} for {n} variables; need shape {(m,) * n}")):
+            SchmudgenCertificate(n, 7, 0.1, np.ones(shape), rows, 0.0)
+
     @pytest.mark.parametrize("n, r, squares", [
         (1, 40, 82), (2, 4, 100), (2, 5, 144), (2, 8, 324), (3, 3, 512), (3, 4, 1000),
     ])
@@ -358,27 +369,81 @@ class TestVerifyTampering:
         assert cert.squares_per_subset() == {(0,): 1}
 
 
+def _node_identity_residual(f: ChebPoly, r: int, m: int):
+    """Rebuild f - lambda from g = K_r^{-1} f at m Gauss-Chebyshev nodes per axis.
+
+    Independent of ``certificate``: nodes from their closed form, g's node
+    values and the kernel rows (1, 2 lambda_k T_k(y)) from numpy's
+    ``chebvander``.  Returns (lambda, g at the nodes, relative coefficient
+    residual of sum_idx m^-n (g(y_idx) - lambda) prod_j K_r(x_j, y_idx_j)).
+    """
+    n = f.num_vars
+    nodes = np.cos((2 * np.arange(m, 0, -1) - 1) * math.pi / (2 * m))
+    rows = np.polynomial.chebyshev.chebvander(nodes, r)        # T_k(y_t)
+    dense_g = np.zeros((r + 1,) * n)
+    for kappa, c in apply_inverse(f, r).coeffs.items():
+        dense_g[kappa] = c
+    gvals = dense_g
+    for _ in range(n):
+        gvals = np.tensordot(gvals, rows, axes=(0, 1))          # sum_k c_k T_k(y_t)
+    lam = float(gvals.min())
+    kernel = rows * np.array([1.0] + [2.0 * jackson_lambda(k, r) for k in range(1, r + 1)])
+    rebuilt = (gvals - lam) / m ** n
+    for _ in range(n):
+        rebuilt = np.tensordot(rebuilt, kernel, axes=(0, 0))
+    target = np.zeros((r + 1,) * n)
+    for kappa, c in f.shift(-lam).coeffs.items():
+        target[kappa] = c
+    return lam, gvals, np.abs(rebuilt - target).max() / np.abs(target).max()
+
+
 class TestKernelLowerBound:
     def test_constant(self):
         rep = kernel_lower_bound(ChebPoly.constant(1, 2.0), 5)
         assert rep.lambda_star == pytest.approx(2.0)
-        assert rep.delta == 0.0
         assert rep.gap == pytest.approx(0.0)
         assert rep.theorem_satisfied
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_node_identity_rebuilds_f_minus_lambda(self, n):
+        """lambda_star is min g over ceil((r + d + 1) / 2)^n nodes, and proven.
+
+        f - lambda_star is rebuilt as a nonnegative combination of kernel
+        products to round-off; one node fewer per axis breaks the identity.
+        """
+        rng = np.random.default_rng(10 + n)
+        for _ in range(4):
+            d = int(rng.integers(1, 5))
+            f = random_cheb(rng, n, d)
+            r = max(f.per_variable_degrees()) + int(rng.integers(0, 7))
+            m = (r + max(f.per_variable_degrees()) + 2) // 2
+            rep = kernel_lower_bound(f, r)
+            lam, gvals, residual = _node_identity_residual(f, r, m)
+            assert rep.lambda_star == pytest.approx(lam, rel=1e-13, abs=1e-13)
+            assert residual <= 1e-12
+            assert np.all(gvals - lam >= 0.0)
+            assert _node_identity_residual(f, r, m - 1)[2] > 1e-6
 
     def test_demo_r7_matches_critical_point_oracle(self):
         f = demo_f()
         rep = kernel_lower_bound(f, 7)
-        # oracle: minimum of the unsmoothed quartic from its derivative roots
-        mono = mono_from_cheb(apply_inverse(f, 7))
-        dense = [mono.coeffs.get((k,), 0.0) for k in range(5)]
-        deriv = np.polynomial.polynomial.polyder(dense)
-        roots = np.polynomial.polynomial.polyroots(deriv)
-        cands = [r.real for r in roots
-                 if abs(r.imag) < 1e-12 and -1 <= r.real <= 1] + [-1.0, 1.0]
-        oracle = min(np.polynomial.polynomial.polyval(x, dense) for x in cands)
-        assert rep.lambda_star <= oracle + 1e-12
-        assert rep.lambda_star == pytest.approx(oracle - rep.delta, abs=1e-9)
+        unsmoothed = apply_inverse(f, 7)
+        # oracle: minima of f and of the unsmoothed quartic from derivative roots
+        oracle = []
+        for p in (f, unsmoothed):
+            mono = mono_from_cheb(p)
+            dense = [mono.coeffs.get((k,), 0.0) for k in range(5)]
+            roots = np.polynomial.polynomial.polyroots(np.polynomial.polynomial.polyder(dense))
+            cands = [x.real for x in roots
+                     if abs(x.imag) < 1e-12 and -1 <= x.real <= 1] + [-1.0, 1.0]
+            oracle.append(min(np.polynomial.polynomial.polyval(x, dense) for x in cands))
+        fmin, gmin = oracle
+        assert gmin - 1e-12 <= rep.lambda_star <= fmin
+        # m = ceil((7 + 4 + 1) / 2) = 6 nodes, at which numpy evaluates g
+        dense_g = [unsmoothed.coeffs.get((k,), 0.0) for k in range(5)]
+        at_nodes = np.polynomial.chebyshev.chebval(chebyshev_nodes(6), dense_g)
+        assert rep.lambda_star == pytest.approx(at_nodes.min(), abs=1e-14)
+        assert rep.argmin == (chebyshev_nodes(6)[int(np.argmin(at_nodes))],)
         assert rep.lambda_star <= rep.fmin_est
 
     def test_lower_bound_validity(self):
@@ -388,7 +453,7 @@ class TestKernelLowerBound:
             d = int(rng.integers(1, 5))
             f = random_cheb(rng, n, d)
             r = d + int(rng.integers(0, 20))
-            rep = kernel_lower_bound(f, r, grid=513 if n == 1 else 129)
+            rep = kernel_lower_bound(f, r)
             assert rep.lambda_star <= rep.fmin_est + 1e-12
 
     def test_theorem_inequality_demo(self):
@@ -410,28 +475,25 @@ class TestKernelLowerBound:
         with pytest.raises(ValueError, match="not finite"):
             kernel_lower_bound(f, 8)
 
-    def test_grid_budget_checked_before_evaluation(self, grid_budget_enforced):
-        f2 = ChebPoly(2, {(0, 0): 1.0, (1, 1): 0.5})
-        with pytest.raises(ValueError, match="budget"):
-            kernel_lower_bound(f2, 4, grid=3200)
+    def test_grid_budget_checked_before_evaluation(self, grid_budget_enforced, monkeypatch):
+        """r = 30 on a degree-1 product of 6 variables needs 16^6 nodes.
 
-    def test_polish_memory_follows_terms(self):
-        # 5 sparse terms of degree 24: a dense coefficient tensor would be ~78 MB
-        f5 = ChebPoly(5, {tuple(24 * (i == j) for i in range(5)): 1.0 for j in range(5)})
-        tracemalloc.start()
-        try:
-            rep = kernel_lower_bound(f5, 24, grid=3)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2 ** 22
-        assert rep.lambda_star <= rep.fmin_est
+        Every degree of a sweep is refused before f's 14^6 extrema grid runs.
+        """
+        def extrema(*args):
+            raise AssertionError("f's extrema grid ran before the node budget check")
 
-    def test_margin_memory_at_six_variables(self):
-        """The finite-difference margin keeps one difference array at a time.
+        monkeypatch.setattr(certificate_module, "grid_extrema", extrema)
+        f6 = ChebPoly(6, {(0,) * 6: 1.0, (1,) * 6: 0.5})
+        for sweep in ([30], [2, 30]):
+            with pytest.raises(ValueError, match="16\\^6 points exceeds budget"):
+                rate_sweep(f6, sweep)
 
-        The default 14^6 grid values take 60 MB and each axis's differences
-        13/14 of that; full-grid temporaries per axis took the peak to 228 MB.
+    def test_extrema_memory_at_six_variables(self):
+        """f's 14^6 extrema grid (60 MB) is evaluated one block at a time.
+
+        The bound itself needs 2^6 nodes: g = 2 + (T_1 / cos(pi / 4))^{x 6}
+        reaches min f = 1 at the nodes (+-cos(pi / 4), ...).
         """
         f6 = ChebPoly(6, {(0,) * 6: 2.0, (1,) * 6: 1.0})
         tracemalloc.start()
@@ -440,9 +502,21 @@ class TestKernelLowerBound:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 160e6
-        assert rep.lambda_star == -7.928586884085165
-        assert rep.delta == 1.928586884085167
+        assert peak < 16e6
+        assert rep.lambda_star == pytest.approx(1.0, abs=1e-15)
+        assert (rep.fmin_est, rep.fmax_est) == (1.0, 3.0)
+
+    def test_polish_memory_follows_terms(self):
+        # 5 sparse terms of degree 24: a dense coefficient tensor would be ~78 MB
+        f5 = ChebPoly(5, {tuple(24 * (i == j) for i in range(5)): 1.0 for j in range(5)})
+        tracemalloc.start()
+        try:
+            lo, _, hi, _ = grid_extrema(f5, 3, certificate_module._BOUND_REFINE_ITERS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 22
+        assert lo <= hi
 
 
 class TestRateSweep:
@@ -451,12 +525,16 @@ class TestRateSweep:
         assert all(rep.gap == pytest.approx(0.0) for rep in reports)
 
     def test_linear_closed_form(self):
-        """For T_1 the unsmoothed minimum is -1/cos(theta_r) at x = -1."""
+        """For T_1, g = T_1 / cos(theta_r): its least node is -cos(pi / (2m)).
+
+        m = ceil((r + 2) / 2) nodes; at even r, pi / (2m) = theta_r.
+        """
         t1 = ChebPoly.basis(1, (1,))
         c_range = constant_C(1, 1).sharpest * 2.0
-        for rep in rate_sweep(t1, [8, 16, 32, 64]):
-            exact = -1.0 / math.cos(math.pi / (rep.r + 2))
-            assert rep.lambda_star == pytest.approx(exact - rep.delta, abs=1e-9)
+        for rep in rate_sweep(t1, [8, 9, 16, 33, 64]):
+            m = (rep.r + 3) // 2
+            exact = -math.cos(math.pi / (2 * m)) / math.cos(math.pi / (rep.r + 2))
+            assert rep.lambda_star == pytest.approx(exact, abs=1e-15)
             assert rep.r ** 2 * rep.gap <= c_range
 
     def test_rows_equal_single_bounds_with_one_extrema_pass(self, monkeypatch):
@@ -470,11 +548,11 @@ class TestRateSweep:
         monkeypatch.setattr(certificate_module, "grid_extrema", counting)
         rs = [9, 14, 27]
         cubic = random_cheb(np.random.default_rng(4), 2, 3)
-        for f, grid in ((demo_f(), None), (cubic, 33)):
-            expected = [kernel_lower_bound(f, r, grid=grid) for r in rs]
+        for f in (demo_f(), cubic):
+            expected = [kernel_lower_bound(f, r) for r in rs]
             assert len(calls) == len(rs)
             calls.clear()
-            assert rate_sweep(f, rs, grid=grid) == expected
+            assert rate_sweep(f, rs) == expected
             assert calls == [f]
             calls.clear()
         assert rate_sweep(demo_f(), []) == []

@@ -371,6 +371,22 @@ class TestGridExtrema:
             assert grid_extrema(p, points, refine_iters)[:2] == (lo, argmin)
             assert vals.tobytes() == p.eval_grid([axis] * n).tobytes()
 
+    @pytest.mark.parametrize("n, points", [(2, 513), (3, 65)])
+    def test_blocks_pick_the_full_grid_cells(self, n, points):
+        """Several last-axis blocks; ties go to the lexicographically first cell.
+
+        T_2(x_1) T_2(x_2) is -1 at (-1, 0) and (0, -1), in different blocks at
+        n = 2, and +1 at the corners and the centre.
+        """
+        axis = lobatto_axis(points)
+        tied = ChebPoly.basis(n, (2, 2) + (0,) * (n - 2))
+        for p in (tied, random_cheb(np.random.default_rng(70 + n), n, 4)):
+            vals = p.eval_grid([axis] * n)
+            cells = [tuple(float(axis[i]) for i in np.unravel_index(int(pick(vals)), vals.shape))
+                     for pick in (np.argmin, np.argmax)]
+            assert grid_extrema(p, points, 0) == (vals.min(), cells[0], vals.max(), cells[1])
+        assert grid_extrema(tied, points, 0)[1][:2] == (-1.0, float(axis[points // 2]))
+
     def test_polish_memory_follows_terms(self):
         """The polish never builds the dense prod(d_i + 1) coefficient tensor."""
         # 5 terms; the dense tensor would be 25^5 doubles, about 78 MB

@@ -365,7 +365,7 @@ class TestBoundCommand:
     def test_sweep_rows(self, tmp_path):
         out = tmp_path / "rows.csv"
         code = main(["bound", "--poly", DEMO, "--r-sweep", "18:98:8",
-                     "--grid", "1025", "--out", str(out)])
+                     "--out", str(out)])
         assert code == EXIT_OK
         rows = _rows(out)
         assert len(rows) == 11
@@ -397,26 +397,24 @@ class TestBoundCommand:
         assert "not finite" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_grid_over_budget_usage_error(self, grid_budget_enforced, capsys):
-        code = main(["bound", "--poly", "x1*x2*x3", "--r", "3", "--grid", "2000"])
-        assert code == EXIT_USAGE
-        assert "budget" in capsys.readouterr().err
+    def test_grid_over_budget_usage_error(self, grid_budget_enforced, monkeypatch,
+                                          tmp_path, capsys):
+        """r = 30 needs 16^6 nodes: refused before f's 14^6 extrema grid runs."""
+        def extrema(*args):
+            raise AssertionError("f's extrema grid ran before the node budget check")
 
-    @pytest.mark.parametrize("points", ["0", "1"])
-    def test_too_few_grid_points_usage_error(self, tmp_path, capsys, points):
+        monkeypatch.setattr(certificate_module, "grid_extrema", extrema)
         out = tmp_path / "rows.csv"
-        code = main(["bound", "--poly", DEMO, "--r", "8", "--grid", points,
+        code = main(["bound", "--poly", "x1*x2*x3*x4*x5*x6", "--r", "30",
                      "--out", str(out)])
         assert code == EXIT_USAGE
-        assert "need at least 2 points per axis" in capsys.readouterr().err
+        assert "16^6 points exceeds budget" in capsys.readouterr().err
         assert not out.exists()
 
     def test_deterministic_output(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        main(["bound", "--poly", DEMO, "--r-sweep", "18:42:8",
-              "--grid", "513", "--out", str(a)])
-        main(["bound", "--poly", DEMO, "--r-sweep", "18:42:8",
-              "--grid", "513", "--out", str(b)])
+        main(["bound", "--poly", DEMO, "--r-sweep", "18:42:8", "--out", str(a)])
+        main(["bound", "--poly", DEMO, "--r-sweep", "18:42:8", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
 
