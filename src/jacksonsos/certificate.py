@@ -9,7 +9,9 @@ in which every sigma_J is a positive combination of squares.  The
 construction unsmooths f + eta with the inverse Jackson operator, checks the
 result is still nonnegative, re-smooths it through the kernel written as a
 positive combination of its values at tensor Gauss-Chebyshev nodes, and
-splits every univariate kernel slice into u^2 + (1 - x^2) v^2.  The
+splits every univariate kernel slice into u^2 + (1 - x^2) v^2.  The nodes
+are the fewest that make the identity exact: m = ceil((r + d + 1) / 2) per
+axis, d the largest per-variable degree of f.  The
 certificate stores exactly that: one nonnegative weight per node and one
 square split per node coordinate y >= 0, since the slices at -y are those at
 y with x -> -x.  Its validity is machine-checkable by contracting the
@@ -178,6 +180,16 @@ def _relative_residual(recon: ChebPoly, target: ChebPoly) -> float:
     return diff.max_abs_coeff() / scale
 
 
+def _node_count(f: ChebPoly, r: int) -> int:
+    """Gauss-Chebyshev nodes per axis that make the kernel identity exact for f.
+
+    With g = K_r^{-1}(f + c) of per-variable degree at most d = max_j deg_{x_j} f,
+    K_r(x, y) g(y) has degree r + d in each y_j, and m nodes integrate degree
+    2m - 1 exactly: m = ceil((r + d + 1) / 2).
+    """
+    return (r + max(f.per_variable_degrees()) + 2) // 2
+
+
 def certify(f: ChebPoly, eta: float, r: int) -> SchmudgenCertificate:
     """Build an explicit square decomposition of f + eta over the cube.
 
@@ -191,8 +203,8 @@ def certify(f: ChebPoly, eta: float, r: int) -> SchmudgenCertificate:
     construction and skip sos1d's Lobatto gate; one that does not split
     into squares raises sos1d's ``IllConditioned``, or ``NotNonnegative``
     from the Fejer-Riesz sampled gate (none does for r = 1..300).  Raises
-    ``ValueError`` when the (r + 1)^n quadrature nodes exceed
-    ``POINT_BUDGET``.
+    ``ValueError`` when the m^n quadrature nodes, m = ceil((r + d + 1) / 2)
+    with d = max_j deg_{x_j} f, exceed ``POINT_BUDGET``.
     """
     n = f.num_vars
     eta = float(eta)
@@ -212,7 +224,7 @@ def certify(f: ChebPoly, eta: float, r: int) -> SchmudgenCertificate:
                                     weights=np.full((1,) * n, const),
                                     rows=((np.ones(1), np.zeros(0)),), residual=0.0)
 
-    m = r + 1
+    m = _node_count(f, r)
     check_point_budget(m, n)
     unsmoothed = apply_inverse(target, r)
     lobatto = lobatto_axis(_grid_points(n)[0])
@@ -348,7 +360,7 @@ def rate_sweep(f: ChebPoly, r_values) -> list:
     """
     n = f.num_vars
     r_values = [int(r) for r in r_values]
-    nodes = [(r + max(f.per_variable_degrees()) + 2) // 2 for r in r_values]
+    nodes = [_node_count(f, r) for r in r_values]
     for r, m in zip(r_values, nodes):
         _check_degree(f, r)
         check_point_budget(m, n)

@@ -385,8 +385,9 @@ def chebyshev_nodes(m: int) -> np.ndarray:
     Weight 1/m^n per point of their n-fold grid integrates every polynomial of
     per-variable degree <= 2m - 1 exactly against prod_j dx_j / (pi sqrt(1 - x_j^2)):
     the mean of ``p.eval_grid([chebyshev_nodes(m)] * n)`` is p's constant
-    Chebyshev coefficient.  ``certify`` relies on this for m = r + 1, and
-    ``kernel_lower_bound`` for m = ceil((r + d + 1) / 2), d = max_j deg_{x_j} f.
+    Chebyshev coefficient.  ``certify`` and ``kernel_lower_bound`` both rely on
+    this for m = ceil((r + d + 1) / 2), d = max_j deg_{x_j} f, the fewest nodes
+    that integrate K_r(x, y) g(y) of degree r + d in each y_j.
     """
     if m < 1:
         raise ValueError("need m >= 1 nodes per axis")

@@ -5,9 +5,9 @@ factorization failure, 64 usage.
 All output is deterministic given the flags and --seed.
 
 ``certify`` writes the certificate as JSON: num_vars, r, eta, residual, the
-m^n node weights (m = r + 1 nodes per axis) flattened in C order, and the
-certificate's ``rows`` as they are: the (u, v) pairs of the ceil(m / 2)
-nodes t >= m // 2.
+m^n node weights (m = ceil((r + d + 1) / 2) nodes per axis, d the largest
+per-variable degree of f) flattened in C order, and the certificate's
+``rows`` as they are: the (u, v) pairs of the ceil(m / 2) nodes t >= m // 2.
 """
 
 from __future__ import annotations

@@ -29,7 +29,7 @@ from jacksonsos.chebpoly import (
 from jacksonsos.cli import certificate_from_dict, certificate_to_dict
 from jacksonsos.jackson import jackson_lambda
 from jacksonsos.kernelop import apply_forward, apply_inverse, constant_C, theorem_threshold
-from jacksonsos.sos1d import decompose_kernel_slice
+from jacksonsos.sos1d import decompose_kernel_slice, decompose_kernel_slices
 
 from helpers import demo_f, expand_certificate, random_cheb, tamper_heaviest_node
 
@@ -43,18 +43,19 @@ class TestCertify:
         assert report.valid
         assert report.degrees_ok
         assert set(cert.squares_per_subset()) <= {(), (0,)}
-        # the weights are the unsmoothed values at the nodes over m, bit for bit
-        nodes = chebyshev_nodes(8)
+        # the weights are the unsmoothed values at the m = ceil((7 + 4 + 1) / 2)
+        # nodes over m, bit for bit
+        nodes = chebyshev_nodes(6)
         unsmoothed = apply_inverse(f.shift(0.1), 7).eval_grid([nodes])
         assert np.all(unsmoothed > 0.0)
-        assert np.array_equal(cert.weights, (1.0 / 8) * unsmoothed)
+        assert np.array_equal(cert.weights, (1.0 / 6) * unsmoothed)
         # the rows are those of the nodes at y >= 0, the slice splits' arrays
         # bit for bit
-        assert len(cert.rows) == 4
-        for t in range(4, 8):
+        assert len(cert.rows) == 3
+        for t in range(3, 6):
             pair = decompose_kernel_slice(7, float(nodes[t]))
             assert pair.u.size > 0 and pair.v.size > 0
-            for stored, root in zip(cert.rows[t - 4], (pair.u, pair.v)):
+            for stored, root in zip(cert.rows[t - 3], (pair.u, pair.v)):
                 assert stored.tobytes() == root.tobytes()
 
     def test_demo_r5_not_certifiable(self):
@@ -116,17 +117,17 @@ class TestCertify:
     def test_square_count_accounting(self):
         f = demo_f()
         cert = certify(f, 0.1, 7)
-        nodes = 8
+        nodes = 6  # ceil((r + d + 1) / 2) with d = 4
         per_node_limit = 1  # every slice, odd r too, has one square per sigma list
         for subset, count in cert.squares_per_subset().items():
             assert count <= nodes * per_node_limit
-        assert cert.square_count() == 16
-        # n=2, r=5: one square per node and subset, so at most (r + 1)^n
+        assert cert.square_count() == 12
+        # n=2, r=5, d=4: one square per node and subset, so at most m^n, m = 5
         q = random_cheb(np.random.default_rng(5), 2, 2)
         cert2 = certify(apply_forward(q * q + ChebPoly.constant(2, 0.1), 5), 0.0, 5)
         assert set(cert2.squares_per_subset()) == {(), (0,), (1,), (0, 1)}
         for subset, count in cert2.squares_per_subset().items():
-            assert count <= 6 ** 2
+            assert count <= 5 ** 2
 
     def test_term_degree_bound(self):
         f = demo_f()
@@ -135,8 +136,8 @@ class TestCertify:
         assert verify(cert, f).degrees_ok
         # one extra coefficient in one row gives sigma_J of degree 10 > r + 1
         rows = list(cert.rows)
-        u, v = rows[3]
-        rows[3] = (u, np.append(v, 1e-3))
+        u, v = rows[-1]
+        rows[-1] = (u, np.append(v, 1e-3))
         tampered = SchmudgenCertificate(
             num_vars=1, r=7, eta=0.1, weights=cert.weights, rows=tuple(rows),
             residual=cert.residual)
@@ -164,7 +165,7 @@ class TestCertify:
 
     @pytest.mark.parametrize("n, r", [(1, 7), (1, 8), (2, 4), (2, 5)])
     def test_factors_only_nonnegative_nodes(self, monkeypatch, n, r):
-        """ceil((r+1)/2) slices are factored, in one call, and stored as the rows."""
+        """ceil(m/2) slices, m = ceil((r+d+1)/2), are factored in one call and stored."""
         calls = []
         original = certificate_module.decompose_kernel_slices
 
@@ -179,16 +180,19 @@ class TestCertify:
             q = random_cheb(np.random.default_rng(5), 2, 2)
             f, eta = apply_forward(q * q + ChebPoly.constant(2, 0.1), r), 0.0
         cert = certify(f, eta, r)
+        m = (r + max(f.per_variable_degrees()) + 2) // 2
+        assert cert.weights.shape == (m,) * n
         assert len(calls) == 1
-        assert len(calls[0]) == (r + 2) // 2
+        assert len(calls[0]) == m - m // 2
         assert all(y >= 0.0 for y in calls[0])
-        assert len(cert.rows) == (r + 2) // 2
+        assert len(cert.rows) == m - m // 2
         assert verify(cert, f).valid
 
     def test_node_budget_checked_before_evaluation(self, grid_budget_enforced):
-        # would pass the gate, but needs 251^3 quadrature nodes
-        f3 = ChebPoly(3, {(0, 0, 0): 1.0, (1, 0, 0): 0.1})
-        with pytest.raises(ValueError, match="budget"):
+        # unsmooths to 1 + 0.1 T_250(x1) >= 0.9, so it would pass the gate, but
+        # d = r = 250 needs 251^3 quadrature nodes
+        f3 = apply_forward(ChebPoly(3, {(0, 0, 0): 1.0, (250, 0, 0): 0.1}), 250)
+        with pytest.raises(ValueError, match="251\\^3 points exceeds budget"):
             certify(f3, 0.0, 250)
 
     def test_node_budget_checked_before_gate(self, monkeypatch):
@@ -273,15 +277,17 @@ class TestFactoredForm:
     def test_matches_product_expansion(self, n, r):
         """Multiplying every square out gives f + eta and the contraction.
 
-        Odd and even m = r + 1 nodes per axis, and at r = 0 a constant, whose
-        certificate has one node and one row.
+        Odd and even m = ceil((r + d + 1) / 2) nodes per axis (the demo at r = 7
+        has m = 6), and at r = 0 a constant, whose certificate has one node and
+        one row.
         """
         if r == 0:
             f, eta = ChebPoly.constant(n, 0.3), 0.1
         else:
             f, eta = (demo_f(), 0.1) if n == 1 else (_smoothed_square(n, r), 0.0)
         cert = certify(f, eta, r)
-        assert len(cert.rows) == r // 2 + 1
+        m = (r + max(f.per_variable_degrees()) + 2) // 2
+        assert len(cert.weights) == m and len(cert.rows) == m - m // 2
         expanded, counts = expand_certificate(cert)
         assert counts == cert.squares_per_subset()
         target = f.shift(eta)
@@ -315,7 +321,7 @@ class TestFactoredForm:
             SchmudgenCertificate(n, 7, 0.1, np.ones(shape), rows, 0.0)
 
     @pytest.mark.parametrize("n, r, squares", [
-        (1, 40, 82), (2, 4, 100), (2, 5, 144), (2, 8, 324), (3, 3, 512), (3, 4, 1000),
+        (1, 40, 82), (2, 4, 100), (2, 5, 100), (2, 8, 324), (3, 3, 216), (3, 4, 1000),
     ])
     def test_implied_square_counts(self, n, r, squares):
         assert certify(_smoothed_square(n, r), 0.0, r).square_count() == squares
@@ -331,6 +337,58 @@ class TestFactoredForm:
         assert report.residual == cert.residual
         stored = cert.weights.size + sum(len(u) + len(v) for u, v in cert.rows)
         assert stored <= (r + 1) ** n + (r + 1) * (r + 3)
+
+
+def _hand_built(f: ChebPoly, eta: float, r: int, m: int) -> SchmudgenCertificate:
+    """The certificate of f + eta on m nodes per axis, without certify's checks."""
+    n = f.num_vars
+    axis = chebyshev_nodes(m)
+    weights = apply_inverse(f.shift(eta), r).eval_grid([axis] * n) / m ** n
+    rows = tuple((s.u, s.v) for s in decompose_kernel_slices(r, axis[m // 2:]))
+    return SchmudgenCertificate(num_vars=n, r=r, eta=eta, weights=weights,
+                                rows=rows, residual=0.0)
+
+
+class TestNodeCount:
+    """certify uses m = ceil((r + d + 1) / 2) nodes per axis, and no fewer work."""
+
+    CASES = [(demo_f, 0.1, 7, 6), (lambda: _smoothed_square(2, 5), 0.0, 5, 5)]
+
+    @pytest.mark.parametrize("make_f, eta, r, m", CASES, ids=["demo-r7", "square-n2-r5"])
+    def test_one_node_fewer_breaks_the_identity(self, make_f, eta, r, m):
+        f = make_f()
+        cert = certify(f, eta, r)
+        assert len(cert.weights) == m
+        assert verify(cert, f).residual <= 1e-12
+        assert verify(_hand_built(f, eta, r, m), f).residual <= 1e-12
+        assert verify(_hand_built(f, eta, r, m - 1), f).residual > 1e-6
+
+    @pytest.mark.parametrize("make_f, eta, r, m", CASES, ids=["demo-r7", "square-n2-r5"])
+    def test_bounds_use_certify_nodes(self, monkeypatch, make_f, eta, r, m):
+        """One node rule: the bound's argmin is one of certify's node coordinates."""
+        counts = []
+        original = certificate_module.chebyshev_nodes
+
+        def recorded(k):
+            counts.append(k)
+            return original(k)
+
+        monkeypatch.setattr(certificate_module, "chebyshev_nodes", recorded)
+        f = make_f()
+        cert = certify(f, eta, r)
+        report = kernel_lower_bound(f, r)
+        assert counts == [m, m]
+        assert set(report.argmin) <= set(original(len(cert.weights)).tolist())
+
+    @pytest.mark.parametrize("n, r", [(1, 7), (2, 5), (3, 3)])
+    def test_r_plus_one_node_certificates_still_load(self, n, r):
+        """Certificates written on m = r + 1 nodes reload and verify."""
+        f, eta = (demo_f(), 0.1) if n == 1 else (_smoothed_square(n, r), 0.0)
+        old = _hand_built(f, eta, r, r + 1)
+        assert len(old.rows) == (r + 2) // 2
+        loaded = certificate_from_dict(json.loads(json.dumps(certificate_to_dict(old))))
+        assert loaded.weights.shape == (r + 1,) * n
+        assert verify(loaded, f).valid
 
 
 class TestVerifyTampering:

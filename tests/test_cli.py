@@ -113,8 +113,8 @@ class TestCertifyCommand:
         assert data["residual"] <= 1e-8
         cert = certify(demo_f(), 0.1, 7)
         assert data["weights"] == cert.weights.tolist()
-        # the rows of the nodes t >= m // 2, as they are in memory
-        assert len(cert.rows) == 4
+        # the rows of the nodes t >= m // 2 (m = 6), as they are in memory
+        assert len(cert.rows) == 3
         assert data["rows"] == [{"u": u.tolist(), "v": v.tolist()}
                                 for u, v in cert.rows]
 
@@ -215,7 +215,7 @@ class TestCertifyCommand:
             json.loads(json.dumps(certificate_to_dict(cert))))
         assert again.weights.shape == cert.weights.shape
         assert again.weights.tobytes() == cert.weights.tobytes()
-        assert len(again.rows) == len(cert.rows) == 4
+        assert len(again.rows) == len(cert.rows) == 3
         for (u1, v1), (u2, v2) in zip(cert.rows, again.rows):
             assert u1.tobytes() == u2.tobytes()
             assert v1.tobytes() == v2.tobytes()
@@ -233,9 +233,9 @@ class TestCertificateFromDict:
 
     def test_wrong_weight_count(self):
         data = self._data()
-        assert len(data["weights"]) == 16 and len(data["rows"]) == 2
+        assert len(data["weights"]) == 9 and len(data["rows"]) == 2
         data["weights"] = data["weights"][:-1]
-        with pytest.raises(ValueError, match="15 weights are not m\\^2"):
+        with pytest.raises(ValueError, match="8 weights are not m\\^2"):
             certificate_from_dict(data)
 
     @pytest.mark.parametrize("where", ["weights", "u", "v", "eta", "residual"])
@@ -313,16 +313,30 @@ class TestMirroredRows:
     """Certificate JSON stores the rows of nodes t >= m // 2 only."""
 
     @staticmethod
-    def _square(n, r):
-        q = random_cheb(np.random.default_rng([7, n, r]), n, max(1, r // 2))
+    def _square(n, r, q_degree=None):
+        """K_r(q^2 + 0.1), q of degree r // 2 (d = r or r - 1, m odd) unless given."""
+        q_degree = max(1, r // 2) if q_degree is None else q_degree
+        q = random_cheb(np.random.default_rng([7, n, r]), n, q_degree)
         return apply_forward(q * q + ChebPoly.constant(n, 0.1), r)
 
     @pytest.mark.parametrize("n, r", [(1, 6), (1, 7), (2, 4), (2, 5), (3, 3), (3, 4)])
     def test_reload_is_bitwise(self, n, r):
-        """Odd and even m = r + 1: the reloaded rows are the in-memory rows."""
+        """The reloaded rows are the in-memory rows (odd m here, even m below)."""
         f = self._square(n, r)
+        self._check_reload(f, r)
+
+    @pytest.mark.parametrize("n, r", [(1, 7), (2, 5), (3, 5)])
+    def test_reload_is_bitwise_at_even_m(self, n, r):
+        """Odd r, f of degree d = r - 3 per variable: m = ceil((r + d + 1) / 2) = r - 1."""
+        f = self._square(n, r, q_degree=(r - 3) // 2)
+        cert = self._check_reload(f, r)
+        assert len(cert.weights) == r - 1
+
+    @staticmethod
+    def _check_reload(f, r):
+        n = f.num_vars
         cert = certify(f, 0.0, r)
-        m = r + 1
+        m = len(cert.weights)
         data = json.loads(json.dumps(certificate_to_dict(cert)))
         assert len(data["rows"]) == m - m // 2 and len(data["weights"]) == m ** n
         again = certificate_from_dict(data)
@@ -333,6 +347,7 @@ class TestMirroredRows:
         assert (again.num_vars, again.r, again.eta, again.residual) == \
             (cert.num_vars, cert.r, cert.eta, cert.residual)
         assert verify(again, f).residual == cert.residual
+        return cert
 
     def test_constant_certificate(self):
         cert = certify(ChebPoly.constant(2, 3.0), 0.1, 4)
@@ -343,17 +358,26 @@ class TestMirroredRows:
         assert [(u.tolist(), v.tolist()) for u, v in again.rows] == [([1.0], [])]
 
     @pytest.mark.parametrize("n, r, keep, message", [
-        (1, 7, 3, "3 rows for 8 nodes per axis; need the 4"),
         (1, 6, 3, "3 rows for 7 nodes per axis; need the 4"),
         (2, 4, 4, "4 rows for 5 nodes per axis; need the 3"),
-        (1, 7, 8, "holds all 8 rows"),
-        (2, 5, 6, "holds all 6 rows"),
+        (1, 7, 7, "holds all 7 rows"),
+        (2, 5, 5, "holds all 5 rows"),
     ])
     def test_reader_refuses_wrong_row_counts(self, n, r, keep, message):
         """The last ``keep`` rows of all m nodes, the lower ones mirrored here."""
-        cert = certify(self._square(n, r), 0.0, r)
+        self._check_refused(certify(self._square(n, r), 0.0, r), keep, message)
+
+    @pytest.mark.parametrize("keep, message", [
+        (2, "2 rows for 6 nodes per axis; need the 3"),
+        (6, "holds all 6 rows"),
+    ])
+    def test_reader_refuses_wrong_row_counts_at_even_m(self, keep, message):
+        self._check_refused(certify(self._square(1, 7, q_degree=2), 0.0, 7), keep, message)
+
+    @staticmethod
+    def _check_refused(cert, keep, message):
         data = certificate_to_dict(cert)
-        m = r + 1
+        m = len(cert.weights)
         lower = [{key: [-c if k % 2 else c for k, c in enumerate(row[key])]
                   for key in ("u", "v")} for row in data["rows"][::-1][:m // 2]]
         data["rows"] = (lower + data["rows"])[-keep:]
