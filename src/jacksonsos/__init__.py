@@ -6,9 +6,10 @@ The package builds explicit sum-of-squares decompositions
 
 for polynomials f nonnegative on the cube, and certified lower bounds on
 cube minima with an O(1/r^2) convergence guarantee in the kernel degree r.
-A certificate is stored in factored form: nonnegative node weights W and
-one square split S_t = u_t^2 + (1 - x^2) v_t^2 per node, with
-f + eta = sum_idx W[idx] prod_j S_{idx_j}(x_j); multiplying out gives the
+A certificate is stored in factored form: its nonnegative node weights W
+alone, with f + eta = sum_idx W[idx] prod_j S_{idx_j}(x_j).  Each kernel
+slice S_t = u_c^2 + u_s^2 + (1 - x^2)(v_c^2 + v_s^2) follows in closed form
+from the kernel degree r and the node count m; multiplying out gives the
 sigma_J.
 """
 

@@ -9,12 +9,12 @@ in which every sigma_J is a positive combination of squares.  The
 construction unsmooths f + eta with the inverse Jackson operator, checks the
 result is still nonnegative, re-smooths it through the kernel written as a
 positive combination of its values at tensor Gauss-Chebyshev nodes, and
-splits every univariate kernel slice into u^2 + (1 - x^2) v^2.  The nodes
-are the fewest that make the identity exact: m = ceil((r + d + 1) / 2) per
-axis, d the largest per-variable degree of f.  The
-certificate stores exactly that: one nonnegative weight per node and one
-square split per node coordinate y >= 0, since the slices at -y are those at
-y with x -> -x.  Its validity is machine-checkable by contracting the
+splits every univariate kernel slice into squares in closed form, two for
+each of sigma_0 and sigma_1.  The nodes are the fewest that make the
+identity exact: m = ceil((r + d + 1) / 2) per axis, d the largest
+per-variable degree of f.  The certificate stores one nonnegative weight per
+node and nothing else, since the squares of every slice are a function of
+r and m alone.  Its validity is machine-checkable by contracting the
 weights with the split slices, without expanding the squares.
 
 ``kernel_lower_bound`` turns the same identity into certified lower bounds
@@ -43,6 +43,9 @@ from .kernelop import _check_degree, apply_inverse, constant_C, theorem_threshol
 # this module for callers that look it up or wrap it here (bench/tracing.py)
 from .sos1d import (decompose_kernel_slice, decompose_kernel_slices,  # noqa: F401
                     split_coeffs)
+
+#: most variables a certificate may have: numpy's array rank limit
+MAX_VARS = 64
 
 #: a certificate is valid when its reconstruction matches f + eta this closely
 RESIDUAL_TOL = 1e-8
@@ -85,70 +88,85 @@ def _grid_points(n: int) -> tuple:
     return {1: (2049, 4097), 2: (257, 513), 3: (65, 65)}.get(n, (k, k))
 
 
+def _check_slices(r: int, m: int) -> None:
+    """Refuse a kernel degree no m-node identity makes exact, and a table of
+    kernel-slice factors (m nodes, 2 factors, r + 2 coefficients) past
+    ``POINT_BUDGET``."""
+    if not 0 <= r <= 2 * m - 1:
+        raise ValueError(f"kernel degree {r} on {m} nodes per axis; "
+                         f"need 0 <= r <= 2m - 1")
+    if 2 * m * (r + 2) > POINT_BUDGET:
+        raise ValueError(f"kernel-slice table of {m} x 2 x {r + 2} entries "
+                         f"exceeds budget {POINT_BUDGET}")
+
+
 @dataclass(slots=True)
 class SchmudgenCertificate:
     """Explicit membership witness for f + eta in the truncated preordering.
 
     ``weights`` is the m^n array of node weights W >= 0 (clamped nodes hold
-    0), m nodes per axis.  ``rows`` holds the ceil(m / 2) pairs (u_t, v_t)
-    of the nodes t >= m // 2 (those at y >= 0), in node order: dense
-    Chebyshev coefficient arrays (empty for zero) of the square split
-    S_t = u_t^2 + (1 - x^2) v_t^2 of the kernel slice at node t.  As
-    K_r(x, -y) = K_r(-x, y) and the nodes are symmetric, S_t for t < m // 2
-    is S_{m-1-t} with its odd coefficients negated, and so are u_t and v_t.
-    The identity is
+    0), m nodes per axis, and it is all a certificate stores besides its
+    header.  The kernel slice at node t splits in closed form as
+
+        S_t = u_{t,c}^2 + u_{t,s}^2 + (1 - x^2) (v_{t,c}^2 + v_{t,s}^2),
+
+    a function of (r, m) alone, which :meth:`squares` derives for all m
+    nodes.  The identity is
 
         f + eta = sum_idx W[idx] prod_j S_{idx_j}(x_j),
 
     and multiplying it out gives the Schmudgen form: sigma_J is the sum over
-    the nodes idx of W[idx] * (prod_{j not in J} u_{idx_j}(x_j)
-    prod_{j in J} v_{idx_j}(x_j))^2.
+    the nodes idx, and over one square of the chosen kind per axis, of
+    W[idx] * (prod_{j not in J} u_{idx_j}(x_j) prod_{j in J} v_{idx_j}(x_j))^2.
     """
 
     num_vars: int
     r: int
     eta: float
     weights: np.ndarray
-    rows: tuple
     residual: float
 
     def __post_init__(self):
+        if not 1 <= self.num_vars <= MAX_VARS:
+            raise ValueError(f"{self.num_vars} variables; need 1 to {MAX_VARS}")
         shape = np.shape(self.weights)
         m = shape[0] if shape else 0
         if shape != (m,) * self.num_vars:
             raise ValueError(f"weights of shape {shape} for {self.num_vars} variables; "
                              f"need shape {(m,) * self.num_vars}")
-        if len(self.rows) != m - m // 2:
-            raise ValueError(f"{len(self.rows)} rows for {m} nodes per axis; need the "
-                             f"{m - m // 2} of nodes t >= m // 2")
+        _check_slices(self.r, m)
+
+    def squares(self) -> tuple:
+        """(u, v) of the kernel slices at all m nodes: ``u[t]`` holds the
+        sigma_0 squares of node t and ``v[t]`` the sigma_1 squares, one dense
+        Chebyshev row per square (``sos1d.decompose_kernel_slices``)."""
+        return decompose_kernel_slices(self.r, chebyshev_nodes(len(self.weights)))
 
     def reconstruct(self) -> ChebPoly:
         """sum_idx W[idx] prod_j S_{idx_j}(x_j), contracting W along every axis."""
-        values = [split_coeffs(u, v) for u, v in self.rows]
-        upper = np.zeros((len(values), max((s.size for s in values), default=1)))
-        for t, s in enumerate(values):
-            upper[t, :s.size] = s
-        # S_t of the nodes t < m // 2: row m - 1 - t with T_k(-x) = (-1)^k T_k(x)
-        lower = upper[::-1][:len(self.weights) // 2] * (-1.0) ** np.arange(upper.shape[1])
-        table = np.concatenate([lower, upper])
+        table = np.zeros((len(self.weights), self.r + 2))
+        for t, (u, v) in enumerate(zip(*self.squares())):
+            s = split_coeffs(u, v)
+            table[t, :s.size] = s
         dense = self.weights
         for _ in range(self.num_vars):
             dense = np.tensordot(dense, table, axes=(0, 0))
         return ChebPoly(self.num_vars, dict(np.ndenumerate(dense)))
 
     def squares_per_subset(self) -> dict:
-        """Squares in each expanded sigma_J: nodes with W > 0 and every factor nonzero."""
+        """Squares in each expanded sigma_J: over the nodes with W > 0, the
+        product of the nonzero squares of each axis's kind (u for j not in J,
+        v for j in J)."""
         n = self.num_vars
-        upper = np.array([[np.any(u), np.any(v)] for u, v in self.rows],
-                         dtype=bool).reshape(-1, 2)
-        present = np.concatenate([upper[::-1][:len(self.weights) // 2], upper])
+        u, v = self.squares()
+        counts = np.stack([np.any(u, axis=-1).sum(axis=-1),
+                           np.any(v, axis=-1).sum(axis=-1)], axis=1)
         out = {}
         for mask in range(2 ** n):
             subset = tuple(j for j in range(n) if mask >> j & 1)
-            live = self.weights > 0.0
+            live = (self.weights > 0.0).astype(np.int64)
             for j in range(n):
-                factor = present[:, int(j in subset)]      # u for j not in J, v for j in J
-                live = live & factor.reshape((-1,) + (1,) * (n - 1 - j))
+                live = live * counts[:, int(j in subset)].reshape((-1,) + (1,) * (n - 1 - j))
             if live.any():
                 out[subset] = int(live.sum())
         return out
@@ -163,13 +181,11 @@ class VerificationReport:
 
     residual: float
     scales_positive: bool
-    degrees_ok: bool
     square_count: int
 
     @property
     def valid(self) -> bool:
-        return (self.residual <= RESIDUAL_TOL and self.scales_positive
-                and self.degrees_ok)
+        return self.residual <= RESIDUAL_TOL and self.scales_positive
 
 
 def _relative_residual(recon: ChebPoly, target: ChebPoly) -> float:
@@ -199,12 +215,11 @@ def certify(f: ChebPoly, eta: float, r: int) -> SchmudgenCertificate:
     (unpolished), or when a quadrature node weight comes out negative beyond
     round-off; and
     :class:`ResidualTooLarge` if the assembled identity fails to reconstruct
-    f + eta within ``RESIDUAL_TOL``.  Kernel slices are nonnegative by
-    construction and skip sos1d's Lobatto gate; one that does not split
-    into squares raises sos1d's ``IllConditioned``, or ``NotNonnegative``
-    from the Fejer-Riesz sampled gate (none does for r = 1..300).  Raises
-    ``ValueError`` when the m^n quadrature nodes, m = ceil((r + d + 1) / 2)
-    with d = max_j deg_{x_j} f, exceed ``POINT_BUDGET``.
+    f + eta within ``RESIDUAL_TOL``.  Kernel slices split in closed form,
+    so no slice can fail.  Raises ``ValueError`` when the m^n quadrature
+    nodes, m = ceil((r + d + 1) / 2) with d = max_j deg_{x_j} f, or the
+    table of kernel-slice factors exceed ``POINT_BUDGET``.  A constant
+    f + eta is certified on one node at r = 0, since K_0 = 1.
     """
     n = f.num_vars
     eta = float(eta)
@@ -220,12 +235,12 @@ def certify(f: ChebPoly, eta: float, r: int) -> SchmudgenCertificate:
             raise NotCertifiable(
                 f"constant target {const:.3e} is negative", min_value=const
             )
-        return SchmudgenCertificate(num_vars=n, r=r, eta=eta,
-                                    weights=np.full((1,) * n, const),
-                                    rows=((np.ones(1), np.zeros(0)),), residual=0.0)
+        return SchmudgenCertificate(num_vars=n, r=0, eta=eta,
+                                    weights=np.full((1,) * n, const), residual=0.0)
 
     m = _node_count(f, r)
     check_point_budget(m, n)
+    _check_slices(r, m)
     unsmoothed = apply_inverse(target, r)
     lobatto = lobatto_axis(_grid_points(n)[0])
     gmin, gloc = grid_minimum(unsmoothed, lobatto)[:2]
@@ -243,9 +258,6 @@ def certify(f: ChebPoly, eta: float, r: int) -> SchmudgenCertificate:
     axis = chebyshev_nodes(m)
     gvals = unsmoothed.eval_grid([axis] * n)
 
-    # factor the slices at y >= 0 (the middle node too for odd m) in one call
-    upper = decompose_kernel_slices(r, axis[m // 2:])
-
     weights = (1.0 / m ** n) * gvals
     if weights.min() < -NODE_CLAMP:
         idx = tuple(int(i) for i in np.argwhere(weights < -NODE_CLAMP)[0])
@@ -255,8 +267,7 @@ def certify(f: ChebPoly, eta: float, r: int) -> SchmudgenCertificate:
         )
     weights[weights <= 0.0] = 0.0
 
-    cert = SchmudgenCertificate(num_vars=n, r=r, eta=eta, weights=weights,
-                                rows=tuple((s.u, s.v) for s in upper), residual=0.0)
+    cert = SchmudgenCertificate(num_vars=n, r=r, eta=eta, weights=weights, residual=0.0)
     residual = _relative_residual(cert.reconstruct(), target)
     if residual > RESIDUAL_TOL:
         raise ResidualTooLarge(residual)
@@ -265,21 +276,15 @@ def certify(f: ChebPoly, eta: float, r: int) -> SchmudgenCertificate:
 
 
 def verify(cert: SchmudgenCertificate, f: ChebPoly) -> VerificationReport:
-    """Check a certificate against f + eta using only its stored weights and rows.
+    """Check a certificate against f + eta from its stored weights alone.
 
-    The weights must be nonnegative, every square split must keep degree
-    r + 1 (2 deg u <= r + 1 and 2 deg v + 2 <= r + 1), and the contraction
-    must match f + eta to ``RESIDUAL_TOL`` relative.
+    The weights must be nonnegative, and their contraction with the squares
+    derived from (r, m) must match f + eta to ``RESIDUAL_TOL`` relative.
     """
     target = f.shift(cert.eta)
-    residual = _relative_residual(cert.reconstruct(), target)
-    scales_positive = bool(np.all(cert.weights >= 0.0))
-    degrees_ok = all(2 * len(u) - 2 <= cert.r + 1 and 2 * len(v) <= cert.r + 1
-                     for u, v in cert.rows)
     return VerificationReport(
-        residual=residual,
-        scales_positive=scales_positive,
-        degrees_ok=degrees_ok,
+        residual=_relative_residual(cert.reconstruct(), target),
+        scales_positive=bool(np.all(cert.weights >= 0.0)),
         square_count=cert.square_count(),
     )
 

@@ -1,13 +1,13 @@
 """Command-line front end: certify, bound, figure1, selftest, inspect-kernel.
 
-Exit codes: 0 success, 2 not certifiable, 3 residual or kernel-slice
-factorization failure, 64 usage.
+Exit codes: 0 success, 2 not certifiable, 3 residual failure, 64 usage.
 All output is deterministic given the flags and --seed.
 
-``certify`` writes the certificate as JSON: num_vars, r, eta, residual, the
-m^n node weights (m = ceil((r + d + 1) / 2) nodes per axis, d the largest
-per-variable degree of f) flattened in C order, and the certificate's
-``rows`` as they are: the (u, v) pairs of the ceil(m / 2) nodes t >= m // 2.
+``certify`` writes the certificate as JSON: num_vars, r, eta, residual and
+the m^n node weights (m = ceil((r + d + 1) / 2) nodes per axis, d the
+largest per-variable degree of f) flattened in C order.  The squares follow
+from r and m, so they are not written; the reader ignores the ``rows`` that
+older files hold.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ import sys
 import numpy as np
 
 from .certificate import (
+    MAX_VARS,
     NotCertifiable,
     ResidualTooLarge,
     SchmudgenCertificate,
@@ -34,12 +35,7 @@ from .certificate import (
 from .chebpoly import ChebPoly, MonoPoly, cheb_from_monomial, chebyshev_nodes
 from .jackson import jackson_lambda, kernel_eval_1d, spectrum
 from .kernelop import apply_forward, apply_inverse
-from .sos1d import (
-    IllConditioned,
-    NotNonnegative,
-    decompose_kernel_slices,
-    lukacs_decompose,
-)
+from .sos1d import decompose_kernel_slices, lukacs_decompose, split_coeffs
 
 EXIT_OK = 0
 EXIT_NOT_CERTIFIABLE = 2
@@ -191,14 +187,13 @@ def demo_polynomial() -> MonoPoly:
 
 
 def certificate_to_dict(cert: SchmudgenCertificate) -> dict:
-    """JSON-ready form: weights flattened in C order, and the (u, v) rows."""
+    """JSON-ready form, with the weights flattened in C order."""
     return {
         "num_vars": cert.num_vars,
         "r": cert.r,
         "eta": cert.eta,
         "residual": cert.residual,
         "weights": cert.weights.ravel().tolist(),
-        "rows": [{"u": u.tolist(), "v": v.tolist()} for u, v in cert.rows],
     }
 
 
@@ -225,36 +220,31 @@ def _number(data: dict, key: str, kind) -> int | float:
 
 
 def certificate_from_dict(data: dict) -> SchmudgenCertificate:
-    """Inverse of :func:`certificate_to_dict`; malformed data raises ValueError."""
+    """Inverse of :func:`certificate_to_dict`; malformed data raises ValueError.
+
+    A ``rows`` key, which older files hold, is ignored.
+    """
     if not isinstance(data, dict):
         raise ValueError("certificate must be a JSON object")
     if "terms" in data:
         raise ValueError("expanded 'terms' certificates are no longer read; "
                          "run certify again to write the factored form")
-    missing = [key for key in ("num_vars", "r", "eta", "residual", "weights", "rows")
+    missing = [key for key in ("num_vars", "r", "eta", "residual", "weights")
                if key not in data]
     if missing:
         raise ValueError(f"certificate lacks {', '.join(missing)}")
-    if not isinstance(data["rows"], list) or not all(
-            isinstance(row, dict) and {"u", "v"} <= row.keys() for row in data["rows"]):
-        raise ValueError("certificate rows must be a list of rows with 'u' and 'v'")
     n = int(_number(data, "num_vars", numbers.Integral))
-    rows = tuple((_finite_array(row["u"], "row coefficients"),
-                  _finite_array(row["v"], "row coefficients")) for row in data["rows"])
+    if not 1 <= n <= MAX_VARS:
+        raise ValueError(f"{n} variables; need 1 to {MAX_VARS}")
     weights = _finite_array(data["weights"], "weights")
-    m = round(weights.size ** (1.0 / n)) if n >= 1 else 0
+    m = round(weights.size ** (1.0 / n))
     if m < 1 or m ** n != weights.size:
         raise ValueError(f"{weights.size} weights are not m^{n} for a node count m")
-    if m > 1 and len(rows) == m:
-        raise ValueError(f"certificate holds all {m} rows; the mirrored rows "
-                         "are no longer read: run certify again to write "
-                         "the rows of nodes t >= m // 2 only")
     return SchmudgenCertificate(
         num_vars=n,
         r=int(_number(data, "r", numbers.Integral)),
         eta=float(_number(data, "eta", numbers.Real)),
         weights=weights.reshape((m,) * n),
-        rows=rows,
         residual=float(_number(data, "residual", numbers.Real)),
     )
 
@@ -311,9 +301,6 @@ def cmd_certify(args) -> int:
         return EXIT_NOT_CERTIFIABLE
     except ResidualTooLarge as exc:
         print(f"residual failure: {exc}", file=sys.stderr)
-        return EXIT_RESIDUAL
-    except (IllConditioned, NotNonnegative) as exc:
-        print(f"kernel-slice factorization failed: {exc}", file=sys.stderr)
         return EXIT_RESIDUAL
     payload = json.dumps(certificate_to_dict(cert), indent=2)
     _write_text(args.out, payload + "\n")
@@ -437,8 +424,8 @@ def _check_sos(level: str, seed: int) -> dict:
     n_y = 50 if level == "full" else 10
     ys = chebyshev_nodes(n_y)
     for r in range(r_max + 1):
-        for y, pair in zip(ys, decompose_kernel_slices(r, ys)):
-            recon = pair.reconstruct()
+        for y, u, v in zip(ys, *decompose_kernel_slices(r, ys)):
+            recon = split_coeffs(u, v)
             diff = np.zeros(max(recon.size, r + 1))    # the slice, then minus recon
             diff[0] = 1.0
             for k in range(1, r + 1):

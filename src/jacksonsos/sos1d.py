@@ -17,17 +17,15 @@ matrix (I. J. Good, Q. J. Math. 12, 1961), so no 2d x 2d power-basis
 companion matrix is formed.  A factor of odd degree is multiplied by z,
 which keeps its modulus on the circle and makes its degree even; splitting
 h by frequency parity then yields u and v as dense Chebyshev coefficient
-arrays.  ``LukacsPair(u, v)`` is the one split type: ``certify`` stores its
-two arrays as a certificate row as they are.
+arrays, returned as ``LukacsPair(u, v)`` by ``lukacs_decompose``, which
+takes an arbitrary polynomial and so first runs a sampled nonnegativity gate
+on a 1025-point Chebyshev-Lobatto grid.
 
-``lukacs_decompose`` takes an arbitrary polynomial, so it first runs a
-sampled nonnegativity gate on a 1025-point Chebyshev-Lobatto grid.
-``decompose_kernel_slices`` factors all the slices x -> K_r(x, y) of one
-degree r in one call, as dense coefficient rows of one stack.  The kernel
-is nonnegative by construction (an autocorrelation), so the slices skip
-that gate; the T_k tables of the factorization's sampled checks are built
-once and shared, and each slice then runs on its own through the same
-roots, split and reconstruction check as ``lukacs_decompose``.
+Kernel slices x -> K_r(x, y) need no roots.  The Jackson kernel is an
+autocorrelation, so each slice is |A|^2 + |B|^2 on the circle for two
+factors A, B known in closed form, and ``decompose_kernel_slices`` splits
+both by frequency parity, all slices of one degree in a few array
+operations: two squares in each of sigma_0 and sigma_1 per slice.
 """
 
 from __future__ import annotations
@@ -39,7 +37,6 @@ import numpy as np
 from numpy.polynomial.chebyshev import chebadd, chebmul, chebroots, chebsub, chebvander
 
 from .chebpoly import DROP_TOL, ChebPoly, grid_minimum, lobatto_axis
-from .jackson import _kernel_coeffs
 
 #: relative tolerance of the sampled nonnegativity gates: to max |p| on the
 #: grid of lukacs_decompose, to max |q| in fejer_riesz
@@ -180,24 +177,6 @@ def _expand(roots: np.ndarray) -> np.ndarray:
     return np.real(np.poly(roots[by_angle[spread]]))[::-1]
 
 
-@dataclass(slots=True, frozen=True)
-class _Tables:
-    """T_k tables up to one degree d, built once per call and shared by its
-    polynomials: the sample and check angles of :func:`fejer_riesz` (0 to pi,
-    512 and 256 of them)."""
-
-    sample: np.ndarray      # T_k(cos t) at the sample angles: (512, d + 1)
-    check: np.ndarray       # T_k(cos t) at the check angles: (256, d + 1)
-    check_z: np.ndarray     # e^{ikt} at the check angles: (256, d + 1)
-
-
-def _tables(d: int) -> _Tables:
-    check = np.linspace(0.0, math.pi, 256)
-    return _Tables(sample=chebvander(np.cos(np.linspace(0.0, math.pi, 512)), d),
-                   check=chebvander(np.cos(check), d),
-                   check_z=np.exp(1j * np.outer(check, np.arange(d + 1))))
-
-
 def fejer_riesz(q) -> np.ndarray:
     """Spectral factor of a nonnegative cosine polynomial.
 
@@ -228,11 +207,11 @@ def fejer_riesz(q) -> np.ndarray:
         raise ValueError("expected a nonempty 1-D coefficient sequence")
     if not np.all(np.isfinite(q)):
         raise ValueError("cosine coefficient is not finite")
-    return _spectral_factor(q, _tables(q.size - 1))
+    return _spectral_factor(q)
 
 
-def _spectral_factor(q: np.ndarray, tables: _Tables) -> np.ndarray:
-    """:func:`fejer_riesz` of a validated ``q``, sampled on shared tables."""
+def _spectral_factor(q: np.ndarray) -> np.ndarray:
+    """:func:`fejer_riesz` of a validated ``q``."""
     scale = float(np.max(np.abs(q)))
     if scale == 0.0:
         return np.zeros(1)
@@ -242,10 +221,10 @@ def _spectral_factor(q: np.ndarray, tables: _Tables) -> np.ndarray:
         dq -= 1
     q = q[: dq + 1]
 
-    vals = tables.sample[:, : dq + 1] @ q
+    theta = np.linspace(0.0, math.pi, 512)
+    vals = chebvander(np.cos(theta), dq) @ q
     vmin = float(np.min(vals))
     if vmin < -NONNEG_TOL * scale:
-        theta = np.linspace(0.0, math.pi, 512)
         raise NotNonnegative(
             f"sampled value {vmin:.3e} below tolerance for a nonnegative input",
             value=vmin,
@@ -286,8 +265,9 @@ def _spectral_factor(q: np.ndarray, tables: _Tables) -> np.ndarray:
         raise IllConditioned(f"normalization failed (gamma^2 = {gamma2:.3e})")
     h = _polish_factor(math.sqrt(gamma2) * h, q)
 
-    hv = tables.check_z[:, : h.size] @ h
-    resid = float(np.max(np.abs(np.abs(hv) ** 2 - tables.check[:, : dq + 1] @ q)))
+    check = np.linspace(0.0, math.pi, 256)
+    hv = np.exp(1j * np.outer(check, np.arange(h.size))) @ h
+    resid = float(np.max(np.abs(np.abs(hv) ** 2 - chebvander(np.cos(check), dq) @ q)))
     val_scale = max(float(np.max(np.abs(vals))), 1e-300)
     if not resid <= FACTOR_TOL * val_scale:
         raise IllConditioned(
@@ -319,35 +299,40 @@ def _cut(a: np.ndarray) -> np.ndarray:
 
 
 def split_coeffs(u, v) -> np.ndarray:
-    """Chebyshev coefficients of u^2 + (1 - x^2) v^2 from dense u, v.
+    """Chebyshev coefficients of sum_i u_i^2 + (1 - x^2) sum_i v_i^2.
 
-    An empty coefficient array stands for the zero polynomial.
+    ``u`` and ``v`` are dense coefficient arrays of one square each, or 2-D
+    with one square per row; an empty array stands for the zero polynomial.
     """
     out = np.zeros(1)
-    if len(u):
-        out = chebadd(out, chebmul(u, u))
-    if len(v):
-        out = chebadd(out, chebmul(_ONE_MINUS_X2, chebmul(v, v)))
+    for a in np.atleast_2d(u):
+        if a.size:
+            out = chebadd(out, chebmul(a, a))
+    for b in np.atleast_2d(v):
+        if b.size:
+            out = chebadd(out, chebmul(_ONE_MINUS_X2, chebmul(b, b)))
     return out
 
 
 def _split_even(h: np.ndarray) -> tuple:
-    """h of even degree 2m: factor as u(x) + i sin(t) v(x) on the circle."""
-    m = (h.size - 1) // 2
-    u = np.zeros(m + 1)
-    u[0] = h[m]
-    for j in range(1, m + 1):
-        u[j] = h[m + j] + h[m - j]
-    v = np.zeros(m)
-    for j in range(1, m + 1):
-        c = h[m + j] - h[m - j]             # coefficient of U_{j-1}
-        if c == 0.0:
-            continue
-        k = j - 1
-        while k >= 0:
-            v[k] += c * (1.0 if k == 0 else 2.0)
-            k -= 2
-    return _cut(u), _cut(v)
+    """h of even degree 2m along its last axis: u(x) + i sin(t) v(x) on the circle.
+
+    e^{-imt} h(e^{it}) has cosine part u_j = h_{m+j} + h_{m-j} (u_0 = h_m),
+    and c_j = h_{m+j} - h_{m-j} multiplies sin(jt) = sin(t) U_{j-1}(x), with
+    U_{j-1} = sum of w_k T_k over k = j-1, j-3, ... >= 0 (w_0 = 1, else 2).
+    So v_k is w_k times the sum of c_{i+1} over i >= k of k's parity: one
+    reverse cumulative sum per parity.
+    """
+    m = (h.shape[-1] - 1) // 2
+    low = h[..., m::-1]                     # h_{m-j}, j = 0..m
+    u = h[..., m:] + low
+    u[..., 0] = h[..., m]
+    c = h[..., m + 1:] - low[..., 1:]      # c_{i+1}, i = 0..m-1
+    v = np.zeros_like(c)
+    for parity in (0, 1):
+        v[..., parity::2] = np.cumsum(c[..., parity::2][..., ::-1], axis=-1)[..., ::-1]
+    v[..., 1:] *= 2.0
+    return u, v
 
 
 @dataclass(slots=True, frozen=True)
@@ -385,16 +370,11 @@ def lukacs_decompose(p: ChebPoly) -> LukacsPair:
     if lo < -NONNEG_TOL * float(np.max(np.abs(vals))):
         raise NotNonnegative(f"grid minimum {lo:.3e} at x={loc:.6f} below tolerance",
                              value=lo, location=loc)
-    return _split(_dense(p), _tables(p.degree()))
-
-
-def _split(target: np.ndarray, tables: _Tables) -> LukacsPair:
-    """Split the nonzero dense Chebyshev array ``target`` on shared tables,
-    checking the reconstruction to ``RECON_TOL`` relative to max |target|."""
-    h = _spectral_factor(target, tables)
+    target = _dense(p)
+    h = _spectral_factor(target)
     if h.size % 2 == 0:
         h = np.concatenate(([0.0], h))      # z h: same modulus, even degree
-    u, v = _split_even(h)
+    u, v = map(_cut, _split_even(h))
 
     diff = chebsub(split_coeffs(u, v), target)
     residual = float(np.max(np.abs(diff))) / float(np.max(np.abs(target)))
@@ -405,16 +385,23 @@ def _split(target: np.ndarray, tables: _Tables) -> LukacsPair:
     return LukacsPair(u=u, v=v, residual=residual)
 
 
-def decompose_kernel_slices(r: int, ys) -> list:
-    """Square decompositions of the kernel slices x -> K_r(x, y), y in ``ys``.
+def decompose_kernel_slices(r: int, ys) -> tuple:
+    """Squares of the kernel slices x -> K_r(x, y), y in ``ys``, in closed form.
 
-    One :class:`LukacsPair` per slice point, each as :func:`lukacs_decompose`
-    gives it for the slice 1 + 2 sum_k lambda_k T_k(y) T_k(x).  The slices
-    are the rows of one dense coefficient stack and skip the Lobatto gate,
-    since K_r >= 0 by construction; ``fejer_riesz``'s sampled gate and every
-    residual check still run.  The factorization's T_k tables are built once
-    for all slices; the slices are split one at a time in the order of
-    ``ys``, and the first that fails raises.
+    With a_j = sin(pi (j + 1) / (r + 2)) / sqrt((r + 2) / 2), j = 0..r, and
+    y = cos(phi), the kernel is an autocorrelation (Weisse et al., Rev. Mod.
+    Phys. 78, 275 (2006)):
+
+        K_r(cos t, y) = |sum_j a_j cos(j phi) e^{ijt}|^2
+                        + |sum_j a_j sin(j phi) e^{ijt}|^2.
+
+    Both factors, times z for odd r, are split by frequency parity, so the
+    slice is u_c^2 + u_s^2 + (1 - x^2)(v_c^2 + v_s^2) with no roots.
+
+    Returns ``(u, v)``, one row per slice point: ``u[t]`` of shape
+    (2, M + 1) holds the sigma_0 squares (u_c, u_s) of slice t as dense
+    Chebyshev rows, and ``v[t]`` of shape (2, M) the sigma_1 squares
+    (v_c, v_s), with M = ceil(r / 2).
     """
     if r < 0:
         raise ValueError("need r >= 0")
@@ -424,13 +411,16 @@ def decompose_kernel_slices(r: int, ys) -> list:
     for y in ys:
         if not -1.0 <= y <= 1.0:
             raise ValueError(f"slice point {float(y)} outside [-1, 1]")
-    # contiguous rows: matrix products on strided views round differently
-    stack = np.ascontiguousarray(_kernel_coeffs(r) * chebvander(ys, r))
-    tables = _tables(r)
-    return [_split(row, tables) for row in stack]
+    a = np.sin(np.pi * np.arange(1, r + 2) / (r + 2)) / math.sqrt((r + 2) / 2)
+    angles = np.outer(np.arccos(ys), np.arange(r + 1))
+    h = a * np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    if r % 2:
+        h = np.concatenate([np.zeros(h.shape[:-1] + (1,)), h], axis=-1)    # z h
+    return _split_even(h)
 
 
-def decompose_kernel_slice(r: int, y: float) -> LukacsPair:
-    """Square decomposition of the kernel slice x -> K_r(x, y), y in [-1, 1]:
+def decompose_kernel_slice(r: int, y: float) -> tuple:
+    """Squares (u, v) of the kernel slice x -> K_r(x, y), y in [-1, 1]:
     :func:`decompose_kernel_slices` at the one node ``y``."""
-    return decompose_kernel_slices(r, [y])[0]
+    u, v = decompose_kernel_slices(r, [y])
+    return u[0], v[0]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
@@ -35,29 +37,20 @@ def tamper_heaviest_node(cert: SchmudgenCertificate,
     weights = cert.weights.copy()
     weights[np.unravel_index(int(np.argmax(weights)), weights.shape)] *= factor
     return SchmudgenCertificate(cert.num_vars, cert.r, cert.eta, weights,
-                                cert.rows, cert.residual)
+                                cert.residual)
 
 
 def expand_certificate(cert: SchmudgenCertificate):
     """Multiply a certificate out square by square with ``ChebPoly`` products.
 
     Independent of the library's tensor contraction: for every node idx with
-    W[idx] > 0 and every subset J, the square of prod_{j not in J} u_{idx_j}
-    prod_{j in J} v_{idx_j} is formed, weighted, and multiplied by
+    W[idx] > 0, every subset J and every choice of one nonzero square per
+    axis (a u square for j not in J, a v square for j in J), the square of
+    the product of the chosen factors is formed, weighted, and multiplied by
     prod_{j in J} (1 - x_j^2).  Returns (sum_J sigma_J g_J, squares per J).
-    The rows of the nodes t < m // 2 are built here from the stored rows of
-    the nodes m - 1 - t by negating their odd Chebyshev entries.
     """
     n = cert.num_vars
-    m = len(cert.weights)
-
-    def mirror(a):
-        a = a.copy()
-        a[1::2] *= -1.0
-        return a
-
-    rows = [tuple(map(mirror, cert.rows[m - 1 - t - m // 2])) for t in range(m // 2)]
-    rows += list(cert.rows)
+    rows = list(zip(*cert.squares()))
 
     def lift(coeffs, j):
         return ChebPoly(n, {tuple(k if i == j else 0 for i in range(n)): c
@@ -72,17 +65,17 @@ def expand_certificate(cert: SchmudgenCertificate):
             continue
         for mask in range(2 ** n):
             subset = tuple(j for j in range(n) if mask >> j & 1)
-            factors = [rows[t][int(j in subset)] for j, t in enumerate(idx)]
-            if not all(np.any(q) for q in factors):
-                continue
-            root = ChebPoly.constant(n, 1.0)
-            for j, q in enumerate(factors):
-                root = root * lift(q, j)
-            term = (root * root).scale(w)
-            for j in subset:
-                term = term * weight[j]
-            total = total + term
-            counts[subset] = counts.get(subset, 0) + 1
+            kinds = [[q for q in rows[t][int(j in subset)] if np.any(q)]
+                     for j, t in enumerate(idx)]
+            for factors in itertools.product(*kinds):
+                root = ChebPoly.constant(n, 1.0)
+                for j, q in enumerate(factors):
+                    root = root * lift(q, j)
+                term = (root * root).scale(w)
+                for j in subset:
+                    term = term * weight[j]
+                total = total + term
+                counts[subset] = counts.get(subset, 0) + 1
     return total, counts
 
 

@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import time
 import tracemalloc
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 
 from jacksonsos import certificate as certificate_module
 from jacksonsos import chebpoly as chebpoly_module
+from jacksonsos import sos1d
 from jacksonsos.certificate import (
     NotCertifiable,
     SchmudgenCertificate,
@@ -29,7 +31,7 @@ from jacksonsos.chebpoly import (
 from jacksonsos.cli import certificate_from_dict, certificate_to_dict
 from jacksonsos.jackson import jackson_lambda
 from jacksonsos.kernelop import apply_forward, apply_inverse, constant_C, theorem_threshold
-from jacksonsos.sos1d import decompose_kernel_slice, decompose_kernel_slices
+from jacksonsos.sos1d import decompose_kernel_slices
 
 from helpers import demo_f, expand_certificate, random_cheb, tamper_heaviest_node
 
@@ -41,7 +43,6 @@ class TestCertify:
         assert cert.residual <= 1e-8
         report = verify(cert, f)
         assert report.valid
-        assert report.degrees_ok
         assert set(cert.squares_per_subset()) <= {(), (0,)}
         # the weights are the unsmoothed values at the m = ceil((7 + 4 + 1) / 2)
         # nodes over m, bit for bit
@@ -49,14 +50,13 @@ class TestCertify:
         unsmoothed = apply_inverse(f.shift(0.1), 7).eval_grid([nodes])
         assert np.all(unsmoothed > 0.0)
         assert np.array_equal(cert.weights, (1.0 / 6) * unsmoothed)
-        # the rows are those of the nodes at y >= 0, the slice splits' arrays
-        # bit for bit
-        assert len(cert.rows) == 3
-        for t in range(3, 6):
-            pair = decompose_kernel_slice(7, float(nodes[t]))
-            assert pair.u.size > 0 and pair.v.size > 0
-            for stored, root in zip(cert.rows[t - 3], (pair.u, pair.v)):
-                assert stored.tobytes() == root.tobytes()
+        # the squares are the closed-form slices at all six nodes, bit for
+        # bit: two of each kind per node, with 2 deg <= r + 1 = 8
+        u, v = cert.squares()
+        expected = decompose_kernel_slices(7, nodes)
+        assert u.shape == (6, 2, 5) and v.shape == (6, 2, 4)
+        assert u.tobytes() == expected[0].tobytes()
+        assert v.tobytes() == expected[1].tobytes()
 
     def test_demo_r5_not_certifiable(self):
         f = demo_f()
@@ -68,7 +68,10 @@ class TestCertify:
         cert = certify(ChebPoly.zero(1), 1.0, 4)
         assert cert.residual == 0.0
         assert cert.weights.tolist() == [1.0]
-        assert [(u.tolist(), v.tolist()) for u, v in cert.rows] == [([1.0], [])]
+        # K_0 = 1 on one node: its cosine square is 1, its sine square 0
+        assert cert.r == 0
+        u, v = cert.squares()
+        assert u.tolist() == [[[1.0], [0.0]]] and v.shape == (1, 2, 0)
         assert cert.squares_per_subset() == {(): 1}
 
     def test_constant_negative(self):
@@ -84,7 +87,7 @@ class TestCertify:
     def test_constant_zero_gives_empty(self):
         cert = certify(ChebPoly.constant(1, -1.0), 1.0, 2)
         assert cert.weights.tolist() == [0.0]
-        assert [(u.tolist(), v.tolist()) for u, v in cert.rows] == [([1.0], [])]
+        assert cert.r == 0
         assert cert.squares_per_subset() == {}
         assert cert.square_count() == 0
         assert verify(cert, ChebPoly.constant(1, -1.0)).residual == 0.0
@@ -118,31 +121,28 @@ class TestCertify:
         f = demo_f()
         cert = certify(f, 0.1, 7)
         nodes = 6  # ceil((r + d + 1) / 2) with d = 4
-        per_node_limit = 1  # every slice, odd r too, has one square per sigma list
+        per_node_limit = 2  # every slice, odd r too, has two squares per sigma list
         for subset, count in cert.squares_per_subset().items():
             assert count <= nodes * per_node_limit
-        assert cert.square_count() == 12
-        # n=2, r=5, d=4: one square per node and subset, so at most m^n, m = 5
+        assert cert.square_count() == 24
+        # n=2, r=5, d=4: two squares per axis, so at most 2^n m^n, m = 5
         q = random_cheb(np.random.default_rng(5), 2, 2)
         cert2 = certify(apply_forward(q * q + ChebPoly.constant(2, 0.1), 5), 0.0, 5)
         assert set(cert2.squares_per_subset()) == {(), (0,), (1,), (0, 1)}
         for subset, count in cert2.squares_per_subset().items():
-            assert count <= 5 ** 2
+            assert count <= 2 ** 2 * 5 ** 2
 
     def test_term_degree_bound(self):
+        """Derived squares keep degree r + 1, and a wrong stored r fails verify."""
         f = demo_f()
+        for r in range(0, 12):
+            u, v = decompose_kernel_slices(r, chebyshev_nodes(4))
+            assert 2 * (u.shape[-1] - 1) <= r + 1 and 2 * v.shape[-1] <= r + 1
         cert = certify(f, 0.1, 7)
-        assert all(2 * len(u) - 2 <= 8 and 2 * len(v) <= 8 for u, v in cert.rows)
-        assert verify(cert, f).degrees_ok
-        # one extra coefficient in one row gives sigma_J of degree 10 > r + 1
-        rows = list(cert.rows)
-        u, v = rows[-1]
-        rows[-1] = (u, np.append(v, 1e-3))
-        tampered = SchmudgenCertificate(
-            num_vars=1, r=7, eta=0.1, weights=cert.weights, rows=tuple(rows),
-            residual=cert.residual)
-        assert not verify(tampered, f).degrees_ok
-        assert not verify(tampered, f).valid
+        for r in (6, 8):
+            tampered = SchmudgenCertificate(
+                num_vars=1, r=r, eta=0.1, weights=cert.weights, residual=cert.residual)
+            assert not verify(tampered, f).valid
 
     def test_output_is_deterministic(self):
         """Two calls give byte-identical certificate JSON."""
@@ -161,32 +161,40 @@ class TestCertify:
         cert = certify(f, 0.1, r)
         report = verify(cert, f)
         assert report.residual <= 1e-12
-        assert report.scales_positive and report.degrees_ok
+        assert report.scales_positive
 
-    @pytest.mark.parametrize("n, r", [(1, 7), (1, 8), (2, 4), (2, 5)])
-    def test_factors_only_nonnegative_nodes(self, monkeypatch, n, r):
-        """ceil(m/2) slices, m = ceil((r+d+1)/2), are factored in one call and stored."""
-        calls = []
-        original = certificate_module.decompose_kernel_slices
+    @pytest.mark.parametrize("n, r", [(1, 7), (2, 2)])
+    def test_never_reaches_the_root_path(self, monkeypatch, n, r):
+        """Kernel slices come in closed form: no spectral factor, no colleague roots."""
+        def refuse(*args):
+            raise AssertionError("certify reached the root path")
 
-        def counted(r_, ys):
-            calls.append(list(ys))
-            return original(r_, ys)
-
-        monkeypatch.setattr(certificate_module, "decompose_kernel_slices", counted)
-        if n == 1:
-            f, eta = demo_f(), 0.1
-        else:
-            q = random_cheb(np.random.default_rng(5), 2, 2)
-            f, eta = apply_forward(q * q + ChebPoly.constant(2, 0.1), r), 0.0
+        monkeypatch.setattr(sos1d, "_spectral_factor", refuse)
+        monkeypatch.setattr(sos1d, "chebroots", refuse)
+        f, eta = (demo_f(), 0.1) if n == 1 else (_smoothed_square(n, r), 0.0)
         cert = certify(f, eta, r)
-        m = (r + max(f.per_variable_degrees()) + 2) // 2
-        assert cert.weights.shape == (m,) * n
-        assert len(calls) == 1
-        assert len(calls[0]) == m - m // 2
-        assert all(y >= 0.0 for y in calls[0])
-        assert len(cert.rows) == m - m // 2
-        assert verify(cert, f).valid
+        loaded = certificate_from_dict(json.loads(json.dumps(certificate_to_dict(cert))))
+        assert verify(loaded, f).valid
+
+    @pytest.mark.parametrize("n, r", [(1, 0), (1, 7), (2, 5), (2, 6)])
+    def test_constant_target_is_the_r0_closed_form(self, n, r):
+        """A constant is certified on one node at r = 0 whatever r was asked."""
+        cert = certify(ChebPoly.constant(n, 0.3), 0.1, r)
+        assert (cert.r, cert.weights.shape) == (0, (1,) * n)
+        assert cert.weights.flat[0] == pytest.approx(0.4, rel=1e-15)
+        assert verify(cert, ChebPoly.constant(n, 0.3)).residual == 0.0
+
+    def test_demo_at_the_corollary_degree(self):
+        """The degree the theory asks for at eta = 0.01 certifies and verifies."""
+        f = demo_f()
+        r = corollary_degree(f, 0.01)
+        assert r == 669
+        start = time.perf_counter()
+        cert = certify(f, 0.01, r)
+        loaded = certificate_from_dict(json.loads(json.dumps(certificate_to_dict(cert))))
+        report = verify(loaded, f)
+        assert report.valid and report.residual == cert.residual
+        assert time.perf_counter() - start < 5.0
 
     def test_node_budget_checked_before_evaluation(self, grid_budget_enforced):
         # unsmooths to 1 + 0.1 T_250(x1) >= 0.9, so it would pass the gate, but
@@ -278,8 +286,7 @@ class TestFactoredForm:
         """Multiplying every square out gives f + eta and the contraction.
 
         Odd and even m = ceil((r + d + 1) / 2) nodes per axis (the demo at r = 7
-        has m = 6), and at r = 0 a constant, whose certificate has one node and
-        one row.
+        has m = 6), and at r = 0 a constant, whose certificate has one node.
         """
         if r == 0:
             f, eta = ChebPoly.constant(n, 0.3), 0.1
@@ -287,7 +294,7 @@ class TestFactoredForm:
             f, eta = (demo_f(), 0.1) if n == 1 else (_smoothed_square(n, r), 0.0)
         cert = certify(f, eta, r)
         m = (r + max(f.per_variable_degrees()) + 2) // 2
-        assert len(cert.weights) == m and len(cert.rows) == m - m // 2
+        assert len(cert.weights) == m
         expanded, counts = expand_certificate(cert)
         assert counts == cert.squares_per_subset()
         target = f.shift(eta)
@@ -297,34 +304,46 @@ class TestFactoredForm:
 
     @pytest.mark.parametrize("n, r", [(1, 7), (1, 6), (2, 4), (3, 3), (2, 0)])
     def test_row_count_is_checked_on_construction(self, n, r):
-        """Only the ceil(m / 2) rows of the nodes t >= m // 2 make a certificate."""
+        """The m rows of a certificate are derived from (r, m), so construction
+        refuses a degree no m-node identity makes exact: r outside 0..2m - 1."""
         f = _smoothed_square(n, r) if r else ChebPoly.constant(n, 0.3)
         cert = certify(f, 0.0, r)
         m = len(cert.weights)
-        lower = tuple(tuple(a * (-1.0) ** np.arange(a.size) for a in row)
-                      for row in cert.rows[::-1][:m // 2])
-        # all m rows (the valid count itself when m = 1), none, one too few or many
-        counts = {m, 0, len(cert.rows) - 1, len(cert.rows) + 1} - {len(cert.rows)}
-        for k in counts:
-            rows = ((lower + cert.rows) * 2)[:k]
-            with pytest.raises(ValueError, match=f"^{k} rows for {m} nodes per axis; "
-                               f"need the {m - m // 2} of nodes t >= m // 2$"):
-                SchmudgenCertificate(n, r, cert.eta, cert.weights, rows, cert.residual)
+        for bad in (-1, 2 * m):
+            with pytest.raises(ValueError, match=f"^kernel degree {bad} on {m} nodes "
+                               "per axis; need 0 <= r <= 2m - 1$"):
+                SchmudgenCertificate(n, bad, cert.eta, cert.weights, cert.residual)
+        SchmudgenCertificate(n, 2 * m - 1, cert.eta, cert.weights, cert.residual)
+
+    @pytest.mark.parametrize("n", [0, -1, 65, 10 ** 7])
+    def test_variable_count_is_checked_first(self, n):
+        """num_vars outside 1..64 is refused before any (m,) * n shape is built."""
+        with pytest.raises(ValueError, match=f"^{n} variables; need 1 to 64$"):
+            SchmudgenCertificate(n, 1, 0.1, np.ones(1), 0.0)
+
+    def test_slice_table_budget(self):
+        """2 m (r + 2) factor entries past POINT_BUDGET are refused before any
+        slice is built; one node fewer fits."""
+        m = 1581                        # 2 * 1581 * 3163 > 10^7 >= 2 * 1580 * 3161
+        with pytest.raises(ValueError, match=f"table of {m} x 2 x {2 * m + 1} entries"):
+            SchmudgenCertificate(1, 2 * m - 1, 0.1, np.ones(m), 0.0)
+        SchmudgenCertificate(1, 2 * m - 3, 0.1, np.ones(m - 1), 0.0)
 
     @pytest.mark.parametrize("n, shape", [(2, (8,)), (1, (8, 8)), (2, (8, 7)), (1, ())])
     def test_weight_shape_is_checked_on_construction(self, n, shape):
         """Weights are m^n with m nodes on every axis, for the certificate's n."""
-        rows = certify(demo_f(), 0.1, 7).rows
         m = shape[0] if shape else 0
         with pytest.raises(ValueError, match=re.escape(
                 f"weights of shape {shape} for {n} variables; need shape {(m,) * n}")):
-            SchmudgenCertificate(n, 7, 0.1, np.ones(shape), rows, 0.0)
+            SchmudgenCertificate(n, 7, 0.1, np.ones(shape), 0.0)
 
     @pytest.mark.parametrize("n, r, squares", [
         (1, 40, 82), (2, 4, 100), (2, 5, 100), (2, 8, 324), (3, 3, 216), (3, 4, 1000),
     ])
     def test_implied_square_counts(self, n, r, squares):
-        assert certify(_smoothed_square(n, r), 0.0, r).square_count() == squares
+        """``squares`` counts one square of each kind per node and axis (2^n m^n
+        in all); the closed form has two of each kind, so 2^n times as many."""
+        assert certify(_smoothed_square(n, r), 0.0, r).square_count() == 2 ** n * squares
 
     @pytest.mark.parametrize("n, r", [(3, 10), (4, 6)])
     def test_large_smoothed_squares(self, n, r):
@@ -335,8 +354,7 @@ class TestFactoredForm:
         report = verify(loaded, f)
         assert report.valid
         assert report.residual == cert.residual
-        stored = cert.weights.size + sum(len(u) + len(v) for u, v in cert.rows)
-        assert stored <= (r + 1) ** n + (r + 1) * (r + 3)
+        assert loaded.weights.size <= (r + 1) ** n
 
 
 def _hand_built(f: ChebPoly, eta: float, r: int, m: int) -> SchmudgenCertificate:
@@ -344,9 +362,7 @@ def _hand_built(f: ChebPoly, eta: float, r: int, m: int) -> SchmudgenCertificate
     n = f.num_vars
     axis = chebyshev_nodes(m)
     weights = apply_inverse(f.shift(eta), r).eval_grid([axis] * n) / m ** n
-    rows = tuple((s.u, s.v) for s in decompose_kernel_slices(r, axis[m // 2:]))
-    return SchmudgenCertificate(num_vars=n, r=r, eta=eta, weights=weights,
-                                rows=rows, residual=0.0)
+    return SchmudgenCertificate(num_vars=n, r=r, eta=eta, weights=weights, residual=0.0)
 
 
 class TestNodeCount:
@@ -365,7 +381,11 @@ class TestNodeCount:
 
     @pytest.mark.parametrize("make_f, eta, r, m", CASES, ids=["demo-r7", "square-n2-r5"])
     def test_bounds_use_certify_nodes(self, monkeypatch, make_f, eta, r, m):
-        """One node rule: the bound's argmin is one of certify's node coordinates."""
+        """One node rule: the bound's argmin is one of certify's node coordinates.
+
+        certify takes the nodes twice, for the weights and for the squares of
+        its residual check, and the bound once.
+        """
         counts = []
         original = certificate_module.chebyshev_nodes
 
@@ -377,7 +397,7 @@ class TestNodeCount:
         f = make_f()
         cert = certify(f, eta, r)
         report = kernel_lower_bound(f, r)
-        assert counts == [m, m]
+        assert counts == [m, m, m]
         assert set(report.argmin) <= set(original(len(cert.weights)).tolist())
 
     @pytest.mark.parametrize("n, r", [(1, 7), (2, 5), (3, 3)])
@@ -385,7 +405,6 @@ class TestNodeCount:
         """Certificates written on m = r + 1 nodes reload and verify."""
         f, eta = (demo_f(), 0.1) if n == 1 else (_smoothed_square(n, r), 0.0)
         old = _hand_built(f, eta, r, r + 1)
-        assert len(old.rows) == (r + 2) // 2
         loaded = certificate_from_dict(json.loads(json.dumps(certificate_to_dict(old))))
         assert loaded.weights.shape == (r + 1,) * n
         assert verify(loaded, f).valid
@@ -416,15 +435,19 @@ class TestVerifyTampering:
             verify(certificate_from_dict(json.loads(json.dumps(data))), f)
 
     def test_hand_built_certificate(self):
-        """sigma_empty = {}, sigma_{1} = {1} certifies 1 - x^2 exactly."""
-        weight = ChebPoly(1, {(0,): 0.5, (2,): -0.5})
+        """Weights alone certify 3/4 + x^2 / 2 = 1 + T_2 / 4 at r = 2 on m = 3 nodes.
+
+        lambda_2 = 1/4 at r = 2, so g = K_2^{-1} f = 1 + T_2, which is 3/2 at
+        +-sqrt(3)/2 and 0 at the middle node: the weights are 1/2, 0, 1/2.
+        """
+        f = ChebPoly(1, {(0,): 1.0, (2,): 0.25})
         cert = SchmudgenCertificate(
-            num_vars=1, r=2, eta=0.0, weights=np.array([1.0]),
-            rows=((np.zeros(0), np.array([1.0])),), residual=0.0)
-        report = verify(cert, weight)
-        assert report.residual == 0.0
+            num_vars=1, r=2, eta=0.0, weights=np.array([0.5, 0.0, 0.5]), residual=0.0)
+        report = verify(cert, f)
+        assert report.residual <= 1e-15
         assert report.valid
-        assert cert.squares_per_subset() == {(0,): 1}
+        # two squares of each kind at each of the two nodes with W > 0
+        assert cert.squares_per_subset() == {(): 4, (0,): 4}
 
 
 def _node_identity_residual(f: ChebPoly, r: int, m: int):

@@ -10,7 +10,7 @@ import pytest
 
 from jacksonsos import certificate as certificate_module
 from jacksonsos import cli, sos1d
-from jacksonsos.certificate import certify, verify
+from jacksonsos.certificate import ResidualTooLarge, certify, verify
 from jacksonsos.chebpoly import ChebPoly, MonoPoly, cheb_from_monomial
 from jacksonsos.kernelop import apply_forward
 from jacksonsos.cli import (
@@ -25,11 +25,31 @@ from jacksonsos.cli import (
     main,
     parse_polynomial,
 )
-from jacksonsos.sos1d import IllConditioned, NotNonnegative
-
 from helpers import demo_f, random_cheb
 
 DEMO = "1 - x1^2 - x1^3 + x1^4"
+
+#: the demo's certificate at eta = 0.1, r = 7 as certify wrote it while
+#: certificates stored the rows of the nodes t >= m // 2
+PARENT_DEMO_R7 = {
+    "num_vars": 1, "r": 7, "eta": 0.1, "residual": 3.416070845000482e-16,
+    "weights": [0.36651368995547995, 0.15480554881524566, 0.17386714451491017,
+                0.20359540631938025, 0.0652693495161735, 0.010948860878810307],
+    "rows": [
+        {"u": [0.14869375382987673, -0.14041445549117798, -0.4196184694927422,
+               0.22406084553661404, 0.40605161357694936],
+         "v": [-0.6534442369396352, -0.20129198250913583, 0.6954725280813697,
+               0.8121032271538987]},
+        {"u": [-0.37783906711572535, -0.3638181764179943, 0.37460048453636086,
+               0.6653041748224036, 0.34219118995420006],
+         "v": [0.9221478510200377, 1.817606126821595, 1.1157426830902732,
+               0.6843823799084001]},
+        {"u": [0.3996753166817214, 0.7418093962883581, 0.589335842859919,
+               0.39509725707174415, 0.22606274239104213],
+         "v": [0.7545453372737856, 1.4070621862389472, 0.9092414127324391,
+               0.45212548478208425]},
+    ],
+}
 
 
 def _rows(path):
@@ -109,14 +129,11 @@ class TestCertifyCommand:
                      "--out", str(out)])
         assert code == EXIT_OK
         data = json.loads(out.read_text())
+        assert list(data) == ["num_vars", "r", "eta", "residual", "weights"]
         assert data["num_vars"] == 1 and data["r"] == 7
         assert data["residual"] <= 1e-8
         cert = certify(demo_f(), 0.1, 7)
         assert data["weights"] == cert.weights.tolist()
-        # the rows of the nodes t >= m // 2 (m = 6), as they are in memory
-        assert len(cert.rows) == 3
-        assert data["rows"] == [{"u": u.tolist(), "v": v.tolist()}
-                                for u, v in cert.rows]
 
     def test_not_certifiable_exit(self, tmp_path, capsys):
         code = main(["certify", "--poly", DEMO, "--eta", "0.1", "--r", "5",
@@ -124,40 +141,30 @@ class TestCertifyCommand:
         assert code == EXIT_NOT_CERTIFIABLE
         assert "not certifiable" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("error", [
-        IllConditioned("factorization residual 3.043e-08 exceeds 1e-09 * 2.427e+01"),
-        NotNonnegative("sampled value -1.000e-03 below tolerance", value=-1e-3),
-    ], ids=["factor", "gate"])
-    def test_slice_failure_exit(self, monkeypatch, tmp_path, capsys, error):
-        """A slice that fails to factor or to pass its gate exits 3.
-
-        Every y >= 0 kernel slice factors for r = 1..300, so no degree fails
-        cheaply: the factorization error is injected like the gate refusal.
-        """
-        def fail_slices(r_, ys):
-            raise error
-
-        monkeypatch.setattr(certificate_module, "decompose_kernel_slices", fail_slices)
-        out = tmp_path / "c.json"
-        code = main(["certify", "--poly", DEMO, "--eta", "0.1", "--r", "7",
-                     "--out", str(out)])
-        assert code == EXIT_RESIDUAL
-        err = capsys.readouterr().err
-        assert err.startswith("kernel-slice factorization failed:")
-        assert err.count("\n") == 1
-        assert not out.exists()
-
     def test_nan_factor_exit(self, monkeypatch, tmp_path, capsys):
-        """A spectral factor that comes out NaN is a slice failure, not usage."""
+        """A spectral factor that comes out NaN cannot reach certify, whose
+        slices come in closed form: the run succeeds."""
         monkeypatch.setattr(sos1d, "_polish_factor",
                             lambda h, q: np.full_like(h, np.nan))
         out = tmp_path / "c.json"
         code = main(["certify", "--poly", DEMO, "--eta", "0.1", "--r", "7",
                      "--out", str(out)])
+        assert code == EXIT_OK
+        assert capsys.readouterr().err == ""
+        assert verify(certificate_from_dict(json.loads(out.read_text())), demo_f()).valid
+
+    def test_residual_failure_exit(self, monkeypatch, tmp_path, capsys):
+        """Exit 3 means the assembled identity failed its residual check."""
+        def fail(f, eta, r):
+            raise ResidualTooLarge(2e-8)
+
+        monkeypatch.setattr(cli, "certify", fail)
+        out = tmp_path / "c.json"
+        code = main(["certify", "--poly", DEMO, "--eta", "0.1", "--r", "7",
+                     "--out", str(out)])
         assert code == EXIT_RESIDUAL
-        err = capsys.readouterr().err
-        assert err.startswith("kernel-slice factorization failed: factorization residual")
-        assert err.count("\n") == 1
+        assert capsys.readouterr().err == "residual failure: certificate residual " \
+            "2.000e-08 exceeds 1e-08\n"
         assert not out.exists()
 
     def test_six_variables_reach_the_gate(self, grid_budget_enforced, capsys):
@@ -215,10 +222,8 @@ class TestCertifyCommand:
             json.loads(json.dumps(certificate_to_dict(cert))))
         assert again.weights.shape == cert.weights.shape
         assert again.weights.tobytes() == cert.weights.tobytes()
-        assert len(again.rows) == len(cert.rows) == 3
-        for (u1, v1), (u2, v2) in zip(cert.rows, again.rows):
-            assert u1.tobytes() == u2.tobytes()
-            assert v1.tobytes() == v2.tobytes()
+        assert (again.num_vars, again.r, again.eta, again.residual) == \
+            (cert.num_vars, cert.r, cert.eta, cert.residual)
 
 
 class TestCertificateFromDict:
@@ -233,7 +238,7 @@ class TestCertificateFromDict:
 
     def test_wrong_weight_count(self):
         data = self._data()
-        assert len(data["weights"]) == 9 and len(data["rows"]) == 2
+        assert len(data["weights"]) == 9
         data["weights"] = data["weights"][:-1]
         with pytest.raises(ValueError, match="8 weights are not m\\^2"):
             certificate_from_dict(data)
@@ -241,13 +246,20 @@ class TestCertificateFromDict:
     @pytest.mark.parametrize("where", ["weights", "u", "v", "eta", "residual"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_number(self, where, bad):
+        """Refused where the reader reads it; ignored in the rows ("u", "v") of
+        an older file, which it no longer reads."""
         data = json.loads(json.dumps(self._data(1)))
+        if where in ("u", "v"):
+            data["rows"] = json.loads(json.dumps(PARENT_DEMO_R7))["rows"]
+            data["rows"][1][where][0] = bad
+            cert = certificate_from_dict(json.loads(json.dumps(data)))
+            assert verify(cert, demo_f()).valid
+            return
         if where in ("eta", "residual"):
             data[where] = bad
             message = f"{where} is not finite"
         else:
-            target = data["weights"] if where == "weights" else data["rows"][1][where]
-            target[0] = bad
+            data["weights"][0] = bad
             message = "must be a flat list of finite numbers"
         with pytest.raises(ValueError, match=message):
             certificate_from_dict(json.loads(json.dumps(data)))
@@ -262,8 +274,8 @@ class TestCertificateFromDict:
         ("eta", None, "eta is not a number"),
         ("eta", "0.1", "eta is not a number"),
         ("residual", None, "residual is not a number"),
-        ("rows", None, "rows must be a list"),
-        ("rows", {"u": [1.0], "v": []}, "rows must be a list"),
+        ("r", 7.0, "r is not an integer"),
+        ("residual", "3.4e-16", "residual is not a number"),
         ("weights", None, "weights must be a flat list"),
         ("weights", {"0": 1.0}, "weights must be a flat list"),
         ("weights", ["1.0"] * 8, "weights must be a flat list"),
@@ -277,23 +289,50 @@ class TestCertificateFromDict:
     @pytest.mark.parametrize("value", [None, {"0": 1.0}, ["0.5"], [0.5, None],
                                        [[0.5]], [0.5, [0.1]]])
     def test_mistyped_row_coefficients(self, value):
-        data = json.loads(json.dumps(self._data(1)))
+        """Rows are not read, so whatever an older file's rows hold is ignored."""
+        data = json.loads(json.dumps(PARENT_DEMO_R7))
         data["rows"][0]["u"] = value
-        with pytest.raises(ValueError, match="row coefficients must be a flat list"):
-            certificate_from_dict(data)
+        assert verify(certificate_from_dict(data), demo_f()).valid
 
     @pytest.mark.parametrize("key", ["num_vars", "r", "eta", "residual",
                                      "weights", "rows"])
     def test_missing_key(self, key):
-        data = self._data(1)
+        """Every key certify writes is required; the rows of older files are not."""
+        data = json.loads(json.dumps(PARENT_DEMO_R7))
         del data[key]
+        if key == "rows":
+            assert verify(certificate_from_dict(data), demo_f()).valid
+            return
         with pytest.raises(ValueError, match=f"certificate lacks {key}"):
             certificate_from_dict(data)
 
     def test_missing_row_key(self):
-        data = self._data(1)
+        """An older file's row without 'v' is ignored like the rest of its rows."""
+        data = json.loads(json.dumps(PARENT_DEMO_R7))
         del data["rows"][2]["v"]
-        with pytest.raises(ValueError, match="'u' and 'v'"):
+        assert verify(certificate_from_dict(data), demo_f()).valid
+
+    @pytest.mark.parametrize("n", [0, 65, 10 ** 7, 10 ** 9])
+    def test_variable_count_out_of_range(self, n):
+        """Refused before any (m,) * n shape is built: 10^9 would take 8 GB."""
+        data = {"num_vars": n, "r": 0, "eta": 0.1, "residual": 0.0, "weights": [1.0]}
+        with pytest.raises(ValueError, match=f"^{n} variables; need 1 to 64$"):
+            certificate_from_dict(data)
+
+    @pytest.mark.parametrize("r", [-1, 12, 10 ** 9])
+    def test_kernel_degree_out_of_range(self, r):
+        """No identity on m = 6 nodes is exact past r = 2m - 1 = 11."""
+        data = self._data(1)
+        data["r"] = r
+        with pytest.raises(ValueError, match=f"kernel degree {r} on 6 nodes per axis"):
+            certificate_from_dict(data)
+
+    def test_slice_table_out_of_budget(self):
+        """2 m (r + 2) slice-factor entries past POINT_BUDGET are refused on load."""
+        m = 1581
+        data = {"num_vars": 1, "r": 2 * m - 1, "eta": 0.1, "residual": 0.0,
+                "weights": [1.0] * m}
+        with pytest.raises(ValueError, match="kernel-slice table of 1581 x 2 x 3163"):
             certificate_from_dict(data)
 
     @pytest.mark.parametrize("text", ["null", "5", "[1, 2]", '"rows"'])
@@ -310,7 +349,9 @@ class TestCertificateFromDict:
 
 
 class TestMirroredRows:
-    """Certificate JSON stores the rows of nodes t >= m // 2 only."""
+    """Reloads at odd and even m.  Older files stored the rows of the nodes
+    t >= m // 2, the others being their mirror images; now no row is stored,
+    and a reload is checked on its weights and on the squares (r, m) give."""
 
     @staticmethod
     def _square(n, r, q_degree=None):
@@ -321,7 +362,7 @@ class TestMirroredRows:
 
     @pytest.mark.parametrize("n, r", [(1, 6), (1, 7), (2, 4), (2, 5), (3, 3), (3, 4)])
     def test_reload_is_bitwise(self, n, r):
-        """The reloaded rows are the in-memory rows (odd m here, even m below)."""
+        """The reloaded certificate is the in-memory one (odd m here, even m below)."""
         f = self._square(n, r)
         self._check_reload(f, r)
 
@@ -338,12 +379,11 @@ class TestMirroredRows:
         cert = certify(f, 0.0, r)
         m = len(cert.weights)
         data = json.loads(json.dumps(certificate_to_dict(cert)))
-        assert len(data["rows"]) == m - m // 2 and len(data["weights"]) == m ** n
+        assert "rows" not in data and len(data["weights"]) == m ** n
         again = certificate_from_dict(data)
-        assert len(again.rows) == len(cert.rows) == m - m // 2
         assert again.weights.tobytes() == cert.weights.tobytes()
-        for (u1, v1), (u2, v2) in zip(cert.rows, again.rows):
-            assert u1.tobytes() == u2.tobytes() and v1.tobytes() == v2.tobytes()
+        for a, b in zip(cert.squares(), again.squares()):
+            assert a.tobytes() == b.tobytes()
         assert (again.num_vars, again.r, again.eta, again.residual) == \
             (cert.num_vars, cert.r, cert.eta, cert.residual)
         assert verify(again, f).residual == cert.residual
@@ -352,37 +392,20 @@ class TestMirroredRows:
     def test_constant_certificate(self):
         cert = certify(ChebPoly.constant(2, 3.0), 0.1, 4)
         data = json.loads(json.dumps(certificate_to_dict(cert)))
-        assert data["rows"] == [{"u": [1.0], "v": []}]
+        assert data == {"num_vars": 2, "r": 0, "eta": 0.1, "residual": 0.0,
+                        "weights": [3.1]}
         again = certificate_from_dict(data)
         assert again.weights.tobytes() == cert.weights.tobytes()
-        assert [(u.tolist(), v.tolist()) for u, v in again.rows] == [([1.0], [])]
+        assert verify(again, ChebPoly.constant(2, 3.0)).residual == 0.0
 
-    @pytest.mark.parametrize("n, r, keep, message", [
-        (1, 6, 3, "3 rows for 7 nodes per axis; need the 4"),
-        (2, 4, 4, "4 rows for 5 nodes per axis; need the 3"),
-        (1, 7, 7, "holds all 7 rows"),
-        (2, 5, 5, "holds all 5 rows"),
-    ])
-    def test_reader_refuses_wrong_row_counts(self, n, r, keep, message):
-        """The last ``keep`` rows of all m nodes, the lower ones mirrored here."""
-        self._check_refused(certify(self._square(n, r), 0.0, r), keep, message)
-
-    @pytest.mark.parametrize("keep, message", [
-        (2, "2 rows for 6 nodes per axis; need the 3"),
-        (6, "holds all 6 rows"),
-    ])
-    def test_reader_refuses_wrong_row_counts_at_even_m(self, keep, message):
-        self._check_refused(certify(self._square(1, 7, q_degree=2), 0.0, 7), keep, message)
-
-    @staticmethod
-    def _check_refused(cert, keep, message):
-        data = certificate_to_dict(cert)
-        m = len(cert.weights)
-        lower = [{key: [-c if k % 2 else c for k, c in enumerate(row[key])]
-                  for key in ("u", "v")} for row in data["rows"][::-1][:m // 2]]
-        data["rows"] = (lower + data["rows"])[-keep:]
-        with pytest.raises(ValueError, match=message):
-            certificate_from_dict(data)
+    def test_parent_file_still_loads(self):
+        """A file written when certificates stored their rows loads, its rows
+        ignored, and verifies on its weights to the last bits of its residual."""
+        cert = certificate_from_dict(json.loads(json.dumps(PARENT_DEMO_R7)))
+        assert cert.weights.tolist() == PARENT_DEMO_R7["weights"]
+        report = verify(cert, demo_f())
+        assert report.valid
+        assert report.residual <= 1e-15
 
 
 class TestBoundCommand:

@@ -1,5 +1,6 @@
 """Tests for the univariate square decompositions."""
 
+import functools
 import math
 import tracemalloc
 
@@ -13,12 +14,12 @@ from jacksonsos.jackson import jackson_lambda
 from jacksonsos import sos1d
 from jacksonsos.sos1d import (
     IllConditioned,
-    LukacsPair,
     NotNonnegative,
     decompose_kernel_slice,
     decompose_kernel_slices,
     fejer_riesz,
     lukacs_decompose,
+    split_coeffs,
 )
 
 WEIGHT = ChebPoly(1, {(0,): 0.5, (2,): -0.5})      # 1 - x^2
@@ -31,13 +32,62 @@ def _factor_values(h, theta):
     return np.abs(hv) ** 2
 
 
-def _kernel_slice_poly(r: int, y: float) -> ChebPoly:
-    coeffs = {(0,): 1.0}
-    tkm, tk = 1.0, y
+@functools.lru_cache(maxsize=None)
+def _lambdas(r: int) -> tuple:
+    return tuple(jackson_lambda(k, r) for k in range(r + 1))
+
+
+def _kernel_slices_dense(r: int, ys) -> np.ndarray:
+    """Rows 1, 2 lambda_k T_k(y) of the slices at ``ys``, T_k(y) by the
+    three-term recurrence."""
+    ys = np.asarray(ys, dtype=float)
+    lams = _lambdas(r)
+    out = np.ones((ys.size, r + 1))
+    tkm, tk = np.ones(ys.size), ys
     for k in range(1, r + 1):
-        coeffs[(k,)] = 2.0 * jackson_lambda(k, r) * tk
-        tkm, tk = tk, 2.0 * y * tk - tkm
-    return ChebPoly(1, coeffs)
+        out[:, k] = 2.0 * lams[k] * tk
+        tkm, tk = tk, 2.0 * ys * tk - tkm
+    return out
+
+
+def _kernel_slice_poly(r: int, y: float) -> ChebPoly:
+    """x -> K_r(x, y) = 1 + 2 sum_k lambda_k T_k(y) T_k(x)."""
+    return ChebPoly(1, {(k,): c for k, c in enumerate(_kernel_slices_dense(r, [y])[0])})
+
+
+def _sum_of_squares(u, v) -> np.ndarray:
+    """sum_i u_i^2 + (1 - x^2) sum_i v_i^2 with numpy's chebmul, one square per row."""
+    out = np.zeros(1)
+    for rows, factor in ((u, [1.0]), (v, [0.5, 0.0, -0.5])):
+        for a in rows:
+            if a.size:
+                out = npcheb.chebadd(out, npcheb.chebmul(factor, npcheb.chebmul(a, a)))
+    return out
+
+
+def _slice_error(r: int, y: float) -> float:
+    """Largest coefficient of the closed-form squares minus the loop slice,
+    relative to the slice's largest coefficient."""
+    target = _kernel_slice_poly(r, y)
+    return _coeff_error(_sum_of_squares(*decompose_kernel_slice(r, y)), target) \
+        / target.max_abs_coeff()
+
+
+def _split_even_loop(h: np.ndarray) -> tuple:
+    """The O(M^2) loop form of sos1d._split_even, kept as its oracle."""
+    m = (h.size - 1) // 2
+    u = np.zeros(m + 1)
+    u[0] = h[m]
+    for j in range(1, m + 1):
+        u[j] = h[m + j] + h[m - j]
+    v = np.zeros(m)
+    for j in range(1, m + 1):
+        c = h[m + j] - h[m - j]             # coefficient of U_{j-1}
+        k = j - 1
+        while k >= 0:
+            v[k] += c * (1.0 if k == 0 else 2.0)
+            k -= 2
+    return u, v
 
 
 def _random_nonneg(rng, max_half_degree: int):
@@ -292,7 +342,24 @@ class TestLukacsPairs:
         monkeypatch.setattr(sos1d, "_polish_factor",
                             lambda h, q: np.full_like(h, np.nan))
         with pytest.raises(IllConditioned, match="factorization residual"):
-            decompose_kernel_slice(8, 0.3)
+            lukacs_decompose(_kernel_slice_poly(8, 0.3))
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 5, 8, 21, 101, 1339])
+    def test_split_even_matches_loop(self, size):
+        """Reverse cumulative sums per parity, against the loop, on random h
+        of even degree (odd size), one row and a stack of rows."""
+        rng = np.random.default_rng(size)
+        h = rng.standard_normal((3, 2, size))
+        if size % 2 == 0:
+            h = np.concatenate([np.zeros((3, 2, 1)), h], axis=-1)
+        u, v = sos1d._split_even(h)
+        for idx in np.ndindex(h.shape[:-1]):
+            for got, want in zip((u[idx], v[idx]), _split_even_loop(h[idx])):
+                assert got.shape == want.shape
+                assert np.max(np.abs(got - want), initial=0.0) \
+                    <= 1e-13 * np.max(np.abs(want), initial=1.0)
+        one = sos1d._split_even(h[0, 0])
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(one, (u[0, 0], v[0, 0])))
 
 
 class TestPreorderPairs:
@@ -332,45 +399,36 @@ class TestPreorderPairs:
 
 class TestKernelSlices:
     def test_r0_slice(self):
-        pair = decompose_kernel_slice(0, 0.3)
-        assert pair.u.size > 0 and pair.v.size == 0
-        assert npcheb.chebval(0.0, pair.u) == pytest.approx(1.0)
+        """K_0 = 1: a cosine square 1, a sine square 0, no sigma_1 squares."""
+        u, v = decompose_kernel_slice(0, 0.3)
+        assert u.tolist() == [[1.0], [0.0]] and v.shape == (2, 0)
 
     def test_r1_slice_at_one(self):
-        """K_1(x, 1) = 1 + x splits into one square per sigma list."""
-        pair = decompose_kernel_slice(1, 1.0)
-        target = _kernel_slice_poly(1, 1.0)
-        assert _coeff_error(pair.reconstruct(), target) <= 1e-12
-        assert pair.u.size > 0 and pair.v.size > 0
+        """K_1(x, 1) = 1 + x: at phi = 0 only the cosine factor is left."""
+        u, v = decompose_kernel_slice(1, 1.0)
+        assert _slice_error(1, 1.0) <= 1e-15
+        assert np.any(u[0]) and np.any(v[0])
+        assert not np.any(u[1]) and not np.any(v[1])
 
     def test_r8_residual(self):
-        target = _kernel_slice_poly(8, 0.3)
-        pair = decompose_kernel_slice(8, 0.3)
-        assert _coeff_error(pair.reconstruct(), target) / target.max_abs_coeff() <= 1e-8
+        assert _slice_error(8, 0.3) <= 1e-14
 
     def test_slice_sweep(self):
         ys = chebyshev_nodes(20)
         for r in range(13):
             for y in ys:
-                pair = decompose_kernel_slice(r, float(y))
-                target = _kernel_slice_poly(r, float(y))
-                assert _coeff_error(pair.reconstruct(), target) \
-                    / target.max_abs_coeff() <= 1e-8
+                assert _slice_error(r, float(y)) <= 1e-14
 
     def test_touching_slice(self):
-        """The r=30 slice at -sqrt(2)/2 touches zero; still decomposes."""
-        y = -math.sqrt(0.5)
-        pair = decompose_kernel_slice(30, y)
-        target = _kernel_slice_poly(30, y)
-        assert _coeff_error(pair.reconstruct(), target) / target.max_abs_coeff() <= 1e-8
+        """The r=30 slice at -sqrt(2)/2 touches zero; the closed form does not care."""
+        assert _slice_error(30, -math.sqrt(0.5)) <= 1e-13
 
     @pytest.mark.parametrize("y", [0.7071067811865476, -0.7071067811865476,
                                    0.7071067811865475, -0.7071067811865475])
     def test_slice_does_not_turn_on_last_bit(self, y):
-        """r=26 slices at +-1/sqrt(2) and their neighbouring doubles all factor."""
-        pair = decompose_kernel_slice(26, y)
-        target = _kernel_slice_poly(26, y)
-        assert _coeff_error(pair.reconstruct(), target) / target.max_abs_coeff() <= 1e-8
+        """r=26 slices at +-1/sqrt(2) and their neighbouring doubles, which the
+        root path once split differently, all agree with the loop form."""
+        assert _slice_error(26, y) <= 1e-13
 
     def test_rejects_outside_interval(self):
         with pytest.raises(ValueError):
@@ -380,42 +438,38 @@ class TestKernelSlices:
         with pytest.raises(ValueError, match="need r >= 0"):
             decompose_kernel_slice(-1, 0.0)
 
-    def test_slice_polynomial_matches_loop_reference(self, monkeypatch):
-        """The dense slice handed to the splitter is bit-identical to the loop
-        form 1, 2 lambda_k T_k(y) by the three-term recurrence."""
-        seen = []
-
-        def capture(target, tables):
-            seen.append(target)
-            return LukacsPair(u=np.zeros(0), v=np.zeros(0), residual=0.0)
-
-        monkeypatch.setattr(sos1d, "_split", capture)
-        for r in range(0, 120, 7):
-            ys = chebyshev_nodes(r + 1)
-            decompose_kernel_slices(r, ys)
-            assert [a.tobytes() for a in seen] == \
-                [sos1d._dense(_kernel_slice_poly(r, float(y))).tobytes() for y in ys]
-            seen.clear()
+    def test_slice_polynomial_matches_loop_reference(self):
+        """Every y >= 0 node of m = r + 1 for r = 0..300, and r = 669: the
+        closed-form squares sum to the loop slice 1, 2 lambda_k T_k(y) within
+        1e-11 of its largest coefficient."""
+        worst = 0.0
+        for r in list(range(301)) + [669]:
+            ys = chebyshev_nodes(r + 1)[(r + 1) // 2:]
+            for target, ut, vt in zip(_kernel_slices_dense(r, ys),
+                                      *decompose_kernel_slices(r, ys)):
+                diff = np.zeros(r + 2)
+                recon = split_coeffs(ut, vt)
+                diff[:recon.size] += recon
+                diff[:r + 1] -= target
+                worst = max(worst, float(np.max(np.abs(diff) / np.max(np.abs(target)))))
+        assert worst <= 1e-11
 
     def test_mirrored_slices_match_lower_nodes(self):
-        """The slice at node m-1-t, odd coefficients negated, is the one at node t.
+        """The squares at node m-1-t, odd coefficients negated, give the slice at node t.
 
         Squares are re-expanded with numpy's chebmul and the target uses
         cos(k acos y), so neither side shares code with the slice path.
         """
-        weight = np.array([0.5, 0.0, -0.5])
         worst = 0.0
         for r in range(1, 58):
             m = r + 1
             axis = chebyshev_nodes(m)
             for t in range(m // 2):
-                pair = decompose_kernel_slice(r, float(axis[m - 1 - t]))
-                u, v = (a * (-1.0) ** np.arange(a.size) for a in (pair.u, pair.v))
+                u, v = (a * (-1.0) ** np.arange(a.shape[-1])
+                        for a in decompose_kernel_slice(r, float(axis[m - 1 - t])))
                 recon = np.zeros(r + 3)
-                for root, factor in ((u, [1.0]), (v, weight)):
-                    if root.size:
-                        sq = npcheb.chebmul(factor, npcheb.chebmul(root, root))
-                        recon[: sq.size] += sq
+                sq = _sum_of_squares(u, v)
+                recon[: sq.size] += sq
                 y = float(axis[t])
                 target = np.zeros(r + 3)
                 target[0] = 1.0
@@ -426,34 +480,39 @@ class TestKernelSlices:
 
 
 class TestSliceBatches:
-    """decompose_kernel_slices: one call per degree on shared tables."""
+    """decompose_kernel_slices: all slices of one degree in one call."""
 
     @staticmethod
     def _assert_equal_to_lukacs(r, ys):
-        for y, pair in zip(ys, decompose_kernel_slices(r, ys)):
-            ref = lukacs_decompose(_kernel_slice_poly(r, float(y)))
-            assert pair.u.tobytes() == ref.u.tobytes(), (r, y)
-            assert pair.v.tobytes() == ref.v.tobytes(), (r, y)
-            assert pair.residual == ref.residual, (r, y)
+        """The closed form and the root path split the same polynomial."""
+        for y, u, v in zip(ys, *decompose_kernel_slices(r, ys)):
+            target = _kernel_slice_poly(r, float(y))
+            closed = split_coeffs(u, v)
+            roots = lukacs_decompose(target).reconstruct()
+            diff = np.zeros(max(closed.size, roots.size))
+            diff[:closed.size] += closed
+            diff[:roots.size] -= roots
+            assert np.max(np.abs(diff)) <= 1e-8 * target.max_abs_coeff(), (r, y)
 
     def test_equals_lukacs_of_loop_slices(self):
-        """u, v and residual are bit for bit lukacs_decompose's of the loop form."""
+        """The squares' sum is lukacs_decompose's of the loop form, to RECON_TOL."""
         for r in range(1, 81):
             self._assert_equal_to_lukacs(r, chebyshev_nodes(r + 1)[(r + 1) // 2:])
 
     @pytest.mark.parametrize("r, step", [(150, 1), (300, 25)])
     def test_equals_lukacs_at_large_degree(self, r, step):
         # every node y >= 0 at r = 150; every 25th at r = 300, where one
-        # slice takes about 0.1 s
+        # root-path slice takes about 0.1 s
         self._assert_equal_to_lukacs(r, chebyshev_nodes(r + 1)[(r + 1) // 2::step])
 
     def test_one_node_call(self):
         for y in (-1.0, -0.3, 0.0, 0.7071067811865476, 1.0):
-            pair = decompose_kernel_slice(9, y)
-            (batch,) = decompose_kernel_slices(9, [y])
-            assert pair.u.tobytes() == batch.u.tobytes()
-            assert pair.v.tobytes() == batch.v.tobytes()
-        assert decompose_kernel_slices(4, []) == []
+            single = decompose_kernel_slice(9, y)
+            batch = decompose_kernel_slices(9, [y])
+            for a, b in zip(single, batch):
+                assert a.tobytes() == b[0].tobytes()
+        u, v = decompose_kernel_slices(4, [])
+        assert u.shape == (0, 2, 3) and v.shape == (0, 2, 2)
 
     @pytest.mark.parametrize("r, ys, message", [
         (-1, [0.0], "need r >= 0"),
@@ -466,31 +525,9 @@ class TestSliceBatches:
         with pytest.raises(ValueError, match=message):
             decompose_kernel_slices(r, ys)
 
-    def test_first_failing_slice_raises(self, monkeypatch):
-        """Slices are split in the given order, and the first failure stops the call."""
-        seen = []
-        split = sos1d._split
-
-        def failing_second(target, tables):
-            seen.append(target)
-            if len(seen) == 2:
-                raise IllConditioned(f"slice {len(seen)}")
-            return split(target, tables)
-
-        monkeypatch.setattr(sos1d, "_split", failing_second)
-        ys = chebyshev_nodes(8)[4:]
-        with pytest.raises(IllConditioned, match="slice 2"):
-            decompose_kernel_slices(7, ys)
-        assert len(seen) == 2
-        assert seen[1].tobytes() == sos1d._dense(_kernel_slice_poly(7, float(ys[1]))).tobytes()
-
     def test_peak_memory_holds_one_slice_at_a_time(self):
-        """Only the tables are shared; at r = 56 they take 0.56 MiB, and the
-        call peaks at 0.81 MiB.
-
-        Rooting every slice in one stacked eigensolve would hold all 29
-        colleague matrices at once; that eigensolve alone peaks at 1.4 MiB.
-        """
+        """All 29 slices at r = 56 at once peak far below the 1.25 MiB that
+        the root path took one slice at a time on shared tables."""
         ys = chebyshev_nodes(57)[28:]
         decompose_kernel_slices(56, ys)
         tracemalloc.start()
@@ -499,4 +536,4 @@ class TestSliceBatches:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.25 * 2 ** 20
+        assert peak < 0.25 * 2 ** 20
