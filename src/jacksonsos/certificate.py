@@ -15,7 +15,10 @@ identity exact: m = ceil((r + d + 1) / 2) per axis, d the largest
 per-variable degree of f.  The certificate stores one nonnegative weight per
 node and nothing else, since the squares of every slice are a function of
 r and m alone.  Its validity is machine-checkable by contracting the
-weights with the split slices, without expanding the squares.
+weights with the split slices, without expanding the squares: one
+``tensordot`` per axis gives the dense Chebyshev coefficients of the
+identity, and the same contraction of the nonzero weights with the squares
+per node counts the squares of every sigma_J.  Checking costs O(n m^n).
 
 ``kernel_lower_bound`` turns the same identity into certified lower bounds
 on the minimum of f: f - lambda is a nonnegative node combination of kernel
@@ -88,16 +91,30 @@ def _grid_points(n: int) -> tuple:
     return {1: (2049, 4097), 2: (257, 513), 3: (65, 65)}.get(n, (k, k))
 
 
-def _check_slices(r: int, m: int) -> None:
-    """Refuse a kernel degree no m-node identity makes exact, and a table of
+def _check_slices(r: int, m: int, n: int) -> None:
+    """Refuse a kernel degree no m-node identity makes exact, a table of
     kernel-slice factors (m nodes, 2 factors, r + 2 coefficients) past
-    ``POINT_BUDGET``."""
+    ``POINT_BUDGET``, and a reconstruction of w^n coefficients past it, w =
+    r + 1 + r % 2 the width of a split slice."""
     if not 0 <= r <= 2 * m - 1:
         raise ValueError(f"kernel degree {r} on {m} nodes per axis; "
                          f"need 0 <= r <= 2m - 1")
     if 2 * m * (r + 2) > POINT_BUDGET:
         raise ValueError(f"kernel-slice table of {m} x 2 x {r + 2} entries "
                          f"exceeds budget {POINT_BUDGET}")
+    w = r + 1 + r % 2
+    if w ** n > POINT_BUDGET:
+        raise ValueError(f"reconstruction of {w}^{n} coefficients "
+                         f"exceeds budget {POINT_BUDGET}")
+
+
+def _contract(weights: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """sum_idx weights[idx] prod_j table[idx_j], one ``tensordot`` per axis:
+    n axes of ``table``'s row length, or a scalar for a 1-D ``table``."""
+    out = weights
+    for _ in range(weights.ndim):
+        out = np.tensordot(out, table, axes=(0, 0))
+    return out
 
 
 @dataclass(slots=True)
@@ -115,7 +132,9 @@ class SchmudgenCertificate:
 
         f + eta = sum_idx W[idx] prod_j S_{idx_j}(x_j),
 
-    and multiplying it out gives the Schmudgen form: sigma_J is the sum over
+    whose right side :meth:`reconstruct` returns as a dense Chebyshev
+    coefficient array with r + 1 + r % 2 entries per axis;
+    multiplying it out gives the Schmudgen form: sigma_J is the sum over
     the nodes idx, and over one square of the chosen kind per axis, of
     W[idx] * (prod_{j not in J} u_{idx_j}(x_j) prod_{j in J} v_{idx_j}(x_j))^2.
     """
@@ -134,7 +153,7 @@ class SchmudgenCertificate:
         if shape != (m,) * self.num_vars:
             raise ValueError(f"weights of shape {shape} for {self.num_vars} variables; "
                              f"need shape {(m,) * self.num_vars}")
-        _check_slices(self.r, m)
+        _check_slices(self.r, m, self.num_vars)
 
     def squares(self) -> tuple:
         """(u, v) of the kernel slices at all m nodes: ``u[t]`` holds the
@@ -142,37 +161,37 @@ class SchmudgenCertificate:
         Chebyshev row per square (``sos1d.decompose_kernel_slices``)."""
         return decompose_kernel_slices(self.r, chebyshev_nodes(len(self.weights)))
 
-    def reconstruct(self) -> ChebPoly:
-        """sum_idx W[idx] prod_j S_{idx_j}(x_j), contracting W along every axis."""
-        table = np.zeros((len(self.weights), self.r + 2))
-        for t, (u, v) in enumerate(zip(*self.squares())):
-            s = split_coeffs(u, v)
+    def reconstruct(self) -> np.ndarray:
+        """Dense Chebyshev coefficients of sum_idx W[idx] prod_j S_{idx_j}(x_j):
+        n axes of r + 1 + r % 2 entries, the width of a split slice."""
+        u, v = self.squares()
+        table = np.zeros((len(u), 2 * u.shape[-1] - 1))
+        for t in range(len(u)):
+            s = split_coeffs(u[t], v[t])
             table[t, :s.size] = s
-        dense = self.weights
-        for _ in range(self.num_vars):
-            dense = np.tensordot(dense, table, axes=(0, 0))
-        return ChebPoly(self.num_vars, dict(np.ndenumerate(dense)))
+        return _contract(self.weights, table)
+
+    def _node_square_counts(self) -> tuple:
+        """(W > 0 mask, (m, 2) nonzero u and v squares per node), as exact
+        Python integers."""
+        u, v = self.squares()
+        counts = np.stack([np.any(u, axis=-1).sum(axis=-1),
+                           np.any(v, axis=-1).sum(axis=-1)], axis=1)
+        return (self.weights > 0.0).astype(object), counts.astype(object)
 
     def squares_per_subset(self) -> dict:
         """Squares in each expanded sigma_J: over the nodes with W > 0, the
         product of the nonzero squares of each axis's kind (u for j not in J,
         v for j in J)."""
-        n = self.num_vars
-        u, v = self.squares()
-        counts = np.stack([np.any(u, axis=-1).sum(axis=-1),
-                           np.any(v, axis=-1).sum(axis=-1)], axis=1)
-        out = {}
-        for mask in range(2 ** n):
-            subset = tuple(j for j in range(n) if mask >> j & 1)
-            live = (self.weights > 0.0).astype(np.int64)
-            for j in range(n):
-                live = live * counts[:, int(j in subset)].reshape((-1,) + (1,) * (n - 1 - j))
-            if live.any():
-                out[subset] = int(live.sum())
-        return out
+        live, counts = self._node_square_counts()
+        per_kind = _contract(live, counts)
+        return {tuple(j for j, kind in enumerate(kinds) if kind): int(c)
+                for kinds, c in np.ndenumerate(per_kind) if c}
 
     def square_count(self) -> int:
-        return sum(self.squares_per_subset().values())
+        """Squares over all sigma_J, without listing the 2^n sigma_J."""
+        live, counts = self._node_square_counts()
+        return int(_contract(live, counts.sum(axis=1)))
 
 
 @dataclass(slots=True, frozen=True)
@@ -188,12 +207,26 @@ class VerificationReport:
         return self.residual <= RESIDUAL_TOL and self.scales_positive
 
 
-def _relative_residual(recon: ChebPoly, target: ChebPoly) -> float:
-    diff = recon - target
+def _relative_residual(dense: np.ndarray, target: ChebPoly) -> float:
+    """max |dense - target| over the coefficients, relative to max |target|.
+
+    A term of ``target`` beyond the coefficients of ``dense`` counts in full,
+    and a non-finite coefficient of ``dense`` makes the residual NaN or inf.
+    ``dense`` is consumed: the terms are subtracted from it in place.
+    """
+    if dense.ndim != target.num_vars:
+        raise ValueError(f"dimension mismatch: {dense.ndim} vs "
+                         f"{target.num_vars} variables")
+    worst = 0.0
+    for kappa, c in target.coeffs.items():
+        if all(k < s for k, s in zip(kappa, dense.shape)):
+            dense[kappa] -= c
+        else:
+            worst = max(worst, abs(c))
+    # np.max keeps a NaN, which Python's max would drop
+    worst = float(np.max(np.abs(dense), initial=worst))
     scale = target.max_abs_coeff()
-    if scale == 0.0:
-        return diff.max_abs_coeff()
-    return diff.max_abs_coeff() / scale
+    return worst / scale if scale else worst
 
 
 def _node_count(f: ChebPoly, r: int) -> int:
@@ -217,8 +250,9 @@ def certify(f: ChebPoly, eta: float, r: int) -> SchmudgenCertificate:
     :class:`ResidualTooLarge` if the assembled identity fails to reconstruct
     f + eta within ``RESIDUAL_TOL``.  Kernel slices split in closed form,
     so no slice can fail.  Raises ``ValueError`` when the m^n quadrature
-    nodes, m = ceil((r + d + 1) / 2) with d = max_j deg_{x_j} f, or the
-    table of kernel-slice factors exceed ``POINT_BUDGET``.  A constant
+    nodes, m = ceil((r + d + 1) / 2) with d = max_j deg_{x_j} f, the
+    table of kernel-slice factors or the (r + 1 + r % 2)^n coefficients of
+    the reconstruction exceed ``POINT_BUDGET``.  A constant
     f + eta is certified on one node at r = 0, since K_0 = 1.
     """
     n = f.num_vars
@@ -240,7 +274,7 @@ def certify(f: ChebPoly, eta: float, r: int) -> SchmudgenCertificate:
 
     m = _node_count(f, r)
     check_point_budget(m, n)
-    _check_slices(r, m)
+    _check_slices(r, m, n)
     unsmoothed = apply_inverse(target, r)
     lobatto = lobatto_axis(_grid_points(n)[0])
     gmin, gloc = grid_minimum(unsmoothed, lobatto)[:2]
@@ -269,7 +303,7 @@ def certify(f: ChebPoly, eta: float, r: int) -> SchmudgenCertificate:
 
     cert = SchmudgenCertificate(num_vars=n, r=r, eta=eta, weights=weights, residual=0.0)
     residual = _relative_residual(cert.reconstruct(), target)
-    if residual > RESIDUAL_TOL:
+    if not residual <= RESIDUAL_TOL:        # NaN fails too
         raise ResidualTooLarge(residual)
     cert.residual = residual
     return cert
@@ -279,7 +313,10 @@ def verify(cert: SchmudgenCertificate, f: ChebPoly) -> VerificationReport:
     """Check a certificate against f + eta from its stored weights alone.
 
     The weights must be nonnegative, and their contraction with the squares
-    derived from (r, m) must match f + eta to ``RESIDUAL_TOL`` relative.
+    derived from (r, m) must match f + eta to ``RESIDUAL_TOL`` relative; a
+    term of f + eta beyond the reconstruction counts in full.  Costs O(n m^n)
+    and never expands the squares.  Raises ``ValueError`` when f has another
+    number of variables than the certificate.
     """
     target = f.shift(cert.eta)
     return VerificationReport(

@@ -297,10 +297,14 @@ class TestFactoredForm:
         assert len(cert.weights) == m
         expanded, counts = expand_certificate(cert)
         assert counts == cert.squares_per_subset()
+        assert cert.square_count() == sum(counts.values())
         target = f.shift(eta)
         scale = target.max_abs_coeff()
         assert (expanded - target).max_abs_coeff() <= 1e-12 * scale
-        assert (expanded - cert.reconstruct()).max_abs_coeff() <= 1e-12 * scale
+        dense = cert.reconstruct()
+        assert dense.shape == (r + 1 + r % 2,) * n
+        recon = ChebPoly(n, dict(np.ndenumerate(dense)))
+        assert (expanded - recon).max_abs_coeff() <= 1e-12 * scale
 
     @pytest.mark.parametrize("n, r", [(1, 7), (1, 6), (2, 4), (3, 3), (2, 0)])
     def test_row_count_is_checked_on_construction(self, n, r):
@@ -328,6 +332,16 @@ class TestFactoredForm:
         with pytest.raises(ValueError, match=f"table of {m} x 2 x {2 * m + 1} entries"):
             SchmudgenCertificate(1, 2 * m - 1, 0.1, np.ones(m), 0.0)
         SchmudgenCertificate(1, 2 * m - 3, 0.1, np.ones(m - 1), 0.0)
+
+    def test_reconstruction_budget(self):
+        """(r + 1 + r % 2)^n reconstruction coefficients past POINT_BUDGET are
+        refused on construction, before any table is built: 57^4 at r = 55
+        is, 55^4 at r = 54 fits."""
+        weights = np.ones((28,) * 4)
+        with pytest.raises(ValueError, match="^reconstruction of 57\\^4 coefficients "
+                           f"exceeds budget {POINT_BUDGET}$"):
+            SchmudgenCertificate(4, 55, 0.0, weights, 0.0)
+        SchmudgenCertificate(4, 54, 0.0, weights, 0.0)
 
     @pytest.mark.parametrize("n, shape", [(2, (8,)), (1, (8, 8)), (2, (8, 7)), (1, ())])
     def test_weight_shape_is_checked_on_construction(self, n, shape):
@@ -448,6 +462,65 @@ class TestVerifyTampering:
         assert report.valid
         # two squares of each kind at each of the two nodes with W > 0
         assert cert.squares_per_subset() == {(): 4, (0,): 4}
+
+    def test_term_beyond_reconstruction_counts_in_full(self):
+        """The hand-built r = 2 certificate reconstructs 1 + T_2 / 4 with three
+        coefficients; against 1 + T_9 / 2 the T_2 term misses by 1/4 and the
+        T_9 term, past the reconstruction, by all of its 1/2."""
+        f = ChebPoly(1, {(0,): 1.0, (9,): 0.5})
+        cert = SchmudgenCertificate(1, 2, 0.0, np.array([0.5, 0.0, 0.5]), 0.0)
+        report = verify(cert, f)
+        assert report.residual == pytest.approx(0.5, abs=1e-15)
+        assert not report.valid
+
+    def test_variable_count_mismatch(self):
+        """A one-variable certificate checked against a two-variable f."""
+        cert = SchmudgenCertificate(1, 2, 0.0, np.array([0.5, 0.0, 0.5]), 0.0)
+        with pytest.raises(ValueError, match="^dimension mismatch: 1 vs 2 variables$"):
+            verify(cert, ChebPoly(2, {(0, 0): 1.0, (2, 0): 0.25}))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_weights_are_not_valid(self):
+        """Loaded weights near the float maximum overflow the contraction:
+        inf in the T_0 column, then inf - inf = NaN against the nodes' +-T_1
+        coefficients.  The NaN must reach the residual, not be dropped."""
+        cert = certificate_from_dict({"num_vars": 2, "r": 1, "eta": 0, "residual": 0,
+                                      "weights": [1.7e308] * 4})
+        report = verify(cert, ChebPoly(2, {(0, 0): 1.0}))
+        assert math.isnan(report.residual)
+        assert not report.valid
+
+
+class TestScale:
+    """verify contracts the stored weights once per axis and never expands
+    the squares, so its cost is O(n m^n) whatever the number of sigma_J."""
+
+    def test_sixty_four_variable_constant(self):
+        cert = certificate_from_dict(
+            {"num_vars": 64, "r": 0, "eta": 0, "residual": 0, "weights": [1.0]})
+        start = time.perf_counter()
+        report = verify(cert, ChebPoly.constant(64, 1.0))
+        assert time.perf_counter() - start < 1.0
+        assert report.valid
+        assert report.square_count == 1
+
+    def test_square_counts_are_exact_integers(self):
+        """Counts are contracted in Python integers.  At n = 14, r = 1 on two
+        nodes every axis has 2 x 4 squares: 8^14 in all, 2^14 of them in
+        each sigma_J."""
+        cert = SchmudgenCertificate(14, 1, 0.0, np.ones((2,) * 14), 0.0)
+        assert cert.square_count() == 8 ** 14
+        per_subset = cert.squares_per_subset()
+        assert len(per_subset) == 2 ** 14
+        assert set(per_subset.values()) == {4 ** 14}
+
+    def test_ten_variable_smoothed_square(self):
+        f = _smoothed_square(10, 2)
+        cert = certify(f, 0.0, 2)
+        assert cert.weights.size == 3 ** 10
+        report = verify(cert, f)
+        assert report.valid
+        assert report.residual == cert.residual
 
 
 def _node_identity_residual(f: ChebPoly, r: int, m: int):
