@@ -7,7 +7,8 @@ explicit decomposition
 
 in which every sigma_J is a positive combination of squares.  The
 construction unsmooths f + eta with the inverse Jackson operator, checks the
-result is still nonnegative, re-smooths it through the kernel written as a
+result is still nonnegative, at the quadrature nodes and then on a
+Chebyshev-Lobatto grid, re-smooths it through the kernel written as a
 positive combination of its values at tensor Gauss-Chebyshev nodes, and
 splits every univariate kernel slice into squares in closed form, two for
 each of sigma_0 and sigma_1.  The nodes are the fewest that make the
@@ -37,6 +38,7 @@ from .chebpoly import (
     ChebPoly,
     check_point_budget,
     chebyshev_nodes,
+    grid_blocks,
     grid_extrema,
     grid_minimum,
     lobatto_axis,
@@ -239,21 +241,38 @@ def _node_count(f: ChebPoly, r: int) -> int:
     return (r + max(f.per_variable_degrees()) + 2) // 2
 
 
+def _node_values(g: ChebPoly, m: int) -> tuple:
+    """(values of g on the m^n Gauss-Chebyshev nodes, the least of them, its
+    node): the node step that :func:`certify` and the lower bounds share."""
+    axis = chebyshev_nodes(m)
+    vals = g.eval_grid([axis] * g.num_vars)
+    idx = np.unravel_index(int(np.argmin(vals)), vals.shape)
+    return vals, float(vals[idx]), tuple(float(axis[i]) for i in idx)
+
+
 def certify(f: ChebPoly, eta: float, r: int) -> SchmudgenCertificate:
     """Build an explicit square decomposition of f + eta over the cube.
 
-    Raises :class:`NotCertifiable` when the polished grid minimum of the
-    unsmoothed polynomial K_r^{-1}(f + eta) lies below -``GATE_TOL`` times
-    the gate's scale, max |f + eta| over the same Chebyshev-Lobatto grid
-    (unpolished), or when a quadrature node weight comes out negative beyond
-    round-off; and
-    :class:`ResidualTooLarge` if the assembled identity fails to reconstruct
-    f + eta within ``RESIDUAL_TOL``.  Kernel slices split in closed form,
-    so no slice can fail.  Raises ``ValueError`` when the m^n quadrature
-    nodes, m = ceil((r + d + 1) / 2) with d = max_j deg_{x_j} f, the
-    table of kernel-slice factors or the (r + 1 + r % 2)^n coefficients of
-    the reconstruction exceed ``POINT_BUDGET``.  A constant
-    f + eta is certified on one node at r = 0, since K_0 = 1.
+    The checks run in this order, the cheap ones first:
+
+    1. budgets: raises ``ValueError`` when the m^n quadrature nodes,
+       m = ceil((r + d + 1) / 2) with d = max_j deg_{x_j} f, the table of
+       kernel-slice factors or the (r + 1 + r % 2)^n coefficients of the
+       reconstruction exceed ``POINT_BUDGET``;
+    2. node weights: raises :class:`NotCertifiable` when a weight g / m^n,
+       g = K_r^{-1}(f + eta) at a node, lies below -``NODE_CLAMP``; it
+       reports the least node value of g and its node;
+    3. the Lobatto gate, the paper's sufficient condition: raises
+       :class:`NotCertifiable` when the polished grid minimum of g lies
+       below -``GATE_TOL`` times the gate's scale, max |f + eta| over the
+       same Chebyshev-Lobatto grid (unpolished); both grids are read in
+       blocks (``chebpoly.grid_blocks``);
+    4. residual: raises :class:`ResidualTooLarge` if the assembled identity
+       fails to reconstruct f + eta within ``RESIDUAL_TOL``.
+
+    A rung refused by its node weights builds no Lobatto grid.  Kernel
+    slices split in closed form, so no slice can fail.  A constant f + eta
+    is certified on one node at r = 0, since K_0 = 1.
     """
     n = f.num_vars
     eta = float(eta)
@@ -276,30 +295,28 @@ def certify(f: ChebPoly, eta: float, r: int) -> SchmudgenCertificate:
     check_point_budget(m, n)
     _check_slices(r, m, n)
     unsmoothed = apply_inverse(target, r)
+
+    gvals, least, node = _node_values(unsmoothed, m)
+    weights = (1.0 / m ** n) * gvals
+    if weights.min() < -NODE_CLAMP:
+        raise NotCertifiable(
+            f"unsmoothed polynomial is {least:.6e} at node {node}",
+            min_value=least,
+            location=node,
+        )
+    weights[weights <= 0.0] = 0.0
+
     lobatto = lobatto_axis(_grid_points(n)[0])
     gmin, gloc = grid_minimum(unsmoothed, lobatto)[:2]
-    # the gate's scale: max |f + eta| on the same grid, unpolished (min and
-    # max, so that no second grid-sized array is alive at once)
-    tvals = target.eval_grid([lobatto] * n)
-    norm = max(-float(tvals.min()), float(tvals.max()))
+    # the gate's scale: max |f + eta| on the same grid, unpolished
+    norm = max(max(-float(v.min()), float(v.max()))
+               for _, v in grid_blocks(target, lobatto))
     if gmin < -GATE_TOL * norm:
         raise NotCertifiable(
             f"unsmoothed polynomial reaches {gmin:.6e} at {gloc}",
             min_value=gmin,
             location=gloc,
         )
-
-    axis = chebyshev_nodes(m)
-    gvals = unsmoothed.eval_grid([axis] * n)
-
-    weights = (1.0 / m ** n) * gvals
-    if weights.min() < -NODE_CLAMP:
-        idx = tuple(int(i) for i in np.argwhere(weights < -NODE_CLAMP)[0])
-        raise NotCertifiable(
-            f"negative node weight {weights[idx]:.3e} at node {idx}",
-            min_value=float(weights[idx]),
-        )
-    weights[weights <= 0.0] = 0.0
 
     cert = SchmudgenCertificate(num_vars=n, r=r, eta=eta, weights=weights, residual=0.0)
     residual = _relative_residual(cert.reconstruct(), target)
@@ -363,11 +380,7 @@ def _lower_bound(f: ChebPoly, r: int, m: int, fmin_est: float,
     n = f.num_vars
     d = f.degree()
 
-    axis = chebyshev_nodes(m)
-    vals = apply_inverse(f, r).eval_grid([axis] * n)
-    idx = np.unravel_index(int(np.argmin(vals)), vals.shape)
-    lambda_star = float(vals[idx])
-
+    _, lambda_star, argmin = _node_values(apply_inverse(f, r), m)
     gap = fmin_est - lambda_star
 
     if d >= 1:
@@ -390,7 +403,7 @@ def _lower_bound(f: ChebPoly, r: int, m: int, fmin_est: float,
         threshold=threshold,
         bound=bound,
         theorem_satisfied=theorem_satisfied,
-        argmin=tuple(float(axis[i]) for i in idx),
+        argmin=argmin,
     )
 
 

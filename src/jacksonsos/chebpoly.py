@@ -237,12 +237,30 @@ class ChebPoly:
         terms, and never prod(d_i + 1).  The last axis adds the terms in map
         order, so a one-variable grid is the plain term-by-term sum.
         """
+        return next(self.eval_blocks(axes, 0))[1]
+
+    def eval_blocks(self, axes, cols: int):
+        """Yield ``(offset, values)``: :meth:`eval_grid` of ``axes`` in blocks
+        of ``cols`` last-axis points (one block when ``cols`` is 0), ``offset``
+        the block's first last-axis index.
+
+        The last axis's term sums are formed once, on the whole last axis,
+        and every block contracts the other axes on its slice of them, so a
+        block holds about its own share of the grid.  A block's values are
+        :meth:`eval_grid` of the block's own grid, bit for bit; the products
+        with the other axes' tables may round in the last bit otherwise than
+        on the whole grid.
+        """
         if len(axes) != self.num_vars:
             raise ValueError("one axis array per variable required")
         axes = [np.atleast_1d(np.asarray(a, dtype=float)) for a in axes]
         shape = tuple(a.size for a in axes)
+        cols = cols or max(shape[-1], 1)
+        offsets = range(0, max(shape[-1], 1), cols)
         if not self.coeffs:
-            return np.zeros(shape)
+            for a in offsets:
+                yield a, np.zeros(shape[:-1] + (min(cols, shape[-1] - a),))
+            return
         n = self.num_vars
         keys = np.array(list(self.coeffs), dtype=np.intp)
         cs = np.fromiter(self.coeffs.values(), dtype=float, count=len(keys))
@@ -254,20 +272,26 @@ class ChebPoly:
             prefix.append(np.unique(code, return_inverse=True)[1])
 
         table = _ncheb.chebvander(axes[-1], degs[-1]).T
-        vals = np.zeros((prefix[-1].max() + 1, shape[-1]))
+        last = np.zeros((prefix[-1].max() + 1, shape[-1]))
         for row, k, c in zip(prefix[-1].tolist(), keys[:, -1].tolist(), cs.tolist()):
-            vals[row] += c * table[k]
+            last[row] += c * table[k]
 
-        points = shape[-1]
+        # axis i's step: rows, their k_i slots and the T_k(axes[i]) table
+        steps = []
         for i in range(n - 2, -1, -1):
             _, rep = np.unique(prefix[i + 1], return_index=True)   # a term per row
             kset, kidx = np.unique(keys[rep, i], return_inverse=True)
-            scattered = np.zeros((prefix[i].max() + 1, kset.size, points))
-            scattered[prefix[i][rep], kidx] = vals
-            points *= shape[i]
-            table = _ncheb.chebvander(axes[i], degs[i])[:, kset]
-            vals = (table @ scattered).reshape(len(scattered), points)
-        return vals.reshape(shape)
+            steps.append((prefix[i][rep], kidx, (prefix[i].max() + 1, kset.size),
+                          _ncheb.chebvander(axes[i], degs[i])[:, kset]))
+        for a in offsets:
+            vals = last[:, a:a + cols]
+            width = points = vals.shape[1]
+            for rows, kidx, size, table in steps:
+                scattered = np.zeros(size + (points,))
+                scattered[rows, kidx] = vals
+                points *= len(table)
+                vals = (table @ scattered).reshape(size[0], points)
+            yield a, vals.reshape(shape[:-1] + (width,))
 
 
 @dataclass(slots=True)
@@ -478,44 +502,60 @@ def _refine(p: ChebPoly, axis: np.ndarray, idx, start_val: float, sign: float,
     return sign * best_v, tuple(best_x)
 
 
-def grid_minimum(p: ChebPoly, axis: np.ndarray, refine_iters: int = 2):
-    """Polished grid minimum of ``p`` over the cube [-1, 1]^n.
+def grid_blocks(p: ChebPoly, axis: np.ndarray):
+    """``(offset, values)`` over the tensor grid of the Lobatto ``axis``.
 
-    Evaluates on the tensor grid of the Lobatto ``axis`` (within
-    ``POINT_BUDGET``), polishes the lowest cell by coordinate-wise golden
-    section and returns ``(min_est, argmin, vals)`` with the grid values,
-    from which a caller reads a scale such as max |p|.  An estimate, not a
-    certified bound; ties go to the lexicographically smallest point.
+    The grid (within ``POINT_BUDGET``) comes in :meth:`ChebPoly.eval_blocks`
+    of last-axis points, about 2^16 values and at least one point each, so
+    that no grid-sized array is held; ``offset`` is the block's first
+    last-axis index.
     """
     n = p.num_vars
     check_point_budget(axis.size, n)
-    vals = p.eval_grid([axis] * n)
-    idx = np.unravel_index(int(np.argmin(vals)), vals.shape)
-    return (*_refine(p, axis, idx, float(vals[idx]), 1.0, refine_iters), vals)
+    return p.eval_blocks([axis] * n, max(1, 2 ** 16 // axis.size ** (n - 1)))
+
+
+def _lowest_cell(best, a: int, vals: np.ndarray, sign: float):
+    """The lower of ``best`` and the lowest (sign * value, grid index) cell of
+    the block ``vals`` at last-axis offset ``a``; ties go to the
+    lexicographically first index."""
+    pick = np.argmin if sign > 0 else np.argmax
+    idx = np.unravel_index(int(pick(vals)), vals.shape)
+    cell = (sign * float(vals[idx]), idx[:-1] + (a + idx[-1],))
+    return cell if best is None else min(best, cell)
+
+
+def grid_minimum(p: ChebPoly, axis: np.ndarray, refine_iters: int = 2):
+    """Polished grid minimum of ``p`` over the cube [-1, 1]^n.
+
+    Scans the tensor grid of the Lobatto ``axis`` in :func:`grid_blocks`,
+    polishes the lowest cell by coordinate-wise golden section and returns
+    ``(min_est, argmin, max_abs)`` with max |p| over the grid (unpolished),
+    from which a caller reads its scale.  An estimate, not a certified
+    bound; ties go to the lexicographically smallest point.
+    """
+    best, max_abs = None, 0.0
+    for a, vals in grid_blocks(p, axis):
+        best = _lowest_cell(best, a, vals, 1.0)
+        max_abs = max(max_abs, -best[0], float(vals.max()))
+    return (*_refine(p, axis, best[1], best[0], 1.0, refine_iters), max_abs)
 
 
 def grid_extrema(p: ChebPoly, points_per_axis: int, refine_iters: int = 2):
     """Estimate both extrema of ``p`` over the cube [-1, 1]^n.
 
     Polishes the lowest and highest cell (ties: lexicographically first) of
-    the grid on ``points_per_axis`` Lobatto points per axis, evaluated in
-    blocks of last-axis points (about 2^16 values, at least one point) so
-    that no grid-sized array is held.  Returns ``(min_est, argmin, max_est, argmax)``.
+    the grid on ``points_per_axis`` Lobatto points per axis, read in
+    :func:`grid_blocks`.  Returns ``(min_est, argmin, max_est, argmax)``.
     """
-    n = p.num_vars
-    check_point_budget(points_per_axis, n)
+    check_point_budget(points_per_axis, p.num_vars)
     axis = lobatto_axis(points_per_axis)
-    cols = max(1, 2 ** 16 // points_per_axis ** (n - 1))
-    best = {}
-    for a in range(0, points_per_axis, cols):
-        vals = p.eval_grid([axis] * (n - 1) + [axis[a:a + cols]])
-        for sign, pick in ((1.0, np.argmin), (-1.0, np.argmax)):
-            idx = np.unravel_index(int(pick(vals)), vals.shape)
-            cell = (sign * float(vals[idx]), idx[:-1] + (a + idx[-1],))
-            best[sign] = min(best.get(sign, cell), cell)
-    (lo, i), (hi, j) = best[1.0], best[-1.0]
-    return (*_refine(p, axis, i, lo, 1.0, refine_iters),
-            *_refine(p, axis, j, -hi, -1.0, refine_iters))
+    lo = hi = None
+    for a, vals in grid_blocks(p, axis):
+        lo = _lowest_cell(lo, a, vals, 1.0)
+        hi = _lowest_cell(hi, a, vals, -1.0)
+    return (*_refine(p, axis, lo[1], lo[0], 1.0, refine_iters),
+            *_refine(p, axis, hi[1], -hi[0], -1.0, refine_iters))
 
 
 def sup_norm_estimate(p: ChebPoly, points_per_axis: int = 257, refine_iters: int = 1) -> float:

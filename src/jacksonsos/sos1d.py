@@ -366,8 +366,8 @@ def lukacs_decompose(p: ChebPoly) -> LukacsPair:
         raise ValueError("decomposition is univariate only")
     if p.is_zero():
         return LukacsPair(u=np.zeros(0), v=np.zeros(0), residual=0.0)
-    lo, (loc,), vals = grid_minimum(p, lobatto_axis(1025), 1)
-    if lo < -NONNEG_TOL * float(np.max(np.abs(vals))):
+    lo, (loc,), scale = grid_minimum(p, lobatto_axis(1025), 1)
+    if lo < -NONNEG_TOL * scale:
         raise NotNonnegative(f"grid minimum {lo:.3e} at x={loc:.6f} below tolerance",
                              value=lo, location=loc)
     target = _dense(p)

@@ -13,6 +13,8 @@ from jacksonsos import certificate as certificate_module
 from jacksonsos import chebpoly as chebpoly_module
 from jacksonsos import sos1d
 from jacksonsos.certificate import (
+    GATE_TOL,
+    NODE_CLAMP,
     NotCertifiable,
     SchmudgenCertificate,
     certify,
@@ -232,8 +234,9 @@ class TestCertify:
         assert len(calls) == 1
 
     def test_gate_holds_one_grid_array_at_a_time(self):
-        # the 65^3 gate grid values take 2.1 MiB; holding the unsmoothed
-        # values while f + eta is evaluated, or an |f + eta| copy, adds more
+        # the 65^3 gate grid is read in blocks of 15 last-axis points (0.5 MiB
+        # each, about 1.1 MiB peak with eval_grid's own temporaries); the whole
+        # grid's values alone would take 2.1 MiB
         f = _smoothed_square(3, 4)
         tracemalloc.start()
         try:
@@ -241,7 +244,7 @@ class TestCertify:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 3.5 * 2 ** 20
+        assert peak < 1.5 * 2 ** 20
 
     def test_refusal_reports_the_polished_minimum(self):
         f = demo_f()
@@ -250,6 +253,43 @@ class TestCertify:
         lo, loc, _, _ = grid_extrema(apply_inverse(f.shift(0.1), 5), 2049)
         assert (err.value.min_value, err.value.location) == (lo, loc)
         assert str(err.value) == f"unsmoothed polynomial reaches {lo:.6e} at {loc}"
+
+    def test_node_refusal_builds_no_lobatto_grid(self, monkeypatch):
+        """A rung whose node weights go negative is refused before the gate,
+        at the node and with the value that kernel_lower_bound reports."""
+        def no_gate(*args, **kwargs):
+            raise AssertionError("a Lobatto gate grid was built")
+
+        f = demo_f()
+        bound = kernel_lower_bound(f, 12)
+        for name in ("grid_minimum", "lobatto_axis"):
+            monkeypatch.setattr(certificate_module, name, no_gate)
+        with pytest.raises(NotCertifiable, match="at node") as err:
+            certify(f, 0.01, 12)
+        assert err.value.location == bound.argmin
+        assert err.value.min_value == pytest.approx(bound.lambda_star + 0.01, rel=1e-12)
+        assert str(err.value) == (f"unsmoothed polynomial is {err.value.min_value:.6e} "
+                                  f"at node {bound.argmin}")
+
+    @pytest.mark.parametrize("eta, first", [(0.1, 6), (0.01, 20), (0.003, 39)])
+    def test_decisions_are_the_gate_and_node_rule(self, eta, first):
+        """certify accepts exactly when both the Lobatto gate and the node
+        weights accept, whichever it checks first (the bench's ladder ends)."""
+        f = demo_f()
+        lobatto = chebpoly_module.lobatto_axis(2049)
+        norm = np.max(np.abs(f.shift(eta).eval_grid([lobatto])))
+        for r in range(4, first + 1):
+            g = apply_inverse(f.shift(eta), r)
+            m = (r + f.degree() + 2) // 2
+            weights = (1.0 / m) * g.eval_grid([chebyshev_nodes(m)])
+            rule = (chebpoly_module.grid_minimum(g, lobatto)[0] >= -GATE_TOL * norm
+                    and weights.min() >= -NODE_CLAMP)
+            try:
+                certify(f, eta, r)
+                accepted = True
+            except NotCertifiable:
+                accepted = False
+            assert accepted == rule == (r == first), r
 
 
 class TestDefaultGrids:

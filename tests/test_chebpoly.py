@@ -176,6 +176,25 @@ class TestEvaluation:
         grid = ChebPoly.zero(3).eval_grid([np.ones(2), np.ones(1), np.ones(4)])
         assert grid.shape == (2, 1, 4) and not grid.any()
 
+    @pytest.mark.parametrize("n, d, points", [(1, 9, 33), (2, 5, 17), (3, 3, 9)])
+    def test_eval_blocks_are_their_own_grids(self, n, d, points):
+        """Blocks of 1, 4 and all last-axis points tile eval_grid; each is
+        eval_grid of its own grid bit for bit, and one block is the grid."""
+        p = random_cheb(np.random.default_rng(90 + n), n, d)
+        axis = lobatto_axis(points)
+        grid = p.eval_grid([axis] * n)
+        for cols in (1, 4, points):
+            blocks = list(p.eval_blocks([axis] * n, cols))
+            assert [a for a, _ in blocks] == list(range(0, points, cols))
+            for a, vals in blocks:
+                own = p.eval_grid([axis] * (n - 1) + [axis[a:a + cols]])
+                assert vals.tobytes() == own.tobytes()
+            tiled = np.concatenate([v for _, v in blocks], axis=-1)
+            np.testing.assert_allclose(tiled, grid, rtol=0, atol=1e-14 * p.max_abs_coeff())
+        assert blocks[0][1].tobytes() == grid.tobytes()
+        zero = list(ChebPoly.zero(2).eval_blocks([np.ones(2), np.ones(5)], 2))
+        assert [(a, v.shape) for a, v in zero] == [(0, (2, 2)), (2, (2, 2)), (4, (2, 1))]
+
     def test_eval_grid_univariate_is_term_by_term_sum(self):
         """One variable: the terms add in map order, bit for bit."""
         rng = np.random.default_rng(7)
@@ -367,9 +386,9 @@ class TestGridExtrema:
         axis = lobatto_axis(points)
         for refine_iters in (1, 2, 3):
             p = random_cheb(rng, n, d)
-            lo, argmin, vals = grid_minimum(p, axis, refine_iters)
+            lo, argmin, max_abs = grid_minimum(p, axis, refine_iters)
             assert grid_extrema(p, points, refine_iters)[:2] == (lo, argmin)
-            assert vals.tobytes() == p.eval_grid([axis] * n).tobytes()
+            assert max_abs == np.max(np.abs(p.eval_grid([axis] * n)))
 
     @pytest.mark.parametrize("n, points", [(2, 513), (3, 65)])
     def test_blocks_pick_the_full_grid_cells(self, n, points):
@@ -385,6 +404,7 @@ class TestGridExtrema:
             cells = [tuple(float(axis[i]) for i in np.unravel_index(int(pick(vals)), vals.shape))
                      for pick in (np.argmin, np.argmax)]
             assert grid_extrema(p, points, 0) == (vals.min(), cells[0], vals.max(), cells[1])
+            assert grid_minimum(p, axis, 0) == (vals.min(), cells[0], np.max(np.abs(vals)))
         assert grid_extrema(tied, points, 0)[1][:2] == (-1.0, float(axis[points // 2]))
 
     def test_polish_memory_follows_terms(self):
