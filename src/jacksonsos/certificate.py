@@ -38,8 +38,8 @@ from .chebpoly import (
     ChebPoly,
     check_point_budget,
     chebyshev_nodes,
-    grid_blocks,
     grid_extrema,
+    grid_max_abs,
     grid_minimum,
     lobatto_axis,
 )
@@ -265,8 +265,9 @@ def certify(f: ChebPoly, eta: float, r: int) -> SchmudgenCertificate:
     3. the Lobatto gate, the paper's sufficient condition: raises
        :class:`NotCertifiable` when the polished grid minimum of g lies
        below -``GATE_TOL`` times the gate's scale, max |f + eta| over the
-       same Chebyshev-Lobatto grid (unpolished); both grids are read in
-       blocks (``chebpoly.grid_blocks``);
+       same Chebyshev-Lobatto grid (unpolished), which is read only when
+       that minimum is negative; both grids are read in blocks
+       (``chebpoly.grid_blocks``);
     4. residual: raises :class:`ResidualTooLarge` if the assembled identity
        fails to reconstruct f + eta within ``RESIDUAL_TOL``.
 
@@ -307,11 +308,10 @@ def certify(f: ChebPoly, eta: float, r: int) -> SchmudgenCertificate:
     weights[weights <= 0.0] = 0.0
 
     lobatto = lobatto_axis(_grid_points(n)[0])
-    gmin, gloc = grid_minimum(unsmoothed, lobatto)[:2]
-    # the gate's scale: max |f + eta| on the same grid, unpolished
-    norm = max(max(-float(v.min()), float(v.max()))
-               for _, v in grid_blocks(target, lobatto))
-    if gmin < -GATE_TOL * norm:
+    gmin, gloc = grid_minimum(unsmoothed, lobatto)
+    # the gate's scale, max |f + eta| on the same grid, is >= 0: a minimum
+    # that is not negative passes without it
+    if gmin < 0.0 and gmin < -GATE_TOL * grid_max_abs(target, lobatto):
         raise NotCertifiable(
             f"unsmoothed polynomial reaches {gmin:.6e} at {gloc}",
             min_value=gmin,

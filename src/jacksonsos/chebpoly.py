@@ -530,15 +530,19 @@ def grid_minimum(p: ChebPoly, axis: np.ndarray, refine_iters: int = 2):
 
     Scans the tensor grid of the Lobatto ``axis`` in :func:`grid_blocks`,
     polishes the lowest cell by coordinate-wise golden section and returns
-    ``(min_est, argmin, max_abs)`` with max |p| over the grid (unpolished),
-    from which a caller reads its scale.  An estimate, not a certified
-    bound; ties go to the lexicographically smallest point.
+    ``(min_est, argmin)``.  An estimate, not a certified bound; ties go to
+    the lexicographically smallest point.
     """
-    best, max_abs = None, 0.0
+    best = None
     for a, vals in grid_blocks(p, axis):
         best = _lowest_cell(best, a, vals, 1.0)
-        max_abs = max(max_abs, -best[0], float(vals.max()))
-    return (*_refine(p, axis, best[1], best[0], 1.0, refine_iters), max_abs)
+    return _refine(p, axis, best[1], best[0], 1.0, refine_iters)
+
+
+def grid_max_abs(p: ChebPoly, axis: np.ndarray) -> float:
+    """max |p| over the tensor grid of the Lobatto ``axis``, read in
+    :func:`grid_blocks` (unpolished): the scale of a one-sided gate."""
+    return max(max(-float(v.min()), float(v.max())) for _, v in grid_blocks(p, axis))
 
 
 def grid_extrema(p: ChebPoly, points_per_axis: int, refine_iters: int = 2):

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.chebyshev import chebadd, chebmul, chebroots, chebsub, chebvander
 
-from .chebpoly import DROP_TOL, ChebPoly, grid_minimum, lobatto_axis
+from .chebpoly import DROP_TOL, ChebPoly, grid_max_abs, grid_minimum, lobatto_axis
 
 #: relative tolerance of the sampled nonnegativity gates: to max |p| on the
 #: grid of lukacs_decompose, to max |q| in fejer_riesz
@@ -366,8 +366,9 @@ def lukacs_decompose(p: ChebPoly) -> LukacsPair:
         raise ValueError("decomposition is univariate only")
     if p.is_zero():
         return LukacsPair(u=np.zeros(0), v=np.zeros(0), residual=0.0)
-    lo, (loc,), scale = grid_minimum(p, lobatto_axis(1025), 1)
-    if lo < -NONNEG_TOL * scale:
+    axis = lobatto_axis(1025)
+    lo, (loc,) = grid_minimum(p, axis, 1)
+    if lo < 0.0 and lo < -NONNEG_TOL * grid_max_abs(p, axis):
         raise NotNonnegative(f"grid minimum {lo:.3e} at x={loc:.6f} below tolerance",
                              value=lo, location=loc)
     target = _dense(p)

@@ -10,20 +10,22 @@ _CRITERION_LINES = []
 
 @pytest.fixture
 def grid_budget_enforced(monkeypatch):
-    """Make ChebPoly.eval_grid refuse, rather than allocate, an over-budget grid.
+    """Make ChebPoly.eval_blocks refuse, rather than allocate, an over-budget grid.
 
+    Every grid evaluation, eval_grid's and the block scans', goes through
+    eval_blocks, and the budget is on the whole grid however it is blocked.
     A caller that checks the budget first raises ValueError; one that does
-    not reaches eval_grid and fails the test with AssertionError.
+    not reaches eval_blocks and fails the test with AssertionError.
     """
-    original = ChebPoly.eval_grid
+    original = ChebPoly.eval_blocks
 
-    def guarded(self, axes):
+    def guarded(self, axes, cols):
         size = math.prod(np.size(a) for a in axes)
         if size > POINT_BUDGET:
-            raise AssertionError(f"eval_grid asked for {size} points")
-        return original(self, axes)
+            raise AssertionError(f"eval_blocks asked for {size} points")
+        return original(self, axes, cols)
 
-    monkeypatch.setattr(ChebPoly, "eval_grid", guarded)
+    monkeypatch.setattr(ChebPoly, "eval_blocks", guarded)
 
 
 @pytest.fixture

@@ -206,11 +206,12 @@ class TestCertify:
             certify(f3, 0.0, 250)
 
     def test_node_budget_checked_before_gate(self, monkeypatch):
-        # the gate's first step, on either polynomial, is a grid evaluation
+        # the node step and the gate both start with a grid evaluation, and
+        # every grid evaluation goes through eval_blocks
         def gate(*args):
-            raise AssertionError("gate ran before the node budget check")
+            raise AssertionError("a grid was evaluated before the node budget check")
 
-        monkeypatch.setattr(ChebPoly, "eval_grid", gate)
+        monkeypatch.setattr(ChebPoly, "eval_blocks", gate)
         f5 = ChebPoly(5, {tuple(60 * (i == j) for i in range(5)): 1.0 for j in range(5)})
         with pytest.raises(ValueError, match="61\\^5"):
             certify(f5, 0.1, 60)
@@ -236,15 +237,42 @@ class TestCertify:
     def test_gate_holds_one_grid_array_at_a_time(self):
         # the 65^3 gate grid is read in blocks of 15 last-axis points (0.5 MiB
         # each, about 1.1 MiB peak with eval_grid's own temporaries); the whole
-        # grid's values alone would take 2.1 MiB
+        # grid's values alone would take 2.1 MiB.  The smoothed square's
+        # minimum is positive, so certify skips the scale; its scan is
+        # measured on its own.
         f = _smoothed_square(3, 4)
-        tracemalloc.start()
-        try:
-            certify(f, 0.0, 4)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.5 * 2 ** 20
+        for run in (lambda: certify(f, 0.0, 4),
+                    lambda: chebpoly_module.grid_max_abs(f, chebpoly_module.lobatto_axis(65))):
+            tracemalloc.start()
+            try:
+                run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1.5 * 2 ** 20
+
+    @pytest.mark.parametrize("eta, r, refused", [(0.1, 5, True), (0.1, 6, False)])
+    def test_gate_reads_its_scale_only_below_zero(self, monkeypatch, eta, r, refused):
+        """A negative polished minimum is weighed against max |f + eta|; a
+        nonnegative one passes without reading that grid."""
+        f = demo_f()
+        calls = []
+        max_abs = chebpoly_module.grid_max_abs
+
+        def counting(p, axis):
+            calls.append(p)
+            return max_abs(p, axis)
+
+        monkeypatch.setattr(certificate_module, "grid_max_abs", counting)
+        gmin = chebpoly_module.grid_minimum(apply_inverse(f.shift(eta), r),
+                                            chebpoly_module.lobatto_axis(2049))[0]
+        if refused:
+            with pytest.raises(NotCertifiable, match="reaches"):
+                certify(f, eta, r)
+        else:
+            certify(f, eta, r)
+        assert (gmin < 0.0) == refused
+        assert calls == ([f.shift(eta)] if refused else [])
 
     def test_refusal_reports_the_polished_minimum(self):
         f = demo_f()

@@ -17,6 +17,7 @@ from jacksonsos.chebpoly import (
     cheb_from_monomial,
     enumerate_multidegrees,
     grid_extrema,
+    grid_max_abs,
     grid_minimum,
     hamming_weight,
     lobatto_axis,
@@ -381,14 +382,14 @@ class TestGridExtrema:
 
     @pytest.mark.parametrize("n, d, points", [(1, 9, 65), (2, 5, 17), (3, 3, 9)])
     def test_minimum_is_the_one_sided_helpers(self, n, d, points):
-        """grid_extrema's minimum is grid_minimum's, bit for bit."""
+        """grid_extrema's minimum is grid_minimum's, bit for bit; grid_max_abs
+        is max |p| over the same grid."""
         rng = np.random.default_rng(60 + n)
         axis = lobatto_axis(points)
         for refine_iters in (1, 2, 3):
             p = random_cheb(rng, n, d)
-            lo, argmin, max_abs = grid_minimum(p, axis, refine_iters)
-            assert grid_extrema(p, points, refine_iters)[:2] == (lo, argmin)
-            assert max_abs == np.max(np.abs(p.eval_grid([axis] * n)))
+            assert grid_extrema(p, points, refine_iters)[:2] == grid_minimum(p, axis, refine_iters)
+            assert grid_max_abs(p, axis) == np.max(np.abs(p.eval_grid([axis] * n)))
 
     @pytest.mark.parametrize("n, points", [(2, 513), (3, 65)])
     def test_blocks_pick_the_full_grid_cells(self, n, points):
@@ -404,7 +405,8 @@ class TestGridExtrema:
             cells = [tuple(float(axis[i]) for i in np.unravel_index(int(pick(vals)), vals.shape))
                      for pick in (np.argmin, np.argmax)]
             assert grid_extrema(p, points, 0) == (vals.min(), cells[0], vals.max(), cells[1])
-            assert grid_minimum(p, axis, 0) == (vals.min(), cells[0], np.max(np.abs(vals)))
+            assert grid_minimum(p, axis, 0) == (vals.min(), cells[0])
+            assert grid_max_abs(p, axis) == np.max(np.abs(vals))
         assert grid_extrema(tied, points, 0)[1][:2] == (-1.0, float(axis[points // 2]))
 
     def test_polish_memory_follows_terms(self):
