@@ -38,9 +38,8 @@ from .chebpoly import (
     ChebPoly,
     check_point_budget,
     chebyshev_nodes,
+    gate_witness,
     grid_extrema,
-    grid_max_abs,
-    grid_minimum,
     lobatto_axis,
 )
 from .kernelop import _check_degree, apply_inverse, constant_C, theorem_threshold
@@ -264,10 +263,13 @@ def certify(f: ChebPoly, eta: float, r: int) -> SchmudgenCertificate:
        reports the least node value of g and its node;
     3. the Lobatto gate, the paper's sufficient condition: raises
        :class:`NotCertifiable` when the polished grid minimum of g lies
-       below -``GATE_TOL`` times the gate's scale, max |f + eta| over the
-       same Chebyshev-Lobatto grid (unpolished), which is read only when
-       that minimum is negative; both grids are read in blocks
-       (``chebpoly.grid_blocks``);
+       below zero and below -``GATE_TOL`` times the gate's scale, max
+       |f + eta| over the same Chebyshev-Lobatto grid (unpolished).  The
+       refusal reports a witness (``chebpoly.gate_witness``): g's lowest
+       grid cell and its Lobatto point when that cell is below -``GATE_TOL``
+       times sum |c| of f + eta, which bounds the scale, with no polish and
+       no scale grid; else the polished minimum and its point, the scale
+       read only for a negative minimum;
     4. residual: raises :class:`ResidualTooLarge` if the assembled identity
        fails to reconstruct f + eta within ``RESIDUAL_TOL``.
 
@@ -307,11 +309,9 @@ def certify(f: ChebPoly, eta: float, r: int) -> SchmudgenCertificate:
         )
     weights[weights <= 0.0] = 0.0
 
-    lobatto = lobatto_axis(_grid_points(n)[0])
-    gmin, gloc = grid_minimum(unsmoothed, lobatto)
-    # the gate's scale, max |f + eta| on the same grid, is >= 0: a minimum
-    # that is not negative passes without it
-    if gmin < 0.0 and gmin < -GATE_TOL * grid_max_abs(target, lobatto):
+    witness = gate_witness(unsmoothed, target, lobatto_axis(_grid_points(n)[0]), GATE_TOL)
+    if witness is not None:
+        gmin, gloc = witness
         raise NotCertifiable(
             f"unsmoothed polynomial reaches {gmin:.6e} at {gloc}",
             min_value=gmin,

@@ -73,6 +73,20 @@ def _t_values(x: float, dmax: int) -> list[float]:
     return vals
 
 
+def _t_table(x: np.ndarray, d: int) -> np.ndarray:
+    """T_0(x) .. T_d(x) as the rows of a (d + 1, x.size) array: numpy's
+    ``chebvander(x, d).T`` bit for bit, by its own recurrence, without its
+    argument conversions and axis move."""
+    table = np.empty((d + 1, x.size))
+    table[0] = 1.0
+    if d:
+        table[1] = x
+        x2 = 2.0 * x
+        for k in range(2, d + 1):
+            table[k] = table[k - 1] * x2 - table[k - 2]
+    return table
+
+
 @dataclass(slots=True)
 class ChebPoly:
     """Polynomial ``sum_kappa c_kappa T_kappa`` in ``num_vars`` variables.
@@ -271,7 +285,7 @@ class ChebPoly:
             code = prefix[-1] * (degs[i] + 1) + keys[:, i]
             prefix.append(np.unique(code, return_inverse=True)[1])
 
-        table = _ncheb.chebvander(axes[-1], degs[-1]).T
+        table = _t_table(axes[-1], degs[-1])
         last = np.zeros((prefix[-1].max() + 1, shape[-1]))
         for row, k, c in zip(prefix[-1].tolist(), keys[:, -1].tolist(), cs.tolist()):
             last[row] += c * table[k]
@@ -282,7 +296,7 @@ class ChebPoly:
             _, rep = np.unique(prefix[i + 1], return_index=True)   # a term per row
             kset, kidx = np.unique(keys[rep, i], return_inverse=True)
             steps.append((prefix[i][rep], kidx, (prefix[i].max() + 1, kset.size),
-                          _ncheb.chebvander(axes[i], degs[i])[:, kset]))
+                          _t_table(axes[i], degs[i]).T[:, kset]))
         for a in offsets:
             vals = last[:, a:a + cols]
             width = points = vals.shape[1]
@@ -525,6 +539,15 @@ def _lowest_cell(best, a: int, vals: np.ndarray, sign: float):
     return cell if best is None else min(best, cell)
 
 
+def _grid_low(p: ChebPoly, axis: np.ndarray):
+    """(value, grid index) of the lowest cell of ``p`` on the tensor grid of
+    the Lobatto ``axis``, read in :func:`grid_blocks`."""
+    best = None
+    for a, vals in grid_blocks(p, axis):
+        best = _lowest_cell(best, a, vals, 1.0)
+    return best
+
+
 def grid_minimum(p: ChebPoly, axis: np.ndarray, refine_iters: int = 2):
     """Polished grid minimum of ``p`` over the cube [-1, 1]^n.
 
@@ -533,16 +556,40 @@ def grid_minimum(p: ChebPoly, axis: np.ndarray, refine_iters: int = 2):
     ``(min_est, argmin)``.  An estimate, not a certified bound; ties go to
     the lexicographically smallest point.
     """
-    best = None
-    for a, vals in grid_blocks(p, axis):
-        best = _lowest_cell(best, a, vals, 1.0)
-    return _refine(p, axis, best[1], best[0], 1.0, refine_iters)
+    low, idx = _grid_low(p, axis)
+    return _refine(p, axis, idx, low, 1.0, refine_iters)
 
 
 def grid_max_abs(p: ChebPoly, axis: np.ndarray) -> float:
     """max |p| over the tensor grid of the Lobatto ``axis``, read in
     :func:`grid_blocks` (unpolished): the scale of a one-sided gate."""
     return max(max(-float(v.min()), float(v.max())) for _, v in grid_blocks(p, axis))
+
+
+def gate_witness(p: ChebPoly, scale: ChebPoly, axis: np.ndarray, tol: float,
+                 refine_iters: int = 2):
+    """The sampled nonnegativity gate of ``p``: ``None`` when it passes, else
+    ``(value, point)``, a point of the cube where p lies below ``-tol`` times
+    max |scale| over the tensor grid of the Lobatto ``axis``.
+
+    The grid is scanned once, in :func:`grid_blocks`.  Since |T_kappa| <= 1
+    on the cube, sum |c| of ``scale`` bounds that max, so a lowest cell below
+    -tol * sum |c| is the witness itself, its value and Lobatto point: the
+    polish could only lower it.  Any other lowest cell is polished as in
+    :func:`grid_minimum`, and a negative polished value below -tol times
+    :func:`grid_max_abs` of ``scale`` is the witness, at the polished point.
+    Either way p is refused exactly when its polished grid minimum is
+    negative and below -tol times that max.
+    """
+    low, idx = _grid_low(p, axis)
+    # the grid's T_k tables may round |scale| past sum |c| by about
+    # (deg^2 + terms) 2^-52; the 1e-6 headroom covers degrees below 10^4
+    if low < -tol * (1.0 + 1e-6) * math.fsum(map(abs, scale.coeffs.values())):
+        return low, tuple(float(axis[i]) for i in idx)
+    low, point = _refine(p, axis, idx, low, 1.0, refine_iters)
+    if low < 0.0 and low < -tol * grid_max_abs(scale, axis):
+        return low, point
+    return None
 
 
 def grid_extrema(p: ChebPoly, points_per_axis: int, refine_iters: int = 2):

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.chebyshev import chebadd, chebmul, chebroots, chebsub, chebvander
 
-from .chebpoly import DROP_TOL, ChebPoly, grid_max_abs, grid_minimum, lobatto_axis
+from .chebpoly import DROP_TOL, ChebPoly, gate_witness, lobatto_axis
 
 #: relative tolerance of the sampled nonnegativity gates: to max |p| on the
 #: grid of lukacs_decompose, to max |q| in fejer_riesz
@@ -357,18 +357,22 @@ def lukacs_decompose(p: ChebPoly) -> LukacsPair:
     """Decompose a univariate polynomial nonnegative on [-1, 1].
 
     The nonnegativity gate refuses ``p`` when its polished minimum on the
-    1025-point Chebyshev-Lobatto grid lies below -``NONNEG_TOL`` times
-    max |p| over the same grid (unpolished), and ``fejer_riesz``'s sampled
-    gate then applies as well; the output reconstructs ``p`` coefficientwise
-    to ``RECON_TOL`` relative or the decomposition is rejected.
+    1025-point Chebyshev-Lobatto grid lies below zero and below
+    -``NONNEG_TOL`` times max |p| over the same grid (unpolished), and
+    ``fejer_riesz``'s sampled gate then applies as well; the output
+    reconstructs ``p`` coefficientwise to ``RECON_TOL`` relative or the
+    decomposition is rejected.  :class:`NotNonnegative` from the gate
+    reports the lowest grid cell and its Lobatto point when that cell is
+    below -``NONNEG_TOL`` times sum |c| of p, a bound on max |p|, and the
+    polished minimum and its point otherwise (``chebpoly.gate_witness``).
     """
     if p.num_vars != 1:
         raise ValueError("decomposition is univariate only")
     if p.is_zero():
         return LukacsPair(u=np.zeros(0), v=np.zeros(0), residual=0.0)
-    axis = lobatto_axis(1025)
-    lo, (loc,) = grid_minimum(p, axis, 1)
-    if lo < 0.0 and lo < -NONNEG_TOL * grid_max_abs(p, axis):
+    witness = gate_witness(p, p, lobatto_axis(1025), NONNEG_TOL, 1)
+    if witness is not None:
+        lo, (loc,) = witness
         raise NotNonnegative(f"grid minimum {lo:.3e} at x={loc:.6f} below tolerance",
                              value=lo, location=loc)
     target = _dense(p)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -14,7 +15,7 @@ from jacksonsos import (
     cheb_from_monomial,
     mono_from_cheb,
 )
-from jacksonsos.chebpoly import enumerate_multidegrees
+from jacksonsos.chebpoly import enumerate_multidegrees, grid_blocks
 
 
 def demo_f() -> ChebPoly:
@@ -29,6 +30,21 @@ def random_cheb(rng: np.random.Generator, n: int, d: int,
     """Dense random polynomial over the total-degree-d simplex."""
     keys = enumerate_multidegrees(n, d)
     return ChebPoly(n, {k: scale * rng.standard_normal() for k in keys})
+
+
+def lowest_grid_cell(p: ChebPoly, axis: np.ndarray) -> tuple:
+    """(value, Lobatto point) of the lowest value of ``p`` on the tensor grid
+    of ``axis``, from the blocks of ``chebpoly.grid_blocks`` joined into one
+    array (ties: the lexicographically first point)."""
+    vals = np.concatenate([v for _, v in grid_blocks(p, axis)], axis=-1)
+    idx = np.unravel_index(int(np.argmin(vals)), vals.shape)
+    return float(vals[idx]), tuple(float(axis[i]) for i in idx)
+
+
+def abs_sum(p: ChebPoly) -> float:
+    """sum |c| over the coefficients of ``p``: a bound on max |p| on the cube,
+    since |T_kappa| <= 1 there."""
+    return math.fsum(abs(c) for c in p.coeffs.values())
 
 
 def tamper_heaviest_node(cert: SchmudgenCertificate,

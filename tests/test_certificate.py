@@ -35,7 +35,17 @@ from jacksonsos.jackson import jackson_lambda
 from jacksonsos.kernelop import apply_forward, apply_inverse, constant_C, theorem_threshold
 from jacksonsos.sos1d import decompose_kernel_slices
 
-from helpers import demo_f, expand_certificate, random_cheb, tamper_heaviest_node
+from helpers import (abs_sum, demo_f, expand_certificate, lowest_grid_cell,
+                     random_cheb, tamper_heaviest_node)
+
+
+def _band_f() -> ChebPoly:
+    """1 + 0.4 T_1 - 0.3 T_2 + 0.8 T_3 + 0.5 T_4: at eta = 0.02 and r = 15 its
+    node weights pass, g = K_r^{-1}(f + eta) dips to -0.0686 at an inner
+    grid cell (the polish lowers it), and sum |c| = 3.02 of f + eta lies
+    above its grid max 2.42, so GATE_TOL = 0.025 refuses g only after the
+    polish and 0.03 accepts it."""
+    return ChebPoly(1, {(0,): 1.0, (1,): 0.4, (2,): -0.3, (3,): 0.8, (4,): 0.5})
 
 
 class TestCertify:
@@ -218,7 +228,8 @@ class TestCertify:
 
     @pytest.mark.parametrize("r", [5, 7, 8, 12])
     def test_gate_polishes_only_the_minimum(self, monkeypatch, r):
-        """One polish, the gate's (n = 1): kernel slices run no Lobatto gate."""
+        """One polish, the gate's (n = 1): kernel slices run no Lobatto gate.
+        r = 5 is refused on its grid witness and polishes nothing."""
         calls = []
         golden_min = chebpoly_module._golden_min
 
@@ -232,7 +243,7 @@ class TestCertify:
                 certify(demo_f(), 0.1, r)
         else:
             certify(demo_f(), 0.1, r)
-        assert len(calls) == 1
+        assert len(calls) == (0 if r == 5 else 1)
 
     def test_gate_holds_one_grid_array_at_a_time(self):
         # the 65^3 gate grid is read in blocks of 15 last-axis points (0.5 MiB
@@ -253,8 +264,9 @@ class TestCertify:
 
     @pytest.mark.parametrize("eta, r, refused", [(0.1, 5, True), (0.1, 6, False)])
     def test_gate_reads_its_scale_only_below_zero(self, monkeypatch, eta, r, refused):
-        """A negative polished minimum is weighed against max |f + eta|; a
-        nonnegative one passes without reading that grid."""
+        """The scale max |f + eta| is read only for a negative polished
+        minimum: r = 6's minimum is positive, and r = 5's lowest cell lies
+        below -GATE_TOL sum |c| of f + eta, so it is refused on that cell."""
         f = demo_f()
         calls = []
         max_abs = chebpoly_module.grid_max_abs
@@ -263,7 +275,7 @@ class TestCertify:
             calls.append(p)
             return max_abs(p, axis)
 
-        monkeypatch.setattr(certificate_module, "grid_max_abs", counting)
+        monkeypatch.setattr(chebpoly_module, "grid_max_abs", counting)
         gmin = chebpoly_module.grid_minimum(apply_inverse(f.shift(eta), r),
                                             chebpoly_module.lobatto_axis(2049))[0]
         if refused:
@@ -272,15 +284,99 @@ class TestCertify:
         else:
             certify(f, eta, r)
         assert (gmin < 0.0) == refused
-        assert calls == ([f.shift(eta)] if refused else [])
+        assert calls == []
 
-    def test_refusal_reports_the_polished_minimum(self):
+    def test_refusal_reports_its_grid_witness(self, monkeypatch):
+        """A lowest cell below -GATE_TOL sum |c| of f + eta is the refusal:
+        its value and Lobatto point, with no polish and no scale grid."""
+        def no_call(*args):
+            raise AssertionError("the polish or the scale grid ran")
+
         f = demo_f()
+        g = apply_inverse(f.shift(0.1), 5)
+        cell, point = lowest_grid_cell(g, chebpoly_module.lobatto_axis(2049))
+        monkeypatch.setattr(chebpoly_module, "_golden_min", no_call)
+        monkeypatch.setattr(chebpoly_module, "grid_max_abs", no_call)
         with pytest.raises(NotCertifiable) as err:
             certify(f, 0.1, 5)
-        lo, loc, _, _ = grid_extrema(apply_inverse(f.shift(0.1), 5), 2049)
+        assert (err.value.min_value, err.value.location) == (cell, point)
+        assert g.eval(point) == pytest.approx(cell, rel=1e-12)
+        assert str(err.value) == f"unsmoothed polynomial reaches {cell:.6e} at {point}"
+
+    def test_refusal_reports_the_polished_minimum(self, monkeypatch):
+        """A lowest cell in [-tol sum |c|, -tol S), S = max |f + eta| on the
+        grid, is polished, and the refusal reports the polished minimum."""
+        f, eta, r, tol = _band_f(), 0.02, 15, 0.025
+        lobatto = chebpoly_module.lobatto_axis(2049)
+        target = f.shift(eta)
+        g = apply_inverse(target, r)
+        cell = lowest_grid_cell(g, lobatto)[0]
+        lo, loc = chebpoly_module.grid_minimum(g, lobatto)
+        scale = chebpoly_module.grid_max_abs(target, lobatto)
+        assert -tol * abs_sum(target) <= cell < -tol * scale and lo < cell
+        monkeypatch.setattr(certificate_module, "GATE_TOL", tol)
+        with pytest.raises(NotCertifiable) as err:
+            certify(f, eta, r)
         assert (err.value.min_value, err.value.location) == (lo, loc)
         assert str(err.value) == f"unsmoothed polynomial reaches {lo:.6e} at {loc}"
+
+    def test_gate_accepts_a_polished_minimum_within_its_scale(self, monkeypatch):
+        """A lowest cell in [-tol S, 0) is polished, weighed against the
+        scale S and, when the polished minimum stays above -tol S, accepted."""
+        f, eta, r, tol = _band_f(), 0.02, 15, 0.03
+        lobatto = chebpoly_module.lobatto_axis(2049)
+        target = f.shift(eta)
+        g = apply_inverse(target, r)
+        scale = chebpoly_module.grid_max_abs(target, lobatto)
+        assert -tol * scale <= chebpoly_module.grid_minimum(g, lobatto)[0] < 0.0
+        assert lowest_grid_cell(g, lobatto)[0] < 0.0
+        polish, scales = [], []
+        golden_min, max_abs = chebpoly_module._golden_min, chebpoly_module.grid_max_abs
+        monkeypatch.setattr(chebpoly_module, "_golden_min",
+                            lambda *args: polish.append(args) or golden_min(*args))
+        monkeypatch.setattr(chebpoly_module, "grid_max_abs",
+                            lambda p, axis: scales.append(p) or max_abs(p, axis))
+        monkeypatch.setattr(certificate_module, "GATE_TOL", tol)
+        cert = certify(f, eta, r)
+        assert verify(cert, f).valid
+        assert len(polish) == 1 and scales == [target]
+
+    def test_gate_decides_as_the_polished_rule(self, monkeypatch):
+        """On a seeded corpus, certify refuses exactly when the node weights
+        fail, or the polished grid minimum of g is negative and below -tol
+        times max |f + eta| on the grid, on both paths of the gate."""
+        rng = np.random.default_rng(22)
+        paths = set()
+        for n, points in ((1, 2049), (2, 257)):
+            lobatto = chebpoly_module.lobatto_axis(points)
+            for _ in range(8 if n == 1 else 2):
+                f = random_cheb(rng, n, int(rng.integers(3, 6)))
+                f = f.shift(-grid_extrema(f, points)[0])
+                for eta, r in ((0.01, 8), (0.03, 14), (0.1, 20)):
+                    target = f.shift(eta)
+                    g = apply_inverse(target, r)
+                    m = (r + max(f.per_variable_degrees()) + 2) // 2
+                    nodes_pass = (g.eval_grid([chebyshev_nodes(m)] * n).min() / m ** n
+                                  >= -NODE_CLAMP)
+                    gmin = chebpoly_module.grid_minimum(g, lobatto)[0]
+                    scale = chebpoly_module.grid_max_abs(target, lobatto)
+                    cell = lowest_grid_cell(g, lobatto)[0]
+                    tols = [GATE_TOL, 1e-2, 3e-2]
+                    if gmin < 0.0:      # the middle of the polish band, then above it
+                        tols += [(-cell / abs_sum(target) - gmin / scale) / 2,
+                                 -2.0 * gmin / scale]
+                    for tol in tols:
+                        rule = nodes_pass and not (gmin < 0.0 and gmin < -tol * scale)
+                        monkeypatch.setattr(certificate_module, "GATE_TOL", tol)
+                        try:
+                            certify(f, eta, r)
+                            accepted = True
+                        except NotCertifiable:
+                            accepted = False
+                        assert accepted == rule, (n, eta, r, tol)
+                        if nodes_pass:
+                            paths.add((cell < -tol * abs_sum(target), accepted))
+        assert paths == {(True, False), (False, False), (False, True)}
 
     def test_node_refusal_builds_no_lobatto_grid(self, monkeypatch):
         """A rung whose node weights go negative is refused before the gate,
@@ -290,7 +386,7 @@ class TestCertify:
 
         f = demo_f()
         bound = kernel_lower_bound(f, 12)
-        for name in ("grid_minimum", "lobatto_axis"):
+        for name in ("gate_witness", "lobatto_axis"):
             monkeypatch.setattr(certificate_module, name, no_gate)
         with pytest.raises(NotCertifiable, match="at node") as err:
             certify(f, 0.01, 12)

@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.polynomial import chebyshev as npcheb
 
 from jacksonsos import chebpoly
 from jacksonsos.chebpoly import (
@@ -13,6 +14,7 @@ from jacksonsos.chebpoly import (
     _canon,
     _golden_min,
     _refine,
+    _t_table,
     _t_values,
     cheb_from_monomial,
     enumerate_multidegrees,
@@ -122,6 +124,13 @@ class TestEvaluation:
         p = random_cheb(rng, 3, 4)
         assert p.eval((1.0, 1.0, 1.0)) == pytest.approx(sum(p.coeffs.values()),
                                                         rel=1e-12)
+
+    @pytest.mark.parametrize("points", [1, 21, 2049])
+    @pytest.mark.parametrize("d", [0, 1, 8, 40])
+    def test_t_table_is_chebvander(self, points, d):
+        """The T_k rows of eval_blocks are numpy's chebvander, bit for bit."""
+        x = np.random.default_rng(points + d).uniform(-1.0, 1.0, points)
+        assert np.array_equal(_t_table(x, d), npcheb.chebvander(x, d).T)
 
     def test_t22_at_origin(self):
         assert ChebPoly.basis(2, (2, 2)).eval((0.0, 0.0)) == pytest.approx(1.0)

@@ -9,7 +9,7 @@ import pytest
 from numpy.polynomial import chebyshev as npcheb
 
 from jacksonsos import chebpoly
-from jacksonsos.chebpoly import ChebPoly, _canon, chebyshev_nodes, grid_extrema
+from jacksonsos.chebpoly import ChebPoly, _canon, chebyshev_nodes
 from jacksonsos.jackson import jackson_lambda
 from jacksonsos import sos1d
 from jacksonsos.sos1d import (
@@ -21,6 +21,8 @@ from jacksonsos.sos1d import (
     lukacs_decompose,
     split_coeffs,
 )
+
+from helpers import abs_sum, lowest_grid_cell
 
 WEIGHT = ChebPoly(1, {(0,): 0.5, (2,): -0.5})      # 1 - x^2
 ONE_PLUS = ChebPoly(1, {(0,): 1.0, (1,): 1.0})     # 1 + x
@@ -282,12 +284,62 @@ class TestLukacsPairs:
             lukacs_decompose(p)
             assert len(calls) == 1
 
-    def test_gate_reports_the_polished_minimum(self):
+    def test_gate_reports_its_grid_witness(self, monkeypatch):
+        """A lowest cell below -NONNEG_TOL sum |c| of p is the refusal: its
+        value and Lobatto point, with no polish and no scale grid."""
+        def no_call(*args):
+            raise AssertionError("the polish or the scale grid ran")
+
         p = ChebPoly(1, {(0,): 0.1, (1,): 0.3, (3,): -0.4})
+        cell, (point,) = lowest_grid_cell(p, chebpoly.lobatto_axis(1025))
+        monkeypatch.setattr(chebpoly, "_golden_min", no_call)
+        monkeypatch.setattr(chebpoly, "grid_max_abs", no_call)
         with pytest.raises(NotNonnegative) as err:
             lukacs_decompose(p)
-        lo, loc, _, _ = grid_extrema(p, 1025, 1)
-        assert (err.value.value, err.value.location) == (lo, loc[0])
+        assert (err.value.value, err.value.location) == (cell, point)
+        assert p.eval((point,)) == pytest.approx(cell, rel=1e-12)
+
+    def test_gate_reports_the_polished_minimum(self, monkeypatch):
+        """At NONNEG_TOL = 0.6 the lowest cell, -0.4590148, lies in
+        [-tol sum |c|, -tol max |p|) = [-0.48, -0.395): it is polished, and the
+        refusal reports the polished minimum."""
+        p = ChebPoly(1, {(0,): 0.1, (1,): 0.3, (3,): -0.4})
+        axis = chebpoly.lobatto_axis(1025)
+        cell = lowest_grid_cell(p, axis)[0]
+        lo, (loc,) = chebpoly.grid_minimum(p, axis, 1)
+        assert -0.6 * abs_sum(p) <= cell < -0.6 * chebpoly.grid_max_abs(p, axis) and lo < cell
+        monkeypatch.setattr(sos1d, "NONNEG_TOL", 0.6)
+        with pytest.raises(NotNonnegative) as err:
+            lukacs_decompose(p)
+        assert (err.value.value, err.value.location) == (lo, loc)
+
+    def test_gate_decides_as_the_polished_rule(self, monkeypatch):
+        """On a seeded corpus, the gate refuses exactly when the polished grid
+        minimum is negative and below -tol max |p| on the grid, on both of its
+        paths; what follows a passed gate may still refuse p."""
+        rng = np.random.default_rng(22)
+        axis = chebpoly.lobatto_axis(1025)
+        paths = set()
+        for _ in range(16):
+            p = ChebPoly(1, {(k,): rng.standard_normal()
+                             for k in range(int(rng.integers(2, 9)))})
+            p = p.shift(-chebpoly.grid_minimum(p, axis, 1)[0] + rng.uniform(-0.1, 0.02))
+            lo = chebpoly.grid_minimum(p, axis, 1)[0]
+            scale = chebpoly.grid_max_abs(p, axis)
+            cell = lowest_grid_cell(p, axis)[0]
+            tols = [sos1d.NONNEG_TOL, 1e-2]
+            if lo < 0.0:        # the middle of the polish band, then above it
+                tols += [(-cell / abs_sum(p) - lo / scale) / 2, -2.0 * lo / scale]
+            for tol in tols:
+                monkeypatch.setattr(sos1d, "NONNEG_TOL", tol)
+                try:
+                    lukacs_decompose(p)
+                    refused = False
+                except (NotNonnegative, IllConditioned) as err:
+                    refused = str(err).startswith("grid minimum")
+                assert refused == (lo < 0.0 and lo < -tol * scale), tol
+                paths.add((cell < -tol * abs_sum(p), refused))
+        assert paths == {(True, True), (False, True), (False, False)}
 
     def test_zero_polynomial(self):
         pair = lukacs_decompose(ChebPoly.zero(1))
