@@ -15,11 +15,15 @@ each of sigma_0 and sigma_1.  The nodes are the fewest that make the
 identity exact: m = ceil((r + d + 1) / 2) per axis, d the largest
 per-variable degree of f.  The certificate stores one nonnegative weight per
 node and nothing else, since the squares of every slice are a function of
-r and m alone.  Its validity is machine-checkable by contracting the
-weights with the split slices, without expanding the squares: one
-``tensordot`` per axis gives the dense Chebyshev coefficients of the
-identity, and the same contraction of the nonzero weights with the squares
-per node counts the squares of every sigma_J.  Checking costs O(n m^n).
+r and m alone.  The nodes are symmetric, y_{m-1-t} = -y_t, and
+K_r(x, -y) = K_r(-x, y), so only the slices at the ceil(m/2) nodes y >= 0
+are split and multiplied out; a lower node takes its partner's squares and
+products with the odd Chebyshev coefficients negated.  A certificate's
+validity is machine-checkable by contracting the weights with the split
+slices, without expanding the squares: one ``tensordot`` per axis gives the
+dense Chebyshev coefficients of the identity, and the same contraction of
+the nonzero weights with the squares per node counts the squares of every
+sigma_J.  Checking costs O(n m^n).
 
 ``kernel_lower_bound`` turns the same identity into certified lower bounds
 on the minimum of f: f - lambda is a nonnegative node combination of kernel
@@ -118,6 +122,29 @@ def _contract(weights: np.ndarray, table: np.ndarray) -> np.ndarray:
     return out
 
 
+def _half_squares(r: int, m: int) -> tuple:
+    """(u, v) of the kernel slices at the ceil(m/2) nodes t >= m // 2, the
+    nodes y >= 0 (``sos1d.decompose_kernel_slices``)."""
+    return decompose_kernel_slices(r, chebyshev_nodes(m)[m // 2:])
+
+
+def _reflect(half: np.ndarray, m: int) -> np.ndarray:
+    """All m rows of a per-node table from its rows at the nodes t >= m // 2:
+    row t < m // 2 is a copy of row m-1-t."""
+    return np.concatenate([half[::-1][:m // 2], half])
+
+
+def _mirror(half: np.ndarray, m: int) -> np.ndarray:
+    """:func:`_reflect` with the odd Chebyshev columns of the lower rows
+    negated, so row t < m // 2 holds q(-x) for the q(x) of row m-1-t, as
+    S_t(x) = S_{m-1-t}(-x).  Mirroring a row of products gives the products
+    of the mirrored rows bit for bit: every term of a Chebyshev product
+    flips sign with the parity of its index."""
+    full = _reflect(half, m)
+    full[:m // 2, ..., 1::2] *= -1.0
+    return full
+
+
 @dataclass(slots=True)
 class SchmudgenCertificate:
     """Explicit membership witness for f + eta in the truncated preordering.
@@ -128,8 +155,10 @@ class SchmudgenCertificate:
 
         S_t = u_{t,c}^2 + u_{t,s}^2 + (1 - x^2) (v_{t,c}^2 + v_{t,s}^2),
 
-    a function of (r, m) alone, which :meth:`squares` derives for all m
-    nodes.  The identity is
+    a function of (r, m) alone, which :meth:`squares` derives at the
+    ceil(m/2) nodes t >= m // 2 and mirrors to the others: the squares of
+    node t < m // 2 are those of node m-1-t at -x, a split of S_t(x) =
+    S_{m-1-t}(-x).  The identity is
 
         f + eta = sum_idx W[idx] prod_j S_{idx_j}(x_j),
 
@@ -159,26 +188,34 @@ class SchmudgenCertificate:
     def squares(self) -> tuple:
         """(u, v) of the kernel slices at all m nodes: ``u[t]`` holds the
         sigma_0 squares of node t and ``v[t]`` the sigma_1 squares, one dense
-        Chebyshev row per square (``sos1d.decompose_kernel_slices``)."""
-        return decompose_kernel_slices(self.r, chebyshev_nodes(len(self.weights)))
+        Chebyshev row per square.  The rows of the nodes t >= m // 2 are
+        ``sos1d.decompose_kernel_slices`` at those nodes; the row of a lower
+        node t is that of node m-1-t mirrored (:func:`_mirror`)."""
+        m = len(self.weights)
+        return tuple(_mirror(half, m) for half in _half_squares(self.r, m))
 
     def reconstruct(self) -> np.ndarray:
         """Dense Chebyshev coefficients of sum_idx W[idx] prod_j S_{idx_j}(x_j):
-        n axes of r + 1 + r % 2 entries, the width of a split slice."""
-        u, v = self.squares()
+        n axes of r + 1 + r % 2 entries, the width of a split slice.  Only the
+        ceil(m/2) slices at nodes t >= m // 2 are multiplied out; the others
+        are their mirrors, S_t(x) = S_{m-1-t}(-x)."""
+        m = len(self.weights)
+        u, v = _half_squares(self.r, m)
         table = np.zeros((len(u), 2 * u.shape[-1] - 1))
         for t in range(len(u)):
             s = split_coeffs(u[t], v[t])
             table[t, :s.size] = s
-        return _contract(self.weights, table)
+        return _contract(self.weights, _mirror(table, m))
 
     def _node_square_counts(self) -> tuple:
         """(W > 0 mask, (m, 2) nonzero u and v squares per node), as exact
-        Python integers."""
-        u, v = self.squares()
+        Python integers.  A mirrored row has the nonzero entries of its
+        original, so the counts of the upper nodes are reflected."""
+        m = len(self.weights)
+        u, v = _half_squares(self.r, m)
         counts = np.stack([np.any(u, axis=-1).sum(axis=-1),
                            np.any(v, axis=-1).sum(axis=-1)], axis=1)
-        return (self.weights > 0.0).astype(object), counts.astype(object)
+        return (self.weights > 0.0).astype(object), _reflect(counts, m).astype(object)
 
     def squares_per_subset(self) -> dict:
         """Squares in each expanded sigma_J: over the nodes with W > 0, the

@@ -48,6 +48,11 @@ def _band_f() -> ChebPoly:
     return ChebPoly(1, {(0,): 1.0, (1,): 0.4, (2,): -0.3, (3,): 0.8, (4,): 0.5})
 
 
+def _odd_negated(rows: np.ndarray) -> np.ndarray:
+    """Rows of Chebyshev coefficients of q(x) turned into those of q(-x)."""
+    return rows * (-1.0) ** np.arange(rows.shape[-1])
+
+
 class TestCertify:
     def test_demo_r7_valid(self):
         f = demo_f()
@@ -62,13 +67,14 @@ class TestCertify:
         unsmoothed = apply_inverse(f.shift(0.1), 7).eval_grid([nodes])
         assert np.all(unsmoothed > 0.0)
         assert np.array_equal(cert.weights, (1.0 / 6) * unsmoothed)
-        # the squares are the closed-form slices at all six nodes, bit for
-        # bit: two of each kind per node, with 2 deg <= r + 1 = 8
+        # the squares of the upper three nodes are the closed-form slices
+        # there, bit for bit, and the lower three are their mirrors: two of
+        # each kind per node, with 2 deg <= r + 1 = 8
         u, v = cert.squares()
-        expected = decompose_kernel_slices(7, nodes)
         assert u.shape == (6, 2, 5) and v.shape == (6, 2, 4)
-        assert u.tobytes() == expected[0].tobytes()
-        assert v.tobytes() == expected[1].tobytes()
+        for got, upper in zip((u, v), decompose_kernel_slices(7, nodes[3:])):
+            assert got[3:].tobytes() == upper.tobytes()
+            assert got[:3].tobytes() == _odd_negated(upper[::-1]).tobytes()
 
     def test_demo_r5_not_certifiable(self):
         f = demo_f()
@@ -533,6 +539,85 @@ class TestFactoredForm:
         assert report.valid
         assert report.residual == cert.residual
         assert loaded.weights.size <= (r + 1) ** n
+
+
+def _mirror_cases():
+    """(r, m): r = 0..12, 31 and 56, each on the fewest nodes that make an
+    identity exact, m >= (r + 1) / 2, and on one more, so m is odd and even
+    and m = 1 at r = 0 and 1."""
+    for r in [*range(13), 31, 56]:
+        low = max(1, (r + 2) // 2)
+        yield from ((r, low), (r, low + 1))
+
+
+def _all_node_counts(r: int, m: int) -> np.ndarray:
+    """(m, 2) nonzero u and v squares per node, from the slices at all m nodes."""
+    u, v = decompose_kernel_slices(r, chebyshev_nodes(m))
+    return np.stack([np.any(u, axis=-1).sum(axis=-1), np.any(v, axis=-1).sum(axis=-1)], axis=1)
+
+
+class TestMirroredSlices:
+    """Only the slices at the nodes t >= m // 2 (y >= 0) are derived; node
+    t < m // 2 takes those of node m-1-t, since S_t(x) = S_{m-1-t}(-x)."""
+
+    @pytest.mark.parametrize("r, m", list(_mirror_cases()))
+    def test_lower_rows_are_mirrors_bit_for_bit(self, r, m):
+        u, v = SchmudgenCertificate(1, r, 0.0, np.ones(m), 0.0).squares()
+        half = m // 2
+        for rows, upper in zip((u, v), decompose_kernel_slices(r, chebyshev_nodes(m)[half:])):
+            assert len(rows) == m
+            assert rows[half:].tobytes() == upper.tobytes()
+            assert rows[:half].tobytes() == _odd_negated(rows[m - 1:m - 1 - half:-1]).tobytes()
+
+    @pytest.mark.parametrize("r, m", [*_mirror_cases(), (669, 337)])
+    def test_lower_slices_match_the_direct_split(self, r, m):
+        """A mirrored slice is another split of the slice at its own node: the
+        two agree to 1e-14 relative, or 1e-17 (r + 2)^2 at high r (worst seen
+        1.8e-12 at r = 669, against 4.5e-12)."""
+        u, v = SchmudgenCertificate(1, r, 0.0, np.ones(m), 0.0).squares()
+        direct = decompose_kernel_slices(r, chebyshev_nodes(m)[:m // 2])
+        tol = max(1e-14, 1e-17 * (r + 2) ** 2)
+        for t, (du, dv) in enumerate(zip(*direct)):
+            mirrored, own = sos1d.split_coeffs(u[t], v[t]), sos1d.split_coeffs(du, dv)
+            diff = np.polynomial.chebyshev.chebsub(mirrored, own)
+            assert np.max(np.abs(diff)) <= tol * np.max(np.abs(own)), (r, m, t)
+
+    @pytest.mark.parametrize("m", [1, 4, 5, 6, 9])
+    def test_reconstruct_splits_half_the_slices(self, monkeypatch, m):
+        calls = []
+
+        def counting(u, v):
+            calls.append(1)
+            return sos1d.split_coeffs(u, v)
+
+        monkeypatch.setattr(certificate_module, "split_coeffs", counting)
+        weights = np.arange(1.0, m + 1.0)
+        dense = SchmudgenCertificate(1, 2 * m - 1, 0.0, weights, 0.0).reconstruct()
+        assert len(calls) == (m + 1) // 2
+        assert dense.shape == (2 * m + 1,)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_counts_match_an_all_node_count(self, n):
+        """square_count and squares_per_subset, counted on the upper nodes and
+        reflected, equal a count over the slices of all m nodes, with every
+        third weight zero; for n = 1 at r < 100 and m from the fewest nodes
+        up to 5 above, for n = 2 at r < 12."""
+        for r in range(100 if n == 1 else 12):
+            low = max(1, (r + 2) // 2)
+            for m in range(low, low + 6):
+                weights = np.ones((m,) * n)
+                weights.flat[::3] = 0.0
+                cert = SchmudgenCertificate(n, r, 0.0, weights, 0.0)
+                counts = _all_node_counts(r, m)
+                expected = {}
+                for idx in zip(*np.nonzero(weights)):
+                    for kinds in np.ndindex((2,) * n):
+                        subset = tuple(j for j, kind in enumerate(kinds) if kind)
+                        squares = math.prod(int(counts[i, k]) for i, k in zip(idx, kinds))
+                        expected[subset] = expected.get(subset, 0) + squares
+                expected = {s: c for s, c in expected.items() if c}
+                assert cert.squares_per_subset() == expected, (r, m)
+                assert cert.square_count() == sum(expected.values()), (r, m)
 
 
 def _hand_built(f: ChebPoly, eta: float, r: int, m: int) -> SchmudgenCertificate:
