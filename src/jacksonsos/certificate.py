@@ -17,8 +17,9 @@ per-variable degree of f.  The certificate stores one nonnegative weight per
 node and nothing else, since the squares of every slice are a function of
 r and m alone.  The nodes are symmetric, y_{m-1-t} = -y_t, and
 K_r(x, -y) = K_r(-x, y), so only the slices at the ceil(m/2) nodes y >= 0
-are split and multiplied out; a lower node takes its partner's squares and
-products with the odd Chebyshev coefficients negated.  A certificate's
+are split and multiplied out, all in one batched product; a lower node
+takes its partner's squares and product with the odd Chebyshev coefficients
+negated.  A certificate's
 validity is machine-checkable by contracting the weights with the split
 slices, without expanding the squares: one ``tensordot`` per axis gives the
 dense Chebyshev coefficients of the identity, and the same contraction of
@@ -122,12 +123,6 @@ def _contract(weights: np.ndarray, table: np.ndarray) -> np.ndarray:
     return out
 
 
-def _half_squares(r: int, m: int) -> tuple:
-    """(u, v) of the kernel slices at the ceil(m/2) nodes t >= m // 2, the
-    nodes y >= 0 (``sos1d.decompose_kernel_slices``)."""
-    return decompose_kernel_slices(r, chebyshev_nodes(m)[m // 2:])
-
-
 def _reflect(half: np.ndarray, m: int) -> np.ndarray:
     """All m rows of a per-node table from its rows at the nodes t >= m // 2:
     row t < m // 2 is a copy of row m-1-t."""
@@ -137,9 +132,9 @@ def _reflect(half: np.ndarray, m: int) -> np.ndarray:
 def _mirror(half: np.ndarray, m: int) -> np.ndarray:
     """:func:`_reflect` with the odd Chebyshev columns of the lower rows
     negated, so row t < m // 2 holds q(-x) for the q(x) of row m-1-t, as
-    S_t(x) = S_{m-1-t}(-x).  Mirroring a row of products gives the products
-    of the mirrored rows bit for bit: every term of a Chebyshev product
-    flips sign with the parity of its index."""
+    S_t(x) = S_{m-1-t}(-x).  A mirrored row of products is, in exact
+    arithmetic, the product of the mirrored squares: every term of a
+    Chebyshev product flips sign with the parity of its index."""
     full = _reflect(half, m)
     full[:m // 2, ..., 1::2] *= -1.0
     return full
@@ -192,43 +187,53 @@ class SchmudgenCertificate:
         ``sos1d.decompose_kernel_slices`` at those nodes; the row of a lower
         node t is that of node m-1-t mirrored (:func:`_mirror`)."""
         m = len(self.weights)
-        return tuple(_mirror(half, m) for half in _half_squares(self.r, m))
+        return tuple(_mirror(half, m) for half in self._half_squares())
+
+    def _half_squares(self) -> tuple:
+        """(u, v) of the kernel slices at the ceil(m/2) nodes t >= m // 2, the
+        nodes y >= 0 (``sos1d.decompose_kernel_slices``)."""
+        m = len(self.weights)
+        return decompose_kernel_slices(self.r, chebyshev_nodes(m)[m // 2:])
 
     def reconstruct(self) -> np.ndarray:
         """Dense Chebyshev coefficients of sum_idx W[idx] prod_j S_{idx_j}(x_j):
-        n axes of r + 1 + r % 2 entries, the width of a split slice.  Only the
-        ceil(m/2) slices at nodes t >= m // 2 are multiplied out; the others
-        are their mirrors, S_t(x) = S_{m-1-t}(-x)."""
-        m = len(self.weights)
-        u, v = _half_squares(self.r, m)
-        table = np.zeros((len(u), 2 * u.shape[-1] - 1))
-        for t in range(len(u)):
-            s = split_coeffs(u[t], v[t])
-            table[t, :s.size] = s
-        return _contract(self.weights, _mirror(table, m))
+        n axes of r + 1 + r % 2 entries, the width of a split slice.  The
+        ceil(m/2) slices at nodes t >= m // 2 are multiplied out in one
+        batched ``split_coeffs`` call; the others are their mirrors,
+        S_t(x) = S_{m-1-t}(-x)."""
+        return self._reconstruct(self._half_squares())
 
-    def _node_square_counts(self) -> tuple:
+    def _reconstruct(self, half: tuple) -> np.ndarray:
+        """:meth:`reconstruct` from the half squares ``(u, v)`` of :meth:`_half_squares`."""
+        return _contract(self.weights, _mirror(split_coeffs(*half), len(self.weights)))
+
+    def _node_square_counts(self, half: tuple) -> tuple:
         """(W > 0 mask, (m, 2) nonzero u and v squares per node), as exact
-        Python integers.  A mirrored row has the nonzero entries of its
-        original, so the counts of the upper nodes are reflected."""
-        m = len(self.weights)
-        u, v = _half_squares(self.r, m)
+        Python integers, from the half squares ``(u, v)`` of :meth:`_half_squares`.
+        A mirrored row has the nonzero entries of its original, so the
+        counts of the upper nodes are reflected."""
+        u, v = half
         counts = np.stack([np.any(u, axis=-1).sum(axis=-1),
                            np.any(v, axis=-1).sum(axis=-1)], axis=1)
-        return (self.weights > 0.0).astype(object), _reflect(counts, m).astype(object)
+        return ((self.weights > 0.0).astype(object),
+                _reflect(counts, len(self.weights)).astype(object))
 
     def squares_per_subset(self) -> dict:
         """Squares in each expanded sigma_J: over the nodes with W > 0, the
         product of the nonzero squares of each axis's kind (u for j not in J,
         v for j in J)."""
-        live, counts = self._node_square_counts()
+        live, counts = self._node_square_counts(self._half_squares())
         per_kind = _contract(live, counts)
         return {tuple(j for j, kind in enumerate(kinds) if kind): int(c)
                 for kinds, c in np.ndenumerate(per_kind) if c}
 
     def square_count(self) -> int:
         """Squares over all sigma_J, without listing the 2^n sigma_J."""
-        live, counts = self._node_square_counts()
+        return self._square_count(self._half_squares())
+
+    def _square_count(self, half: tuple) -> int:
+        """:meth:`square_count` from the half squares ``(u, v)`` of :meth:`_half_squares`."""
+        live, counts = self._node_square_counts(half)
         return int(_contract(live, counts.sum(axis=1)))
 
 
@@ -373,10 +378,11 @@ def verify(cert: SchmudgenCertificate, f: ChebPoly) -> VerificationReport:
     number of variables than the certificate.
     """
     target = f.shift(cert.eta)
+    half = cert._half_squares()               # one derivation for both checks
     return VerificationReport(
-        residual=_relative_residual(cert.reconstruct(), target),
+        residual=_relative_residual(cert._reconstruct(half), target),
         scales_positive=bool(np.all(cert.weights >= 0.0)),
-        square_count=cert.square_count(),
+        square_count=cert._square_count(half),
     )
 
 

@@ -424,13 +424,11 @@ def _check_sos(level: str, seed: int) -> dict:
     n_y = 50 if level == "full" else 10
     ys = chebyshev_nodes(n_y)
     for r in range(r_max + 1):
-        for y, u, v in zip(ys, *decompose_kernel_slices(r, ys)):
-            recon = split_coeffs(u, v)
-            diff = np.zeros(max(recon.size, r + 1))    # the slice, then minus recon
-            diff[0] = 1.0
+        for y, recon in zip(ys, split_coeffs(*decompose_kernel_slices(r, ys))):
+            diff = -recon                               # minus recon, plus the slice
+            diff[0] += 1.0
             for k in range(1, r + 1):
-                diff[k] = 2.0 * jackson_lambda(k, r) * math.cos(k * math.acos(y))
-            diff[:recon.size] -= recon
+                diff[k] += 2.0 * jackson_lambda(k, r) * math.cos(k * math.acos(y))
             worst = max(worst, float(np.max(np.abs(diff))))
     ok = worst <= 1e-8
     return {"name": "sos_reconstruction", "ok": ok,

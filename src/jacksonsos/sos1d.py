@@ -26,6 +26,8 @@ autocorrelation, so each slice is |A|^2 + |B|^2 on the circle for two
 factors A, B known in closed form, and ``decompose_kernel_slices`` splits
 both by frequency parity, all slices of one degree in a few array
 operations: two squares in each of sigma_0 and sigma_1 per slice.
+``split_coeffs`` multiplies squares back out, a whole batch of slices in one
+real FFT of all their rows.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.chebyshev import chebadd, chebmul, chebroots, chebsub, chebvander
+from numpy.polynomial.chebyshev import chebroots, chebsub, chebvander
 
 from .chebpoly import DROP_TOL, ChebPoly, gate_witness, lobatto_axis
 
@@ -48,8 +50,6 @@ RECON_TOL = 1e-8
 
 _MODULUS_BAND = 1e-7      # |z| within this of 1 counts as an on-circle root
 _ANGLE_TOLS = (1e-5, 1e-3)  # clustering tolerances tried for on-circle roots
-
-_ONE_MINUS_X2 = np.array([0.5, 0.0, -0.5])     # Chebyshev coefficients of 1 - x^2
 
 
 class NotNonnegative(ValueError):
@@ -298,19 +298,55 @@ def _cut(a: np.ndarray) -> np.ndarray:
     return a[: nonzero[-1] + 1 if nonzero.size else 0]
 
 
-def split_coeffs(u, v) -> np.ndarray:
-    """Chebyshev coefficients of sum_i u_i^2 + (1 - x^2) sum_i v_i^2.
+def _square_sums(conv: np.ndarray, corr: np.ndarray, k: int) -> np.ndarray:
+    """Chebyshev coefficients (2k - 1 of them) of a sum of squares of rows of
+    k coefficients, from the sums of the rows' z-series self-convolutions
+    ``conv`` and autocorrelations ``corr``: T_i T_j = (T_{i+j} + T_{|i-j|}) / 2."""
+    c = 0.5 * conv[..., :2 * k - 1]
+    c[..., :k] += corr[..., :k]
+    c[..., 0] -= 0.5 * corr[..., 0]
+    return c
 
-    ``u`` and ``v`` are dense coefficient arrays of one square each, or 2-D
-    with one square per row; an empty array stands for the zero polynomial.
+
+def split_coeffs(u, v) -> np.ndarray:
+    """Chebyshev coefficients of sum_i u_i^2 + (1 - x^2) sum_i v_i^2, batched.
+
+    ``u`` of shape (..., k, K) and ``v`` of shape (..., k', K') hold one
+    square per dense Chebyshev row; a 1-D array is one square.  The leading
+    axes broadcast, and the result has shape (..., w) with w = max(2K - 1,
+    2K' + 1): a kernel slice of ``decompose_kernel_slices`` comes out r + 1 +
+    r % 2 wide.  A ``v`` of length zero adds nothing and does not widen the
+    result, and w is at least 1.
+
+    All rows go through one real FFT, zero-padded to a power of two >= 2K - 1
+    (and 2K' - 1), so the z-series convolutions conv = irfft(sum F^2) and
+    autocorrelations corr = irfft(sum F conj F) do not wrap; then c_k =
+    conv_k / 2 + corr_k for 1 <= k < K, c_0 = (conv_0 + corr_0) / 2 and c_k =
+    conv_k / 2 beyond.  The sum of the v squares is multiplied by
+    1 - x^2 = (T_0 - T_2) / 2 as T_k -> T_k / 2 - (T_{k+2} + T_{|k-2|}) / 4.
     """
-    out = np.zeros(1)
-    for a in np.atleast_2d(u):
-        if a.size:
-            out = chebadd(out, chebmul(a, a))
-    for b in np.atleast_2d(v):
-        if b.size:
-            out = chebadd(out, chebmul(_ONE_MINUS_X2, chebmul(b, b)))
+    u, v = (np.atleast_2d(np.asarray(a, dtype=float)) for a in (u, v))
+    ku, kv, nu = u.shape[-1], v.shape[-1], u.shape[-2]
+    batch = np.broadcast_shapes(u.shape[:-2], v.shape[:-2])
+    rows = np.zeros(batch + (nu + v.shape[-2], max(ku, kv)))
+    rows[..., :nu, :ku] = u
+    rows[..., nu:, :kv] = v
+    size = 1 << max(2 * max(ku, kv) - 2, 0).bit_length()
+    f = np.fft.rfft(rows, size, axis=-1)
+    sq, pw = f * f, f.real ** 2 + f.imag ** 2
+    spec = np.stack([sq[..., :nu, :].sum(axis=-2), pw[..., :nu, :].sum(axis=-2),
+                     sq[..., nu:, :].sum(axis=-2), pw[..., nu:, :].sum(axis=-2)], axis=-2)
+    conv_u, corr_u, conv_v, corr_v = np.moveaxis(np.fft.irfft(spec, size, axis=-1), -2, 0)
+
+    out = np.zeros(batch + (max(2 * ku - 1, 2 * kv + 1 if kv else 1),))
+    if ku:
+        out[..., :2 * ku - 1] += _square_sums(conv_u, corr_u, ku)
+    if kv:
+        s = _square_sums(conv_v, corr_v, kv)
+        out[..., :2 * kv - 1] += 0.5 * s
+        out[..., 2:2 * kv + 1] -= 0.25 * s
+        out[..., :max(2 * kv - 3, 0)] -= 0.25 * s[..., 2:]       # T_k -> T_{k-2}
+        out[..., 2:2 - min(2 * kv - 1, 2):-1] -= 0.25 * s[..., :2]   # T_0, T_1 -> T_2, T_1
     return out
 
 

@@ -540,6 +540,22 @@ class TestFactoredForm:
         assert report.residual == cert.residual
         assert loaded.weights.size <= (r + 1) ** n
 
+    @pytest.mark.parametrize("n, r, eta", [(1, 7, 0.1), (1, 212, 0.1), (1, 669, 0.01),
+                                           (2, 5, 0.0), (3, 3, 0.0)],
+                             ids=["demo-r7", "demo-r212", "demo-r669", "square-n2-r5",
+                                  "square-n3-r3"])
+    def test_verify_reproduces_the_stored_residual(self, n, r, eta):
+        """certify -> JSON -> load -> verify gives back the residual certify
+        stored, bit for bit: verify multiplies out the same squares in the
+        same batched product."""
+        f = demo_f() if n == 1 else _smoothed_square(n, r)
+        cert = certify(f, eta, r)
+        loaded = certificate_from_dict(json.loads(json.dumps(certificate_to_dict(cert))))
+        report = verify(loaded, f)
+        assert report.valid
+        assert loaded.residual.hex() == cert.residual.hex()
+        assert report.residual.hex() == cert.residual.hex()
+
 
 def _mirror_cases():
     """(r, m): r = 0..12, 31 and 56, each on the fewest nodes that make an
@@ -584,16 +600,18 @@ class TestMirroredSlices:
 
     @pytest.mark.parametrize("m", [1, 4, 5, 6, 9])
     def test_reconstruct_splits_half_the_slices(self, monkeypatch, m):
-        calls = []
+        """reconstruct multiplies out the slices of the (m + 1) // 2 upper
+        nodes in one batched split_coeffs call."""
+        rows = []
 
         def counting(u, v):
-            calls.append(1)
+            rows.append((len(u), len(v)))
             return sos1d.split_coeffs(u, v)
 
         monkeypatch.setattr(certificate_module, "split_coeffs", counting)
         weights = np.arange(1.0, m + 1.0)
         dense = SchmudgenCertificate(1, 2 * m - 1, 0.0, weights, 0.0).reconstruct()
-        assert len(calls) == (m + 1) // 2
+        assert rows == [((m + 1) // 2, (m + 1) // 2)]
         assert dense.shape == (2 * m + 1,)
 
     @pytest.mark.parametrize("n", [1, 2])
