@@ -19,12 +19,11 @@ r and m alone.  The nodes are symmetric, y_{m-1-t} = -y_t, and
 K_r(x, -y) = K_r(-x, y), so only the slices at the ceil(m/2) nodes y >= 0
 are split and multiplied out, all in one batched product; a lower node
 takes its partner's squares and product with the odd Chebyshev coefficients
-negated.  A certificate's
-validity is machine-checkable by contracting the weights with the split
-slices, without expanding the squares: one ``tensordot`` per axis gives the
-dense Chebyshev coefficients of the identity, and the same contraction of
-the nonzero weights with the squares per node counts the squares of every
-sigma_J.  Checking costs O(n m^n).
+negated.  A certificate's validity is machine-checkable by contracting the
+weights with the split slices, without expanding the squares: one
+``tensordot`` per axis gives the dense Chebyshev coefficients of the
+identity, and the same contraction of the nonzero weights with the squares
+per node counts the squares of every sigma_J.  Checking costs O(n m^n).
 
 ``kernel_lower_bound`` turns the same identity into certified lower bounds
 on the minimum of f: f - lambda is a nonnegative node combination of kernel
