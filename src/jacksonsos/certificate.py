@@ -15,15 +15,16 @@ each of sigma_0 and sigma_1.  The nodes are the fewest that make the
 identity exact: m = ceil((r + d + 1) / 2) per axis, d the largest
 per-variable degree of f.  The certificate stores one nonnegative weight per
 node and nothing else, since the squares of every slice are a function of
-r and m alone.  The nodes are symmetric, y_{m-1-t} = -y_t, and
-K_r(x, -y) = K_r(-x, y), so only the slices at the ceil(m/2) nodes y >= 0
-are split and multiplied out, all in one batched product; a lower node
-takes its partner's squares and product with the odd Chebyshev coefficients
-negated.  A certificate's validity is machine-checkable by contracting the
-weights with the split slices, without expanding the squares: one
-``tensordot`` per axis gives the dense Chebyshev coefficients of the
-identity, and the same contraction of the nonzero weights with the squares
-per node counts the squares of every sigma_J.  Checking costs O(n m^n).
+r and m alone; it derives that slice table once, when it is built.  The
+nodes are symmetric, y_{m-1-t} = -y_t, and K_r(x, -y) = K_r(-x, y), so only
+the slices at the ceil(m/2) nodes y >= 0 are split and multiplied out, all
+in one batched product; a lower node takes its partner's squares and
+product with the odd Chebyshev coefficients negated.  A certificate's
+validity is machine-checkable by contracting the weights with the split
+slices, without expanding the squares: one ``tensordot`` per axis gives the
+dense Chebyshev coefficients of the identity, and the same contraction of
+the nonzero weights with the squares per node counts the squares of every
+sigma_J, in int64.  Checking costs O(n m^n).
 
 ``kernel_lower_bound`` turns the same identity into certified lower bounds
 on the minimum of f: f - lambda is a nonnegative node combination of kernel
@@ -33,7 +34,7 @@ slices when lambda is the least unsmoothed value at the nodes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -149,9 +150,10 @@ class SchmudgenCertificate:
 
         S_t = u_{t,c}^2 + u_{t,s}^2 + (1 - x^2) (v_{t,c}^2 + v_{t,s}^2),
 
-    a function of (r, m) alone, which :meth:`squares` derives at the
-    ceil(m/2) nodes t >= m // 2 and mirrors to the others: the squares of
-    node t < m // 2 are those of node m-1-t at -x, a split of S_t(x) =
+    a function of (r, m) alone.  A certificate derives it once, when it is
+    built, at the ceil(m/2) nodes t >= m // 2, and every method below reads
+    that table; :meth:`squares` mirrors it to the other nodes: the squares
+    of node t < m // 2 are those of node m-1-t at -x, a split of S_t(x) =
     S_{m-1-t}(-x).  The identity is
 
         f + eta = sum_idx W[idx] prod_j S_{idx_j}(x_j),
@@ -161,6 +163,11 @@ class SchmudgenCertificate:
     multiplying it out gives the Schmudgen form: sigma_J is the sum over
     the nodes idx, and over one square of the chosen kind per axis, of
     W[idx] * (prod_{j not in J} u_{idx_j}(x_j) prod_{j in J} v_{idx_j}(x_j))^2.
+
+    Square counts are int64.  A count is at most the number of weights times
+    4^n, and the reconstruction budget, w^n <= ``POINT_BUDGET`` with w >= 3,
+    caps n at 14 for r >= 1 (r = 0 has one square per node), so a
+    certificate of fewer than 2^35 weights counts below 2^63.
     """
 
     num_vars: int
@@ -168,6 +175,8 @@ class SchmudgenCertificate:
     eta: float
     weights: np.ndarray
     residual: float
+    #: (u, v) of the slices at the nodes t >= m // 2, derived once from (r, m)
+    _half: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 1 <= self.num_vars <= MAX_VARS:
@@ -178,6 +187,9 @@ class SchmudgenCertificate:
             raise ValueError(f"weights of shape {shape} for {self.num_vars} variables; "
                              f"need shape {(m,) * self.num_vars}")
         _check_slices(self.r, m, self.num_vars)
+        self._half = decompose_kernel_slices(self.r, chebyshev_nodes(m)[m // 2:])
+        for rows in self._half:
+            rows.flags.writeable = False
 
     def squares(self) -> tuple:
         """(u, v) of the kernel slices at all m nodes: ``u[t]`` holds the
@@ -185,14 +197,7 @@ class SchmudgenCertificate:
         Chebyshev row per square.  The rows of the nodes t >= m // 2 are
         ``sos1d.decompose_kernel_slices`` at those nodes; the row of a lower
         node t is that of node m-1-t mirrored (:func:`_mirror`)."""
-        m = len(self.weights)
-        return tuple(_mirror(half, m) for half in self._half_squares())
-
-    def _half_squares(self) -> tuple:
-        """(u, v) of the kernel slices at the ceil(m/2) nodes t >= m // 2, the
-        nodes y >= 0 (``sos1d.decompose_kernel_slices``)."""
-        m = len(self.weights)
-        return decompose_kernel_slices(self.r, chebyshev_nodes(m)[m // 2:])
+        return tuple(_mirror(half, len(self.weights)) for half in self._half)
 
     def reconstruct(self) -> np.ndarray:
         """Dense Chebyshev coefficients of sum_idx W[idx] prod_j S_{idx_j}(x_j):
@@ -200,40 +205,25 @@ class SchmudgenCertificate:
         ceil(m/2) slices at nodes t >= m // 2 are multiplied out in one
         batched ``split_coeffs`` call; the others are their mirrors,
         S_t(x) = S_{m-1-t}(-x)."""
-        return self._reconstruct(self._half_squares())
-
-    def _reconstruct(self, half: tuple) -> np.ndarray:
-        """:meth:`reconstruct` from the half squares ``(u, v)`` of :meth:`_half_squares`."""
-        return _contract(self.weights, _mirror(split_coeffs(*half), len(self.weights)))
-
-    def _node_square_counts(self, half: tuple) -> tuple:
-        """(W > 0 mask, (m, 2) nonzero u and v squares per node), as exact
-        Python integers, from the half squares ``(u, v)`` of :meth:`_half_squares`.
-        A mirrored row has the nonzero entries of its original, so the
-        counts of the upper nodes are reflected."""
-        u, v = half
-        counts = np.stack([np.any(u, axis=-1).sum(axis=-1),
-                           np.any(v, axis=-1).sum(axis=-1)], axis=1)
-        return ((self.weights > 0.0).astype(object),
-                _reflect(counts, len(self.weights)).astype(object))
+        return _contract(self.weights, _mirror(split_coeffs(*self._half), len(self.weights)))
 
     def squares_per_subset(self) -> dict:
         """Squares in each expanded sigma_J: over the nodes with W > 0, the
         product of the nonzero squares of each axis's kind (u for j not in J,
-        v for j in J)."""
-        live, counts = self._node_square_counts(self._half_squares())
-        per_kind = _contract(live, counts)
+        v for j in J).  A mirrored row has the nonzero entries of its
+        original, so the counts of the upper nodes are reflected."""
+        per_node = np.stack([np.any(rows, axis=-1).sum(axis=-1, dtype=np.int64)
+                             for rows in self._half], axis=1)
+        per_kind = _contract(self.weights > 0.0, _reflect(per_node, len(self.weights)))
         return {tuple(j for j, kind in enumerate(kinds) if kind): int(c)
                 for kinds, c in np.ndenumerate(per_kind) if c}
 
     def square_count(self) -> int:
-        """Squares over all sigma_J, without listing the 2^n sigma_J."""
-        return self._square_count(self._half_squares())
-
-    def _square_count(self, half: tuple) -> int:
-        """:meth:`square_count` from the half squares ``(u, v)`` of :meth:`_half_squares`."""
-        live, counts = self._node_square_counts(half)
-        return int(_contract(live, counts.sum(axis=1)))
+        """Squares over all sigma_J, without listing the 2^n sigma_J: the
+        nodes with W > 0 contracted with the squares of both kinds per node."""
+        per_node = sum(np.any(rows, axis=-1).sum(axis=-1, dtype=np.int64)
+                       for rows in self._half)
+        return int(_contract(self.weights > 0.0, _reflect(per_node, len(self.weights))))
 
 
 @dataclass(slots=True, frozen=True)
@@ -376,12 +366,10 @@ def verify(cert: SchmudgenCertificate, f: ChebPoly) -> VerificationReport:
     and never expands the squares.  Raises ``ValueError`` when f has another
     number of variables than the certificate.
     """
-    target = f.shift(cert.eta)
-    half = cert._half_squares()               # one derivation for both checks
     return VerificationReport(
-        residual=_relative_residual(cert._reconstruct(half), target),
+        residual=_relative_residual(cert.reconstruct(), f.shift(cert.eta)),
         scales_positive=bool(np.all(cert.weights >= 0.0)),
-        square_count=cert._square_count(half),
+        square_count=cert.square_count(),
     )
 
 

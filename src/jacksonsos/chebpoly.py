@@ -566,8 +566,7 @@ def grid_max_abs(p: ChebPoly, axis: np.ndarray) -> float:
     return max(max(-float(v.min()), float(v.max())) for _, v in grid_blocks(p, axis))
 
 
-def gate_witness(p: ChebPoly, scale: ChebPoly, axis: np.ndarray, tol: float,
-                 refine_iters: int = 2):
+def gate_witness(p: ChebPoly, scale: ChebPoly, axis: np.ndarray, tol: float):
     """The sampled nonnegativity gate of ``p``: ``None`` when it passes, else
     ``(value, point)``, a point of the cube where p lies below ``-tol`` times
     max |scale| over the tensor grid of the Lobatto ``axis``.
@@ -576,8 +575,9 @@ def gate_witness(p: ChebPoly, scale: ChebPoly, axis: np.ndarray, tol: float,
     on the cube, sum |c| of ``scale`` bounds that max, so a lowest cell below
     -tol * sum |c| is the witness itself, its value and Lobatto point: the
     polish could only lower it.  Any other lowest cell is polished as in
-    :func:`grid_minimum`, and a negative polished value below -tol times
-    :func:`grid_max_abs` of ``scale`` is the witness, at the polished point.
+    :func:`grid_minimum` (two rounds), and a negative polished value below
+    -tol times :func:`grid_max_abs` of ``scale`` is the witness, at the
+    polished point.
     Either way p is refused exactly when its polished grid minimum is
     negative and below -tol times that max.
     """
@@ -586,7 +586,7 @@ def gate_witness(p: ChebPoly, scale: ChebPoly, axis: np.ndarray, tol: float,
     # (deg^2 + terms) 2^-52; the 1e-6 headroom covers degrees below 10^4
     if low < -tol * (1.0 + 1e-6) * math.fsum(map(abs, scale.coeffs.values())):
         return low, tuple(float(axis[i]) for i in idx)
-    low, point = _refine(p, axis, idx, low, 1.0, refine_iters)
+    low, point = _refine(p, axis, idx, low, 1.0, refine_iters=2)
     if low < 0.0 and low < -tol * grid_max_abs(scale, axis):
         return low, point
     return None
@@ -607,9 +607,3 @@ def grid_extrema(p: ChebPoly, points_per_axis: int, refine_iters: int = 2):
         hi = _lowest_cell(hi, a, vals, -1.0)
     return (*_refine(p, axis, lo[1], lo[0], 1.0, refine_iters),
             *_refine(p, axis, hi[1], -hi[0], -1.0, refine_iters))
-
-
-def sup_norm_estimate(p: ChebPoly, points_per_axis: int = 257, refine_iters: int = 1) -> float:
-    """Grid estimate of the sup norm of ``p`` on the cube."""
-    lo, _, hi, _ = grid_extrema(p, points_per_axis, refine_iters)
-    return max(abs(lo), abs(hi))

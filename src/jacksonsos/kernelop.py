@@ -16,27 +16,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chebpoly import (
-    ChebPoly,
-    enumerate_multidegrees,
-    hamming_weight,
-    sup_norm_estimate,
-)
-from .jackson import multi_lambda, spectrum
+from .chebpoly import ChebPoly, enumerate_multidegrees, grid_extrema, hamming_weight
+# spectrum is no longer called here, but stays importable from this module
+# for callers that wrap it here (bench/tracing.py)
+from .jackson import jackson_lambda, multi_lambda, spectrum  # noqa: F401
 
 
-def _check_degree(p: ChebPoly, r: int) -> None:
-    degs = p.per_variable_degrees()
-    if any(d > r for d in degs):
-        raise ValueError(
-            f"per-variable degree {max(degs)} exceeds kernel degree {r}"
-        )
+def _check_degree(p: ChebPoly, r: int) -> int:
+    """The largest per-variable degree of ``p``; raises ``ValueError`` when it
+    exceeds the kernel degree ``r``."""
+    d = max(p.per_variable_degrees())
+    if d > r:
+        raise ValueError(f"per-variable degree {d} exceeds kernel degree {r}")
+    return d
 
 
 def _eigenpairs(p: ChebPoly, r: int):
-    """Yield ``(kappa, c, lambda_kappa)`` for every stored term of ``p``."""
-    _check_degree(p, r)
-    lams = spectrum(r).lambdas
+    """Yield ``(kappa, c, lambda_kappa)`` for every stored term of ``p``; only
+    lambda_0 .. lambda_d are built, d the largest per-variable degree."""
+    lams = [jackson_lambda(k, r) for k in range(_check_degree(p, r) + 1)]
     for kappa, c in p.coeffs.items():
         lam = 1.0
         for k in kappa:
@@ -146,7 +144,8 @@ def _random_sup_normalized(n: int, d: int, rng: np.random.Generator) -> ChebPoly
     keys = enumerate_multidegrees(n, d)
     coeffs = {k: rng.standard_normal() for k in keys}
     p = ChebPoly(n, coeffs)
-    scale = sup_norm_estimate(p, 129 if n <= 2 else 33, 1)
+    lo, _, hi, _ = grid_extrema(p, 129 if n <= 2 else 33, 1)
+    scale = max(abs(lo), abs(hi))
     if scale == 0.0:
         return ChebPoly.constant(n, 1.0)
     # shrink a touch so the grid estimate cannot undershoot the true sup norm

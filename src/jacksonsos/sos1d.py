@@ -406,7 +406,7 @@ def lukacs_decompose(p: ChebPoly) -> LukacsPair:
         raise ValueError("decomposition is univariate only")
     if p.is_zero():
         return LukacsPair(u=np.zeros(0), v=np.zeros(0), residual=0.0)
-    witness = gate_witness(p, p, lobatto_axis(1025), NONNEG_TOL, 1)
+    witness = gate_witness(p, p, lobatto_axis(1025), NONNEG_TOL)
     if witness is not None:
         lo, (loc,) = witness
         raise NotNonnegative(f"grid minimum {lo:.3e} at x={loc:.6f} below tolerance",

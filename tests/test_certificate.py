@@ -556,6 +556,38 @@ class TestFactoredForm:
         assert loaded.residual.hex() == cert.residual.hex()
         assert report.residual.hex() == cert.residual.hex()
 
+    @pytest.mark.parametrize("make_f, eta, r", [(demo_f, 0.1, 7),
+                                                (lambda: ChebPoly.constant(1, 1.0), 2.0, 0),
+                                                (lambda: _smoothed_square(2, 5), 0.0, 5)],
+                             ids=["demo-r7", "constant", "square-n2-r5"])
+    def test_one_slice_table_per_certificate(self, monkeypatch, make_f, eta, r):
+        """certify -> JSON -> load -> verify -> square_count derives the slice
+        table once per certificate object, two in all, and multiplies it out
+        once for certify's residual check and once for verify."""
+        calls = {"decompose_kernel_slices": 0, "split_coeffs": 0}
+        for name in calls:
+            def counting(*args, name=name, original=getattr(certificate_module, name)):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(certificate_module, name, counting)
+        f = make_f()
+        cert = certify(f, eta, r)
+        loaded = certificate_from_dict(json.loads(json.dumps(certificate_to_dict(cert))))
+        report = verify(loaded, f)
+        assert report.valid and report.square_count == cert.square_count()
+        assert calls == {"decompose_kernel_slices": 2, "split_coeffs": 2 if r else 1}
+
+    def test_squares_are_copies_of_the_slice_table(self):
+        """squares() hands out copies of the table a certificate derives, so
+        writing to them leaves reconstruct and the counts as they were."""
+        cert = certify(demo_f(), 0.1, 7)
+        dense, count = cert.reconstruct(), cert.square_count()
+        for rows in cert.squares():
+            rows[...] = 0.0
+        assert cert.reconstruct().tobytes() == dense.tobytes()
+        assert cert.square_count() == count
+
 
 def _mirror_cases():
     """(r, m): r = 0..12, 31 and 56, each on the fewest nodes that make an
@@ -772,14 +804,32 @@ class TestScale:
         assert report.square_count == 1
 
     def test_square_counts_are_exact_integers(self):
-        """Counts are contracted in Python integers.  At n = 14, r = 1 on two
-        nodes every axis has 2 x 4 squares: 8^14 in all, 2^14 of them in
-        each sigma_J."""
+        """Counts are contracted in int64, exact below 2^63: a count is at
+        most the number of weights times 4^n, and the reconstruction budget,
+        3^n <= POINT_BUDGET at r = 1, caps n at 14 for r >= 1.  At n = 14,
+        r = 1 on two nodes every axis has 2 x 4 squares: 8^14 in all, 4^14
+        in each of the 2^14 sigma_J."""
         cert = SchmudgenCertificate(14, 1, 0.0, np.ones((2,) * 14), 0.0)
         assert cert.square_count() == 8 ** 14
         per_subset = cert.squares_per_subset()
         assert len(per_subset) == 2 ** 14
         assert set(per_subset.values()) == {4 ** 14}
+
+    def test_square_counts_are_int64(self, monkeypatch):
+        """square_count and squares_per_subset contract the W > 0 mask with
+        int64 squares per node, and the contraction stays int64."""
+        dtypes = []
+        original = certificate_module._contract
+
+        def recording(weights, table):
+            out = original(weights, table)
+            dtypes.append((weights.dtype, table.dtype, np.asarray(out).dtype))
+            return out
+
+        monkeypatch.setattr(certificate_module, "_contract", recording)
+        cert = SchmudgenCertificate(2, 3, 0.0, np.ones((3, 3)), 0.0)
+        assert cert.square_count() == sum(cert.squares_per_subset().values())
+        assert dtypes == [(np.bool_, np.int64, np.int64)] * 2
 
     def test_ten_variable_smoothed_square(self):
         f = _smoothed_square(10, 2)

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from jacksonsos import jackson, kernelop
 from jacksonsos.chebpoly import (
     ChebPoly,
     chebyshev_nodes,
@@ -94,6 +95,23 @@ class TestInverse:
         lhs = apply_inverse(p.scale(a).shift(b), 9)
         rhs = apply_inverse(p, 9).scale(a).shift(b)
         assert (lhs - rhs).max_abs_coeff() <= 1e-13 * max(lhs.max_abs_coeff(), 1.0)
+
+    def test_builds_only_the_lambdas_up_to_the_degree(self, monkeypatch):
+        """apply_inverse at r = 200 on a degree-6 f builds lambda_0 .. lambda_6
+        only, not the r + 1 of the whole spectrum, and divides by the same
+        products as multi_lambda, bit for bit."""
+        f = random_cheb(np.random.default_rng(7), 2, 6)
+        expected = {k: c / multi_lambda(k, 200) for k, c in f.coeffs.items()}
+        calls = []
+
+        def counting(k, r):
+            calls.append(k)
+            return jackson_lambda(k, r)
+
+        monkeypatch.setattr(kernelop, "jackson_lambda", counting, raising=False)
+        monkeypatch.setattr(jackson, "jackson_lambda", counting)
+        assert apply_inverse(f, 200).coeffs == expected
+        assert len(calls) <= 7
 
 
 class TestAgainstMultiLambda:
