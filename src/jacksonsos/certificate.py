@@ -63,7 +63,7 @@ RESIDUAL_TOL = 1e-8
 GATE_TOL = 1e-10
 #: node weights more negative than this abort; values in [-NODE_CLAMP, 0) drop
 NODE_CLAMP = 1e-12
-#: golden-section polish rounds of f's own grid extrema in a bound sweep
+#: golden-section polish rounds of f's own grid extrema (bound rows, degree plan)
 _BOUND_REFINE_ITERS = 3
 
 
@@ -261,14 +261,18 @@ def _relative_residual(dense: np.ndarray, target: ChebPoly) -> float:
     return worst / scale if scale else worst
 
 
-def _node_count(f: ChebPoly, r: int) -> int:
-    """Gauss-Chebyshev nodes per axis that make the kernel identity exact for f.
+def _node_count(d: int, r: int, n: int) -> int:
+    """Gauss-Chebyshev nodes per axis that make the kernel identity exact for
+    f of n variables and largest per-variable degree d.
 
-    With g = K_r^{-1}(f + c) of per-variable degree at most d = max_j deg_{x_j} f,
-    K_r(x, y) g(y) has degree r + d in each y_j, and m nodes integrate degree
-    2m - 1 exactly: m = ceil((r + d + 1) / 2).
+    g = K_r^{-1}(f + c) has per-variable degree <= d, so K_r(x, y) g(y) has
+    degree r + d in each y_j, and m nodes integrate degree 2m - 1 exactly:
+    m = ceil((r + d + 1) / 2).  Raises ValueError if d > r or m^n > budget.
     """
-    return (r + max(f.per_variable_degrees()) + 2) // 2
+    _check_degree(d, r)
+    m = (r + d + 2) // 2
+    check_point_budget(m, n)
+    return m
 
 
 def _node_values(g: ChebPoly, m: int) -> tuple:
@@ -285,10 +289,10 @@ def certify(f: ChebPoly, eta: float, r: int) -> SchmudgenCertificate:
 
     The checks run in this order, the cheap ones first:
 
-    1. budgets: raises ``ValueError`` when the m^n quadrature nodes,
-       m = ceil((r + d + 1) / 2) with d = max_j deg_{x_j} f, the table of
-       kernel-slice factors or the (r + 1 + r % 2)^n coefficients of the
-       reconstruction exceed ``POINT_BUDGET``;
+    1. degree and budgets: raises ``ValueError`` when d = max_j deg_{x_j} f
+       exceeds r, or the m^n quadrature nodes, m = ceil((r + d + 1) / 2), the
+       table of kernel-slice factors or the (r + 1 + r % 2)^n coefficients of
+       the reconstruction exceed ``POINT_BUDGET``;
     2. node weights: raises :class:`NotCertifiable` when a weight g / m^n,
        g = K_r^{-1}(f + eta) at a node, lies below -``NODE_CLAMP``; it
        reports the least node value of g and its node;
@@ -306,13 +310,14 @@ def certify(f: ChebPoly, eta: float, r: int) -> SchmudgenCertificate:
 
     A rung refused by its node weights builds no Lobatto grid.  Kernel
     slices split in closed form, so no slice can fail.  A constant f + eta
-    is certified on one node at r = 0, since K_0 = 1.
+    is certified on one node at r = 0, since K_0 = 1, once f's degree passes.
     """
     n = f.num_vars
     eta = float(eta)
     if r < 0:
         raise ValueError("need r >= 0")
-    _check_degree(f, r)
+    d = max(f.per_variable_degrees())
+    _check_degree(d, r)         # on f: the shift can drop f's top terms
     target = f.shift(eta)
 
     # constants are fixed points of the operator: certify them directly
@@ -325,8 +330,7 @@ def certify(f: ChebPoly, eta: float, r: int) -> SchmudgenCertificate:
         return SchmudgenCertificate(num_vars=n, r=0, eta=eta,
                                     weights=np.full((1,) * n, const), residual=0.0)
 
-    m = _node_count(f, r)
-    check_point_budget(m, n)
+    m = _node_count(d, r, n)
     _check_slices(r, m, n)
     unsmoothed = apply_inverse(target, r)
 
@@ -404,55 +408,43 @@ def kernel_lower_bound(f: ChebPoly, r: int) -> BoundReport:
     return rate_sweep(f, [r])[0]
 
 
-def _lower_bound(f: ChebPoly, r: int, m: int, fmin_est: float,
-                 fmax_est: float) -> BoundReport:
-    """One :func:`rate_sweep` row on m nodes per axis, given f's own extrema."""
+def _range_and_constants(f: ChebPoly, d: int) -> tuple:
+    """(fmin_est, fmax_est, threshold, C) for f of total degree d: f's grid
+    extrema polished for ``_BOUND_REFINE_ITERS`` rounds, then
+    ``theorem_threshold(n, d)`` and ``constant_C(n, d).sharpest``, or 0 and 0
+    for a constant f.  The range and the constants do not depend on r."""
     n = f.num_vars
-    d = f.degree()
-
-    _, lambda_star, argmin = _node_values(apply_inverse(f, r), m)
-    gap = fmin_est - lambda_star
-
-    if d >= 1:
-        threshold = theorem_threshold(n, d)
-        c_used = constant_C(n, d).sharpest
-        bound = (fmax_est - fmin_est) * c_used / r ** 2
-        theorem_satisfied = (r < threshold) or (gap <= bound + 1e-12)
-    else:
-        threshold = 0.0
-        c_used = 0.0
-        bound = 0.0
-        theorem_satisfied = True
-    return BoundReport(
-        r=r,
-        lambda_star=lambda_star,
-        fmin_est=fmin_est,
-        fmax_est=fmax_est,
-        gap=gap,
-        C_used=c_used,
-        threshold=threshold,
-        bound=bound,
-        theorem_satisfied=theorem_satisfied,
-        argmin=argmin,
-    )
+    fmin_est, _, fmax_est, _ = grid_extrema(f, _grid_points(n)[1], _BOUND_REFINE_ITERS)
+    if d == 0:
+        return fmin_est, fmax_est, 0.0, 0.0
+    return fmin_est, fmax_est, theorem_threshold(n, d), constant_C(n, d).sharpest
 
 
 def rate_sweep(f: ChebPoly, r_values) -> list:
     """One :class:`BoundReport` per kernel degree in ``r_values``.
 
     Every degree and node count is checked before any grid is evaluated.
-    f's own extrema do not depend on r, so they are found once per sweep.
+    f's extrema and theorem constants do not depend on r, so they are found
+    once per sweep; a constant f has bound 0 and meets the theorem at any r.
     """
     n = f.num_vars
     r_values = [int(r) for r in r_values]
-    nodes = [_node_count(f, r) for r in r_values]
-    for r, m in zip(r_values, nodes):
-        _check_degree(f, r)
-        check_point_budget(m, n)
+    d = max(f.per_variable_degrees())
+    nodes = [_node_count(d, r, n) for r in r_values]
     if not r_values:
         return []
-    fmin_est, _, fmax_est, _ = grid_extrema(f, _grid_points(n)[1], _BOUND_REFINE_ITERS)
-    return [_lower_bound(f, r, m, fmin_est, fmax_est) for r, m in zip(r_values, nodes)]
+    fmin_est, fmax_est, threshold, c_used = _range_and_constants(f, f.degree())
+    reports = []
+    for r, m in zip(r_values, nodes):
+        _, lambda_star, argmin = _node_values(apply_inverse(f, r), m)
+        gap = fmin_est - lambda_star
+        bound = (fmax_est - fmin_est) * c_used / r ** 2 if c_used else 0.0
+        reports.append(BoundReport(
+            r=r, lambda_star=lambda_star, fmin_est=fmin_est, fmax_est=fmax_est,
+            gap=gap, C_used=c_used, threshold=threshold, bound=bound,
+            theorem_satisfied=not c_used or r < threshold or gap <= bound + 1e-12,
+            argmin=argmin))
+    return reports
 
 
 def corollary_degree(f: ChebPoly, eta: float) -> int:
@@ -460,17 +452,14 @@ def corollary_degree(f: ChebPoly, eta: float) -> int:
 
     Returns the least integer r at or above both the threshold
     pi d sqrt(2 n) and sqrt(C(n, d) * (f_max - f_min) / eta), with the range
-    taken from a refined grid estimate.  Guaranteed sufficiency comes from
-    the O(1/r^2) convergence bound; practice usually succeeds far earlier.
+    taken from the polished grid estimate that :func:`rate_sweep` uses.
+    Guaranteed sufficiency comes from the O(1/r^2) convergence bound;
+    practice usually succeeds far earlier.
     """
     if not 0.0 < eta < math.inf:
         raise ValueError("need finite eta > 0")
-    n = f.num_vars
     d = f.degree()
     if d == 0:
         return 0
-    fmin, _, fmax, _ = grid_extrema(f, _grid_points(n)[1], 2)
-    c_used = constant_C(n, d).sharpest
-    need = max(theorem_threshold(n, d),
-               math.sqrt(c_used * (fmax - fmin) / eta))
-    return int(math.ceil(need))
+    fmin, fmax, threshold, c_used = _range_and_constants(f, d)
+    return int(math.ceil(max(threshold, math.sqrt(c_used * (fmax - fmin) / eta))))

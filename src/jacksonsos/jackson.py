@@ -9,6 +9,9 @@ and the kernel is K_r(x, y) = 1 + 2 sum_{k=1}^r lambda_k T_k(x) T_k(y),
 which is pointwise nonnegative on [-1, 1]^2 with 0 < lambda_k <= 1 and
 1 - lambda_k = O(k^2 / r^2).  Products over coordinates give the
 multivariate kernel.
+
+The kernel is an autocorrelation, lambda_k = sum_j a_j a_{j+k}, of the
+amplitudes of ``_kernel_amplitudes``; ``sos1d`` builds its slices from them.
 """
 
 from __future__ import annotations
@@ -33,6 +36,13 @@ def jackson_lambda(k: int, r: int) -> float:
     theta = math.pi / (r + 2)
     return ((r + 2 - k) * math.cos(k * theta)
             + math.sin(k * theta) * math.cos(theta) / math.sin(theta)) / (r + 2)
+
+
+def _kernel_amplitudes(r: int) -> np.ndarray:
+    """a_j = sin(pi (j + 1) / (r + 2)) / sqrt((r + 2) / 2), j = 0..r, whose
+    autocorrelation matches the closed-form lambda_0..lambda_r to round-off
+    (Weisse et al., Rev. Mod. Phys. 78, 275 (2006))."""
+    return np.sin(np.pi * np.arange(1, r + 2) / (r + 2)) / math.sqrt((r + 2) / 2)
 
 
 @dataclass(slots=True, frozen=True)

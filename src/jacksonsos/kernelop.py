@@ -22,19 +22,18 @@ from .chebpoly import ChebPoly, enumerate_multidegrees, grid_extrema, hamming_we
 from .jackson import jackson_lambda, multi_lambda, spectrum  # noqa: F401
 
 
-def _check_degree(p: ChebPoly, r: int) -> int:
-    """The largest per-variable degree of ``p``; raises ``ValueError`` when it
-    exceeds the kernel degree ``r``."""
-    d = max(p.per_variable_degrees())
+def _check_degree(d: int, r: int) -> None:
+    """Refuse a largest per-variable degree d above the kernel degree r."""
     if d > r:
         raise ValueError(f"per-variable degree {d} exceeds kernel degree {r}")
-    return d
 
 
 def _eigenpairs(p: ChebPoly, r: int):
     """Yield ``(kappa, c, lambda_kappa)`` for every stored term of ``p``; only
     lambda_0 .. lambda_d are built, d the largest per-variable degree."""
-    lams = [jackson_lambda(k, r) for k in range(_check_degree(p, r) + 1)]
+    d = max(p.per_variable_degrees())
+    _check_degree(d, r)
+    lams = [jackson_lambda(k, r) for k in range(d + 1)]
     for kappa, c in p.coeffs.items():
         lam = 1.0
         for k in kappa:

@@ -22,12 +22,12 @@ takes an arbitrary polynomial and so first runs a sampled nonnegativity gate
 on a 1025-point Chebyshev-Lobatto grid.
 
 Kernel slices x -> K_r(x, y) need no roots.  The Jackson kernel is an
-autocorrelation, so each slice is |A|^2 + |B|^2 on the circle for two
-factors A, B known in closed form, and ``decompose_kernel_slices`` splits
-both by frequency parity, all slices of one degree in a few array
-operations: two squares in each of sigma_0 and sigma_1 per slice.
-``split_coeffs`` multiplies squares back out, a whole batch of slices in one
-real FFT of all their rows.
+autocorrelation of the amplitudes of ``jackson._kernel_amplitudes``, so each
+slice is |A|^2 + |B|^2 on the circle for two factors A, B built from them,
+and ``decompose_kernel_slices`` splits both by frequency parity, all slices
+of one degree in a few array operations: two squares in each of sigma_0 and
+sigma_1 per slice.  ``split_coeffs`` multiplies squares back out, a whole
+batch of slices in one real FFT of all their rows.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ import numpy as np
 from numpy.polynomial.chebyshev import chebroots, chebsub, chebvander
 
 from .chebpoly import DROP_TOL, ChebPoly, gate_witness, lobatto_axis
+from .jackson import _kernel_amplitudes
 
 #: relative tolerance of the sampled nonnegativity gates: to max |p| on the
 #: grid of lukacs_decompose, to max |q| in fejer_riesz
@@ -429,9 +430,9 @@ def lukacs_decompose(p: ChebPoly) -> LukacsPair:
 def decompose_kernel_slices(r: int, ys) -> tuple:
     """Squares of the kernel slices x -> K_r(x, y), y in ``ys``, in closed form.
 
-    With a_j = sin(pi (j + 1) / (r + 2)) / sqrt((r + 2) / 2), j = 0..r, and
-    y = cos(phi), the kernel is an autocorrelation (Weisse et al., Rev. Mod.
-    Phys. 78, 275 (2006)):
+    With the amplitudes a_j = sin(pi (j + 1) / (r + 2)) / sqrt((r + 2) / 2),
+    j = 0..r, of ``jackson._kernel_amplitudes`` and y = cos(phi), the kernel
+    is an autocorrelation (Weisse et al., Rev. Mod. Phys. 78, 275 (2006)):
 
         K_r(cos t, y) = |sum_j a_j cos(j phi) e^{ijt}|^2
                         + |sum_j a_j sin(j phi) e^{ijt}|^2.
@@ -452,7 +453,7 @@ def decompose_kernel_slices(r: int, ys) -> tuple:
     for y in ys:
         if not -1.0 <= y <= 1.0:
             raise ValueError(f"slice point {float(y)} outside [-1, 1]")
-    a = np.sin(np.pi * np.arange(1, r + 2) / (r + 2)) / math.sqrt((r + 2) / 2)
+    a = _kernel_amplitudes(r)
     angles = np.outer(np.arccos(ys), np.arange(r + 1))
     h = a * np.stack([np.cos(angles), np.sin(angles)], axis=1)
     if r % 2:

@@ -5,13 +5,14 @@ import math
 import re
 import time
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from jacksonsos import certificate as certificate_module
 from jacksonsos import chebpoly as chebpoly_module
-from jacksonsos import sos1d
+from jacksonsos import kernelop, sos1d
 from jacksonsos.certificate import (
     GATE_TOL,
     NODE_CLAMP,
@@ -31,7 +32,7 @@ from jacksonsos.chebpoly import (
     mono_from_cheb,
 )
 from jacksonsos.cli import certificate_from_dict, certificate_to_dict
-from jacksonsos.jackson import jackson_lambda
+from jacksonsos.jackson import _kernel_amplitudes, jackson_lambda
 from jacksonsos.kernelop import apply_forward, apply_inverse, constant_C, theorem_threshold
 from jacksonsos.sos1d import decompose_kernel_slices
 
@@ -113,6 +114,15 @@ class TestCertify:
     def test_degree_guard(self):
         with pytest.raises(ValueError):
             certify(demo_f(), 0.1, 3)
+
+    def test_degree_guard_reads_f_before_the_constant_shortcut(self):
+        """The shift by 1e20 drops T_5, so f + eta is a constant; f itself
+        still exceeds the kernel degree and must be refused, not certified
+        at r = 0."""
+        f = ChebPoly(1, {(5,): 1.0, (0,): 2.0})
+        assert f.shift(1e20).per_variable_degrees() == (0,)
+        with pytest.raises(ValueError, match="per-variable degree 5 exceeds kernel degree 3"):
+            certify(f, 1e20, 3)
 
     def test_smoothed_squares_certify_at_eta_zero(self):
         """Images of nonnegative polynomials certify without any shift."""
@@ -713,6 +723,30 @@ class TestNodeCount:
         assert counts == [m, m, m]
         assert set(report.argmin) <= set(original(len(cert.weights)).tolist())
 
+    def test_f_degrees_walked_once_per_call(self, monkeypatch):
+        """certify and rate_sweep walk f's per-variable degrees once for the
+        degree check and the node rule; the other walks are apply_inverse's
+        (one per r) and the polish's (one per polished cell).  A sweep takes
+        f's total degree once, for its theorem constants."""
+        f = demo_f()
+        calls = Counter()
+        for name in ("per_variable_degrees", "degree"):
+            def counted(self, original=getattr(ChebPoly, name), name=name):
+                calls[name] += 1
+                return original(self)
+
+            monkeypatch.setattr(ChebPoly, name, counted)
+        certify(f, 0.1, 7)
+        assert calls["per_variable_degrees"] <= 3
+        calls.clear()
+        with pytest.raises(NotCertifiable):        # at g's lowest grid cell, unpolished
+            certify(f, 0.1, 5)
+        assert calls["per_variable_degrees"] <= 2
+        calls.clear()
+        rate_sweep(f, range(20, 100, 8))
+        assert calls["per_variable_degrees"] <= 13
+        assert calls["degree"] == 1
+
     @pytest.mark.parametrize("n, r", [(1, 7), (2, 5), (3, 3)])
     def test_r_plus_one_node_certificates_still_load(self, n, r):
         """Certificates written on m = r + 1 nodes reload and verify."""
@@ -874,6 +908,15 @@ class TestKernelLowerBound:
         assert rep.lambda_star == pytest.approx(2.0)
         assert rep.gap == pytest.approx(0.0)
         assert rep.theorem_satisfied
+
+    def test_constant_at_r0(self):
+        """A constant has no theorem constants, so its bound is 0 even at
+        r = 0, where the row formula would divide by r^2."""
+        f = ChebPoly.constant(2, 3.0)
+        for rep in [kernel_lower_bound(f, 0)] + rate_sweep(f, [0, 2]):
+            assert rep.lambda_star == 3.0
+            assert (rep.bound, rep.C_used, rep.threshold) == (0.0, 0.0, 0.0)
+            assert rep.theorem_satisfied
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_node_identity_rebuilds_f_minus_lambda(self, n):
@@ -1057,3 +1100,75 @@ class TestCorollaryDegree:
         """max(threshold, nan) would drop the NaN and return the threshold."""
         with pytest.raises(ValueError, match="need finite eta > 0"):
             corollary_degree(demo_f(), eta)
+
+
+def _least_certifying_r(f: ChebPoly, eta: float) -> int:
+    """The least r that certify accepts f + eta at, by doubling from f's
+    degree and then bisection: certify accepts every larger r on the demo at
+    the shifts tested below."""
+    def accepts(r):
+        try:
+            certify(f, eta, r)
+        except NotCertifiable:
+            return False
+        return True
+
+    lo = max(f.per_variable_degrees())
+    if accepts(lo):
+        return lo
+    hi = 2 * lo
+    while not accepts(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if accepts(mid) else (mid, hi)
+    return hi
+
+
+def _fejer_amplitudes(r: int) -> np.ndarray:
+    """Amplitudes of the Fejer kernel, whose autocorrelation is 1 - k / (r + 1)."""
+    return np.full(r + 1, 1.0 / math.sqrt(r + 1))
+
+
+def _fejer_lambda(k: int, r: int) -> float:
+    return 1.0 - k / (r + 1)
+
+
+class TestHeadlineRate:
+    """The degree the demo needs grows like eta^(-1/2) with the Jackson
+    kernel and like 1/eta with the Fejer kernel: the quadratic gain of the
+    paper comes from 1 - lambda_k = O(k^2 / r^2), where Fejer has O(k / r).
+    Both kernels are autocorrelations of their amplitudes (Weisse et al.,
+    Rev. Mod. Phys. 78, 275 (2006)), so swapping the amplitudes of the slices
+    and the eigenvalues of the inverse swaps the kernel of certify."""
+
+    ETAS = (1e-1, 3e-2, 1e-2, 3e-3, 1e-3)
+
+    @pytest.mark.parametrize("amplitudes, lam, ulps", [(_kernel_amplitudes, jackson_lambda, 2),
+                                                       (_fejer_amplitudes, _fejer_lambda, 4)],
+                             ids=["jackson", "fejer"])
+    @pytest.mark.parametrize("r", [1, 2, 7, 40, 212, 669])
+    def test_amplitudes_autocorrelate_to_the_eigenvalues(self, amplitudes, lam, ulps, r):
+        """sum_j a_j a_{j+k} = lambda_k to a few units of 2^-52."""
+        a = amplitudes(r)
+        assert a.shape == (r + 1,)
+        lags = np.correlate(a, a, "full")[r:]
+        worst = np.max(np.abs(lags - [lam(k, r) for k in range(r + 1)]))
+        assert worst <= ulps * np.finfo(float).eps
+
+    def _slope(self, monkeypatch, amplitudes, lam) -> tuple:
+        monkeypatch.setattr(sos1d, "_kernel_amplitudes", amplitudes)
+        monkeypatch.setattr(kernelop, "jackson_lambda", lam)
+        rs = [_least_certifying_r(demo_f(), eta) for eta in self.ETAS]
+        return rs, float(np.polyfit(np.log(self.ETAS), np.log(rs), 1)[0])
+
+    def test_jackson_degree_grows_like_inverse_sqrt_eta(self, monkeypatch):
+        rs, slope = self._slope(monkeypatch, _kernel_amplitudes, jackson_lambda)
+        assert -0.6 <= slope <= -0.45, (rs, slope)
+        monkeypatch.undo()
+        for r, eta in zip(rs, self.ETAS):
+            assert corollary_degree(demo_f(), eta) >= r
+
+    def test_fejer_degree_grows_like_inverse_eta(self, monkeypatch):
+        rs, slope = self._slope(monkeypatch, _fejer_amplitudes, _fejer_lambda)
+        assert -1.1 <= slope <= -0.9, (rs, slope)
