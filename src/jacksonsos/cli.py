@@ -33,7 +33,7 @@ from .certificate import (
     verify,
 )
 from .chebpoly import ChebPoly, MonoPoly, cheb_from_monomial, chebyshev_nodes
-from .jackson import jackson_lambda, kernel_eval_1d, spectrum
+from .jackson import spectrum, verify_prop21
 from .kernelop import apply_forward, apply_inverse
 from .sos1d import decompose_kernel_slices, lukacs_decompose, split_coeffs
 
@@ -279,6 +279,15 @@ def _write_text(path: str | None, text: str) -> None:
         sys.stdout.write(text)
 
 
+def _write_csv(path: str | None, header: list, rows) -> None:
+    """``header`` and ``rows`` as CSV lines ending in '\\n', as :func:`_write_text`."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    _write_text(path, buf.getvalue())
+
+
 def _parse_sweep(spec: str) -> list:
     parts = spec.split(":")
     if len(parts) != 3:
@@ -317,17 +326,11 @@ def cmd_bound(args) -> int:
         r_values = _parse_sweep(args.r_sweep)
     else:
         raise ValueError("one of --r or --r-sweep is required")
-    reports = rate_sweep(f, r_values)
-
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["r", "lambda_star", "fmin_est", "gap", "C", "threshold",
-                     "bound", "ok"])
-    for rep in reports:
-        writer.writerow([rep.r, repr(rep.lambda_star), repr(rep.fmin_est),
-                         repr(rep.gap), repr(rep.C_used), repr(rep.threshold),
-                         repr(rep.bound), str(rep.theorem_satisfied).lower()])
-    _write_text(args.out, buf.getvalue())
+    _write_csv(args.out,
+               ["r", "lambda_star", "fmin_est", "gap", "C", "threshold", "bound", "ok"],
+               ([rep.r, repr(rep.lambda_star), repr(rep.fmin_est), repr(rep.gap),
+                 repr(rep.C_used), repr(rep.threshold), repr(rep.bound),
+                 str(rep.theorem_satisfied).lower()] for rep in rate_sweep(f, r_values)))
     return EXIT_OK
 
 
@@ -339,25 +342,15 @@ def cmd_figure1(args) -> int:
     if args.samples < 1:
         raise ValueError("--samples must be at least 1")
     xs = np.linspace(-1.0, 1.0, args.samples + 1)
-
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["x", "f_plus_eta", "inv5", "inv7"])
-    for x in xs:
-        writer.writerow([repr(float(x)), repr(shifted.eval((x,))),
-                         repr(inv5.eval((x,))), repr(inv7.eval((x,)))])
-    _write_text(args.out, buf.getvalue())
+    _write_csv(args.out, ["x", "f_plus_eta", "inv5", "inv7"],
+               ([repr(float(x)), repr(shifted.eval((x,))), repr(inv5.eval((x,))),
+                 repr(inv7.eval((x,)))] for x in xs))
     return EXIT_OK
 
 
 def cmd_inspect_kernel(args) -> int:
-    spec = spectrum(args.r)
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["k", "lambda"])
-    for k, lam in enumerate(spec.lambdas):
-        writer.writerow([k, repr(lam)])
-    _write_text(args.out, buf.getvalue())
+    _write_csv(args.out, ["k", "lambda"],
+               ([k, repr(lam)] for k, lam in enumerate(spectrum(args.r).lambdas)))
     return EXIT_OK
 
 
@@ -365,27 +358,16 @@ def cmd_inspect_kernel(args) -> int:
 
 
 def _check_spectral(level: str) -> dict:
-    r_max = 200 if level == "full" else 60
-    worst = 0.0
-    for r in range(1, r_max + 1):
-        lams = spectrum(r).lambdas
-        for k in range(1, r + 1):
-            lam = lams[k]
-            if not 0.0 < lam <= 1.0:
-                return {"name": "spectral_bounds", "ok": False,
-                        "detail": f"lambda_{k}^{r} = {lam} out of range"}
-            excess = (1.0 - lam) - math.pi ** 2 * k ** 2 / (r + 2) ** 2
-            worst = max(worst, excess)
-    grid_r = 50 if level == "full" else 25
-    grid_n = 201 if level == "full" else 101
-    axis = np.cos(np.linspace(0.0, math.pi, grid_n))
-    kmin = 0.0
-    for r in range(1, grid_r + 1):
-        kmin = min(kmin, float(np.min(
-            kernel_eval_1d(r, axis[:, None], axis[None, :]))))
-    ok = worst <= 1e-12 and kmin >= -1e-12
-    return {"name": "spectral_bounds", "ok": ok,
-            "detail": f"worst decay excess {worst:.3e}, kernel min {kmin:.3e}"}
+    full = level == "full"
+    reports = [verify_prop21(r, r, 201 if full else 101)
+               for r in range(1, (200 if full else 60) + 1)]
+    worst = max(0.0, *(-rep.decay_margin for rep in reports))
+    kmin = min(0.0, *(rep.kernel_min for rep in reports))
+    lo = min(rep.lambda_min for rep in reports)
+    hi = max(rep.lambda_max for rep in reports)
+    return {"name": "spectral_bounds", "ok": all(rep.ok for rep in reports),
+            "detail": (f"worst decay excess {worst:.3e}, kernel min {kmin:.3e}, "
+                       f"lambda in [{lo:.3e}, {hi:.3e}]")}
 
 
 def _check_quadrature(level: str) -> dict:
@@ -424,12 +406,11 @@ def _check_sos(level: str, seed: int) -> dict:
     n_y = 50 if level == "full" else 10
     ys = chebyshev_nodes(n_y)
     for r in range(r_max + 1):
-        for y, recon in zip(ys, split_coeffs(*decompose_kernel_slices(r, ys))):
-            diff = -recon                               # minus recon, plus the slice
-            diff[0] += 1.0
-            for k in range(1, r + 1):
-                diff[k] += 2.0 * jackson_lambda(k, r) * math.cos(k * math.acos(y))
-            worst = max(worst, float(np.max(np.abs(diff))))
+        diff = split_coeffs(*decompose_kernel_slices(r, ys))
+        coef = 2.0 * np.array(spectrum(r).lambdas)      # K_r(., y) = sum coef_k T_k(y) T_k
+        coef[0] = 1.0
+        diff[:, :r + 1] -= coef * np.cos(np.outer(np.arccos(ys), np.arange(r + 1)))
+        worst = max(worst, float(np.max(np.abs(diff))))
     ok = worst <= 1e-8
     return {"name": "sos_reconstruction", "ok": ok,
             "detail": f"worst residual {worst:.3e}"}

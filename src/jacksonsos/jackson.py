@@ -122,7 +122,7 @@ class SpectralPropertyReport:
     kernel_min: float            # over the sampled grid of [-1,1]^2
     lambda_min: float            # over 0 <= k <= r
     lambda_max: float
-    decay_margin: float          # min over k <= d of bound - (1 - lambda_k)
+    decay_margin: float          # min over 1 <= k <= d of bound_k - (1 - lambda_k)
     nonneg_ok: bool
     range_ok: bool
     decay_ok: bool
@@ -135,10 +135,10 @@ class SpectralPropertyReport:
 def verify_prop21(r: int, d: int, grid: int = 201) -> SpectralPropertyReport:
     """Sample-check kernel nonnegativity plus the eigenvalue bounds.
 
-    Checks, for the given ``r`` and all ``k <= d``:
-    nonnegativity of K_r on a ``grid`` x ``grid`` sample of the square
-    (tolerance -1e-12), 0 < lambda_k <= 1 for k <= r, and
-    1 - lambda_k <= pi^2 d^2 / (r+2)^2.
+    Checks nonnegativity of K_r on a ``grid`` x ``grid`` sample of the
+    square (tolerance -1e-12), 0 < lambda_k <= 1 for k <= r, and the decay
+    bound 1 - lambda_k <= pi^2 k^2 / (r+2)^2 for each 1 <= k <= d; its least
+    margin is ``decay_margin`` (0 at d = 0).
     """
     if d > r:
         raise ValueError("need d <= r")
@@ -148,8 +148,8 @@ def verify_prop21(r: int, d: int, grid: int = 201) -> SpectralPropertyReport:
     lams = spectrum(r).lambdas
     lambda_min = min(lams)
     lambda_max = max(lams)
-    bound = math.pi ** 2 * d ** 2 / (r + 2) ** 2
-    decay_margin = min(bound - (1.0 - lams[k]) for k in range(d + 1))
+    decay_margin = min((math.pi ** 2 * k ** 2 / (r + 2) ** 2 - (1.0 - lams[k])
+                        for k in range(1, d + 1)), default=0.0)
     return SpectralPropertyReport(
         r=r,
         d=d,

@@ -17,9 +17,9 @@ matrix (I. J. Good, Q. J. Math. 12, 1961), so no 2d x 2d power-basis
 companion matrix is formed.  A factor of odd degree is multiplied by z,
 which keeps its modulus on the circle and makes its degree even; splitting
 h by frequency parity then yields u and v as dense Chebyshev coefficient
-arrays, returned as ``LukacsPair(u, v)`` by ``lukacs_decompose``, which
-takes an arbitrary polynomial and so first runs a sampled nonnegativity gate
-on a 1025-point Chebyshev-Lobatto grid.
+arrays, returned as ``LukacsPair(u, v)`` by ``lukacs_decompose``.  Both
+public tools take an arbitrary input, so both first run the one sampled
+nonnegativity gate, on a 1025-point Chebyshev-Lobatto grid.
 
 Kernel slices x -> K_r(x, y) need no roots.  The Jackson kernel is an
 autocorrelation of the amplitudes of ``jackson._kernel_amplitudes``, so each
@@ -41,8 +41,8 @@ from numpy.polynomial.chebyshev import chebroots, chebsub, chebvander
 from .chebpoly import DROP_TOL, ChebPoly, gate_witness, lobatto_axis
 from .jackson import _kernel_amplitudes
 
-#: relative tolerance of the sampled nonnegativity gates: to max |p| on the
-#: grid of lukacs_decompose, to max |q| in fejer_riesz
+#: relative tolerance of the sampled nonnegativity gate, to max |p| on its
+#: 1025-point Lobatto grid
 NONNEG_TOL = 1e-10
 #: relative tolerance on the spectral factorization residual
 FACTOR_TOL = 1e-9
@@ -199,7 +199,8 @@ def fejer_riesz(q) -> np.ndarray:
     ValueError
         If ``q`` is not a nonempty 1-D sequence of finite numbers.
     NotNonnegative
-        If sampling finds values below ``-NONNEG_TOL * max|q|``.
+        If the gate of :func:`lukacs_decompose` refuses the input as a
+        Chebyshev series, with the same message, value and location.
     IllConditioned
         If root pairing fails or the factorization residual is too large.
     """
@@ -208,11 +209,29 @@ def fejer_riesz(q) -> np.ndarray:
         raise ValueError("expected a nonempty 1-D coefficient sequence")
     if not np.all(np.isfinite(q)):
         raise ValueError("cosine coefficient is not finite")
+    _gate(ChebPoly(1, {(k,): c for k, c in enumerate(q)}))
     return _spectral_factor(q)
 
 
+def _gate(p: ChebPoly) -> None:
+    """Raise :class:`NotNonnegative` when the sampled gate refuses ``p``.
+
+    ``p`` is refused when its polished minimum on the 1025-point
+    Chebyshev-Lobatto grid lies below zero and below -``NONNEG_TOL`` times
+    max |p| over the same grid (unpolished).  The refusal reports the lowest
+    grid cell and its Lobatto point when that cell is below -``NONNEG_TOL``
+    times sum |c| of p, a bound on max |p|, and the polished minimum and its
+    point otherwise (``chebpoly.gate_witness``).
+    """
+    witness = gate_witness(p, p, lobatto_axis(1025), NONNEG_TOL)
+    if witness is not None:
+        lo, (loc,) = witness
+        raise NotNonnegative(f"grid minimum {lo:.3e} at x={loc:.6f} below tolerance",
+                             value=lo, location=loc)
+
+
 def _spectral_factor(q: np.ndarray) -> np.ndarray:
-    """:func:`fejer_riesz` of a validated ``q``."""
+    """:func:`fejer_riesz` of a validated ``q`` that passed the gate."""
     scale = float(np.max(np.abs(q)))
     if scale == 0.0:
         return np.zeros(1)
@@ -221,16 +240,6 @@ def _spectral_factor(q: np.ndarray) -> np.ndarray:
     while dq > 0 and abs(q[dq]) <= 1e-13 * scale:
         dq -= 1
     q = q[: dq + 1]
-
-    theta = np.linspace(0.0, math.pi, 512)
-    vals = chebvander(np.cos(theta), dq) @ q
-    vmin = float(np.min(vals))
-    if vmin < -NONNEG_TOL * scale:
-        raise NotNonnegative(
-            f"sampled value {vmin:.3e} below tolerance for a nonnegative input",
-            value=vmin,
-            location=float(math.cos(theta[int(np.argmin(vals))])),
-        )
 
     if dq == 0:
         return np.array([math.sqrt(max(q[0], 0.0))])
@@ -268,8 +277,9 @@ def _spectral_factor(q: np.ndarray) -> np.ndarray:
 
     check = np.linspace(0.0, math.pi, 256)
     hv = np.exp(1j * np.outer(check, np.arange(h.size))) @ h
-    resid = float(np.max(np.abs(np.abs(hv) ** 2 - chebvander(np.cos(check), dq) @ q)))
-    val_scale = max(float(np.max(np.abs(vals))), 1e-300)
+    qv = chebvander(np.cos(check), dq) @ q
+    resid = float(np.max(np.abs(np.abs(hv) ** 2 - qv)))
+    val_scale = max(float(np.max(np.abs(qv))), 1e-300)
     if not resid <= FACTOR_TOL * val_scale:
         raise IllConditioned(
             f"factorization residual {resid:.3e} exceeds "
@@ -393,25 +403,15 @@ class LukacsPair:
 def lukacs_decompose(p: ChebPoly) -> LukacsPair:
     """Decompose a univariate polynomial nonnegative on [-1, 1].
 
-    The nonnegativity gate refuses ``p`` when its polished minimum on the
-    1025-point Chebyshev-Lobatto grid lies below zero and below
-    -``NONNEG_TOL`` times max |p| over the same grid (unpolished), and
-    ``fejer_riesz``'s sampled gate then applies as well; the output
-    reconstructs ``p`` coefficientwise to ``RECON_TOL`` relative or the
-    decomposition is rejected.  :class:`NotNonnegative` from the gate
-    reports the lowest grid cell and its Lobatto point when that cell is
-    below -``NONNEG_TOL`` times sum |c| of p, a bound on max |p|, and the
-    polished minimum and its point otherwise (``chebpoly.gate_witness``).
+    The sampled nonnegativity gate (:func:`_gate`) may refuse ``p`` with
+    :class:`NotNonnegative`; the output reconstructs ``p`` coefficientwise
+    to ``RECON_TOL`` relative or the decomposition is rejected.
     """
     if p.num_vars != 1:
         raise ValueError("decomposition is univariate only")
     if p.is_zero():
         return LukacsPair(u=np.zeros(0), v=np.zeros(0), residual=0.0)
-    witness = gate_witness(p, p, lobatto_axis(1025), NONNEG_TOL)
-    if witness is not None:
-        lo, (loc,) = witness
-        raise NotNonnegative(f"grid minimum {lo:.3e} at x={loc:.6f} below tolerance",
-                             value=lo, location=loc)
+    _gate(p)
     target = _dense(p)
     h = _spectral_factor(target)
     if h.size % 2 == 0:

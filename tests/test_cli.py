@@ -1,6 +1,7 @@
 """Tests for the command-line interface and serialization."""
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -458,6 +459,12 @@ class TestBoundCommand:
         assert "16^6 points exceeds budget" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_rows_end_in_newline_only(self, capsys):
+        assert main(["bound", "--poly", "3", "--r", "0"]) == EXIT_OK
+        assert capsys.readouterr().out == (
+            "r,lambda_star,fmin_est,gap,C,threshold,bound,ok\n"
+            "0,3.0,3.0,0.0,0.0,0.0,0.0,true\n")
+
     def test_deterministic_output(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         main(["bound", "--poly", DEMO, "--r-sweep", "18:42:8", "--out", str(a)])
@@ -514,6 +521,22 @@ class TestSelftest:
         assert {c["name"] for c in summary["checks"]} == {
             "spectral_bounds", "quadrature_exactness", "sos_reconstruction",
             "certificate_roundtrip"}
+
+    def test_spectral_check_reports_verify_prop21(self, monkeypatch):
+        """The check is verify_prop21(r, r) over r = 1..60: one failing
+        report fails it."""
+        calls = []
+        prop21 = cli.verify_prop21
+
+        def failing_at_7(r, d, grid):
+            calls.append((r, d, grid))
+            report = prop21(r, d, grid)
+            return dataclasses.replace(report, decay_ok=False) if r == 7 else report
+
+        monkeypatch.setattr(cli, "verify_prop21", failing_at_7)
+        check = cli._check_spectral("quick")
+        assert calls == [(r, r, 101) for r in range(1, 61)]
+        assert check["name"] == "spectral_bounds" and check["ok"] is False
 
     def test_full_quadrature_check(self):
         check = cli._check_quadrature("full")

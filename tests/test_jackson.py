@@ -181,3 +181,15 @@ class TestPropertyReport:
     def test_requires_d_le_r(self):
         with pytest.raises(ValueError):
             verify_prop21(3, 4)
+
+    @pytest.mark.parametrize("r, d", [(5, 4), (40, 12), (200, 10)])
+    def test_decay_margin_is_per_k(self, r, d):
+        """The margin is min over 1 <= k <= d of pi^2 k^2 / (r+2)^2 - (1 - lambda_k),
+        each k against its own bound."""
+        margins = [math.pi ** 2 * k ** 2 / (r + 2) ** 2 - (1.0 - jackson_lambda(k, r))
+                   for k in range(1, d + 1)]
+        assert verify_prop21(r, d, grid=11).decay_margin == pytest.approx(
+            min(margins), abs=1e-15)
+
+    def test_decay_margin_zero_at_d0(self):
+        assert verify_prop21(3, 0, grid=11).decay_margin == 0.0

@@ -145,6 +145,21 @@ class TestFejerRiesz:
     def test_zero_input(self):
         assert list(fejer_riesz([0.0, 0.0])) == [0.0]
 
+    @pytest.mark.parametrize("a, eps", [(0.3, 1e-4), (0.123, 3e-5)])
+    def test_narrow_dip_refused_as_lukacs_decompose(self, a, eps):
+        """(x - a)^2 - eps^2 dips below zero between Lobatto points: both
+        tools refuse it through the one gate, with one value and location."""
+        q = npcheb.poly2cheb([a * a - eps * eps, -2.0 * a, 1.0])
+        with pytest.raises(NotNonnegative) as fejer:
+            fejer_riesz(q)
+        with pytest.raises(NotNonnegative) as lukacs:
+            lukacs_decompose(ChebPoly(1, {(k,): c for k, c in enumerate(q)}))
+        assert str(fejer.value) == str(lukacs.value)
+        assert (fejer.value.value, fejer.value.location) == \
+            (lukacs.value.value, lukacs.value.location)
+        assert fejer.value.value == pytest.approx(-eps * eps, rel=1e-6)
+        assert fejer.value.location == pytest.approx(a, abs=eps)
+
     @pytest.mark.parametrize("q", [[math.inf, 0.5], [1.0, math.nan], [2.0, 1.0, math.nan]])
     def test_rejects_non_finite_input(self, q):
         with pytest.raises(ValueError, match="not finite"):
