@@ -58,9 +58,6 @@ MAX_VARS = 64
 
 #: a certificate is valid when its reconstruction matches f + eta this closely
 RESIDUAL_TOL = 1e-8
-#: tolerance of the nonnegativity gate on the unsmoothed polynomial, relative
-#: to max |f + eta| on the gate grid
-GATE_TOL = 1e-10
 #: node weights more negative than this abort; values in [-NODE_CLAMP, 0) drop
 NODE_CLAMP = 1e-12
 #: golden-section polish rounds of f's own grid extrema (bound rows, degree plan)
@@ -211,12 +208,16 @@ class SchmudgenCertificate:
         """Squares in each expanded sigma_J: over the nodes with W > 0, the
         product of the nonzero squares of each axis's kind (u for j not in J,
         v for j in J).  A mirrored row has the nonzero entries of its
-        original, so the counts of the upper nodes are reflected."""
+        original, so the counts of the upper nodes are reflected.  When no
+        node has a v square (r = 0) only sigma_0 is contracted, so that n
+        variables need not build 2^n counts."""
         per_node = np.stack([np.any(rows, axis=-1).sum(axis=-1, dtype=np.int64)
                              for rows in self._half], axis=1)
+        if not per_node[:, 1].any():
+            per_node = per_node[:, :1]
         per_kind = _contract(self.weights > 0.0, _reflect(per_node, len(self.weights)))
-        return {tuple(j for j, kind in enumerate(kinds) if kind): int(c)
-                for kinds, c in np.ndenumerate(per_kind) if c}
+        return {tuple(np.flatnonzero(kinds).tolist()): int(per_kind[tuple(kinds)])
+                for kinds in np.argwhere(per_kind)}
 
     def square_count(self) -> int:
         """Squares over all sigma_J, without listing the 2^n sigma_J: the
@@ -296,15 +297,13 @@ def certify(f: ChebPoly, eta: float, r: int) -> SchmudgenCertificate:
     2. node weights: raises :class:`NotCertifiable` when a weight g / m^n,
        g = K_r^{-1}(f + eta) at a node, lies below -``NODE_CLAMP``; it
        reports the least node value of g and its node;
-    3. the Lobatto gate, the paper's sufficient condition: raises
-       :class:`NotCertifiable` when the polished grid minimum of g lies
-       below zero and below -``GATE_TOL`` times the gate's scale, max
-       |f + eta| over the same Chebyshev-Lobatto grid (unpolished).  The
-       refusal reports a witness (``chebpoly.gate_witness``): g's lowest
-       grid cell and its Lobatto point when that cell is below -``GATE_TOL``
-       times sum |c| of f + eta, which bounds the scale, with no polish and
-       no scale grid; else the polished minimum and its point, the scale
-       read only for a negative minimum;
+    3. the Lobatto gate, the paper's sufficient condition
+       (``chebpoly.gate_witness``): raises :class:`NotCertifiable` when the
+       polished grid minimum of g on a Chebyshev-Lobatto grid lies below the
+       floor -``GATE_TOL`` * sum |c| of f + eta, a bound on max |f + eta|
+       over the cube.  The refusal reports g's lowest grid cell and its
+       Lobatto point when that cell is already below the floor, with no
+       polish; else the polished minimum and its point;
     4. residual: raises :class:`ResidualTooLarge` if the assembled identity
        fails to reconstruct f + eta within ``RESIDUAL_TOL``.
 
@@ -344,7 +343,7 @@ def certify(f: ChebPoly, eta: float, r: int) -> SchmudgenCertificate:
         )
     weights[weights <= 0.0] = 0.0
 
-    witness = gate_witness(unsmoothed, target, lobatto_axis(_grid_points(n)[0]), GATE_TOL)
+    witness = gate_witness(unsmoothed, target, lobatto_axis(_grid_points(n)[0]))
     if witness is not None:
         gmin, gloc = witness
         raise NotCertifiable(

@@ -548,48 +548,31 @@ def _grid_low(p: ChebPoly, axis: np.ndarray):
     return best
 
 
-def grid_minimum(p: ChebPoly, axis: np.ndarray, refine_iters: int = 2):
-    """Polished grid minimum of ``p`` over the cube [-1, 1]^n.
-
-    Scans the tensor grid of the Lobatto ``axis`` in :func:`grid_blocks`,
-    polishes the lowest cell by coordinate-wise golden section and returns
-    ``(min_est, argmin)``.  An estimate, not a certified bound; ties go to
-    the lexicographically smallest point.
-    """
-    low, idx = _grid_low(p, axis)
-    return _refine(p, axis, idx, low, 1.0, refine_iters)
+#: relative tolerance of the sampled nonnegativity gate: :func:`gate_witness`
+#: refuses below -GATE_TOL times sum |c| of its scale polynomial
+GATE_TOL = 1e-10
 
 
-def grid_max_abs(p: ChebPoly, axis: np.ndarray) -> float:
-    """max |p| over the tensor grid of the Lobatto ``axis``, read in
-    :func:`grid_blocks` (unpolished): the scale of a one-sided gate."""
-    return max(max(-float(v.min()), float(v.max())) for _, v in grid_blocks(p, axis))
-
-
-def gate_witness(p: ChebPoly, scale: ChebPoly, axis: np.ndarray, tol: float):
+def gate_witness(p: ChebPoly, scale: ChebPoly, axis: np.ndarray):
     """The sampled nonnegativity gate of ``p``: ``None`` when it passes, else
-    ``(value, point)``, a point of the cube where p lies below ``-tol`` times
-    max |scale| over the tensor grid of the Lobatto ``axis``.
+    ``(value, point)``, a point of the cube where p lies below the floor
+    -``GATE_TOL`` * sum |c| of ``scale``.  Since |T_kappa| <= 1 on the cube,
+    sum |c| bounds max |scale| there.
 
-    The grid is scanned once, in :func:`grid_blocks`.  Since |T_kappa| <= 1
-    on the cube, sum |c| of ``scale`` bounds that max, so a lowest cell below
-    -tol * sum |c| is the witness itself, its value and Lobatto point: the
-    polish could only lower it.  Any other lowest cell is polished as in
-    :func:`grid_minimum` (two rounds), and a negative polished value below
-    -tol times :func:`grid_max_abs` of ``scale`` is the witness, at the
-    polished point.
-    Either way p is refused exactly when its polished grid minimum is
-    negative and below -tol times that max.
+    The tensor grid of the Lobatto ``axis`` is scanned once, in
+    :func:`grid_blocks`.  A lowest cell below the floor is the witness itself,
+    its value and Lobatto point: the polish could only lower it.  Any other
+    lowest cell is polished (two rounds, as in :func:`grid_extrema`), and a
+    polished value below the floor is the witness, at the polished point.
+    Either way p is refused exactly when its polished grid minimum lies below
+    the floor.
     """
+    floor = -GATE_TOL * math.fsum(map(abs, scale.coeffs.values()))
     low, idx = _grid_low(p, axis)
-    # the grid's T_k tables may round |scale| past sum |c| by about
-    # (deg^2 + terms) 2^-52; the 1e-6 headroom covers degrees below 10^4
-    if low < -tol * (1.0 + 1e-6) * math.fsum(map(abs, scale.coeffs.values())):
+    if low < floor:
         return low, tuple(float(axis[i]) for i in idx)
     low, point = _refine(p, axis, idx, low, 1.0, refine_iters=2)
-    if low < 0.0 and low < -tol * grid_max_abs(scale, axis):
-        return low, point
-    return None
+    return (low, point) if low < floor else None
 
 
 def grid_extrema(p: ChebPoly, points_per_axis: int, refine_iters: int = 2):

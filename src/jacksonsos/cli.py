@@ -33,7 +33,7 @@ from .certificate import (
     verify,
 )
 from .chebpoly import ChebPoly, MonoPoly, cheb_from_monomial, chebyshev_nodes
-from .jackson import spectrum, verify_prop21
+from .jackson import _kernel_coeffs, spectrum, verify_prop21
 from .kernelop import apply_forward, apply_inverse
 from .sos1d import decompose_kernel_slices, lukacs_decompose, split_coeffs
 
@@ -259,15 +259,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_poly(args) -> ChebPoly:
-    if getattr(args, "poly", None) and getattr(args, "poly_file", None):
-        raise ValueError("give either --poly or --poly-file, not both")
-    if getattr(args, "poly", None):
-        text = args.poly
-    elif getattr(args, "poly_file", None):
+    """f from --poly or --poly-file, which the parser makes exactly one of."""
+    text = args.poly
+    if text is None:
         with open(args.poly_file, "r", encoding="utf-8") as fh:
             text = fh.read()
-    else:
-        raise ValueError("one of --poly or --poly-file is required")
     return cheb_from_monomial(parse_polynomial(text, args.nvars))
 
 
@@ -318,14 +314,7 @@ def cmd_certify(args) -> int:
 
 def cmd_bound(args) -> int:
     f = _load_poly(args)
-    if args.r is not None and args.r_sweep:
-        raise ValueError("give either --r or --r-sweep, not both")
-    if args.r is not None:
-        r_values = [args.r]
-    elif args.r_sweep:
-        r_values = _parse_sweep(args.r_sweep)
-    else:
-        raise ValueError("one of --r or --r-sweep is required")
+    r_values = [args.r] if args.r is not None else _parse_sweep(args.r_sweep)
     _write_csv(args.out,
                ["r", "lambda_star", "fmin_est", "gap", "C", "threshold", "bound", "ok"],
                ([rep.r, repr(rep.lambda_star), repr(rep.fmin_est), repr(rep.gap),
@@ -407,9 +396,8 @@ def _check_sos(level: str, seed: int) -> dict:
     ys = chebyshev_nodes(n_y)
     for r in range(r_max + 1):
         diff = split_coeffs(*decompose_kernel_slices(r, ys))
-        coef = 2.0 * np.array(spectrum(r).lambdas)      # K_r(., y) = sum coef_k T_k(y) T_k
-        coef[0] = 1.0
-        diff[:, :r + 1] -= coef * np.cos(np.outer(np.arccos(ys), np.arange(r + 1)))
+        # K_r(., y) = sum coef_k T_k(y) T_k, each T_k(y) as a cosine
+        diff[:, :r + 1] -= _kernel_coeffs(r) * np.cos(np.outer(np.arccos(ys), np.arange(r + 1)))
         worst = max(worst, float(np.max(np.abs(diff))))
     ok = worst <= 1e-8
     return {"name": "sos_reconstruction", "ok": ok,
@@ -473,8 +461,9 @@ def cmd_selftest(args) -> int:
 
 
 def _add_poly_flags(sub) -> None:
-    sub.add_argument("--poly", help="polynomial text, e.g. '1 - x1^2'")
-    sub.add_argument("--poly-file", help="file containing the polynomial text")
+    source = sub.add_mutually_exclusive_group(required=True)
+    source.add_argument("--poly", help="polynomial text, e.g. '1 - x1^2'")
+    source.add_argument("--poly-file", help="file containing the polynomial text")
     sub.add_argument("--nvars", type=int, default=None,
                      help="override the inferred variable count")
 
@@ -494,8 +483,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bound", help="certified lower bounds on the minimum")
     _add_poly_flags(p)
-    p.add_argument("--r", type=int, default=None, help="single kernel degree")
-    p.add_argument("--r-sweep", default=None, help="range A:B:STEP")
+    degrees = p.add_mutually_exclusive_group(required=True)
+    degrees.add_argument("--r", type=int, help="single kernel degree")
+    degrees.add_argument("--r-sweep", help="range A:B:STEP")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_bound)
 
@@ -522,7 +512,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:       # a usage error (64, from _Parser.error) or --help
+        return exc.code
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -136,15 +136,17 @@ def verify_prop21(r: int, d: int, grid: int = 201) -> SpectralPropertyReport:
     """Sample-check kernel nonnegativity plus the eigenvalue bounds.
 
     Checks nonnegativity of K_r on a ``grid`` x ``grid`` sample of the
-    square (tolerance -1e-12), 0 < lambda_k <= 1 for k <= r, and the decay
-    bound 1 - lambda_k <= pi^2 k^2 / (r+2)^2 for each 1 <= k <= d; its least
-    margin is ``decay_margin`` (0 at d = 0).
+    square, to -1e-12 times K_r(1, 1) = 1 + 2 sum lambda_k (the kernel's
+    maximum, which its rounding grows with); 0 < lambda_k <= 1 for k <= r;
+    and the decay bound 1 - lambda_k <= pi^2 k^2 / (r+2)^2 for each
+    1 <= k <= d, whose least margin is ``decay_margin`` (0 at d = 0).
     """
     if d > r:
         raise ValueError("need d <= r")
     axis = np.cos(np.linspace(0.0, math.pi, grid))
     kvals = kernel_eval_1d(r, axis[:, None], axis[None, :])
     kernel_min = float(np.min(kvals))
+    peak = float(_kernel_coeffs(r).sum())      # K_r(1, 1)
     lams = spectrum(r).lambdas
     lambda_min = min(lams)
     lambda_max = max(lams)
@@ -157,7 +159,7 @@ def verify_prop21(r: int, d: int, grid: int = 201) -> SpectralPropertyReport:
         lambda_min=lambda_min,
         lambda_max=lambda_max,
         decay_margin=decay_margin,
-        nonneg_ok=kernel_min >= -1e-12,
+        nonneg_ok=kernel_min >= -1e-12 * peak,
         range_ok=0.0 < lambda_min and lambda_max <= 1.0,
         decay_ok=decay_margin >= -1e-12,
     )

@@ -19,7 +19,8 @@ which keeps its modulus on the circle and makes its degree even; splitting
 h by frequency parity then yields u and v as dense Chebyshev coefficient
 arrays, returned as ``LukacsPair(u, v)`` by ``lukacs_decompose``.  Both
 public tools take an arbitrary input, so both first run the one sampled
-nonnegativity gate, on a 1025-point Chebyshev-Lobatto grid.
+nonnegativity gate, on a 1025-point Chebyshev-Lobatto grid, with the floor
+-``chebpoly.GATE_TOL`` times sum |c| of the input.
 
 Kernel slices x -> K_r(x, y) need no roots.  The Jackson kernel is an
 autocorrelation of the amplitudes of ``jackson._kernel_amplitudes``, so each
@@ -41,9 +42,6 @@ from numpy.polynomial.chebyshev import chebroots, chebsub, chebvander
 from .chebpoly import DROP_TOL, ChebPoly, gate_witness, lobatto_axis
 from .jackson import _kernel_amplitudes
 
-#: relative tolerance of the sampled nonnegativity gate, to max |p| on its
-#: 1025-point Lobatto grid
-NONNEG_TOL = 1e-10
 #: relative tolerance on the spectral factorization residual
 FACTOR_TOL = 1e-9
 #: relative tolerance on the final reconstruction residual
@@ -217,13 +215,12 @@ def _gate(p: ChebPoly) -> None:
     """Raise :class:`NotNonnegative` when the sampled gate refuses ``p``.
 
     ``p`` is refused when its polished minimum on the 1025-point
-    Chebyshev-Lobatto grid lies below zero and below -``NONNEG_TOL`` times
-    max |p| over the same grid (unpolished).  The refusal reports the lowest
-    grid cell and its Lobatto point when that cell is below -``NONNEG_TOL``
-    times sum |c| of p, a bound on max |p|, and the polished minimum and its
-    point otherwise (``chebpoly.gate_witness``).
+    Chebyshev-Lobatto grid lies below -``chebpoly.GATE_TOL`` times sum |c| of
+    p, a bound on max |p| over [-1, 1].  The refusal reports the lowest grid
+    cell and its Lobatto point when that cell is already below, and the
+    polished minimum and its point otherwise (``chebpoly.gate_witness``).
     """
-    witness = gate_witness(p, p, lobatto_axis(1025), NONNEG_TOL)
+    witness = gate_witness(p, p, lobatto_axis(1025))
     if witness is not None:
         lo, (loc,) = witness
         raise NotNonnegative(f"grid minimum {lo:.3e} at x={loc:.6f} below tolerance",

@@ -14,7 +14,6 @@ from jacksonsos import certificate as certificate_module
 from jacksonsos import chebpoly as chebpoly_module
 from jacksonsos import kernelop, sos1d
 from jacksonsos.certificate import (
-    GATE_TOL,
     NODE_CLAMP,
     NotCertifiable,
     SchmudgenCertificate,
@@ -25,6 +24,7 @@ from jacksonsos.certificate import (
     verify,
 )
 from jacksonsos.chebpoly import (
+    GATE_TOL,
     POINT_BUDGET,
     ChebPoly,
     chebyshev_nodes,
@@ -42,10 +42,10 @@ from helpers import (abs_sum, demo_f, expand_certificate, lowest_grid_cell,
 
 def _band_f() -> ChebPoly:
     """1 + 0.4 T_1 - 0.3 T_2 + 0.8 T_3 + 0.5 T_4: at eta = 0.02 and r = 15 its
-    node weights pass, g = K_r^{-1}(f + eta) dips to -0.0686 at an inner
-    grid cell (the polish lowers it), and sum |c| = 3.02 of f + eta lies
-    above its grid max 2.42, so GATE_TOL = 0.025 refuses g only after the
-    polish and 0.03 accepts it."""
+    node weights pass, and g = K_r^{-1}(f + eta) dips to -0.0686345 at an
+    inner grid cell, which the polish lowers by 1.9e-6.  sum |c| of f + eta
+    is 3.02, so GATE_TOL = 0.025 (floor -0.0755) polishes g and accepts it,
+    and 0.02 (floor -0.0604) refuses it on the cell."""
     return ChebPoly(1, {(0,): 1.0, (1,): 0.4, (2,): -0.3, (3,): 0.8, (4,): 0.5})
 
 
@@ -264,55 +264,48 @@ class TestCertify:
     def test_gate_holds_one_grid_array_at_a_time(self):
         # the 65^3 gate grid is read in blocks of 15 last-axis points (0.5 MiB
         # each, about 1.1 MiB peak with eval_grid's own temporaries); the whole
-        # grid's values alone would take 2.1 MiB.  The smoothed square's
-        # minimum is positive, so certify skips the scale; its scan is
-        # measured on its own.
+        # grid's values alone would take 2.1 MiB
         f = _smoothed_square(3, 4)
-        for run in (lambda: certify(f, 0.0, 4),
-                    lambda: chebpoly_module.grid_max_abs(f, chebpoly_module.lobatto_axis(65))):
-            tracemalloc.start()
-            try:
-                run()
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak < 1.5 * 2 ** 20
+        tracemalloc.start()
+        try:
+            certify(f, 0.0, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 2 ** 20
 
     @pytest.mark.parametrize("eta, r, refused", [(0.1, 5, True), (0.1, 6, False)])
-    def test_gate_reads_its_scale_only_below_zero(self, monkeypatch, eta, r, refused):
-        """The scale max |f + eta| is read only for a negative polished
-        minimum: r = 6's minimum is positive, and r = 5's lowest cell lies
-        below -GATE_TOL sum |c| of f + eta, so it is refused on that cell."""
+    def test_gate_scans_one_grid(self, monkeypatch, eta, r, refused):
+        """The gate scans one grid, of g, accepted or refused: its floor is
+        read from the coefficients of f + eta.  r = 6's minimum is positive,
+        and r = 5's lowest cell lies below the floor."""
         f = demo_f()
-        calls = []
-        max_abs = chebpoly_module.grid_max_abs
+        g = apply_inverse(f.shift(eta), r)
+        scanned = []
+        blocks = chebpoly_module.grid_blocks
 
         def counting(p, axis):
-            calls.append(p)
-            return max_abs(p, axis)
+            scanned.append(p)
+            return blocks(p, axis)
 
-        monkeypatch.setattr(chebpoly_module, "grid_max_abs", counting)
-        gmin = chebpoly_module.grid_minimum(apply_inverse(f.shift(eta), r),
-                                            chebpoly_module.lobatto_axis(2049))[0]
+        monkeypatch.setattr(chebpoly_module, "grid_blocks", counting)
         if refused:
             with pytest.raises(NotCertifiable, match="reaches"):
                 certify(f, eta, r)
         else:
             certify(f, eta, r)
-        assert (gmin < 0.0) == refused
-        assert calls == []
+        assert scanned == [g]
 
     def test_refusal_reports_its_grid_witness(self, monkeypatch):
         """A lowest cell below -GATE_TOL sum |c| of f + eta is the refusal:
-        its value and Lobatto point, with no polish and no scale grid."""
+        its value and Lobatto point, with no polish."""
         def no_call(*args):
-            raise AssertionError("the polish or the scale grid ran")
+            raise AssertionError("the polish ran")
 
         f = demo_f()
         g = apply_inverse(f.shift(0.1), 5)
         cell, point = lowest_grid_cell(g, chebpoly_module.lobatto_axis(2049))
         monkeypatch.setattr(chebpoly_module, "_golden_min", no_call)
-        monkeypatch.setattr(chebpoly_module, "grid_max_abs", no_call)
         with pytest.raises(NotCertifiable) as err:
             certify(f, 0.1, 5)
         assert (err.value.min_value, err.value.location) == (cell, point)
@@ -320,78 +313,77 @@ class TestCertify:
         assert str(err.value) == f"unsmoothed polynomial reaches {cell:.6e} at {point}"
 
     def test_refusal_reports_the_polished_minimum(self, monkeypatch):
-        """A lowest cell in [-tol sum |c|, -tol S), S = max |f + eta| on the
-        grid, is polished, and the refusal reports the polished minimum."""
-        f, eta, r, tol = _band_f(), 0.02, 15, 0.025
-        lobatto = chebpoly_module.lobatto_axis(2049)
+        """A lowest cell above the floor -tol sum |c| of f + eta is polished,
+        and a polished minimum below the floor is the refusal: tol halfway
+        between the cell's and the polished minimum's."""
+        f, eta, r = _band_f(), 0.02, 15
         target = f.shift(eta)
         g = apply_inverse(target, r)
-        cell = lowest_grid_cell(g, lobatto)[0]
-        lo, loc = chebpoly_module.grid_minimum(g, lobatto)
-        scale = chebpoly_module.grid_max_abs(target, lobatto)
-        assert -tol * abs_sum(target) <= cell < -tol * scale and lo < cell
-        monkeypatch.setattr(certificate_module, "GATE_TOL", tol)
+        cell = lowest_grid_cell(g, chebpoly_module.lobatto_axis(2049))[0]
+        lo, loc = grid_extrema(g, 2049)[:2]
+        tol = -(cell + lo) / (2.0 * abs_sum(target))
+        assert lo < -tol * abs_sum(target) <= cell
+        monkeypatch.setattr(chebpoly_module, "GATE_TOL", tol)
         with pytest.raises(NotCertifiable) as err:
             certify(f, eta, r)
         assert (err.value.min_value, err.value.location) == (lo, loc)
         assert str(err.value) == f"unsmoothed polynomial reaches {lo:.6e} at {loc}"
 
     def test_gate_accepts_a_polished_minimum_within_its_scale(self, monkeypatch):
-        """A lowest cell in [-tol S, 0) is polished, weighed against the
-        scale S and, when the polished minimum stays above -tol S, accepted."""
-        f, eta, r, tol = _band_f(), 0.02, 15, 0.03
-        lobatto = chebpoly_module.lobatto_axis(2049)
+        """A negative lowest cell above the floor -tol sum |c| of f + eta is
+        polished once and, when the polished minimum stays above the floor
+        too, accepted."""
+        f, eta, r, tol = _band_f(), 0.02, 15, 0.025
         target = f.shift(eta)
         g = apply_inverse(target, r)
-        scale = chebpoly_module.grid_max_abs(target, lobatto)
-        assert -tol * scale <= chebpoly_module.grid_minimum(g, lobatto)[0] < 0.0
-        assert lowest_grid_cell(g, lobatto)[0] < 0.0
-        polish, scales = [], []
-        golden_min, max_abs = chebpoly_module._golden_min, chebpoly_module.grid_max_abs
+        assert -tol * abs_sum(target) <= grid_extrema(g, 2049)[0] < 0.0
+        assert lowest_grid_cell(g, chebpoly_module.lobatto_axis(2049))[0] < 0.0
+        polish = []
+        golden_min = chebpoly_module._golden_min
         monkeypatch.setattr(chebpoly_module, "_golden_min",
                             lambda *args: polish.append(args) or golden_min(*args))
-        monkeypatch.setattr(chebpoly_module, "grid_max_abs",
-                            lambda p, axis: scales.append(p) or max_abs(p, axis))
-        monkeypatch.setattr(certificate_module, "GATE_TOL", tol)
+        monkeypatch.setattr(chebpoly_module, "GATE_TOL", tol)
         cert = certify(f, eta, r)
         assert verify(cert, f).valid
-        assert len(polish) == 1 and scales == [target]
+        assert len(polish) == 1
 
     def test_gate_decides_as_the_polished_rule(self, monkeypatch):
         """On a seeded corpus, certify refuses exactly when the node weights
-        fail, or the polished grid minimum of g is negative and below -tol
-        times max |f + eta| on the grid, on both paths of the gate."""
+        fail, or the polished grid minimum of g lies below the floor -tol
+        sum |c| of f + eta, on both paths of the gate.  The random rungs
+        whose weights pass dip at x = -1, where the polish cannot go lower,
+        so _band_f's inner dip is added for a refusal after the polish."""
         rng = np.random.default_rng(22)
-        paths = set()
+        cases = [(_band_f(), 0.02, 15, 2049)]
         for n, points in ((1, 2049), (2, 257)):
-            lobatto = chebpoly_module.lobatto_axis(points)
             for _ in range(8 if n == 1 else 2):
                 f = random_cheb(rng, n, int(rng.integers(3, 6)))
                 f = f.shift(-grid_extrema(f, points)[0])
-                for eta, r in ((0.01, 8), (0.03, 14), (0.1, 20)):
-                    target = f.shift(eta)
-                    g = apply_inverse(target, r)
-                    m = (r + max(f.per_variable_degrees()) + 2) // 2
-                    nodes_pass = (g.eval_grid([chebyshev_nodes(m)] * n).min() / m ** n
-                                  >= -NODE_CLAMP)
-                    gmin = chebpoly_module.grid_minimum(g, lobatto)[0]
-                    scale = chebpoly_module.grid_max_abs(target, lobatto)
-                    cell = lowest_grid_cell(g, lobatto)[0]
-                    tols = [GATE_TOL, 1e-2, 3e-2]
-                    if gmin < 0.0:      # the middle of the polish band, then above it
-                        tols += [(-cell / abs_sum(target) - gmin / scale) / 2,
-                                 -2.0 * gmin / scale]
-                    for tol in tols:
-                        rule = nodes_pass and not (gmin < 0.0 and gmin < -tol * scale)
-                        monkeypatch.setattr(certificate_module, "GATE_TOL", tol)
-                        try:
-                            certify(f, eta, r)
-                            accepted = True
-                        except NotCertifiable:
-                            accepted = False
-                        assert accepted == rule, (n, eta, r, tol)
-                        if nodes_pass:
-                            paths.add((cell < -tol * abs_sum(target), accepted))
+                cases += [(f, eta, r, points) for eta, r in ((0.01, 8), (0.03, 14), (0.1, 20))]
+        paths = set()
+        for f, eta, r, points in cases:
+            n = f.num_vars
+            target = f.shift(eta)
+            norm = abs_sum(target)
+            g = apply_inverse(target, r)
+            m = (r + max(f.per_variable_degrees()) + 2) // 2
+            nodes_pass = g.eval_grid([chebyshev_nodes(m)] * n).min() / m ** n >= -NODE_CLAMP
+            gmin = grid_extrema(g, points)[0]
+            cell = lowest_grid_cell(g, chebpoly_module.lobatto_axis(points))[0]
+            tols = [GATE_TOL, 1e-2, 3e-2]
+            if gmin < 0.0:      # the middle of the polish band, then above it
+                tols += [-(cell + gmin) / (2.0 * norm), -2.0 * gmin / norm]
+            for tol in tols:
+                rule = nodes_pass and not gmin < -tol * norm
+                monkeypatch.setattr(chebpoly_module, "GATE_TOL", tol)
+                try:
+                    certify(f, eta, r)
+                    accepted = True
+                except NotCertifiable:
+                    accepted = False
+                assert accepted == rule, (n, eta, r, tol)
+                if nodes_pass:
+                    paths.add((cell < -tol * norm, accepted))
         assert paths == {(True, False), (False, False), (False, True)}
 
     def test_node_refusal_builds_no_lobatto_grid(self, monkeypatch):
@@ -416,13 +408,12 @@ class TestCertify:
         """certify accepts exactly when both the Lobatto gate and the node
         weights accept, whichever it checks first (the bench's ladder ends)."""
         f = demo_f()
-        lobatto = chebpoly_module.lobatto_axis(2049)
-        norm = np.max(np.abs(f.shift(eta).eval_grid([lobatto])))
+        norm = abs_sum(f.shift(eta))
         for r in range(4, first + 1):
             g = apply_inverse(f.shift(eta), r)
             m = (r + f.degree() + 2) // 2
             weights = (1.0 / m) * g.eval_grid([chebyshev_nodes(m)])
-            rule = (chebpoly_module.grid_minimum(g, lobatto)[0] >= -GATE_TOL * norm
+            rule = (grid_extrema(g, 2049)[0] >= -GATE_TOL * norm
                     and weights.min() >= -NODE_CLAMP)
             try:
                 certify(f, eta, r)
@@ -848,6 +839,19 @@ class TestScale:
         per_subset = cert.squares_per_subset()
         assert len(per_subset) == 2 ** 14
         assert set(per_subset.values()) == {4 ** 14}
+
+    def test_r0_subsets_contract_sigma_0_alone(self):
+        """At r = 0 no node has a v square, so the sigma_1 kind is skipped:
+        twenty variables give {(): 1} without 2^20 counts of both kinds."""
+        cert = SchmudgenCertificate(20, 0, 0.0, np.ones((1,) * 20), 0.0)
+        tracemalloc.start()
+        try:
+            per_subset = cert.squares_per_subset()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert per_subset == {(): 1}
+        assert peak < 2 ** 20
 
     def test_square_counts_are_int64(self, monkeypatch):
         """square_count and squares_per_subset contract the W > 0 mask with

@@ -13,14 +13,13 @@ from jacksonsos.chebpoly import (
     MonoPoly,
     _canon,
     _golden_min,
+    _grid_low,
     _refine,
     _t_table,
     _t_values,
     cheb_from_monomial,
     enumerate_multidegrees,
     grid_extrema,
-    grid_max_abs,
-    grid_minimum,
     hamming_weight,
     lobatto_axis,
     mono_from_cheb,
@@ -391,14 +390,16 @@ class TestGridExtrema:
 
     @pytest.mark.parametrize("n, d, points", [(1, 9, 65), (2, 5, 17), (3, 3, 9)])
     def test_minimum_is_the_one_sided_helpers(self, n, d, points):
-        """grid_extrema's minimum is grid_minimum's, bit for bit; grid_max_abs
-        is max |p| over the same grid."""
+        """grid_extrema's minimum is the gate's one-sided scan and polish,
+        _grid_low then _refine, bit for bit."""
         rng = np.random.default_rng(60 + n)
         axis = lobatto_axis(points)
         for refine_iters in (1, 2, 3):
             p = random_cheb(rng, n, d)
-            assert grid_extrema(p, points, refine_iters)[:2] == grid_minimum(p, axis, refine_iters)
-            assert grid_max_abs(p, axis) == np.max(np.abs(p.eval_grid([axis] * n)))
+            low, idx = _grid_low(p, axis)
+            assert low == p.eval_grid([axis] * n).min()
+            assert grid_extrema(p, points, refine_iters)[:2] == _refine(
+                p, axis, idx, low, 1.0, refine_iters)
 
     @pytest.mark.parametrize("n, points", [(2, 513), (3, 65)])
     def test_blocks_pick_the_full_grid_cells(self, n, points):
@@ -414,8 +415,8 @@ class TestGridExtrema:
             cells = [tuple(float(axis[i]) for i in np.unravel_index(int(pick(vals)), vals.shape))
                      for pick in (np.argmin, np.argmax)]
             assert grid_extrema(p, points, 0) == (vals.min(), cells[0], vals.max(), cells[1])
-            assert grid_minimum(p, axis, 0) == (vals.min(), cells[0])
-            assert grid_max_abs(p, axis) == np.max(np.abs(vals))
+            low, idx = _grid_low(p, axis)
+            assert (low, tuple(float(axis[i]) for i in idx)) == (vals.min(), cells[0])
         assert grid_extrema(tied, points, 0)[1][:2] == (-1.0, float(axis[points // 2]))
 
     def test_polish_memory_follows_terms(self):

@@ -472,6 +472,23 @@ class TestBoundCommand:
         assert a.read_bytes() == b.read_bytes()
 
 
+class TestExclusiveFlags:
+    """--poly / --poly-file, and bound's --r / --r-sweep, are argparse groups
+    of which exactly one is required: both or neither is a usage error."""
+
+    @pytest.mark.parametrize("args", [
+        ["certify", "--poly", DEMO, "--poly-file", "poly.txt", "--eta", "0.1", "--r", "7"],
+        ["certify", "--eta", "0.1", "--r", "7"],
+        ["bound", "--poly", DEMO, "--r", "8", "--r-sweep", "8:16:8"],
+        ["bound", "--poly", DEMO],
+    ], ids=["both-polys", "no-poly", "both-degrees", "no-degree"])
+    def test_usage_exit(self, tmp_path, capsys, args):
+        out = tmp_path / "out"
+        assert main([*args, "--out", str(out)]) == EXIT_USAGE
+        assert "error: " in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestFigureCommand:
     def test_default_samples_and_pinned_values(self, tmp_path):
         out = tmp_path / "fig.csv"

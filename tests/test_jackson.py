@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from jacksonsos import jackson
 from jacksonsos.chebpoly import ChebPoly, chebyshev_nodes
 from jacksonsos.jackson import (
     jackson_lambda,
@@ -193,3 +194,21 @@ class TestPropertyReport:
 
     def test_decay_margin_zero_at_d0(self):
         assert verify_prop21(3, 0, grid=11).decay_margin == 0.0
+
+    @pytest.mark.parametrize("r, d, grid", [(498, 1, 201), (598, 1, 201), (398, 1, 401)])
+    def test_rounding_of_a_nonnegative_kernel_passes(self, r, d, grid):
+        """The tolerance is -1e-12 K_r(1, 1), K_r(1, 1) = 1 + 2 sum lambda_k,
+        since the rounding of a sum of 2r + 1 terms grows with r: here the
+        least sample lies below -1e-12 (-2.44e-12 at r = 598), far inside
+        the relative tolerance (-4.9e-10 at r = 598)."""
+        report = verify_prop21(r, d, grid)
+        assert report.kernel_min < -1e-12
+        assert report.nonneg_ok and report.ok
+
+    def test_dirichlet_kernel_is_refused(self, monkeypatch):
+        """With every lambda_k = 1 the kernel is Dirichlet's, which goes
+        negative (-8.9 at r = 20, against K_r(1, 1) = 41): refused."""
+        monkeypatch.setattr(jackson, "jackson_lambda", lambda k, r: 1.0)
+        report = verify_prop21(20, 1, 101)
+        assert report.kernel_min < -1.0
+        assert not report.nonneg_ok and not report.ok

@@ -300,60 +300,60 @@ class TestLukacsPairs:
             assert len(calls) == 1
 
     def test_gate_reports_its_grid_witness(self, monkeypatch):
-        """A lowest cell below -NONNEG_TOL sum |c| of p is the refusal: its
-        value and Lobatto point, with no polish and no scale grid."""
+        """A lowest cell below -GATE_TOL sum |c| of p is the refusal: its
+        value and Lobatto point, with no polish."""
         def no_call(*args):
-            raise AssertionError("the polish or the scale grid ran")
+            raise AssertionError("the polish ran")
 
         p = ChebPoly(1, {(0,): 0.1, (1,): 0.3, (3,): -0.4})
         cell, (point,) = lowest_grid_cell(p, chebpoly.lobatto_axis(1025))
         monkeypatch.setattr(chebpoly, "_golden_min", no_call)
-        monkeypatch.setattr(chebpoly, "grid_max_abs", no_call)
         with pytest.raises(NotNonnegative) as err:
             lukacs_decompose(p)
         assert (err.value.value, err.value.location) == (cell, point)
         assert p.eval((point,)) == pytest.approx(cell, rel=1e-12)
 
     def test_gate_reports_the_polished_minimum(self, monkeypatch):
-        """At NONNEG_TOL = 0.6 the lowest cell, -0.4590148, lies in
-        [-tol sum |c|, -tol max |p|) = [-0.48, -0.395): it is polished, and the
-        refusal reports the polished minimum."""
+        """With GATE_TOL halfway between -cell / sum |c| and -lo / sum |c|
+        (about 0.57377, sum |c| = 0.8), the lowest cell -0.4590148 lies above
+        the floor and the polished minimum -0.4590170 below it: the cell is
+        polished, and the refusal reports the polished minimum."""
         p = ChebPoly(1, {(0,): 0.1, (1,): 0.3, (3,): -0.4})
-        axis = chebpoly.lobatto_axis(1025)
-        cell = lowest_grid_cell(p, axis)[0]
-        lo, (loc,) = chebpoly.grid_minimum(p, axis, 1)
-        assert -0.6 * abs_sum(p) <= cell < -0.6 * chebpoly.grid_max_abs(p, axis) and lo < cell
-        monkeypatch.setattr(sos1d, "NONNEG_TOL", 0.6)
+        cell = lowest_grid_cell(p, chebpoly.lobatto_axis(1025))[0]
+        lo, (loc,) = chebpoly.grid_extrema(p, 1025)[:2]
+        tol = -(cell + lo) / (2.0 * abs_sum(p))
+        assert lo < -tol * abs_sum(p) <= cell
+        monkeypatch.setattr(chebpoly, "GATE_TOL", tol)
         with pytest.raises(NotNonnegative) as err:
             lukacs_decompose(p)
         assert (err.value.value, err.value.location) == (lo, loc)
 
     def test_gate_decides_as_the_polished_rule(self, monkeypatch):
         """On a seeded corpus, the gate refuses exactly when the polished grid
-        minimum is negative and below -tol max |p| on the grid, on both of its
-        paths; what follows a passed gate may still refuse p."""
+        minimum lies below the floor -tol sum |c| of p, on both of its paths;
+        what follows a passed gate may still refuse p."""
         rng = np.random.default_rng(22)
         axis = chebpoly.lobatto_axis(1025)
         paths = set()
         for _ in range(16):
             p = ChebPoly(1, {(k,): rng.standard_normal()
                              for k in range(int(rng.integers(2, 9)))})
-            p = p.shift(-chebpoly.grid_minimum(p, axis, 1)[0] + rng.uniform(-0.1, 0.02))
-            lo = chebpoly.grid_minimum(p, axis, 1)[0]
-            scale = chebpoly.grid_max_abs(p, axis)
+            p = p.shift(-chebpoly.grid_extrema(p, 1025)[0] + rng.uniform(-0.1, 0.02))
+            lo = chebpoly.grid_extrema(p, 1025)[0]
+            norm = abs_sum(p)
             cell = lowest_grid_cell(p, axis)[0]
-            tols = [sos1d.NONNEG_TOL, 1e-2]
+            tols = [chebpoly.GATE_TOL, 1e-2]
             if lo < 0.0:        # the middle of the polish band, then above it
-                tols += [(-cell / abs_sum(p) - lo / scale) / 2, -2.0 * lo / scale]
+                tols += [-(cell + lo) / (2.0 * norm), -2.0 * lo / norm]
             for tol in tols:
-                monkeypatch.setattr(sos1d, "NONNEG_TOL", tol)
+                monkeypatch.setattr(chebpoly, "GATE_TOL", tol)
                 try:
                     lukacs_decompose(p)
                     refused = False
                 except (NotNonnegative, IllConditioned) as err:
                     refused = str(err).startswith("grid minimum")
-                assert refused == (lo < 0.0 and lo < -tol * scale), tol
-                paths.add((cell < -tol * abs_sum(p), refused))
+                assert refused == (lo < -tol * norm), tol
+                paths.add((cell < -tol * norm, refused))
         assert paths == {(True, True), (False, True), (False, False)}
 
     def test_zero_polynomial(self):
