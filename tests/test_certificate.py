@@ -332,20 +332,22 @@ class TestCertify:
     def test_gate_accepts_a_polished_minimum_within_its_scale(self, monkeypatch):
         """A negative lowest cell above the floor -tol sum |c| of f + eta is
         polished once and, when the polished minimum stays above the floor
-        too, accepted."""
+        too, accepted, with one grid scanned: g's, and none of f + eta."""
         f, eta, r, tol = _band_f(), 0.02, 15, 0.025
         target = f.shift(eta)
         g = apply_inverse(target, r)
         assert -tol * abs_sum(target) <= grid_extrema(g, 2049)[0] < 0.0
         assert lowest_grid_cell(g, chebpoly_module.lobatto_axis(2049))[0] < 0.0
-        polish = []
-        golden_min = chebpoly_module._golden_min
+        polish, scanned = [], []
+        golden_min, blocks = chebpoly_module._golden_min, chebpoly_module.grid_blocks
         monkeypatch.setattr(chebpoly_module, "_golden_min",
                             lambda *args: polish.append(args) or golden_min(*args))
+        monkeypatch.setattr(chebpoly_module, "grid_blocks",
+                            lambda p, axis: scanned.append(p) or blocks(p, axis))
         monkeypatch.setattr(chebpoly_module, "GATE_TOL", tol)
         cert = certify(f, eta, r)
         assert verify(cert, f).valid
-        assert len(polish) == 1
+        assert len(polish) == 1 and scanned == [g]
 
     def test_gate_decides_as_the_polished_rule(self, monkeypatch):
         """On a seeded corpus, certify refuses exactly when the node weights

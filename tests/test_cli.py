@@ -474,18 +474,24 @@ class TestBoundCommand:
 
 class TestExclusiveFlags:
     """--poly / --poly-file, and bound's --r / --r-sweep, are argparse groups
-    of which exactly one is required: both or neither is a usage error."""
+    of which exactly one is required: both or neither is a usage error, and
+    no output is written."""
 
-    @pytest.mark.parametrize("args", [
-        ["certify", "--poly", DEMO, "--poly-file", "poly.txt", "--eta", "0.1", "--r", "7"],
-        ["certify", "--eta", "0.1", "--r", "7"],
-        ["bound", "--poly", DEMO, "--r", "8", "--r-sweep", "8:16:8"],
-        ["bound", "--poly", DEMO],
+    @pytest.mark.parametrize("args, message", [
+        (["certify", "--poly", DEMO, "--poly-file", "FILE", "--eta", "0.1", "--r", "7"],
+         "argument --poly-file: not allowed with argument --poly"),
+        (["certify", "--eta", "0.1", "--r", "7"],
+         "one of the arguments --poly --poly-file is required"),
+        (["bound", "--poly", DEMO, "--r", "8", "--r-sweep", "8:16:8"],
+         "argument --r-sweep: not allowed with argument --r"),
+        (["bound", "--poly", DEMO], "one of the arguments --r --r-sweep is required"),
     ], ids=["both-polys", "no-poly", "both-degrees", "no-degree"])
-    def test_usage_exit(self, tmp_path, capsys, args):
-        out = tmp_path / "out"
+    def test_usage_exit(self, tmp_path, capsys, args, message):
+        poly, out = tmp_path / "poly.txt", tmp_path / "out"
+        poly.write_text(DEMO + "\n")
+        args = [str(poly) if a == "FILE" else a for a in args]
         assert main([*args, "--out", str(out)]) == EXIT_USAGE
-        assert "error: " in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
 
