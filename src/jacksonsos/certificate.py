@@ -34,13 +34,16 @@ slices when lambda is the least unsmoothed value at the nodes.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .chebpoly import (
     POINT_BUDGET,
+    RESIDUAL_TOL,
     ChebPoly,
+    _relative_residual,
     check_point_budget,
     chebyshev_nodes,
     gate_witness,
@@ -56,8 +59,6 @@ from .sos1d import (decompose_kernel_slice, decompose_kernel_slices,  # noqa: F4
 #: most variables a certificate may have: numpy's array rank limit
 MAX_VARS = 64
 
-#: a certificate is valid when its reconstruction matches f + eta this closely
-RESIDUAL_TOL = 1e-8
 #: node weights more negative than this abort; values in [-NODE_CLAMP, 0) drop
 NODE_CLAMP = 1e-12
 #: golden-section polish rounds of f's own grid extrema (bound rows, degree plan)
@@ -92,6 +93,14 @@ def _grid_points(n: int) -> tuple:
     while k > 2 and k ** n > POINT_BUDGET:
         k -= 1
     return {1: (2049, 4097), 2: (257, 513), 3: (65, 65)}.get(n, (k, k))
+
+
+def _integral_degree(r) -> int:
+    """``r`` as an int: refuse a kernel degree that is a bool or not integral
+    (7.0 and 7.5 alike); numpy integers pass."""
+    if isinstance(r, bool) or not isinstance(r, numbers.Integral):
+        raise ValueError(f"kernel degree {r!r} is not an integer")
+    return int(r)
 
 
 def _check_slices(r: int, m: int, n: int) -> None:
@@ -178,6 +187,7 @@ class SchmudgenCertificate:
     def __post_init__(self):
         if not 1 <= self.num_vars <= MAX_VARS:
             raise ValueError(f"{self.num_vars} variables; need 1 to {MAX_VARS}")
+        self.r = _integral_degree(self.r)
         shape = np.shape(self.weights)
         m = shape[0] if shape else 0
         if shape != (m,) * self.num_vars:
@@ -240,28 +250,6 @@ class VerificationReport:
         return self.residual <= RESIDUAL_TOL and self.scales_positive
 
 
-def _relative_residual(dense: np.ndarray, target: ChebPoly) -> float:
-    """max |dense - target| over the coefficients, relative to max |target|.
-
-    A term of ``target`` beyond the coefficients of ``dense`` counts in full,
-    and a non-finite coefficient of ``dense`` makes the residual NaN or inf.
-    ``dense`` is consumed: the terms are subtracted from it in place.
-    """
-    if dense.ndim != target.num_vars:
-        raise ValueError(f"dimension mismatch: {dense.ndim} vs "
-                         f"{target.num_vars} variables")
-    worst = 0.0
-    for kappa, c in target.coeffs.items():
-        if all(k < s for k, s in zip(kappa, dense.shape)):
-            dense[kappa] -= c
-        else:
-            worst = max(worst, abs(c))
-    # np.max keeps a NaN, which Python's max would drop
-    worst = float(np.max(np.abs(dense), initial=worst))
-    scale = target.max_abs_coeff()
-    return worst / scale if scale else worst
-
-
 def _node_count(d: int, r: int, n: int) -> int:
     """Gauss-Chebyshev nodes per axis that make the kernel identity exact for
     f of n variables and largest per-variable degree d.
@@ -290,10 +278,11 @@ def certify(f: ChebPoly, eta: float, r: int) -> SchmudgenCertificate:
 
     The checks run in this order, the cheap ones first:
 
-    1. degree and budgets: raises ``ValueError`` when d = max_j deg_{x_j} f
-       exceeds r, or the m^n quadrature nodes, m = ceil((r + d + 1) / 2), the
-       table of kernel-slice factors or the (r + 1 + r % 2)^n coefficients of
-       the reconstruction exceed ``POINT_BUDGET``;
+    1. degree and budgets: raises ``ValueError`` when r is not an integer,
+       d = max_j deg_{x_j} f exceeds r, or the m^n quadrature nodes, m =
+       ceil((r + d + 1) / 2), the table of kernel-slice factors or the
+       (r + 1 + r % 2)^n coefficients of the reconstruction exceed
+       ``POINT_BUDGET``;
     2. node weights: raises :class:`NotCertifiable` when a weight g / m^n,
        g = K_r^{-1}(f + eta) at a node, lies below -``NODE_CLAMP``; it
        reports the least node value of g and its node;
@@ -313,6 +302,7 @@ def certify(f: ChebPoly, eta: float, r: int) -> SchmudgenCertificate:
     """
     n = f.num_vars
     eta = float(eta)
+    r = _integral_degree(r)
     if r < 0:
         raise ValueError("need r >= 0")
     d = max(f.per_variable_degrees())
@@ -422,12 +412,13 @@ def _range_and_constants(f: ChebPoly, d: int) -> tuple:
 def rate_sweep(f: ChebPoly, r_values) -> list:
     """One :class:`BoundReport` per kernel degree in ``r_values``.
 
-    Every degree and node count is checked before any grid is evaluated.
+    Every degree and node count is checked before any grid is evaluated; a
+    degree that is not an integer raises ``ValueError``.
     f's extrema and theorem constants do not depend on r, so they are found
     once per sweep; a constant f has bound 0 and meets the theorem at any r.
     """
     n = f.num_vars
-    r_values = [int(r) for r in r_values]
+    r_values = [_integral_degree(r) for r in r_values]
     d = max(f.per_variable_degrees())
     nodes = [_node_count(d, r, n) for r in r_values]
     if not r_values:

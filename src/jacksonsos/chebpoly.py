@@ -32,6 +32,10 @@ DROP_TOL = 1e-14
 #: refuse to materialize tensor grids with more points than this
 POINT_BUDGET = 10 ** 7
 
+#: an identity the library builds (a certificate, a Lukacs pair, a spectral
+#: factor) is accepted when :func:`_relative_residual` is at most this
+RESIDUAL_TOL = 1e-8
+
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -63,20 +67,27 @@ def _canon(coeffs: dict) -> dict:
     return {k: float(c) for k, c in coeffs.items() if abs(c) > cut}
 
 
-def _t_values(x: float, dmax: int) -> list[float]:
-    """T_0(x) .. T_dmax(x) by the three-term recurrence."""
-    vals = [1.0]
-    if dmax >= 1:
-        vals.append(x)
-    for _ in range(2, dmax + 1):
-        vals.append(2.0 * x * vals[-1] - vals[-2])
-    return vals
+def _expand(terms) -> dict:
+    """Canonical sum of expanded terms, for products and basis conversions:
+    ``terms`` yields (base, options), options holding per axis the ((degree,
+    weight), ...) that its factor expands into, and every choice of one per
+    axis adds base times their weights, in axis order, at their degrees."""
+    out: dict = {}
+    for base, options in terms:
+        for combo in itertools.product(*options):
+            key = tuple(e[0] for e in combo)
+            w = base
+            for e in combo:
+                w *= e[1]
+            out[key] = out.get(key, 0.0) + w
+    return _canon(out)
 
 
 def _t_table(x: np.ndarray, d: int) -> np.ndarray:
-    """T_0(x) .. T_d(x) as the rows of a (d + 1, x.size) array: numpy's
-    ``chebvander(x, d).T`` bit for bit, by its own recurrence, without its
-    argument conversions and axis move."""
+    """T_0(x) .. T_d(x) as the rows of a (d + 1, x.size) array, by the
+    library's one T_k recurrence: the transposed Chebyshev Vandermonde matrix
+    of ``numpy.polynomial``, bit for bit, without its argument conversions
+    and axis move."""
     table = np.empty((d + 1, x.size))
     table[0] = 1.0
     if d:
@@ -179,23 +190,11 @@ class ChebPoly:
     def __mul__(self, other: "ChebPoly") -> "ChebPoly":
         """Pointwise product, via T_a T_b = (T_{a+b} + T_{|a-b|}) / 2 per axis."""
         self._require_same_vars(other)
-        out: dict = {}
-        for ka, ca in self.coeffs.items():
-            for kb, cb in other.coeffs.items():
-                base = ca * cb
-                options = []
-                for a, b in zip(ka, kb):
-                    if a == 0 or b == 0:
-                        options.append(((a + b, 1.0),))
-                    else:
-                        options.append(((a + b, 0.5), (abs(a - b), 0.5)))
-                for combo in itertools.product(*options):
-                    key = tuple(e[0] for e in combo)
-                    w = base
-                    for e in combo:
-                        w *= e[1]
-                    out[key] = out.get(key, 0.0) + w
-        return ChebPoly(self.num_vars, _canon(out))
+        return ChebPoly(self.num_vars, _expand(
+            (ca * cb, [((a + b, 1.0),) if a == 0 or b == 0
+                       else ((a + b, 0.5), (abs(a - b), 0.5))
+                       for a, b in zip(ka, kb)])
+            for ka, ca in self.coeffs.items() for kb, cb in other.coeffs.items()))
 
     def inner(self, other: "ChebPoly") -> float:
         """Inner product against the product Chebyshev measure.
@@ -226,13 +225,13 @@ class ChebPoly:
             )
         if not self.coeffs:
             return 0.0
-        degs = self.per_variable_degrees()
-        tables = [_t_values(x, d) for x, d in zip(pt, degs)]
+        with np.errstate(over="ignore", invalid="ignore"):    # far outside the cube
+            table = _t_table(np.array(pt), max(self.per_variable_degrees())).tolist()
         total = 0.0
         for kappa, c in self.coeffs.items():
             term = c
             for i, k in enumerate(kappa):
-                term *= tables[i][k]
+                term *= table[k][i]
             total += term
         return total
 
@@ -363,27 +362,16 @@ def _cheb_as_xpow(k: int) -> tuple:
     return tuple((j, float(v)) for j, v in enumerate(c) if v != 0.0)
 
 
-def _convert(coeffs: dict, table) -> dict:
-    out: dict = {}
-    for key, a in coeffs.items():
-        expansions = [table(e) for e in key]
-        for combo in itertools.product(*expansions):
-            new_key = tuple(e[0] for e in combo)
-            w = a
-            for e in combo:
-                w *= e[1]
-            out[new_key] = out.get(new_key, 0.0) + w
-    return _canon(out)
-
-
 def cheb_from_monomial(p: MonoPoly) -> ChebPoly:
     """Re-express a power-basis polynomial in the tensor Chebyshev basis."""
-    return ChebPoly(p.num_vars, _convert(p.coeffs, _xpow_as_cheb))
+    return ChebPoly(p.num_vars, _expand((a, [_xpow_as_cheb(e) for e in key])
+                                        for key, a in p.coeffs.items()))
 
 
 def mono_from_cheb(p: ChebPoly) -> MonoPoly:
     """Re-express a Chebyshev-basis polynomial in the power basis."""
-    return MonoPoly(p.num_vars, _convert(p.coeffs, _cheb_as_xpow))
+    return MonoPoly(p.num_vars, _expand((c, [_cheb_as_xpow(k) for k in kappa])
+                                        for kappa, c in p.coeffs.items()))
 
 
 def enumerate_multidegrees(n: int, d: int) -> list[Multidegree]:
@@ -404,6 +392,29 @@ def enumerate_multidegrees(n: int, d: int) -> list[Multidegree]:
                 yield (k,) + rest
 
     return list(rec(n, d))
+
+
+def _relative_residual(dense: np.ndarray, target: ChebPoly) -> float:
+    """max |dense - target| over the Chebyshev coefficients (one axis of
+    ``dense`` per variable), relative to max |target|.
+
+    A term of ``target`` beyond the coefficients of ``dense`` counts in full,
+    and a non-finite coefficient of ``dense`` makes the residual NaN or inf.
+    ``dense`` is consumed: the terms are subtracted from it in place.
+    """
+    if dense.ndim != target.num_vars:
+        raise ValueError(f"dimension mismatch: {dense.ndim} vs "
+                         f"{target.num_vars} variables")
+    worst = 0.0
+    for kappa, c in target.coeffs.items():
+        if all(k < s for k, s in zip(kappa, dense.shape)):
+            dense[kappa] -= c
+        else:
+            worst = max(worst, abs(c))
+    # np.max keeps a NaN, which Python's max would drop
+    worst = float(np.max(np.abs(dense), initial=worst))
+    scale = target.max_abs_coeff()
+    return worst / scale if scale else worst
 
 
 # -- node sets, the grid budget and grid extremum estimation ---------------------
@@ -499,12 +510,15 @@ def _refine(p: ChebPoly, axis: np.ndarray, idx, start_val: float, sign: float,
                 continue
             stale[j] = False
             lo, hi = brackets[j]
+            table = _t_table(np.array(best_x), max(degs))
             w = cs.copy()
             for i in range(n):
                 if i != j:
-                    w *= np.asarray(_t_values(best_x[i], degs[i]))[kappas[:, i]]
+                    w *= table[kappas[:, i], i]
             line = np.bincount(kappas[:, j], weights=w, minlength=degs[j] + 1)
 
+            # the probe stays cos(k acos t), not a T_k table: it is the
+            # extremum polish's hottest call, one point at a time
             def slice_fn(t, line=line, kj=np.arange(degs[j] + 1)):
                 return sign * float(np.cos(kj * math.acos(t)) @ line)
 

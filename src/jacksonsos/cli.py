@@ -324,16 +324,14 @@ def cmd_bound(args) -> int:
 
 
 def cmd_figure1(args) -> int:
-    f = cheb_from_monomial(demo_polynomial())
-    shifted = f.shift(0.1)
-    inv5 = apply_inverse(shifted, 5)
-    inv7 = apply_inverse(shifted, 7)
     if args.samples < 1:
         raise ValueError("--samples must be at least 1")
+    shifted = cheb_from_monomial(demo_polynomial()).shift(0.1)
     xs = np.linspace(-1.0, 1.0, args.samples + 1)
+    curves = [p.eval_grid([xs]).tolist()
+              for p in (shifted, apply_inverse(shifted, 5), apply_inverse(shifted, 7))]
     _write_csv(args.out, ["x", "f_plus_eta", "inv5", "inv7"],
-               ([repr(float(x)), repr(shifted.eval((x,))), repr(inv5.eval((x,))),
-                 repr(inv7.eval((x,)))] for x in xs))
+               (list(map(repr, row)) for row in zip(xs.tolist(), *curves)))
     return EXIT_OK
 
 

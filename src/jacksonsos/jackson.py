@@ -20,9 +20,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import chebyshev as _ncheb
 
-from .chebpoly import Multidegree
+from .chebpoly import Multidegree, _t_table
 
 
 def jackson_lambda(k: int, r: int) -> float:
@@ -90,12 +89,12 @@ def kernel_eval_1d(r: int, x, y):
     """Evaluate K_r(x, y); broadcasts over array-valued x and y."""
     if r < 0:
         raise ValueError("need r >= 0")
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x = np.array(x, dtype=float, ndmin=1)
+    y = np.array(y, dtype=float, ndmin=1)
     coef = _kernel_coeffs(r)
-    tx = _ncheb.chebvander(x, r)
-    ty = _ncheb.chebvander(y, r)
-    out = np.einsum("...k,...k,k->...", tx, ty, coef)
+    tx = _t_table(x.ravel(), r).reshape((r + 1,) + x.shape)
+    ty = _t_table(y.ravel(), r).reshape((r + 1,) + y.shape)
+    out = np.einsum("k...,k...,k->...", tx, ty, coef)
     if out.ndim == 0:
         return float(out)
     return out

@@ -20,7 +20,10 @@ h by frequency parity then yields u and v as dense Chebyshev coefficient
 arrays, returned as ``LukacsPair(u, v)`` by ``lukacs_decompose``.  Both
 public tools take an arbitrary input, so both first run the one sampled
 nonnegativity gate, on a 1025-point Chebyshev-Lobatto grid, with the floor
--``chebpoly.GATE_TOL`` times sum |c| of the input.
+-``chebpoly.GATE_TOL`` times sum |c| of the input.  Both accept what they
+build by the library's one coefficient residual, ``chebpoly._relative_residual``
+at ``chebpoly.RESIDUAL_TOL``: the cosine coefficients of |h|^2 must match the
+input, and those of u^2 + (1 - x^2) v^2 must match p.
 
 Kernel slices x -> K_r(x, y) need no roots.  The Jackson kernel is an
 autocorrelation of the amplitudes of ``jackson._kernel_amplitudes``, so each
@@ -37,15 +40,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.chebyshev import chebroots, chebsub, chebvander
+from numpy.polynomial.chebyshev import chebroots
 
-from .chebpoly import DROP_TOL, ChebPoly, gate_witness, lobatto_axis
+from .chebpoly import (DROP_TOL, RESIDUAL_TOL, ChebPoly, _relative_residual, gate_witness,
+                       lobatto_axis)
 from .jackson import _kernel_amplitudes
-
-#: relative tolerance on the spectral factorization residual
-FACTOR_TOL = 1e-9
-#: relative tolerance on the final reconstruction residual
-RECON_TOL = 1e-8
 
 _MODULUS_BAND = 1e-7      # |z| within this of 1 counts as an on-circle root
 _ANGLE_TOLS = (1e-5, 1e-3)  # clustering tolerances tried for on-circle roots
@@ -188,9 +187,10 @@ def fejer_riesz(q) -> np.ndarray:
     Returns
     -------
     ndarray
-        Real coefficients ``h_0..h_d`` (ascending powers of z) with
-        ``|h(e^{it})|^2`` equal to the input to ``FACTOR_TOL`` relative at
-        256 sampled angles, where d is the effective trigonometric degree.
+        Real coefficients ``h_0..h_d`` (ascending powers of z), where d is the
+        effective trigonometric degree: the cosine coefficients of
+        ``|h(e^{it})|^2`` match ``q`` to ``chebpoly.RESIDUAL_TOL`` times
+        max |q| (``chebpoly._relative_residual``).
 
     Raises
     ------
@@ -207,8 +207,9 @@ def fejer_riesz(q) -> np.ndarray:
         raise ValueError("expected a nonempty 1-D coefficient sequence")
     if not np.all(np.isfinite(q)):
         raise ValueError("cosine coefficient is not finite")
-    _gate(ChebPoly(1, {(k,): c for k, c in enumerate(q)}))
-    return _spectral_factor(q)
+    p = ChebPoly(1, {(k,): c for k, c in enumerate(q)})
+    _gate(p)
+    return _spectral_factor(p)
 
 
 def _gate(p: ChebPoly) -> None:
@@ -227,11 +228,12 @@ def _gate(p: ChebPoly) -> None:
                              value=lo, location=loc)
 
 
-def _spectral_factor(q: np.ndarray) -> np.ndarray:
-    """:func:`fejer_riesz` of a validated ``q`` that passed the gate."""
-    scale = float(np.max(np.abs(q)))
-    if scale == 0.0:
+def _spectral_factor(p: ChebPoly) -> np.ndarray:
+    """:func:`fejer_riesz` of a univariate ``p`` that passed the gate."""
+    if p.is_zero():
         return np.zeros(1)
+    q = _dense(p)
+    scale = float(np.max(np.abs(q)))
     # trim trailing coefficients that are negligible relative to the rest
     dq = q.size - 1
     while dq > 0 and abs(q[dq]) <= 1e-13 * scale:
@@ -272,15 +274,11 @@ def _spectral_factor(q: np.ndarray) -> np.ndarray:
         raise IllConditioned(f"normalization failed (gamma^2 = {gamma2:.3e})")
     h = _polish_factor(math.sqrt(gamma2) * h, q)
 
-    check = np.linspace(0.0, math.pi, 256)
-    hv = np.exp(1j * np.outer(check, np.arange(h.size))) @ h
-    qv = chebvander(np.cos(check), dq) @ q
-    resid = float(np.max(np.abs(np.abs(hv) ** 2 - qv)))
-    val_scale = max(float(np.max(np.abs(qv))), 1e-300)
-    if not resid <= FACTOR_TOL * val_scale:
+    # against all of p: a trimmed coefficient counts in full
+    residual = _relative_residual(_autocorrelation(h, dq), p)
+    if not residual <= RESIDUAL_TOL:
         raise IllConditioned(
-            f"factorization residual {resid:.3e} exceeds "
-            f"{FACTOR_TOL:.0e} * {val_scale:.3e}"
+            f"factorization residual {residual:.3e} exceeds {RESIDUAL_TOL:.0e}"
         )
     return h
 
@@ -401,25 +399,24 @@ def lukacs_decompose(p: ChebPoly) -> LukacsPair:
     """Decompose a univariate polynomial nonnegative on [-1, 1].
 
     The sampled nonnegativity gate (:func:`_gate`) may refuse ``p`` with
-    :class:`NotNonnegative`; the output reconstructs ``p`` coefficientwise
-    to ``RECON_TOL`` relative or the decomposition is rejected.
+    :class:`NotNonnegative`.  Both the spectral factor and the pair must
+    match ``p`` coefficientwise to ``chebpoly.RESIDUAL_TOL`` relative
+    (``chebpoly._relative_residual``), or :class:`IllConditioned` is raised.
     """
     if p.num_vars != 1:
         raise ValueError("decomposition is univariate only")
     if p.is_zero():
         return LukacsPair(u=np.zeros(0), v=np.zeros(0), residual=0.0)
     _gate(p)
-    target = _dense(p)
-    h = _spectral_factor(target)
+    h = _spectral_factor(p)
     if h.size % 2 == 0:
         h = np.concatenate(([0.0], h))      # z h: same modulus, even degree
     u, v = map(_cut, _split_even(h))
 
-    diff = chebsub(split_coeffs(u, v), target)
-    residual = float(np.max(np.abs(diff))) / float(np.max(np.abs(target)))
-    if not residual <= RECON_TOL:
+    residual = _relative_residual(split_coeffs(u, v), p)
+    if not residual <= RESIDUAL_TOL:
         raise IllConditioned(
-            f"reconstruction residual {residual:.3e} exceeds {RECON_TOL:.0e}"
+            f"reconstruction residual {residual:.3e} exceeds {RESIDUAL_TOL:.0e}"
         )
     return LukacsPair(u=u, v=v, residual=residual)
 

@@ -124,6 +124,22 @@ class TestCertify:
         with pytest.raises(ValueError, match="per-variable degree 5 exceeds kernel degree 3"):
             certify(f, 1e20, 3)
 
+    @pytest.mark.parametrize("r", [7.0, 7.5, True])
+    def test_non_integral_degree_refused(self, r):
+        """r = 7.0 built a certificate that certificate_from_dict refuses,
+        7.5 failed inside the slice split with a broadcast error, and True
+        was taken for 1; each is refused up front, naming r."""
+        message = f"^kernel degree {re.escape(repr(r))} is not an integer$"
+        with pytest.raises(ValueError, match=message):
+            certify(demo_f(), 0.1, r)
+
+    def test_numpy_integer_degree_certifies_and_round_trips(self):
+        cert = certify(demo_f(), 0.1, np.int64(7))
+        assert type(cert.r) is int and cert.r == 7
+        loaded = certificate_from_dict(json.loads(json.dumps(certificate_to_dict(cert))))
+        assert loaded.r == 7
+        assert verify(loaded, demo_f()).residual == cert.residual
+
     def test_smoothed_squares_certify_at_eta_zero(self):
         """Images of nonnegative polynomials certify without any shift."""
         rng = np.random.default_rng(0)
@@ -491,6 +507,10 @@ class TestFactoredForm:
                                "per axis; need 0 <= r <= 2m - 1$"):
                 SchmudgenCertificate(n, bad, cert.eta, cert.weights, cert.residual)
         SchmudgenCertificate(n, 2 * m - 1, cert.eta, cert.weights, cert.residual)
+
+    def test_non_integral_degree_refused_on_construction(self):
+        with pytest.raises(ValueError, match=r"^kernel degree 7\.0 is not an integer$"):
+            SchmudgenCertificate(1, 7.0, 0.1, np.ones(5), 0.0)
 
     @pytest.mark.parametrize("n", [0, -1, 65, 10 ** 7])
     def test_variable_count_is_checked_first(self, n):
@@ -985,6 +1005,13 @@ class TestKernelLowerBound:
     def test_degree_guard(self):
         with pytest.raises(ValueError):
             kernel_lower_bound(demo_f(), 3)
+
+    @pytest.mark.parametrize("r", [7.5, 8.0, False])
+    def test_non_integral_degree_refused(self, r):
+        """7.5 was reported as r = 7 and 8.0 as r = 8, through int(r)."""
+        message = f"^kernel degree {re.escape(repr(r))} is not an integer$"
+        with pytest.raises(ValueError, match=message):
+            kernel_lower_bound(demo_f(), r)
 
     def test_nan_coefficient_rejected(self):
         with pytest.raises(ValueError, match="not finite"):

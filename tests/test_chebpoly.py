@@ -16,7 +16,6 @@ from jacksonsos.chebpoly import (
     _grid_low,
     _refine,
     _t_table,
-    _t_values,
     cheb_from_monomial,
     enumerate_multidegrees,
     grid_extrema,
@@ -434,6 +433,17 @@ class TestGridExtrema:
         assert hi == pytest.approx(p.eval(argmax), abs=1e-12)
 
 
+def _t_scalar(x, dmax):
+    """T_0(x) .. T_dmax(x) by the scalar three-term recurrence, apart from
+    the library's ``_t_table``."""
+    vals = [1.0]
+    if dmax >= 1:
+        vals.append(x)
+    for _ in range(2, dmax + 1):
+        vals.append(2.0 * x * vals[-1] - vals[-2])
+    return vals
+
+
 def _refine_full_sweep(p, axis, idx, start_val, sign, refine_iters):
     """The polish that searches every line in every sweep (reference copy)."""
     m = axis.size
@@ -449,7 +459,7 @@ def _refine_full_sweep(p, axis, idx, start_val, sign, refine_iters):
             w = cs.copy()
             for i in range(n):
                 if i != j:
-                    w *= np.asarray(_t_values(best_x[i], degs[i]))[kappas[:, i]]
+                    w *= np.asarray(_t_scalar(best_x[i], degs[i]))[kappas[:, i]]
             line = np.bincount(kappas[:, j], weights=w, minlength=degs[j] + 1)
 
             def slice_fn(t, line=line, kj=np.arange(degs[j] + 1)):

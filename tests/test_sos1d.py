@@ -9,7 +9,8 @@ import pytest
 from numpy.polynomial import chebyshev as npcheb
 
 from jacksonsos import chebpoly
-from jacksonsos.chebpoly import ChebPoly, _canon, chebyshev_nodes
+from jacksonsos.chebpoly import (RESIDUAL_TOL, ChebPoly, _canon, _relative_residual,
+                                 chebyshev_nodes)
 from jacksonsos.jackson import jackson_lambda
 from jacksonsos import sos1d
 from jacksonsos.sos1d import (
@@ -144,6 +145,26 @@ class TestFejerRiesz:
 
     def test_zero_input(self):
         assert list(fejer_riesz([0.0, 0.0])) == [0.0]
+
+    # A factor scaled by 1 + eps misses every cosine coefficient of 2 + cos t
+    # by 2 eps + eps^2 relative to max |q|.
+
+    def test_factor_within_the_residual_is_accepted(self, monkeypatch):
+        """2 eps = RESIDUAL_TOL / 2 passes (256 sampled values within 1e-9
+        refused it)."""
+        eps = 0.25 * RESIDUAL_TOL
+        monkeypatch.setattr(sos1d, "_polish_factor", lambda h, q: h * (1.0 + eps))
+        h = fejer_riesz([2.0, 1.0])
+        q = ChebPoly(1, {(0,): 2.0, (1,): 1.0})
+        assert _relative_residual(sos1d._autocorrelation(h, 1), q) == \
+            pytest.approx(2.0 * eps, rel=1e-6)
+
+    def test_factor_past_the_residual_is_refused(self, monkeypatch):
+        """2 eps = 2 RESIDUAL_TOL is refused."""
+        eps = RESIDUAL_TOL
+        monkeypatch.setattr(sos1d, "_polish_factor", lambda h, q: h * (1.0 + eps))
+        with pytest.raises(IllConditioned, match="factorization residual"):
+            fejer_riesz([2.0, 1.0])
 
     @pytest.mark.parametrize("a, eps", [(0.3, 1e-4), (0.123, 3e-5)])
     def test_narrow_dip_refused_as_lukacs_decompose(self, a, eps):
@@ -376,6 +397,7 @@ class TestLukacsPairs:
                 assert p.degree() % 2 == 1
             pair = lukacs_decompose(p)
             assert pair.residual <= 1e-8
+            assert pair.residual == _relative_residual(split_coeffs(pair.u, pair.v), p)
             deg = p.degree()
             assert 2 * (pair.u.size - 1) <= deg + 1
             assert pair.v.size == 0 or 2 * (pair.v.size - 1) + 2 <= deg + 1
@@ -627,7 +649,7 @@ class TestSliceBatches:
             assert np.max(np.abs(diff)) <= 1e-8 * target.max_abs_coeff(), (r, y)
 
     def test_equals_lukacs_of_loop_slices(self):
-        """The squares' sum is lukacs_decompose's of the loop form, to RECON_TOL."""
+        """The squares' sum is lukacs_decompose's of the loop form, to RESIDUAL_TOL."""
         for r in range(1, 81):
             self._assert_equal_to_lukacs(r, chebyshev_nodes(r + 1)[(r + 1) // 2:])
 
