@@ -48,7 +48,6 @@ from .chebpoly import (
     chebyshev_nodes,
     gate_witness,
     grid_extrema,
-    lobatto_axis,
 )
 from .kernelop import _check_degree, apply_inverse, constant_C, theorem_threshold
 # decompose_kernel_slice is no longer called here, but stays importable from
@@ -296,7 +295,7 @@ def certify(f: ChebPoly, eta: float, r: int) -> SchmudgenCertificate:
     4. residual: raises :class:`ResidualTooLarge` if the assembled identity
        fails to reconstruct f + eta within ``RESIDUAL_TOL``.
 
-    A rung refused by its node weights builds no Lobatto grid.  Kernel
+    A rung refused by its node weights scans no Lobatto grid.  Kernel
     slices split in closed form, so no slice can fail.  A constant f + eta
     is certified on one node at r = 0, since K_0 = 1, once f's degree passes.
     """
@@ -333,7 +332,7 @@ def certify(f: ChebPoly, eta: float, r: int) -> SchmudgenCertificate:
         )
     weights[weights <= 0.0] = 0.0
 
-    witness = gate_witness(unsmoothed, target, lobatto_axis(_grid_points(n)[0]))
+    witness = gate_witness(unsmoothed, target, _grid_points(n)[0])
     if witness is not None:
         gmin, gloc = witness
         raise NotCertifiable(
@@ -438,13 +437,15 @@ def rate_sweep(f: ChebPoly, r_values) -> list:
 
 
 def corollary_degree(f: ChebPoly, eta: float) -> int:
-    """Smallest kernel degree guaranteed to certify f + eta.
+    """Smallest kernel degree that the convergence bound guarantees to
+    certify f + eta, for f's estimated range.
 
     Returns the least integer r at or above both the threshold
     pi d sqrt(2 n) and sqrt(C(n, d) * (f_max - f_min) / eta), with the range
     taken from the polished grid estimate that :func:`rate_sweep` uses.
-    Guaranteed sufficiency comes from the O(1/r^2) convergence bound;
-    practice usually succeeds far earlier.
+    Sufficiency comes from the O(1/r^2) convergence bound and holds for that
+    estimate: a grid estimate can fall short of the true f_max - f_min, and
+    then so can the degree.  Practice usually succeeds far earlier.
     """
     if not 0.0 < eta < math.inf:
         raise ValueError("need finite eta > 0")

@@ -267,7 +267,14 @@ class ChebPoly:
         if len(axes) != self.num_vars:
             raise ValueError("one axis array per variable required")
         axes = [np.atleast_1d(np.asarray(a, dtype=float)) for a in axes]
-        shape = tuple(a.size for a in axes)
+        return self._eval_tables(tuple(a.size for a in axes),
+                                 lambda i, d: _t_table(axes[i], d), cols)
+
+    def _eval_tables(self, shape: tuple, table_of, cols: int):
+        """The one grid evaluator behind :meth:`eval_blocks` and
+        :func:`grid_blocks`: the blocks of the grid of ``shape`` whose axis i
+        is read from ``table_of(i, d)``, the rows T_0 .. T_D (D >= d) on that
+        axis, d = deg_{x_i} p.  Rows past d are never read."""
         cols = cols or max(shape[-1], 1)
         offsets = range(0, max(shape[-1], 1), cols)
         if not self.coeffs:
@@ -284,7 +291,7 @@ class ChebPoly:
             code = prefix[-1] * (degs[i] + 1) + keys[:, i]
             prefix.append(np.unique(code, return_inverse=True)[1])
 
-        table = _t_table(axes[-1], degs[-1])
+        table = table_of(n - 1, degs[-1])
         last = np.zeros((prefix[-1].max() + 1, shape[-1]))
         for row, k, c in zip(prefix[-1].tolist(), keys[:, -1].tolist(), cs.tolist()):
             last[row] += c * table[k]
@@ -295,7 +302,7 @@ class ChebPoly:
             _, rep = np.unique(prefix[i + 1], return_index=True)   # a term per row
             kset, kidx = np.unique(keys[rep, i], return_inverse=True)
             steps.append((prefix[i][rep], kidx, (prefix[i].max() + 1, kset.size),
-                          _t_table(axes[i], degs[i]).T[:, kset]))
+                          table_of(i, degs[i]).T[:, kset]))
         for a in offsets:
             vals = last[:, a:a + cols]
             width = points = vals.shape[1]
@@ -444,11 +451,35 @@ def chebyshev_nodes(m: int) -> np.ndarray:
     return np.cos((2 * j - 1) * math.pi / (2 * m))
 
 
+@lru_cache(maxsize=None)
 def lobatto_axis(points: int) -> np.ndarray:
-    """``points`` Chebyshev-Lobatto nodes cos(j*pi/(points-1)), ascending."""
+    """``points`` Chebyshev-Lobatto nodes cos(j*pi/(points-1)), ascending.
+
+    Built once per process and point count: every call with the same count
+    returns the same read-only array.
+    """
     if points < 2:
         raise ValueError("need at least 2 points per axis")
-    return np.cos(np.arange(points - 1, -1, -1) * math.pi / (points - 1))
+    axis = np.cos(np.arange(points - 1, -1, -1) * math.pi / (points - 1))
+    axis.flags.writeable = False
+    return axis
+
+
+#: points per axis -> the read-only T_0 .. T_D rows on its Lobatto axis, D the
+#: highest degree asked for so far
+_LOBATTO_TABLES: dict = {}
+
+
+def _lobatto_table(points: int, d: int) -> np.ndarray:
+    """T_0 .. T_D on ``lobatto_axis(points)`` as rows, D >= d: one read-only
+    :func:`_t_table` per point count, rebuilt only when a higher degree is
+    asked for.  Its rows are the recurrence's, so they do not depend on D."""
+    table = _LOBATTO_TABLES.get(points)
+    if table is None or len(table) <= d:
+        table = _t_table(lobatto_axis(points), d)
+        table.flags.writeable = False
+        _LOBATTO_TABLES[points] = table
+    return table
 
 
 def _golden_min(f, lo: float, hi: float, iters: int = 80):
@@ -530,17 +561,20 @@ def _refine(p: ChebPoly, axis: np.ndarray, idx, start_val: float, sign: float,
     return sign * best_v, tuple(best_x)
 
 
-def grid_blocks(p: ChebPoly, axis: np.ndarray):
-    """``(offset, values)`` over the tensor grid of the Lobatto ``axis``.
+def grid_blocks(p: ChebPoly, points: int):
+    """``(offset, values)`` over the tensor grid of ``lobatto_axis(points)``.
 
-    The grid (within ``POINT_BUDGET``) comes in :meth:`ChebPoly.eval_blocks`
-    of last-axis points, about 2^16 values and at least one point each, so
-    that no grid-sized array is held; ``offset`` is the block's first
-    last-axis index.
+    The grid (within ``POINT_BUDGET``) comes in blocks of last-axis points,
+    about 2^16 values and at least one point each, so that no grid-sized
+    array is held; ``offset`` is the block's first last-axis index.  The
+    blocks are those of :meth:`ChebPoly.eval_blocks`, bit for bit, read from
+    the axis's T_k table, which like the axis is built once per process and
+    point count (:func:`_lobatto_table`).
     """
     n = p.num_vars
-    check_point_budget(axis.size, n)
-    return p.eval_blocks([axis] * n, max(1, 2 ** 16 // axis.size ** (n - 1)))
+    check_point_budget(points, n)
+    return p._eval_tables((points,) * n, lambda i, d: _lobatto_table(points, d),
+                          max(1, 2 ** 16 // points ** (n - 1)))
 
 
 def _lowest_cell(best, a: int, vals: np.ndarray, sign: float):
@@ -553,11 +587,11 @@ def _lowest_cell(best, a: int, vals: np.ndarray, sign: float):
     return cell if best is None else min(best, cell)
 
 
-def _grid_low(p: ChebPoly, axis: np.ndarray):
+def _grid_low(p: ChebPoly, points: int):
     """(value, grid index) of the lowest cell of ``p`` on the tensor grid of
-    the Lobatto ``axis``, read in :func:`grid_blocks`."""
+    ``points`` Lobatto points per axis, read in :func:`grid_blocks`."""
     best = None
-    for a, vals in grid_blocks(p, axis):
+    for a, vals in grid_blocks(p, points):
         best = _lowest_cell(best, a, vals, 1.0)
     return best
 
@@ -567,14 +601,15 @@ def _grid_low(p: ChebPoly, axis: np.ndarray):
 GATE_TOL = 1e-10
 
 
-def gate_witness(p: ChebPoly, scale: ChebPoly, axis: np.ndarray):
+def gate_witness(p: ChebPoly, scale: ChebPoly, points: int):
     """The sampled nonnegativity gate of ``p``: ``None`` when it passes, else
     ``(value, point)``, a point of the cube where p lies below the floor
     -``GATE_TOL`` * sum |c| of ``scale``.  Since |T_kappa| <= 1 on the cube,
     sum |c| bounds max |scale| there.
 
-    The tensor grid of the Lobatto ``axis`` is scanned once, in
-    :func:`grid_blocks`.  A lowest cell below the floor is the witness itself,
+    The tensor grid of ``points`` Lobatto points per axis is scanned once,
+    in :func:`grid_blocks`, from the axis and T_k table that every scan of
+    that count shares.  A lowest cell below the floor is the witness itself,
     its value and Lobatto point: the polish could only lower it.  Any other
     lowest cell is polished (two rounds, as in :func:`grid_extrema`), and a
     polished value below the floor is the witness, at the polished point.
@@ -582,7 +617,8 @@ def gate_witness(p: ChebPoly, scale: ChebPoly, axis: np.ndarray):
     the floor.
     """
     floor = -GATE_TOL * math.fsum(map(abs, scale.coeffs.values()))
-    low, idx = _grid_low(p, axis)
+    low, idx = _grid_low(p, points)
+    axis = lobatto_axis(points)
     if low < floor:
         return low, tuple(float(axis[i]) for i in idx)
     low, point = _refine(p, axis, idx, low, 1.0, refine_iters=2)
@@ -594,13 +630,13 @@ def grid_extrema(p: ChebPoly, points_per_axis: int, refine_iters: int = 2):
 
     Polishes the lowest and highest cell (ties: lexicographically first) of
     the grid on ``points_per_axis`` Lobatto points per axis, read in
-    :func:`grid_blocks`.  Returns ``(min_est, argmin, max_est, argmax)``.
+    :func:`grid_blocks` (so the axis and its T_k table are built once per
+    process and point count).  Returns ``(min_est, argmin, max_est, argmax)``.
     """
-    check_point_budget(points_per_axis, p.num_vars)
-    axis = lobatto_axis(points_per_axis)
     lo = hi = None
-    for a, vals in grid_blocks(p, axis):
+    for a, vals in grid_blocks(p, points_per_axis):
         lo = _lowest_cell(lo, a, vals, 1.0)
         hi = _lowest_cell(hi, a, vals, -1.0)
+    axis = lobatto_axis(points_per_axis)
     return (*_refine(p, axis, lo[1], lo[0], 1.0, refine_iters),
             *_refine(p, axis, hi[1], -hi[0], -1.0, refine_iters))

@@ -86,18 +86,18 @@ def _kernel_coeffs(r: int) -> np.ndarray:
 
 
 def kernel_eval_1d(r: int, x, y):
-    """Evaluate K_r(x, y); broadcasts over array-valued x and y."""
+    """Evaluate K_r(x, y); broadcasts over array-valued x and y, and is a
+    float when both are scalars."""
     if r < 0:
         raise ValueError("need r >= 0")
+    scalar = np.ndim(x) == 0 and np.ndim(y) == 0
     x = np.array(x, dtype=float, ndmin=1)
     y = np.array(y, dtype=float, ndmin=1)
     coef = _kernel_coeffs(r)
     tx = _t_table(x.ravel(), r).reshape((r + 1,) + x.shape)
     ty = _t_table(y.ravel(), r).reshape((r + 1,) + y.shape)
     out = np.einsum("k...,k...,k->...", tx, ty, coef)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return float(out[0]) if scalar else out
 
 
 def kernel_eval_nd(r: int, x, y) -> float:

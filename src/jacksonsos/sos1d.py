@@ -42,8 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.chebyshev import chebroots
 
-from .chebpoly import (DROP_TOL, RESIDUAL_TOL, ChebPoly, _relative_residual, gate_witness,
-                       lobatto_axis)
+from .chebpoly import DROP_TOL, RESIDUAL_TOL, ChebPoly, _relative_residual, gate_witness
 from .jackson import _kernel_amplitudes
 
 _MODULUS_BAND = 1e-7      # |z| within this of 1 counts as an on-circle root
@@ -221,7 +220,7 @@ def _gate(p: ChebPoly) -> None:
     cell and its Lobatto point when that cell is already below, and the
     polished minimum and its point otherwise (``chebpoly.gate_witness``).
     """
-    witness = gate_witness(p, p, lobatto_axis(1025))
+    witness = gate_witness(p, p, 1025)
     if witness is not None:
         lo, (loc,) = witness
         raise NotNonnegative(f"grid minimum {lo:.3e} at x={loc:.6f} below tolerance",

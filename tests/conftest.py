@@ -10,22 +10,23 @@ _CRITERION_LINES = []
 
 @pytest.fixture
 def grid_budget_enforced(monkeypatch):
-    """Make ChebPoly.eval_blocks refuse, rather than allocate, an over-budget grid.
+    """Make ChebPoly._eval_tables refuse, rather than allocate, an over-budget grid.
 
-    Every grid evaluation, eval_grid's and the block scans', goes through
-    eval_blocks, and the budget is on the whole grid however it is blocked.
-    A caller that checks the budget first raises ValueError; one that does
-    not reaches eval_blocks and fails the test with AssertionError.
+    Every grid evaluation, eval_grid's and the Lobatto scans', goes through
+    _eval_tables, which reads one T_k table per axis, and the budget is on
+    the whole grid however it is blocked.  A caller that checks the budget
+    first raises ValueError; one that does not reaches _eval_tables and fails
+    the test with AssertionError.
     """
-    original = ChebPoly.eval_blocks
+    original = ChebPoly._eval_tables
 
-    def guarded(self, axes, cols):
-        size = math.prod(np.size(a) for a in axes)
+    def guarded(self, shape, table_of, cols):
+        size = math.prod(shape)
         if size > POINT_BUDGET:
-            raise AssertionError(f"eval_blocks asked for {size} points")
-        return original(self, axes, cols)
+            raise AssertionError(f"_eval_tables asked for {size} points")
+        return original(self, shape, table_of, cols)
 
-    monkeypatch.setattr(ChebPoly, "eval_blocks", guarded)
+    monkeypatch.setattr(ChebPoly, "_eval_tables", guarded)
 
 
 @pytest.fixture

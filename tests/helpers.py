@@ -15,7 +15,7 @@ from jacksonsos import (
     cheb_from_monomial,
     mono_from_cheb,
 )
-from jacksonsos.chebpoly import enumerate_multidegrees, grid_blocks
+from jacksonsos.chebpoly import enumerate_multidegrees, grid_blocks, lobatto_axis
 
 
 def demo_f() -> ChebPoly:
@@ -32,12 +32,14 @@ def random_cheb(rng: np.random.Generator, n: int, d: int,
     return ChebPoly(n, {k: scale * rng.standard_normal() for k in keys})
 
 
-def lowest_grid_cell(p: ChebPoly, axis: np.ndarray) -> tuple:
+def lowest_grid_cell(p: ChebPoly, points: int) -> tuple:
     """(value, Lobatto point) of the lowest value of ``p`` on the tensor grid
-    of ``axis``, from the blocks of ``chebpoly.grid_blocks`` joined into one
-    array (ties: the lexicographically first point)."""
-    vals = np.concatenate([v for _, v in grid_blocks(p, axis)], axis=-1)
+    of ``points`` Lobatto points per axis, from the blocks of
+    ``chebpoly.grid_blocks`` joined into one array (ties: the
+    lexicographically first point)."""
+    vals = np.concatenate([v for _, v in grid_blocks(p, points)], axis=-1)
     idx = np.unravel_index(int(np.argmin(vals)), vals.shape)
+    axis = lobatto_axis(points)
     return float(vals[idx]), tuple(float(axis[i]) for i in idx)
 
 

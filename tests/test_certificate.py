@@ -249,11 +249,11 @@ class TestCertify:
 
     def test_node_budget_checked_before_gate(self, monkeypatch):
         # the node step and the gate both start with a grid evaluation, and
-        # every grid evaluation goes through eval_blocks
+        # every grid evaluation goes through ChebPoly._eval_tables
         def gate(*args):
             raise AssertionError("a grid was evaluated before the node budget check")
 
-        monkeypatch.setattr(ChebPoly, "eval_blocks", gate)
+        monkeypatch.setattr(ChebPoly, "_eval_tables", gate)
         f5 = ChebPoly(5, {tuple(60 * (i == j) for i in range(5)): 1.0 for j in range(5)})
         with pytest.raises(ValueError, match="61\\^5"):
             certify(f5, 0.1, 60)
@@ -300,9 +300,9 @@ class TestCertify:
         scanned = []
         blocks = chebpoly_module.grid_blocks
 
-        def counting(p, axis):
+        def counting(p, points):
             scanned.append(p)
-            return blocks(p, axis)
+            return blocks(p, points)
 
         monkeypatch.setattr(chebpoly_module, "grid_blocks", counting)
         if refused:
@@ -320,7 +320,7 @@ class TestCertify:
 
         f = demo_f()
         g = apply_inverse(f.shift(0.1), 5)
-        cell, point = lowest_grid_cell(g, chebpoly_module.lobatto_axis(2049))
+        cell, point = lowest_grid_cell(g, 2049)
         monkeypatch.setattr(chebpoly_module, "_golden_min", no_call)
         with pytest.raises(NotCertifiable) as err:
             certify(f, 0.1, 5)
@@ -335,7 +335,7 @@ class TestCertify:
         f, eta, r = _band_f(), 0.02, 15
         target = f.shift(eta)
         g = apply_inverse(target, r)
-        cell = lowest_grid_cell(g, chebpoly_module.lobatto_axis(2049))[0]
+        cell = lowest_grid_cell(g, 2049)[0]
         lo, loc = grid_extrema(g, 2049)[:2]
         tol = -(cell + lo) / (2.0 * abs_sum(target))
         assert lo < -tol * abs_sum(target) <= cell
@@ -353,13 +353,13 @@ class TestCertify:
         target = f.shift(eta)
         g = apply_inverse(target, r)
         assert -tol * abs_sum(target) <= grid_extrema(g, 2049)[0] < 0.0
-        assert lowest_grid_cell(g, chebpoly_module.lobatto_axis(2049))[0] < 0.0
+        assert lowest_grid_cell(g, 2049)[0] < 0.0
         polish, scanned = [], []
         golden_min, blocks = chebpoly_module._golden_min, chebpoly_module.grid_blocks
         monkeypatch.setattr(chebpoly_module, "_golden_min",
                             lambda *args: polish.append(args) or golden_min(*args))
         monkeypatch.setattr(chebpoly_module, "grid_blocks",
-                            lambda p, axis: scanned.append(p) or blocks(p, axis))
+                            lambda p, points: scanned.append(p) or blocks(p, points))
         monkeypatch.setattr(chebpoly_module, "GATE_TOL", tol)
         cert = certify(f, eta, r)
         assert verify(cert, f).valid
@@ -387,7 +387,7 @@ class TestCertify:
             m = (r + max(f.per_variable_degrees()) + 2) // 2
             nodes_pass = g.eval_grid([chebyshev_nodes(m)] * n).min() / m ** n >= -NODE_CLAMP
             gmin = grid_extrema(g, points)[0]
-            cell = lowest_grid_cell(g, chebpoly_module.lobatto_axis(points))[0]
+            cell = lowest_grid_cell(g, points)[0]
             tols = [GATE_TOL, 1e-2, 3e-2]
             if gmin < 0.0:      # the middle of the polish band, then above it
                 tols += [-(cell + gmin) / (2.0 * norm), -2.0 * gmin / norm]
@@ -412,8 +412,8 @@ class TestCertify:
 
         f = demo_f()
         bound = kernel_lower_bound(f, 12)
-        for name in ("gate_witness", "lobatto_axis"):
-            monkeypatch.setattr(certificate_module, name, no_gate)
+        monkeypatch.setattr(certificate_module, "gate_witness", no_gate)
+        monkeypatch.setattr(chebpoly_module, "grid_blocks", no_gate)
         with pytest.raises(NotCertifiable, match="at node") as err:
             certify(f, 0.01, 12)
         assert err.value.location == bound.argmin

@@ -14,10 +14,13 @@ from jacksonsos.chebpoly import (
     _canon,
     _golden_min,
     _grid_low,
+    _lobatto_table,
     _refine,
     _t_table,
     cheb_from_monomial,
     enumerate_multidegrees,
+    gate_witness,
+    grid_blocks,
     grid_extrema,
     hamming_weight,
     lobatto_axis,
@@ -336,6 +339,75 @@ class TestBoundedness:
             assert max(abs(v) for v in vals) <= 1.0 + 1e-12
 
 
+class TestLobattoGrids:
+    """Each Lobatto axis and its T_k table are built once per process and
+    point count, and the scans that read them give eval_blocks' values."""
+
+    @pytest.mark.parametrize("points", [2, 17, 2049])
+    def test_axis_is_built_once_and_read_only(self, points):
+        axis = lobatto_axis(points)
+        assert lobatto_axis(points) is axis
+        expected = np.cos(np.arange(points - 1, -1, -1) * math.pi / (points - 1))
+        assert axis.tobytes() == expected.tobytes()
+        with pytest.raises(ValueError):
+            axis[0] = 0.0
+
+    @pytest.mark.parametrize("points", [3, 65, 4097])
+    def test_table_rows_are_the_recurrence(self, monkeypatch, points):
+        """The rows are _t_table's bit for bit, also after the table grew
+        from a lower degree; a lower degree reads the grown table."""
+        monkeypatch.setattr(chebpoly, "_LOBATTO_TABLES", {})
+        expected = _t_table(lobatto_axis(points), 12)
+        low = _lobatto_table(points, 5)
+        assert low.tobytes() == expected[:6].tobytes()
+        grown = _lobatto_table(points, 12)
+        assert grown.tobytes() == expected.tobytes()
+        assert _lobatto_table(points, 7) is grown
+        with pytest.raises(ValueError):
+            grown[1, 0] = 0.0
+
+    def test_second_gate_scan_builds_no_table(self, monkeypatch):
+        """A second gate scan at the same count runs the T_k recurrence on no
+        Lobatto axis; only the polish's one-point tables remain."""
+        points = 257
+        monkeypatch.setattr(chebpoly, "_LOBATTO_TABLES", {})
+        sizes = []
+        t_table = chebpoly._t_table
+
+        def counting(x, d):
+            sizes.append(x.size)
+            return t_table(x, d)
+
+        monkeypatch.setattr(chebpoly, "_t_table", counting)
+        p = random_cheb(np.random.default_rng(5), 2, 4)
+        p = p.shift(2.0 * p.max_abs_coeff() * len(p.coeffs))    # passes, polished
+        assert gate_witness(p, p, points) is None
+        assert sizes.count(points) == 1
+        sizes.clear()
+        assert gate_witness(p, p, points) is None
+        assert sizes and points not in sizes
+
+    @pytest.mark.parametrize("n, d, points", [(1, 9, 4097), (2, 5, 257), (3, 3, 65)])
+    def test_blocks_are_eval_grids_of_their_own(self, monkeypatch, n, d, points):
+        """grid_blocks gives eval_blocks' blocks, each eval_grid of its own
+        grid bit for bit, thin last block included (257^2: 255 + 2 columns,
+        65^3: 4 x 15 + 5), and from a table grown past p's degree too."""
+        monkeypatch.setattr(chebpoly, "_LOBATTO_TABLES", {})
+        p = random_cheb(np.random.default_rng(110 + n), n, d)
+        axis = lobatto_axis(points)
+        cols = max(1, 2 ** 16 // points ** (n - 1))
+        expected = list(p.eval_blocks([axis] * n, cols))
+        assert n == 1 or expected[-1][1].shape[-1] < cols
+        for grow in (0, 3 * d):
+            _lobatto_table(points, grow)
+            blocks = list(grid_blocks(p, points))
+            assert [a for a, _ in blocks] == [a for a, _ in expected]
+            for (a, vals), (_, own) in zip(blocks, expected):
+                assert vals.tobytes() == own.tobytes()
+                sub = p.eval_grid([axis] * (n - 1) + [axis[a:a + cols]])
+                assert vals.tobytes() == sub.tobytes()
+
+
 class TestGridExtrema:
     def test_t2(self):
         t2 = ChebPoly.basis(1, (2,))
@@ -395,7 +467,7 @@ class TestGridExtrema:
         axis = lobatto_axis(points)
         for refine_iters in (1, 2, 3):
             p = random_cheb(rng, n, d)
-            low, idx = _grid_low(p, axis)
+            low, idx = _grid_low(p, points)
             assert low == p.eval_grid([axis] * n).min()
             assert grid_extrema(p, points, refine_iters)[:2] == _refine(
                 p, axis, idx, low, 1.0, refine_iters)
@@ -414,7 +486,7 @@ class TestGridExtrema:
             cells = [tuple(float(axis[i]) for i in np.unravel_index(int(pick(vals)), vals.shape))
                      for pick in (np.argmin, np.argmax)]
             assert grid_extrema(p, points, 0) == (vals.min(), cells[0], vals.max(), cells[1])
-            low, idx = _grid_low(p, axis)
+            low, idx = _grid_low(p, points)
             assert (low, tuple(float(axis[i]) for i in idx)) == (vals.min(), cells[0])
         assert grid_extrema(tied, points, 0)[1][:2] == (-1.0, float(axis[points // 2]))
 

@@ -133,6 +133,18 @@ class TestKernel:
             product = kernel_eval_1d(3, x[0], y[0]) * kernel_eval_1d(3, x[1], y[1])
             assert direct == pytest.approx(product, rel=1e-12)
 
+    def test_scalar_points_give_floats(self):
+        """Scalar x and y give a Python float, bit-equal to the array path;
+        kernel_eval_nd is then the float product of its axes."""
+        value = kernel_eval_1d(3, 0.2, 0.3)
+        assert type(value) is float
+        assert value == kernel_eval_1d(3, np.array([0.2]), np.array([0.3]))[0]
+        assert type(kernel_eval_1d(3, np.float64(0.2), 0.3)) is float
+        assert kernel_eval_1d(3, 0.2, np.array([0.3])).shape == (1,)
+        direct = kernel_eval_nd(3, (0.2, 0.1), (0.3, 0.4))
+        assert type(direct) is float
+        assert direct == value * kernel_eval_1d(3, 0.1, 0.4)
+
     def test_corner_value_r1(self):
         assert kernel_eval_nd(1, (1.0, 1.0), (1.0, 1.0)) == pytest.approx(4.0)
 

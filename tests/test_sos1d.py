@@ -327,7 +327,7 @@ class TestLukacsPairs:
             raise AssertionError("the polish ran")
 
         p = ChebPoly(1, {(0,): 0.1, (1,): 0.3, (3,): -0.4})
-        cell, (point,) = lowest_grid_cell(p, chebpoly.lobatto_axis(1025))
+        cell, (point,) = lowest_grid_cell(p, 1025)
         monkeypatch.setattr(chebpoly, "_golden_min", no_call)
         with pytest.raises(NotNonnegative) as err:
             lukacs_decompose(p)
@@ -340,7 +340,7 @@ class TestLukacsPairs:
         the floor and the polished minimum -0.4590170 below it: the cell is
         polished, and the refusal reports the polished minimum."""
         p = ChebPoly(1, {(0,): 0.1, (1,): 0.3, (3,): -0.4})
-        cell = lowest_grid_cell(p, chebpoly.lobatto_axis(1025))[0]
+        cell = lowest_grid_cell(p, 1025)[0]
         lo, (loc,) = chebpoly.grid_extrema(p, 1025)[:2]
         tol = -(cell + lo) / (2.0 * abs_sum(p))
         assert lo < -tol * abs_sum(p) <= cell
@@ -354,7 +354,6 @@ class TestLukacsPairs:
         minimum lies below the floor -tol sum |c| of p, on both of its paths;
         what follows a passed gate may still refuse p."""
         rng = np.random.default_rng(22)
-        axis = chebpoly.lobatto_axis(1025)
         paths = set()
         for _ in range(16):
             p = ChebPoly(1, {(k,): rng.standard_normal()
@@ -362,7 +361,7 @@ class TestLukacsPairs:
             p = p.shift(-chebpoly.grid_extrema(p, 1025)[0] + rng.uniform(-0.1, 0.02))
             lo = chebpoly.grid_extrema(p, 1025)[0]
             norm = abs_sum(p)
-            cell = lowest_grid_cell(p, axis)[0]
+            cell = lowest_grid_cell(p, 1025)[0]
             tols = [chebpoly.GATE_TOL, 1e-2]
             if lo < 0.0:        # the middle of the polish band, then above it
                 tols += [-(cell + lo) / (2.0 * norm), -2.0 * lo / norm]
