@@ -182,8 +182,12 @@ class ChebPoly:
         return ChebPoly(self.num_vars, _canon({k: a * c for k, c in self.coeffs.items()}))
 
     def shift(self, a: float) -> "ChebPoly":
-        """Add the constant ``a``."""
-        return self + ChebPoly.constant(self.num_vars, a)
+        """Add the constant ``a``: ``self + ChebPoly.constant(num_vars, a)``,
+        bit for bit, canonicalized once."""
+        out = dict(self.coeffs)
+        key = (0,) * self.num_vars
+        out[key] = out.get(key, 0.0) + float(a)
+        return ChebPoly(self.num_vars, _canon(out))
 
     # -- products ------------------------------------------------------------
 
@@ -249,6 +253,10 @@ class ChebPoly:
         x (distinct k_i) x grid entries, each count at most the number of
         terms, and never prod(d_i + 1).  The last axis adds the terms in map
         order, so a one-variable grid is the plain term-by-term sum.
+
+        An axis that :func:`chebyshev_nodes` or :func:`lobatto_axis` returned
+        is read from its T_k table, built once per process (:func:`_axis_table`);
+        any other array gets a table of its own, with the same rows.
         """
         return next(self.eval_blocks(axes, 0))[1]
 
@@ -266,15 +274,15 @@ class ChebPoly:
         """
         if len(axes) != self.num_vars:
             raise ValueError("one axis array per variable required")
-        axes = [np.atleast_1d(np.asarray(a, dtype=float)) for a in axes]
-        return self._eval_tables(tuple(a.size for a in axes),
-                                 lambda i, d: _t_table(axes[i], d), cols)
+        return self._eval_tables([np.atleast_1d(np.asarray(a, dtype=float))
+                                  for a in axes], cols)
 
-    def _eval_tables(self, shape: tuple, table_of, cols: int):
-        """The one grid evaluator behind :meth:`eval_blocks` and
-        :func:`grid_blocks`: the blocks of the grid of ``shape`` whose axis i
-        is read from ``table_of(i, d)``, the rows T_0 .. T_D (D >= d) on that
+    def _eval_tables(self, axes: list, cols: int):
+        """The one grid evaluator behind :meth:`eval_blocks`: the blocks of
+        the grid of the 1-D float arrays ``axes``, axis i read from
+        ``_axis_table(axes[i], d)``, the rows T_0 .. T_D (D >= d) on that
         axis, d = deg_{x_i} p.  Rows past d are never read."""
+        shape = tuple(a.size for a in axes)
         cols = cols or max(shape[-1], 1)
         offsets = range(0, max(shape[-1], 1), cols)
         if not self.coeffs:
@@ -291,7 +299,7 @@ class ChebPoly:
             code = prefix[-1] * (degs[i] + 1) + keys[:, i]
             prefix.append(np.unique(code, return_inverse=True)[1])
 
-        table = table_of(n - 1, degs[-1])
+        table = _axis_table(axes[-1], degs[-1])
         last = np.zeros((prefix[-1].max() + 1, shape[-1]))
         for row, k, c in zip(prefix[-1].tolist(), keys[:, -1].tolist(), cs.tolist()):
             last[row] += c * table[k]
@@ -302,7 +310,7 @@ class ChebPoly:
             _, rep = np.unique(prefix[i + 1], return_index=True)   # a term per row
             kset, kidx = np.unique(keys[rep, i], return_inverse=True)
             steps.append((prefix[i][rep], kidx, (prefix[i].max() + 1, kset.size),
-                          table_of(i, degs[i]).T[:, kset]))
+                          _axis_table(axes[i], degs[i]).T[:, kset]))
         for a in offsets:
             vals = last[:, a:a + cols]
             width = points = vals.shape[1]
@@ -435,6 +443,7 @@ def check_point_budget(points_per_axis: int, num_vars: int) -> None:
         )
 
 
+@lru_cache(maxsize=None)
 def chebyshev_nodes(m: int) -> np.ndarray:
     """The m Gauss-Chebyshev nodes cos((2j - 1) pi / (2m)), ascending.
 
@@ -444,11 +453,15 @@ def chebyshev_nodes(m: int) -> np.ndarray:
     Chebyshev coefficient.  ``certify`` and ``kernel_lower_bound`` both rely on
     this for m = ceil((r + d + 1) / 2), d = max_j deg_{x_j} f, the fewest nodes
     that integrate K_r(x, y) g(y) of degree r + d in each y_j.
+
+    Built once per process and node count, like :func:`lobatto_axis`: every
+    call with the same m returns the same read-only array, whose T_k table
+    :meth:`ChebPoly.eval_grid` builds once too.
     """
     if m < 1:
         raise ValueError("need m >= 1 nodes per axis")
     j = np.arange(m, 0, -1)
-    return np.cos((2 * j - 1) * math.pi / (2 * m))
+    return _memoized(np.cos((2 * j - 1) * math.pi / (2 * m)))
 
 
 @lru_cache(maxsize=None)
@@ -460,25 +473,36 @@ def lobatto_axis(points: int) -> np.ndarray:
     """
     if points < 2:
         raise ValueError("need at least 2 points per axis")
-    axis = np.cos(np.arange(points - 1, -1, -1) * math.pi / (points - 1))
+    return _memoized(np.cos(np.arange(points - 1, -1, -1) * math.pi / (points - 1)))
+
+
+#: id of each memoized axis -> (the axis, its read-only T_0 .. T_D rows), D the
+#: highest degree asked for so far; holding the axis keeps its id its own
+_AXIS_TABLES: dict = {}
+
+
+def _memoized(axis: np.ndarray) -> np.ndarray:
+    """Set a memoized axis read-only and enter it, with no rows yet, in the
+    table cache of :func:`_axis_table`."""
     axis.flags.writeable = False
+    _AXIS_TABLES[id(axis)] = (axis, np.empty((0, axis.size)))
     return axis
 
 
-#: points per axis -> the read-only T_0 .. T_D rows on its Lobatto axis, D the
-#: highest degree asked for so far
-_LOBATTO_TABLES: dict = {}
-
-
-def _lobatto_table(points: int, d: int) -> np.ndarray:
-    """T_0 .. T_D on ``lobatto_axis(points)`` as rows, D >= d: one read-only
-    :func:`_t_table` per point count, rebuilt only when a higher degree is
-    asked for.  Its rows are the recurrence's, so they do not depend on D."""
-    table = _LOBATTO_TABLES.get(points)
-    if table is None or len(table) <= d:
-        table = _t_table(lobatto_axis(points), d)
+def _axis_table(axis: np.ndarray, d: int) -> np.ndarray:
+    """T_0 .. T_D on ``axis`` as rows, D >= d.  A memoized axis
+    (:func:`chebyshev_nodes`, :func:`lobatto_axis`) has one read-only
+    :func:`_t_table`, rebuilt only when a higher degree is asked for; any
+    other array gets a new ``_t_table(axis, d)``.  The rows are the
+    recurrence's, so they do not depend on D."""
+    entry = _AXIS_TABLES.get(id(axis))
+    if entry is None:
+        return _t_table(axis, d)
+    table = entry[1]
+    if len(table) <= d:
+        table = _t_table(axis, d)
         table.flags.writeable = False
-        _LOBATTO_TABLES[points] = table
+        _AXIS_TABLES[id(axis)] = (axis, table)
     return table
 
 
@@ -567,14 +591,13 @@ def grid_blocks(p: ChebPoly, points: int):
     The grid (within ``POINT_BUDGET``) comes in blocks of last-axis points,
     about 2^16 values and at least one point each, so that no grid-sized
     array is held; ``offset`` is the block's first last-axis index.  The
-    blocks are those of :meth:`ChebPoly.eval_blocks`, bit for bit, read from
-    the axis's T_k table, which like the axis is built once per process and
-    point count (:func:`_lobatto_table`).
+    blocks are those of :meth:`ChebPoly.eval_blocks` on the memoized axis,
+    read from its T_k table, which like the axis is built once per process
+    and point count (:func:`_axis_table`).
     """
     n = p.num_vars
     check_point_budget(points, n)
-    return p._eval_tables((points,) * n, lambda i, d: _lobatto_table(points, d),
-                          max(1, 2 ** 16 // points ** (n - 1)))
+    return p.eval_blocks([lobatto_axis(points)] * n, max(1, 2 ** 16 // points ** (n - 1)))
 
 
 def _lowest_cell(best, a: int, vals: np.ndarray, sign: float):

@@ -13,18 +13,18 @@ def grid_budget_enforced(monkeypatch):
     """Make ChebPoly._eval_tables refuse, rather than allocate, an over-budget grid.
 
     Every grid evaluation, eval_grid's and the Lobatto scans', goes through
-    _eval_tables, which reads one T_k table per axis, and the budget is on
-    the whole grid however it is blocked.  A caller that checks the budget
+    _eval_tables, which reads one T_k table per axis array, and the budget is
+    on the whole grid however it is blocked.  A caller that checks the budget
     first raises ValueError; one that does not reaches _eval_tables and fails
     the test with AssertionError.
     """
     original = ChebPoly._eval_tables
 
-    def guarded(self, shape, table_of, cols):
-        size = math.prod(shape)
+    def guarded(self, axes, cols):
+        size = math.prod(a.size for a in axes)
         if size > POINT_BUDGET:
             raise AssertionError(f"_eval_tables asked for {size} points")
-        return original(self, shape, table_of, cols)
+        return original(self, axes, cols)
 
     monkeypatch.setattr(ChebPoly, "_eval_tables", guarded)
 

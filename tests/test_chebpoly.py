@@ -11,13 +11,14 @@ from jacksonsos import chebpoly
 from jacksonsos.chebpoly import (
     ChebPoly,
     MonoPoly,
+    _axis_table,
     _canon,
     _golden_min,
     _grid_low,
-    _lobatto_table,
     _refine,
     _t_table,
     cheb_from_monomial,
+    chebyshev_nodes,
     enumerate_multidegrees,
     gate_witness,
     grid_blocks,
@@ -247,6 +248,17 @@ class TestAlgebra:
         assert shifted.coeffs[(0,)] == pytest.approx(7 / 8 + 0.1)
         assert shifted.coeffs[(1,)] == f.coeffs[(1,)]
 
+    def test_shift_adds_a_constant_polynomial(self):
+        """shift(a) is f + constant(a) bit for bit, order of the map included,
+        also when a is 0, cancels the constant term or drops every other term."""
+        rng = np.random.default_rng(23)
+        for n in (1, 2, 3):
+            for f in [ChebPoly.zero(n)] + [random_cheb(rng, n, 4) for _ in range(10)]:
+                c0 = f.coeffs.get((0,) * n, 0.0)
+                for a in (0.0, -c0, 1e20, float(rng.standard_normal())):
+                    expected = f + ChebPoly.constant(n, a)
+                    assert list(f.shift(a).coeffs.items()) == list(expected.coeffs.items())
+
     def test_t2_times_t3(self):
         got = ChebPoly.basis(1, (2,)) * ChebPoly.basis(1, (3,))
         assert got.coeffs == {(5,): 0.5, (1,): 0.5}
@@ -339,6 +351,42 @@ class TestBoundedness:
             assert max(abs(v) for v in vals) <= 1.0 + 1e-12
 
 
+def _fresh_table(monkeypatch, axis):
+    """Give the memoized ``axis``, which memoizing entered in the cache, an
+    empty T_k table for one test."""
+    assert chebpoly._AXIS_TABLES[id(axis)][0] is axis
+    monkeypatch.setitem(chebpoly._AXIS_TABLES, id(axis), (axis, np.empty((0, axis.size))))
+
+
+def _counting_t_table(monkeypatch) -> list:
+    """Record the size of every axis that ``_t_table`` runs on."""
+    sizes = []
+    t_table = chebpoly._t_table
+
+    def counting(x, d):
+        sizes.append(x.size)
+        return t_table(x, d)
+
+    monkeypatch.setattr(chebpoly, "_t_table", counting)
+    return sizes
+
+
+def _assert_table_grows(axis):
+    """The cached rows of the memoized ``axis`` are _t_table's bit for bit,
+    also after the table grew from a lower degree; a lower degree reads the
+    grown table, which is read-only, and a copy of the axis gets its own."""
+    expected = _t_table(axis, 12)
+    for d in (5, 6, 12):    # 6: one row past the table
+        grown = _axis_table(axis, d)
+        assert grown.tobytes() == expected[:d + 1].tobytes()
+    assert _axis_table(axis, 7) is grown
+    with pytest.raises(ValueError):
+        grown[1, 0] = 0.0
+    own = _axis_table(axis.copy(), 7)
+    assert own is not _axis_table(axis.copy(), 7)
+    assert own.tobytes() == expected[:8].tobytes()
+
+
 class TestLobattoGrids:
     """Each Lobatto axis and its T_k table are built once per process and
     point count, and the scans that read them give eval_blocks' values."""
@@ -356,29 +404,16 @@ class TestLobattoGrids:
     def test_table_rows_are_the_recurrence(self, monkeypatch, points):
         """The rows are _t_table's bit for bit, also after the table grew
         from a lower degree; a lower degree reads the grown table."""
-        monkeypatch.setattr(chebpoly, "_LOBATTO_TABLES", {})
-        expected = _t_table(lobatto_axis(points), 12)
-        low = _lobatto_table(points, 5)
-        assert low.tobytes() == expected[:6].tobytes()
-        grown = _lobatto_table(points, 12)
-        assert grown.tobytes() == expected.tobytes()
-        assert _lobatto_table(points, 7) is grown
-        with pytest.raises(ValueError):
-            grown[1, 0] = 0.0
+        axis = lobatto_axis(points)
+        _fresh_table(monkeypatch, axis)
+        _assert_table_grows(axis)
 
     def test_second_gate_scan_builds_no_table(self, monkeypatch):
         """A second gate scan at the same count runs the T_k recurrence on no
         Lobatto axis; only the polish's one-point tables remain."""
         points = 257
-        monkeypatch.setattr(chebpoly, "_LOBATTO_TABLES", {})
-        sizes = []
-        t_table = chebpoly._t_table
-
-        def counting(x, d):
-            sizes.append(x.size)
-            return t_table(x, d)
-
-        monkeypatch.setattr(chebpoly, "_t_table", counting)
+        _fresh_table(monkeypatch, lobatto_axis(points))
+        sizes = _counting_t_table(monkeypatch)
         p = random_cheb(np.random.default_rng(5), 2, 4)
         p = p.shift(2.0 * p.max_abs_coeff() * len(p.coeffs))    # passes, polished
         assert gate_witness(p, p, points) is None
@@ -392,20 +427,71 @@ class TestLobattoGrids:
         """grid_blocks gives eval_blocks' blocks, each eval_grid of its own
         grid bit for bit, thin last block included (257^2: 255 + 2 columns,
         65^3: 4 x 15 + 5), and from a table grown past p's degree too."""
-        monkeypatch.setattr(chebpoly, "_LOBATTO_TABLES", {})
         p = random_cheb(np.random.default_rng(110 + n), n, d)
         axis = lobatto_axis(points)
+        _fresh_table(monkeypatch, axis)
         cols = max(1, 2 ** 16 // points ** (n - 1))
-        expected = list(p.eval_blocks([axis] * n, cols))
+        expected = list(p.eval_blocks([axis.copy()] * n, cols))    # tables of its own
         assert n == 1 or expected[-1][1].shape[-1] < cols
         for grow in (0, 3 * d):
-            _lobatto_table(points, grow)
+            _axis_table(axis, grow)
             blocks = list(grid_blocks(p, points))
             assert [a for a, _ in blocks] == [a for a, _ in expected]
             for (a, vals), (_, own) in zip(blocks, expected):
                 assert vals.tobytes() == own.tobytes()
                 sub = p.eval_grid([axis] * (n - 1) + [axis[a:a + cols]])
                 assert vals.tobytes() == sub.tobytes()
+
+
+class TestNodeGrids:
+    """Each Gauss-Chebyshev node axis and its T_k table are built once per
+    process and node count, and eval_grid reads them with the values of a
+    writeable copy of the axis."""
+
+    @pytest.mark.parametrize("m", [1, 6, 57])
+    def test_axis_is_built_once_and_read_only(self, m):
+        axis = chebyshev_nodes(m)
+        assert chebyshev_nodes(m) is axis
+        expected = np.cos((2 * np.arange(m, 0, -1) - 1) * math.pi / (2 * m))
+        assert axis.tobytes() == expected.tobytes()
+        with pytest.raises(ValueError):
+            axis[0] = 0.0
+
+    @pytest.mark.parametrize("m", [1, 6, 57])
+    def test_table_rows_are_the_recurrence(self, monkeypatch, m):
+        axis = chebyshev_nodes(m)
+        _fresh_table(monkeypatch, axis)
+        _assert_table_grows(axis)
+
+    def test_second_node_scan_builds_no_table(self, monkeypatch):
+        """The node step's second eval_grid at the same count runs the T_k
+        recurrence on no axis."""
+        m = 11
+        axis = chebyshev_nodes(m)
+        _fresh_table(monkeypatch, axis)
+        sizes = _counting_t_table(monkeypatch)
+        p = random_cheb(np.random.default_rng(5), 2, 4)
+        assert p.per_variable_degrees() == (4, 4)
+        first = p.eval_grid([axis] * 2)
+        assert sizes == [m]
+        sizes.clear()
+        assert p.eval_grid([axis] * 2).tobytes() == first.tobytes()
+        assert sizes == []
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_memoized_axes_match_copies(self, monkeypatch, n):
+        """eval_grid on the memoized axes equals eval_grid on writeable copies
+        of them bit for bit, before and after a higher degree grows the table."""
+        rng = np.random.default_rng(60 + n)
+        axes = [chebyshev_nodes(m) for m in (7, 9, 8)[:n]]
+        for axis in axes:
+            _fresh_table(monkeypatch, axis)
+        polys = [random_cheb(rng, n, 5) for _ in range(4)]
+        before = [g.eval_grid(axes).tobytes() for g in polys]
+        assert before == [g.eval_grid([a.copy() for a in axes]).tobytes() for g in polys]
+        random_cheb(rng, n, 16).eval_grid(axes)
+        assert all(len(chebpoly._AXIS_TABLES[id(a)][1]) == 17 for a in axes)
+        assert [g.eval_grid(axes).tobytes() for g in polys] == before
 
 
 class TestGridExtrema:
