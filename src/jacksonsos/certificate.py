@@ -8,23 +8,14 @@ explicit decomposition
 in which every sigma_J is a positive combination of squares.  The
 construction unsmooths f + eta with the inverse Jackson operator, checks the
 result is still nonnegative, at the quadrature nodes and then on a
-Chebyshev-Lobatto grid, re-smooths it through the kernel written as a
-positive combination of its values at tensor Gauss-Chebyshev nodes, and
-splits every univariate kernel slice into squares in closed form, two for
-each of sigma_0 and sigma_1.  The nodes are the fewest that make the
-identity exact: m = ceil((r + d + 1) / 2) per axis, d the largest
-per-variable degree of f.  The certificate stores one nonnegative weight per
-node and nothing else, since the squares of every slice are a function of
-r and m alone; it derives that slice table once, when it is built.  The
-nodes are symmetric, y_{m-1-t} = -y_t, and K_r(x, -y) = K_r(-x, y), so only
-the slices at the ceil(m/2) nodes y >= 0 are split and multiplied out, all
-in one batched product; a lower node takes its partner's squares and
-product with the odd Chebyshev coefficients negated.  A certificate's
-validity is machine-checkable by contracting the weights with the split
-slices, without expanding the squares: one ``tensordot`` per axis gives the
-dense Chebyshev coefficients of the identity, and the same contraction of
-the nonzero weights with the squares per node counts the squares of every
-sigma_J, in int64.  Checking costs O(n m^n).
+Chebyshev-Lobatto grid, and re-smooths it through the kernel written as a
+positive combination of its values at the m = ceil((r + d + 1) / 2)
+Gauss-Chebyshev nodes per axis that make the identity exact, d the largest
+per-variable degree of f.  Every kernel slice splits into squares in closed
+form, a function of r and m alone, so the certificate stores one
+nonnegative weight per node and nothing else (:class:`SchmudgenCertificate`).
+Checking it contracts the weights with the split slices, without expanding
+the squares, in O(n m^n).
 
 ``kernel_lower_bound`` turns the same identity into certified lower bounds
 on the minimum of f: f - lambda is a nonnegative node combination of kernel
@@ -34,7 +25,6 @@ slices when lambda is the least unsmoothed value at the nodes.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,6 +39,7 @@ from .chebpoly import (
     gate_witness,
     grid_extrema,
 )
+from .jackson import _integral_degree
 from .kernelop import _check_degree, apply_inverse, constant_C, theorem_threshold
 # decompose_kernel_slice is no longer called here, but stays importable from
 # this module for callers that look it up or wrap it here (bench/tracing.py)
@@ -60,8 +51,6 @@ MAX_VARS = 64
 
 #: node weights more negative than this abort; values in [-NODE_CLAMP, 0) drop
 NODE_CLAMP = 1e-12
-#: golden-section polish rounds of f's own grid extrema (bound rows, degree plan)
-_BOUND_REFINE_ITERS = 3
 
 
 class NotCertifiable(Exception):
@@ -80,26 +69,6 @@ class ResidualTooLarge(Exception):
         super().__init__(f"certificate residual {residual:.3e} exceeds "
                          f"{RESIDUAL_TOL:.0e}")
         self.residual = residual
-
-
-def _grid_points(n: int) -> tuple:
-    """Default grid points per axis for n variables: (certify's gate, f's extrema).
-
-    From n = 4 on, both are the largest k <= 17 with k^n <= ``POINT_BUDGET``
-    (14 at n = 6), or 2, so that n >= 24 still meets the budget error.
-    """
-    k = 17
-    while k > 2 and k ** n > POINT_BUDGET:
-        k -= 1
-    return {1: (2049, 4097), 2: (257, 513), 3: (65, 65)}.get(n, (k, k))
-
-
-def _integral_degree(r) -> int:
-    """``r`` as an int: refuse a kernel degree that is a bool or not integral
-    (7.0 and 7.5 alike); numpy integers pass."""
-    if isinstance(r, bool) or not isinstance(r, numbers.Integral):
-        raise ValueError(f"kernel degree {r!r} is not an integer")
-    return int(r)
 
 
 def _check_slices(r: int, m: int, n: int) -> None:
@@ -287,8 +256,9 @@ def certify(f: ChebPoly, eta: float, r: int) -> SchmudgenCertificate:
        reports the least node value of g and its node;
     3. the Lobatto gate, the paper's sufficient condition
        (``chebpoly.gate_witness``): raises :class:`NotCertifiable` when the
-       polished grid minimum of g on a Chebyshev-Lobatto grid lies below the
-       floor -``GATE_TOL`` * sum |c| of f + eta, a bound on max |f + eta|
+       polished grid minimum of g on the Chebyshev-Lobatto grid of
+       ``chebpoly._scan_points(n)`` points per axis lies below the floor
+       -``GATE_TOL`` * sum |c| of f + eta, a bound on max |f + eta|
        over the cube.  The refusal reports g's lowest grid cell and its
        Lobatto point when that cell is already below the floor, with no
        polish; else the polished minimum and its point;
@@ -332,7 +302,7 @@ def certify(f: ChebPoly, eta: float, r: int) -> SchmudgenCertificate:
         )
     weights[weights <= 0.0] = 0.0
 
-    witness = gate_witness(unsmoothed, target, _grid_points(n)[0])
+    witness = gate_witness(unsmoothed, target)
     if witness is not None:
         gmin, gloc = witness
         raise NotCertifiable(
@@ -397,14 +367,14 @@ def kernel_lower_bound(f: ChebPoly, r: int) -> BoundReport:
 
 
 def _range_and_constants(f: ChebPoly, d: int) -> tuple:
-    """(fmin_est, fmax_est, threshold, C) for f of total degree d: f's grid
-    extrema polished for ``_BOUND_REFINE_ITERS`` rounds, then
+    """(fmin_est, fmax_est, threshold, C) for f of total degree d: f's
+    polished grid extrema (``chebpoly.grid_extrema``), then
     ``theorem_threshold(n, d)`` and ``constant_C(n, d).sharpest``, or 0 and 0
     for a constant f.  The range and the constants do not depend on r."""
-    n = f.num_vars
-    fmin_est, _, fmax_est, _ = grid_extrema(f, _grid_points(n)[1], _BOUND_REFINE_ITERS)
+    fmin_est, _, fmax_est, _ = grid_extrema(f)
     if d == 0:
         return fmin_est, fmax_est, 0.0, 0.0
+    n = f.num_vars
     return fmin_est, fmax_est, theorem_threshold(n, d), constant_C(n, d).sharpest
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -53,6 +54,31 @@ def _require_finite(coeffs: dict) -> None:
     """Raise ValueError on an inf or NaN coefficient, which no cut may drop."""
     if not all(map(math.isfinite, coeffs.values())):
         raise ValueError("polynomial coefficient is not finite")
+
+
+def _terms(num_vars: int, coeffs: dict) -> dict:
+    """The nonzero terms of ``coeffs``, float-valued.  Every key must be
+    ``num_vars`` nonnegative integers, not bools, or ValueError names it;
+    numpy integers become int.  Keys of plain ints, as any polynomial holds,
+    are checked in bulk, without a Python loop over the terms."""
+    entries = list(itertools.chain.from_iterable(coeffs))
+    if not (set(map(type, entries)) <= {int} and min(entries, default=0) >= 0
+            and set(map(len, coeffs)) <= {num_vars}):
+        for key in coeffs:
+            if len(key) != num_vars or not all(
+                    isinstance(k, numbers.Integral) and not isinstance(k, bool) and k >= 0
+                    for k in key):
+                raise ValueError(f"bad multidegree {key!r} for {num_vars} variables")
+        coeffs = {tuple(map(int, k)): c for k, c in coeffs.items()}
+    return {tuple(k): float(c) for k, c in coeffs.items() if c != 0.0}
+
+
+def _from_canon(cls, num_vars: int, coeffs: dict):
+    """``cls(num_vars, coeffs)`` for :func:`_canon` of the terms of checked
+    polynomials, without construction's second check and copy."""
+    p = object.__new__(cls)
+    p.num_vars, p.coeffs = num_vars, coeffs
+    return p
 
 
 def _canon(coeffs: dict) -> dict:
@@ -114,7 +140,7 @@ class ChebPoly:
     def __post_init__(self):
         if self.num_vars < 1:
             raise ValueError("num_vars must be >= 1")
-        self.coeffs = {tuple(k): float(c) for k, c in self.coeffs.items() if c != 0.0}
+        self.coeffs = _terms(self.num_vars, self.coeffs)
         _require_finite(self.coeffs)
 
     @classmethod
@@ -128,10 +154,7 @@ class ChebPoly:
     @classmethod
     def basis(cls, num_vars: int, kappa: Multidegree) -> "ChebPoly":
         """The basis polynomial T_kappa."""
-        kappa = tuple(int(k) for k in kappa)
-        if len(kappa) != num_vars or any(k < 0 for k in kappa):
-            raise ValueError(f"bad multidegree {kappa} for {num_vars} variables")
-        return cls(num_vars, {kappa: 1.0})
+        return cls(num_vars, {tuple(kappa): 1.0})
 
     # -- structure ---------------------------------------------------------
 
@@ -169,7 +192,7 @@ class ChebPoly:
         out = dict(self.coeffs)
         for k, c in other.coeffs.items():
             out[k] = out.get(k, 0.0) + c
-        return ChebPoly(self.num_vars, _canon(out))
+        return _from_canon(ChebPoly, self.num_vars, _canon(out))
 
     def __sub__(self, other: "ChebPoly") -> "ChebPoly":
         return self + other.scale(-1.0)
@@ -179,7 +202,8 @@ class ChebPoly:
 
     def scale(self, a: float) -> "ChebPoly":
         a = float(a)
-        return ChebPoly(self.num_vars, _canon({k: a * c for k, c in self.coeffs.items()}))
+        return _from_canon(ChebPoly, self.num_vars,
+                           _canon({k: a * c for k, c in self.coeffs.items()}))
 
     def shift(self, a: float) -> "ChebPoly":
         """Add the constant ``a``: ``self + ChebPoly.constant(num_vars, a)``,
@@ -187,14 +211,14 @@ class ChebPoly:
         out = dict(self.coeffs)
         key = (0,) * self.num_vars
         out[key] = out.get(key, 0.0) + float(a)
-        return ChebPoly(self.num_vars, _canon(out))
+        return _from_canon(ChebPoly, self.num_vars, _canon(out))
 
     # -- products ------------------------------------------------------------
 
     def __mul__(self, other: "ChebPoly") -> "ChebPoly":
         """Pointwise product, via T_a T_b = (T_{a+b} + T_{|a-b|}) / 2 per axis."""
         self._require_same_vars(other)
-        return ChebPoly(self.num_vars, _expand(
+        return _from_canon(ChebPoly, self.num_vars, _expand(
             (ca * cb, [((a + b, 1.0),) if a == 0 or b == 0
                        else ((a + b, 0.5), (abs(a - b), 0.5))
                        for a, b in zip(ka, kb)])
@@ -254,9 +278,8 @@ class ChebPoly:
         terms, and never prod(d_i + 1).  The last axis adds the terms in map
         order, so a one-variable grid is the plain term-by-term sum.
 
-        An axis that :func:`chebyshev_nodes` or :func:`lobatto_axis` returned
-        is read from its T_k table, built once per process (:func:`_axis_table`);
-        any other array gets a table of its own, with the same rows.
+        A memoized axis (:func:`chebyshev_nodes`, :func:`lobatto_axis`) is
+        read from its cached T_k table (:func:`_axis_table`).
         """
         return next(self.eval_blocks(axes, 0))[1]
 
@@ -332,7 +355,7 @@ class MonoPoly:
     def __post_init__(self):
         if self.num_vars < 1:
             raise ValueError("num_vars must be >= 1")
-        self.coeffs = {tuple(k): float(c) for k, c in self.coeffs.items() if c != 0.0}
+        self.coeffs = _terms(self.num_vars, self.coeffs)
         _require_finite(self.coeffs)
 
     @classmethod
@@ -379,14 +402,14 @@ def _cheb_as_xpow(k: int) -> tuple:
 
 def cheb_from_monomial(p: MonoPoly) -> ChebPoly:
     """Re-express a power-basis polynomial in the tensor Chebyshev basis."""
-    return ChebPoly(p.num_vars, _expand((a, [_xpow_as_cheb(e) for e in key])
-                                        for key, a in p.coeffs.items()))
+    return _from_canon(ChebPoly, p.num_vars, _expand((a, [_xpow_as_cheb(e) for e in key])
+                                                     for key, a in p.coeffs.items()))
 
 
 def mono_from_cheb(p: ChebPoly) -> MonoPoly:
     """Re-express a Chebyshev-basis polynomial in the power basis."""
-    return MonoPoly(p.num_vars, _expand((c, [_cheb_as_xpow(k) for k in kappa])
-                                        for kappa, c in p.coeffs.items()))
+    return _from_canon(MonoPoly, p.num_vars, _expand((c, [_cheb_as_xpow(k) for k in kappa])
+                                                     for kappa, c in p.coeffs.items()))
 
 
 def enumerate_multidegrees(n: int, d: int) -> list[Multidegree]:
@@ -443,6 +466,20 @@ def check_point_budget(points_per_axis: int, num_vars: int) -> None:
         )
 
 
+#: golden-section polish rounds of every Lobatto scan's extremum cells
+_POLISH_ROUNDS = 2
+
+
+def _scan_points(n: int) -> int:
+    """Lobatto points per axis of every scan of n variables (the gates and
+    :func:`grid_extrema`): 2049, 257 and 65 for n <= 3, then the largest
+    k <= 17 with k^n <= ``POINT_BUDGET`` (14 at n = 6), or 2, so that
+    n >= 24 still meets the budget error."""
+    if n <= 3:
+        return (2049, 257, 65)[n - 1]
+    return next((k for k in range(17, 2, -1) if k ** n <= POINT_BUDGET), 2)
+
+
 @lru_cache(maxsize=None)
 def chebyshev_nodes(m: int) -> np.ndarray:
     """The m Gauss-Chebyshev nodes cos((2j - 1) pi / (2m)), ascending.
@@ -452,11 +489,8 @@ def chebyshev_nodes(m: int) -> np.ndarray:
     the mean of ``p.eval_grid([chebyshev_nodes(m)] * n)`` is p's constant
     Chebyshev coefficient.  ``certify`` and ``kernel_lower_bound`` both rely on
     this for m = ceil((r + d + 1) / 2), d = max_j deg_{x_j} f, the fewest nodes
-    that integrate K_r(x, y) g(y) of degree r + d in each y_j.
-
-    Built once per process and node count, like :func:`lobatto_axis`: every
-    call with the same m returns the same read-only array, whose T_k table
-    :meth:`ChebPoly.eval_grid` builds once too.
+    that integrate K_r(x, y) g(y) of degree r + d in each y_j.  Memoized like
+    :func:`lobatto_axis`.
     """
     if m < 1:
         raise ValueError("need m >= 1 nodes per axis")
@@ -466,11 +500,9 @@ def chebyshev_nodes(m: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def lobatto_axis(points: int) -> np.ndarray:
-    """``points`` Chebyshev-Lobatto nodes cos(j*pi/(points-1)), ascending.
-
-    Built once per process and point count: every call with the same count
-    returns the same read-only array.
-    """
+    """``points`` Chebyshev-Lobatto nodes cos(j*pi/(points-1)), ascending:
+    one read-only array per process and point count, whose T_k table
+    :func:`_axis_table` keeps."""
     if points < 2:
         raise ValueError("need at least 2 points per axis")
     return _memoized(np.cos(np.arange(points - 1, -1, -1) * math.pi / (points - 1)))
@@ -537,9 +569,9 @@ def _golden_min(f, lo: float, hi: float, iters: int = 80):
     return best_v, best_x
 
 
-def _refine(p: ChebPoly, axis: np.ndarray, idx, start_val: float, sign: float,
-            refine_iters: int):
-    """Coordinate-wise golden-section polish of ``sign * p`` from a grid cell.
+def _refine(p: ChebPoly, axis: np.ndarray, idx, start_val: float, sign: float):
+    """Coordinate-wise golden-section polish of ``sign * p`` from a grid cell,
+    ``_POLISH_ROUNDS`` sweeps over the coordinates.
 
     Each coordinate line is a univariate Chebyshev series, gathered from the
     sparse terms with the other coordinates fixed at ``best_x`` (so memory
@@ -559,7 +591,7 @@ def _refine(p: ChebPoly, axis: np.ndarray, idx, start_val: float, sign: float,
     kappas = np.array(list(p.coeffs), dtype=np.intp).reshape(-1, n)
     cs = np.fromiter(p.coeffs.values(), dtype=float, count=len(p.coeffs))
     stale = [True] * n
-    for _ in range(max(refine_iters, 0)):
+    for _ in range(_POLISH_ROUNDS):
         for j in range(n):
             if not stale[j]:
                 continue
@@ -591,32 +623,26 @@ def grid_blocks(p: ChebPoly, points: int):
     The grid (within ``POINT_BUDGET``) comes in blocks of last-axis points,
     about 2^16 values and at least one point each, so that no grid-sized
     array is held; ``offset`` is the block's first last-axis index.  The
-    blocks are those of :meth:`ChebPoly.eval_blocks` on the memoized axis,
-    read from its T_k table, which like the axis is built once per process
-    and point count (:func:`_axis_table`).
+    blocks are those of :meth:`ChebPoly.eval_blocks` on the memoized axis.
     """
     n = p.num_vars
     check_point_budget(points, n)
     return p.eval_blocks([lobatto_axis(points)] * n, max(1, 2 ** 16 // points ** (n - 1)))
 
 
-def _lowest_cell(best, a: int, vals: np.ndarray, sign: float):
-    """The lower of ``best`` and the lowest (sign * value, grid index) cell of
-    the block ``vals`` at last-axis offset ``a``; ties go to the
+def _scan(p: ChebPoly, signs) -> tuple:
+    """The Lobatto axis of every scan of p (:func:`_scan_points` points per
+    axis) and, for each sign, the lowest (sign * value, grid index) cell of
+    sign * p on its tensor grid, read in :func:`grid_blocks`; ties go to the
     lexicographically first index."""
-    pick = np.argmin if sign > 0 else np.argmax
-    idx = np.unravel_index(int(pick(vals)), vals.shape)
-    cell = (sign * float(vals[idx]), idx[:-1] + (a + idx[-1],))
-    return cell if best is None else min(best, cell)
-
-
-def _grid_low(p: ChebPoly, points: int):
-    """(value, grid index) of the lowest cell of ``p`` on the tensor grid of
-    ``points`` Lobatto points per axis, read in :func:`grid_blocks`."""
-    best = None
+    points = _scan_points(p.num_vars)
+    cells = []
     for a, vals in grid_blocks(p, points):
-        best = _lowest_cell(best, a, vals, 1.0)
-    return best
+        for sign in signs:
+            pick = np.argmin if sign > 0 else np.argmax
+            idx = np.unravel_index(int(pick(vals)), vals.shape)
+            cells.append((sign * float(vals[idx]), idx[:-1] + (a + idx[-1],)))
+    return lobatto_axis(points), [min(cells[k::len(signs)]) for k in range(len(signs))]
 
 
 #: relative tolerance of the sampled nonnegativity gate: :func:`gate_witness`
@@ -624,42 +650,27 @@ def _grid_low(p: ChebPoly, points: int):
 GATE_TOL = 1e-10
 
 
-def gate_witness(p: ChebPoly, scale: ChebPoly, points: int):
+def gate_witness(p: ChebPoly, scale: ChebPoly):
     """The sampled nonnegativity gate of ``p``: ``None`` when it passes, else
     ``(value, point)``, a point of the cube where p lies below the floor
-    -``GATE_TOL`` * sum |c| of ``scale``.  Since |T_kappa| <= 1 on the cube,
-    sum |c| bounds max |scale| there.
+    -``GATE_TOL`` * sum |c| of ``scale`` (a bound on max |scale| there).
 
-    The tensor grid of ``points`` Lobatto points per axis is scanned once,
-    in :func:`grid_blocks`, from the axis and T_k table that every scan of
-    that count shares.  A lowest cell below the floor is the witness itself,
+    The scan's lowest cell (:func:`_scan`) below the floor is the witness,
     its value and Lobatto point: the polish could only lower it.  Any other
-    lowest cell is polished (two rounds, as in :func:`grid_extrema`), and a
-    polished value below the floor is the witness, at the polished point.
-    Either way p is refused exactly when its polished grid minimum lies below
-    the floor.
+    is polished (:func:`_refine`), and a polished value below the floor is
+    the witness.  Either way p is refused exactly when its polished grid
+    minimum lies below the floor.
     """
     floor = -GATE_TOL * math.fsum(map(abs, scale.coeffs.values()))
-    low, idx = _grid_low(p, points)
-    axis = lobatto_axis(points)
+    axis, ((low, idx),) = _scan(p, (1.0,))
     if low < floor:
         return low, tuple(float(axis[i]) for i in idx)
-    low, point = _refine(p, axis, idx, low, 1.0, refine_iters=2)
+    low, point = _refine(p, axis, idx, low, 1.0)
     return (low, point) if low < floor else None
 
 
-def grid_extrema(p: ChebPoly, points_per_axis: int, refine_iters: int = 2):
-    """Estimate both extrema of ``p`` over the cube [-1, 1]^n.
-
-    Polishes the lowest and highest cell (ties: lexicographically first) of
-    the grid on ``points_per_axis`` Lobatto points per axis, read in
-    :func:`grid_blocks` (so the axis and its T_k table are built once per
-    process and point count).  Returns ``(min_est, argmin, max_est, argmax)``.
-    """
-    lo = hi = None
-    for a, vals in grid_blocks(p, points_per_axis):
-        lo = _lowest_cell(lo, a, vals, 1.0)
-        hi = _lowest_cell(hi, a, vals, -1.0)
-    axis = lobatto_axis(points_per_axis)
-    return (*_refine(p, axis, lo[1], lo[0], 1.0, refine_iters),
-            *_refine(p, axis, hi[1], -hi[0], -1.0, refine_iters))
+def grid_extrema(p: ChebPoly):
+    """``(min_est, argmin, max_est, argmax)`` of ``p`` over the cube: the
+    lowest and the highest cell of the scan (:func:`_scan`), polished."""
+    axis, (lo, hi) = _scan(p, (1.0, -1.0))
+    return (*_refine(p, axis, lo[1], lo[0], 1.0), *_refine(p, axis, hi[1], -hi[0], -1.0))

@@ -17,6 +17,7 @@ amplitudes of ``_kernel_amplitudes``; ``sos1d`` builds its slices from them.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,8 +25,18 @@ import numpy as np
 from .chebpoly import Multidegree, _t_table
 
 
+def _integral_degree(r) -> int:
+    """``r`` as an int: refuse a kernel degree that is a bool or not integral
+    (7.0 and 7.5 alike); numpy integers pass.  Every public function that
+    takes a kernel degree checks it here, a plain int without the ABC check."""
+    if type(r) is not int and (isinstance(r, bool) or not isinstance(r, numbers.Integral)):
+        raise ValueError(f"kernel degree {r!r} is not an integer")
+    return int(r)
+
+
 def jackson_lambda(k: int, r: int) -> float:
     """Damping coefficient lambda_k for degree parameter r (0 <= k <= r)."""
+    r = _integral_degree(r)
     if r < 0:
         raise ValueError("need r >= 0")
     if k < 0 or k > r:
@@ -61,6 +72,7 @@ class JacksonSpectrum:
 
 def spectrum(r: int) -> JacksonSpectrum:
     """All damping coefficients for degree parameter ``r``."""
+    r = _integral_degree(r)
     if r < 0:
         raise ValueError("need r >= 0")
     lambdas = tuple(jackson_lambda(k, r) for k in range(r + 1))
@@ -69,6 +81,7 @@ def spectrum(r: int) -> JacksonSpectrum:
 
 def multi_lambda(kappa: Multidegree, r: int) -> float:
     """Eigenvalue of the multivariate operator: prod_i lambda_{kappa_i}."""
+    r = _integral_degree(r)
     out = 1.0
     for k in kappa:
         if k > r:
@@ -88,6 +101,7 @@ def _kernel_coeffs(r: int) -> np.ndarray:
 def kernel_eval_1d(r: int, x, y):
     """Evaluate K_r(x, y); broadcasts over array-valued x and y, and is a
     float when both are scalars."""
+    r = _integral_degree(r)
     if r < 0:
         raise ValueError("need r >= 0")
     scalar = np.ndim(x) == 0 and np.ndim(y) == 0
@@ -140,6 +154,7 @@ def verify_prop21(r: int, d: int, grid: int = 201) -> SpectralPropertyReport:
     and the decay bound 1 - lambda_k <= pi^2 k^2 / (r+2)^2 for each
     1 <= k <= d, whose least margin is ``decay_margin`` (0 at d = 0).
     """
+    r = _integral_degree(r)
     if d > r:
         raise ValueError("need d <= r")
     axis = np.cos(np.linspace(0.0, math.pi, grid))

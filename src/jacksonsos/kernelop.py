@@ -19,7 +19,7 @@ import numpy as np
 from .chebpoly import ChebPoly, enumerate_multidegrees, grid_extrema, hamming_weight
 # spectrum is no longer called here, but stays importable from this module
 # for callers that wrap it here (bench/tracing.py)
-from .jackson import jackson_lambda, multi_lambda, spectrum  # noqa: F401
+from .jackson import _integral_degree, jackson_lambda, multi_lambda, spectrum  # noqa: F401
 
 
 def _check_degree(d: int, r: int) -> None:
@@ -30,7 +30,9 @@ def _check_degree(d: int, r: int) -> None:
 
 def _eigenpairs(p: ChebPoly, r: int):
     """Yield ``(kappa, c, lambda_kappa)`` for every stored term of ``p``; only
-    lambda_0 .. lambda_d are built, d the largest per-variable degree."""
+    lambda_0 .. lambda_d are built, d the largest per-variable degree.
+    Raises ``ValueError`` when r is not an integer or d exceeds it."""
+    r = _integral_degree(r)
     d = max(p.per_variable_degrees())
     _check_degree(d, r)
     lams = [jackson_lambda(k, r) for k in range(d + 1)]
@@ -143,7 +145,7 @@ def _random_sup_normalized(n: int, d: int, rng: np.random.Generator) -> ChebPoly
     keys = enumerate_multidegrees(n, d)
     coeffs = {k: rng.standard_normal() for k in keys}
     p = ChebPoly(n, coeffs)
-    lo, _, hi, _ = grid_extrema(p, 129 if n <= 2 else 33, 1)
+    lo, _, hi, _ = grid_extrema(p)
     scale = max(abs(lo), abs(hi))
     if scale == 0.0:
         return ChebPoly.constant(n, 1.0)

@@ -19,11 +19,12 @@ which keeps its modulus on the circle and makes its degree even; splitting
 h by frequency parity then yields u and v as dense Chebyshev coefficient
 arrays, returned as ``LukacsPair(u, v)`` by ``lukacs_decompose``.  Both
 public tools take an arbitrary input, so both first run the one sampled
-nonnegativity gate, on a 1025-point Chebyshev-Lobatto grid, with the floor
--``chebpoly.GATE_TOL`` times sum |c| of the input.  Both accept what they
-build by the library's one coefficient residual, ``chebpoly._relative_residual``
-at ``chebpoly.RESIDUAL_TOL``: the cosine coefficients of |h|^2 must match the
-input, and those of u^2 + (1 - x^2) v^2 must match p.
+nonnegativity gate, on the 2049-point Lobatto grid of every univariate scan
+(``chebpoly._scan_points``), with the floor -``chebpoly.GATE_TOL`` times
+sum |c| of the input.  Both accept what they build by the library's one
+coefficient residual, ``chebpoly._relative_residual`` at ``RESIDUAL_TOL``:
+the cosine coefficients of |h|^2 must match the input, and those of
+u^2 + (1 - x^2) v^2 must match p.
 
 Kernel slices x -> K_r(x, y) need no roots.  The Jackson kernel is an
 autocorrelation of the amplitudes of ``jackson._kernel_amplitudes``, so each
@@ -214,13 +215,13 @@ def fejer_riesz(q) -> np.ndarray:
 def _gate(p: ChebPoly) -> None:
     """Raise :class:`NotNonnegative` when the sampled gate refuses ``p``.
 
-    ``p`` is refused when its polished minimum on the 1025-point
+    ``p`` is refused when its polished minimum on the 2049-point
     Chebyshev-Lobatto grid lies below -``chebpoly.GATE_TOL`` times sum |c| of
     p, a bound on max |p| over [-1, 1].  The refusal reports the lowest grid
     cell and its Lobatto point when that cell is already below, and the
     polished minimum and its point otherwise (``chebpoly.gate_witness``).
     """
-    witness = gate_witness(p, p, 1025)
+    witness = gate_witness(p, p)
     if witness is not None:
         lo, (loc,) = witness
         raise NotNonnegative(f"grid minimum {lo:.3e} at x={loc:.6f} below tolerance",

@@ -252,7 +252,7 @@ def _fuzz_instances(rng, count):
         else:
             f = random_cheb(rng, n, d)
             g = apply_inverse(f, r)
-            gmin = grid_extrema(g, 513 if n == 1 else 65, 1)[0]
+            gmin = grid_extrema(g)[0]
             yield f, max(0.0, -gmin) + 0.1, r
 
 
@@ -307,8 +307,7 @@ def test_criterion_8_eigenvalue_lemmas(criterion_record):
         r = int(rng.integers(d, 16))
         p = random_cheb(rng, n, d)
         diff = apply_inverse(p, r) - p
-        points = {1: 513, 2: 65, 3: 21}[n]
-        lo, _, hi, _ = grid_extrema(diff, points, 1)
+        lo, _, hi, _ = grid_extrema(diff)
         sup = max(abs(lo), abs(hi))
         bound = deviation_bound_exact(p, r)
         if sup > bound * (1 + 1e-12) + 1e-12:

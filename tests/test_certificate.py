@@ -156,7 +156,7 @@ class TestCertify:
         rng = np.random.default_rng(1)
         f = random_cheb(rng, 2, 2)
         g = apply_inverse(f, 4)
-        gmin = grid_extrema(g, 129, 1)[0]
+        gmin = grid_extrema(g)[0]
         eta = max(0.0, -gmin) + 0.2
         cert = certify(f, eta, 4)
         assert verify(cert, f).valid
@@ -336,7 +336,7 @@ class TestCertify:
         target = f.shift(eta)
         g = apply_inverse(target, r)
         cell = lowest_grid_cell(g, 2049)[0]
-        lo, loc = grid_extrema(g, 2049)[:2]
+        lo, loc = grid_extrema(g)[:2]
         tol = -(cell + lo) / (2.0 * abs_sum(target))
         assert lo < -tol * abs_sum(target) <= cell
         monkeypatch.setattr(chebpoly_module, "GATE_TOL", tol)
@@ -352,7 +352,7 @@ class TestCertify:
         f, eta, r, tol = _band_f(), 0.02, 15, 0.025
         target = f.shift(eta)
         g = apply_inverse(target, r)
-        assert -tol * abs_sum(target) <= grid_extrema(g, 2049)[0] < 0.0
+        assert -tol * abs_sum(target) <= grid_extrema(g)[0] < 0.0
         assert lowest_grid_cell(g, 2049)[0] < 0.0
         polish, scanned = [], []
         golden_min, blocks = chebpoly_module._golden_min, chebpoly_module.grid_blocks
@@ -372,21 +372,22 @@ class TestCertify:
         whose weights pass dip at x = -1, where the polish cannot go lower,
         so _band_f's inner dip is added for a refusal after the polish."""
         rng = np.random.default_rng(22)
-        cases = [(_band_f(), 0.02, 15, 2049)]
-        for n, points in ((1, 2049), (2, 257)):
+        cases = [(_band_f(), 0.02, 15)]
+        for n in (1, 2):
             for _ in range(8 if n == 1 else 2):
                 f = random_cheb(rng, n, int(rng.integers(3, 6)))
-                f = f.shift(-grid_extrema(f, points)[0])
-                cases += [(f, eta, r, points) for eta, r in ((0.01, 8), (0.03, 14), (0.1, 20))]
+                f = f.shift(-grid_extrema(f)[0])
+                cases += [(f, eta, r) for eta, r in ((0.01, 8), (0.03, 14), (0.1, 20))]
         paths = set()
-        for f, eta, r, points in cases:
+        for f, eta, r in cases:
             n = f.num_vars
+            points = chebpoly_module._scan_points(n)
             target = f.shift(eta)
             norm = abs_sum(target)
             g = apply_inverse(target, r)
             m = (r + max(f.per_variable_degrees()) + 2) // 2
             nodes_pass = g.eval_grid([chebyshev_nodes(m)] * n).min() / m ** n >= -NODE_CLAMP
-            gmin = grid_extrema(g, points)[0]
+            gmin = grid_extrema(g)[0]
             cell = lowest_grid_cell(g, points)[0]
             tols = [GATE_TOL, 1e-2, 3e-2]
             if gmin < 0.0:      # the middle of the polish band, then above it
@@ -431,7 +432,7 @@ class TestCertify:
             g = apply_inverse(f.shift(eta), r)
             m = (r + f.degree() + 2) // 2
             weights = (1.0 / m) * g.eval_grid([chebyshev_nodes(m)])
-            rule = (grid_extrema(g, 2049)[0] >= -GATE_TOL * norm
+            rule = (grid_extrema(g)[0] >= -GATE_TOL * norm
                     and weights.min() >= -NODE_CLAMP)
             try:
                 certify(f, eta, r)
@@ -442,14 +443,16 @@ class TestCertify:
 
 
 class TestDefaultGrids:
+    """Every Lobatto scan, certify's gate and the bound rows' range alike,
+    takes its points per axis from the one rule ``chebpoly._scan_points``."""
+
     @pytest.mark.parametrize("n", range(1, 24))
     def test_within_budget(self, n):
-        gate, bound = certificate_module._grid_points(n)
-        assert gate ** n <= POINT_BUDGET and bound ** n <= POINT_BUDGET
+        assert chebpoly_module._scan_points(n) ** n <= POINT_BUDGET
 
     def test_rows_past_three_variables(self):
-        assert [certificate_module._grid_points(n) for n in (4, 5, 6, 7, 23, 24)] == [
-            (17, 17), (17, 17), (14, 14), (10, 10), (2, 2), (2, 2)]
+        assert [chebpoly_module._scan_points(n) for n in (1, 2, 3, 4, 5, 6, 7, 23, 24)] == [
+            2049, 257, 65, 17, 17, 14, 10, 2, 2]
 
     def test_six_variables_certify(self, grid_budget_enforced):
         q = random_cheb(np.random.default_rng(5), 6, 1)
@@ -1058,7 +1061,7 @@ class TestKernelLowerBound:
         f5 = ChebPoly(5, {tuple(24 * (i == j) for i in range(5)): 1.0 for j in range(5)})
         tracemalloc.start()
         try:
-            lo, _, hi, _ = grid_extrema(f5, 3, certificate_module._BOUND_REFINE_ITERS)
+            lo, _, hi, _ = grid_extrema(f5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1088,9 +1091,9 @@ class TestRateSweep:
         """A sweep's rows are kernel_lower_bound's, with f's extrema found once."""
         calls = []
 
-        def counting(p, *args):
+        def counting(p):
             calls.append(p)
-            return grid_extrema(p, *args)
+            return grid_extrema(p)
 
         monkeypatch.setattr(certificate_module, "grid_extrema", counting)
         rs = [9, 14, 27]

@@ -1,6 +1,7 @@
 """Tests for the tensor Chebyshev polynomial algebra."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -14,7 +15,6 @@ from jacksonsos.chebpoly import (
     _axis_table,
     _canon,
     _golden_min,
-    _grid_low,
     _refine,
     _t_table,
     cheb_from_monomial,
@@ -30,6 +30,36 @@ from jacksonsos.chebpoly import (
 )
 
 from helpers import demo_f, random_cheb
+
+
+class TestMalformedKeys:
+    """Both polynomial classes refuse a key that is not num_vars nonnegative
+    integers, naming it; a zero coefficient does not hide a bad key."""
+
+    @pytest.mark.parametrize("cls", [ChebPoly, MonoPoly])
+    @pytest.mark.parametrize("key", [(1,), (1, 0, 0), (1.5, 0), (1.0, 0), (-1, 0),
+                                     (True, 0), (0, np.float64(2)), (0, np.int64(-1))])
+    @pytest.mark.parametrize("coeff", [1.0, 0.0])
+    def test_refused_naming_the_key(self, cls, key, coeff):
+        with pytest.raises(ValueError, match=re.escape(f"bad multidegree {key!r}")):
+            cls(2, {(0, 0): 2.0, key: coeff})
+
+    def test_short_key_no_longer_evaluates(self):
+        """A 1-entry key of a 2-variable polynomial used to evaluate as a
+        product over the first axis only: 0.06 on the grid [[0.3], [0.2]]."""
+        with pytest.raises(ValueError, match=re.escape("bad multidegree (1,) for 2")):
+            ChebPoly(2, {(1,): 1.0}).eval_grid([[0.3], [0.2]])
+
+    @pytest.mark.parametrize("cls", [ChebPoly, MonoPoly])
+    def test_numpy_integers_become_int(self, cls):
+        p = cls(2, {(np.int64(2), np.uint8(1)): 1.5, (0, 0): np.float32(0.5)})
+        assert p.coeffs == {(2, 1): 1.5, (0, 0): 0.5}
+        assert all(type(k) is int for key in p.coeffs for k in key)
+
+    def test_basis_uses_the_same_check(self):
+        assert ChebPoly.basis(2, [np.int64(1), 0]).coeffs == {(1, 0): 1.0}
+        with pytest.raises(ValueError, match=re.escape("bad multidegree (1.5,) for 1")):
+            ChebPoly.basis(1, (1.5,))
 
 
 class TestMultidegrees:
@@ -416,10 +446,10 @@ class TestLobattoGrids:
         sizes = _counting_t_table(monkeypatch)
         p = random_cheb(np.random.default_rng(5), 2, 4)
         p = p.shift(2.0 * p.max_abs_coeff() * len(p.coeffs))    # passes, polished
-        assert gate_witness(p, p, points) is None
+        assert gate_witness(p, p) is None
         assert sizes.count(points) == 1
         sizes.clear()
-        assert gate_witness(p, p, points) is None
+        assert gate_witness(p, p) is None
         assert sizes and points not in sizes
 
     @pytest.mark.parametrize("n, d, points", [(1, 9, 4097), (2, 5, 257), (3, 3, 65)])
@@ -497,7 +527,7 @@ class TestNodeGrids:
 class TestGridExtrema:
     def test_t2(self):
         t2 = ChebPoly.basis(1, (2,))
-        lo, argmin, hi, argmax = grid_extrema(t2, 65, 2)
+        lo, argmin, hi, argmax = grid_extrema(t2)
         assert lo == pytest.approx(-1.0, abs=1e-10)
         assert argmin[0] == pytest.approx(0.0, abs=1e-6)
         assert hi == pytest.approx(1.0, abs=1e-12)
@@ -513,68 +543,75 @@ class TestGridExtrema:
                  if abs(r.imag) < 1e-12 and -1 <= r.real <= 1] + [-1.0, 1.0]
         vals = [np.polynomial.polynomial.polyval(x, [1.0, 0.0, -1.0, -1.0, 1.0])
                 for x in cands]
-        lo, argmin, _, _ = grid_extrema(f, 257, 3)
+        lo, argmin, _, _ = grid_extrema(f)
         assert lo == pytest.approx(min(vals), abs=1e-9)
         assert argmin[0] == pytest.approx(cands[int(np.argmin(vals))], abs=1e-5)
 
     def test_constant(self):
         c = ChebPoly.constant(2, 2.5)
-        lo, _, hi, _ = grid_extrema(c, 17, 1)
+        lo, _, hi, _ = grid_extrema(c)
         assert lo == hi == 2.5
 
     def test_point_budget_guard(self):
-        p = ChebPoly.constant(8, 1.0)
-        with pytest.raises(ValueError):
-            grid_extrema(p, 100, 1)
+        """From n = 24 on even 2 points per axis exceed the budget."""
+        p = ChebPoly.constant(24, 1.0)
+        with pytest.raises(ValueError, match="2\\^24 points exceeds budget"):
+            grid_extrema(p)
 
     def test_min_points(self):
         with pytest.raises(ValueError):
-            grid_extrema(ChebPoly.constant(1, 0.0), 1, 1)
+            lobatto_axis(1)
 
     @pytest.mark.parametrize("n, d, points", [(1, 8, 33), (2, 5, 17), (3, 3, 9)])
-    def test_polished_extrema_are_values_of_p(self, n, d, points):
+    def test_polished_extrema_are_values_of_p(self, monkeypatch, n, d, points):
         """The polish evaluates like ChebPoly.eval and never loses to the grid."""
+        monkeypatch.setattr(chebpoly, "_scan_points", lambda _: points)
         rng = np.random.default_rng(40 + n)
         raw_axis = lobatto_axis(points)
         for _ in range(6):
             p = random_cheb(rng, n, d)
             tol = 1e-12 * p.max_abs_coeff()
-            lo, argmin, hi, argmax = grid_extrema(p, points)
+            lo, argmin, hi, argmax = grid_extrema(p)
             assert abs(lo - p.eval(argmin)) <= tol
             assert abs(hi - p.eval(argmax)) <= tol
             raw = p.eval_grid([raw_axis] * n)
             assert lo <= raw.min() and hi >= raw.max()
 
     @pytest.mark.parametrize("n, d, points", [(1, 9, 65), (2, 5, 17), (3, 3, 9)])
-    def test_minimum_is_the_one_sided_helpers(self, n, d, points):
-        """grid_extrema's minimum is the gate's one-sided scan and polish,
-        _grid_low then _refine, bit for bit."""
+    def test_minimum_is_the_one_sided_helpers(self, monkeypatch, n, d, points):
+        """grid_extrema's minimum is _refine of the whole grid's lowest cell,
+        bit for bit, for any number of polish rounds."""
+        monkeypatch.setattr(chebpoly, "_scan_points", lambda _: points)
         rng = np.random.default_rng(60 + n)
         axis = lobatto_axis(points)
-        for refine_iters in (1, 2, 3):
+        for rounds in (1, 2, 3):
+            monkeypatch.setattr(chebpoly, "_POLISH_ROUNDS", rounds)
             p = random_cheb(rng, n, d)
-            low, idx = _grid_low(p, points)
-            assert low == p.eval_grid([axis] * n).min()
-            assert grid_extrema(p, points, refine_iters)[:2] == _refine(
-                p, axis, idx, low, 1.0, refine_iters)
+            vals = p.eval_grid([axis] * n)
+            idx = np.unravel_index(int(np.argmin(vals)), vals.shape)
+            assert grid_extrema(p)[:2] == _refine(p, axis, idx, float(vals[idx]), 1.0)
 
     @pytest.mark.parametrize("n, points", [(2, 513), (3, 65)])
-    def test_blocks_pick_the_full_grid_cells(self, n, points):
+    def test_blocks_pick_the_full_grid_cells(self, monkeypatch, n, points):
         """Several last-axis blocks; ties go to the lexicographically first cell.
+        With no polish rounds grid_extrema returns the cells themselves, and
+        under an infinite floor the gate returns its lowest cell.
 
         T_2(x_1) T_2(x_2) is -1 at (-1, 0) and (0, -1), in different blocks at
         n = 2, and +1 at the corners and the centre.
         """
+        monkeypatch.setattr(chebpoly, "_scan_points", lambda _: points)
+        monkeypatch.setattr(chebpoly, "_POLISH_ROUNDS", 0)
+        monkeypatch.setattr(chebpoly, "GATE_TOL", -math.inf)
         axis = lobatto_axis(points)
         tied = ChebPoly.basis(n, (2, 2) + (0,) * (n - 2))
         for p in (tied, random_cheb(np.random.default_rng(70 + n), n, 4)):
             vals = p.eval_grid([axis] * n)
             cells = [tuple(float(axis[i]) for i in np.unravel_index(int(pick(vals)), vals.shape))
                      for pick in (np.argmin, np.argmax)]
-            assert grid_extrema(p, points, 0) == (vals.min(), cells[0], vals.max(), cells[1])
-            low, idx = _grid_low(p, points)
-            assert (low, tuple(float(axis[i]) for i in idx)) == (vals.min(), cells[0])
-        assert grid_extrema(tied, points, 0)[1][:2] == (-1.0, float(axis[points // 2]))
+            assert grid_extrema(p) == (vals.min(), cells[0], vals.max(), cells[1])
+            assert gate_witness(p, p) == (vals.min(), cells[0])
+        assert grid_extrema(tied)[1][:2] == (-1.0, float(axis[points // 2]))
 
     def test_polish_memory_follows_terms(self):
         """The polish never builds the dense prod(d_i + 1) coefficient tensor."""
@@ -582,7 +619,7 @@ class TestGridExtrema:
         p = ChebPoly(5, {tuple(24 * (i == j) for i in range(5)): 1.0 for j in range(5)})
         tracemalloc.start()
         try:
-            lo, argmin, hi, argmax = grid_extrema(p, 3)
+            lo, argmin, hi, argmax = grid_extrema(p)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -602,7 +639,7 @@ def _t_scalar(x, dmax):
     return vals
 
 
-def _refine_full_sweep(p, axis, idx, start_val, sign, refine_iters):
+def _refine_full_sweep(p, axis, idx, start_val, sign, rounds):
     """The polish that searches every line in every sweep (reference copy)."""
     m = axis.size
     brackets = [(float(axis[max(i - 1, 0)]), float(axis[min(i + 1, m - 1)])) for i in idx]
@@ -611,7 +648,7 @@ def _refine_full_sweep(p, axis, idx, start_val, sign, refine_iters):
     degs = p.per_variable_degrees()
     kappas = np.array(list(p.coeffs), dtype=np.intp).reshape(-1, n)
     cs = np.fromiter(p.coeffs.values(), dtype=float, count=len(p.coeffs))
-    for _ in range(max(refine_iters, 0)):
+    for _ in range(rounds):
         for j in range(n):
             lo, hi = brackets[j]
             w = cs.copy()
@@ -632,20 +669,21 @@ def _refine_full_sweep(p, axis, idx, start_val, sign, refine_iters):
 
 class TestPolishSkipsRepeatedLines:
     @pytest.mark.parametrize("n, d, points", [(1, 7, 33), (2, 5, 17), (3, 4, 9)])
-    @pytest.mark.parametrize("refine_iters", [1, 2, 3])
-    def test_matches_full_sweep(self, n, d, points, refine_iters):
-        rng = np.random.default_rng(80 + 10 * n + refine_iters)
+    @pytest.mark.parametrize("rounds", [1, 2, 3])
+    def test_matches_full_sweep(self, monkeypatch, n, d, points, rounds):
+        monkeypatch.setattr(chebpoly, "_POLISH_ROUNDS", rounds)
+        rng = np.random.default_rng(80 + 10 * n + rounds)
         axis = lobatto_axis(points)
         for _ in range(4):
             p = random_cheb(rng, n, d)
             vals = p.eval_grid([axis] * n)
             for sign, pick in ((1.0, np.argmin), (-1.0, np.argmax)):
                 idx = np.unravel_index(int(pick(vals)), vals.shape)
-                args = (p, axis, idx, float(vals[idx]), sign, refine_iters)
-                assert _refine(*args) == _refine_full_sweep(*args)
+                args = (p, axis, idx, float(vals[idx]), sign)
+                assert _refine(*args) == _refine_full_sweep(*args, rounds)
 
-    @pytest.mark.parametrize("refine_iters", [1, 2, 3, 5])
-    def test_univariate_searches_once(self, monkeypatch, refine_iters):
+    @pytest.mark.parametrize("rounds", [1, 2, 3, 5])
+    def test_univariate_searches_once(self, monkeypatch, rounds):
         calls = []
 
         def counting(f, lo, hi):
@@ -653,9 +691,10 @@ class TestPolishSkipsRepeatedLines:
             return _golden_min(f, lo, hi)
 
         monkeypatch.setattr(chebpoly, "_golden_min", counting)
+        monkeypatch.setattr(chebpoly, "_POLISH_ROUNDS", rounds)
         p = demo_f()
         axis = lobatto_axis(65)
         vals = p.eval_grid([axis])
         idx = (int(np.argmin(vals)),)
-        _refine(p, axis, idx, float(vals[idx]), 1.0, refine_iters)
+        _refine(p, axis, idx, float(vals[idx]), 1.0)
         assert len(calls) == 1

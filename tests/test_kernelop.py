@@ -14,7 +14,8 @@ from jacksonsos.chebpoly import (
     hamming_weight,
     mono_from_cheb,
 )
-from jacksonsos.jackson import jackson_lambda, kernel_eval_nd, multi_lambda
+from jacksonsos.jackson import (jackson_lambda, kernel_eval_1d, kernel_eval_nd, multi_lambda,
+                               spectrum, verify_prop21)
 from jacksonsos.kernelop import (
     apply_forward,
     apply_inverse,
@@ -152,7 +153,7 @@ class TestDeviationBound:
             r = int(rng.integers(d, 14))
             p = random_cheb(rng, n, d)
             diff = apply_inverse(p, r) - p
-            lo, _, hi, _ = grid_extrema(diff, 513 if n == 1 else 65, 1)
+            lo, _, hi, _ = grid_extrema(diff)
             sup = max(abs(lo), abs(hi))
             bound = deviation_bound_exact(p, r)
             assert sup <= bound * (1 + 1e-12) + 1e-12
@@ -164,11 +165,11 @@ class TestDeviationBound:
             n = int(rng.integers(1, 3))
             d = int(rng.integers(1, 5))
             p = random_cheb(rng, n, d)
-            lo, _, hi, _ = grid_extrema(p, 513 if n == 1 else 129, 2)
+            lo, _, hi, _ = grid_extrema(p)
             c_over = constant_C(n, d).sharpest
             r = int(math.ceil(theorem_threshold(n, d))) + int(rng.integers(0, 40))
             diff = apply_inverse(p, r) - p
-            dlo, _, dhi, _ = grid_extrema(diff, 513 if n == 1 else 129, 1)
+            dlo, _, dhi, _ = grid_extrema(diff)
             sup = max(abs(dlo), abs(dhi))
             assert sup <= (hi - lo) * c_over / r ** 2 + 1e-12
 
@@ -230,6 +231,12 @@ class TestLemmaBounds:
             inner = abs(c) * 2.0 ** (-w)
             assert inner <= 2.0 ** (-w / 2.0) + 1e-15
 
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_five_and_six_variables(self, n):
+        """The random polynomials are normalized on the scan rule's grid
+        (17^5, 14^6 points), within the point budget."""
+        assert lemma_bounds_check(n, 2, 40).ok
+
     def test_sweep_small(self):
         for n in (1, 2):
             for d in (1, 2, 4):
@@ -237,3 +244,44 @@ class TestLemmaBounds:
                 for r in range(start, 61, 10):
                     report = lemma_bounds_check(n, d, r, samples=2, seed=1)
                     assert report.ok, (n, d, r, report)
+
+
+_DEGREE_TAKERS = [
+    pytest.param(lambda r: jackson_lambda(1, r), id="jackson_lambda"),
+    pytest.param(spectrum, id="spectrum"),
+    pytest.param(lambda r: multi_lambda((1, 2), r), id="multi_lambda"),
+    pytest.param(lambda r: kernel_eval_1d(r, 0.2, 0.3), id="kernel_eval_1d"),
+    pytest.param(lambda r: verify_prop21(r, 1), id="verify_prop21"),
+    # the demo's degree 4 exceeds True: the integrality check comes first
+    pytest.param(lambda r: apply_forward(demo_f(), r), id="apply_forward"),
+    pytest.param(lambda r: apply_inverse(demo_f(), r), id="apply_inverse"),
+    pytest.param(lambda r: deviation_bound_exact(demo_f(), r), id="deviation_bound_exact"),
+]
+
+
+class TestKernelDegreeChecks:
+    """Every public function that takes a kernel degree refuses one that is
+    not an integer, naming it; numpy integers pass as the int they hold."""
+
+    @pytest.mark.parametrize("call", _DEGREE_TAKERS)
+    @pytest.mark.parametrize("r", [7.5, 7.0, True])
+    def test_non_integral_degree_refused(self, call, r):
+        with pytest.raises(ValueError, match=f"^kernel degree {r!r} is not an integer$"):
+            call(r)
+
+    @pytest.mark.parametrize("call", _DEGREE_TAKERS)
+    def test_numpy_integer_degree(self, call):
+        assert repr(call(np.int64(7))) == repr(call(7))
+
+
+class TestMonotoneInDegree:
+    """A bisection over the kernel degree rests on these two facts."""
+
+    def test_lambda_increases_with_r(self):
+        for k in range(1, 41):
+            lams = [jackson_lambda(k, r) for r in range(k, 1001)]
+            assert all(a < b for a, b in zip(lams, lams[1:])), k
+
+    def test_deviation_bound_nonincreasing(self):
+        bounds = [deviation_bound_exact(demo_f(), r) for r in range(4, 700)]
+        assert all(b <= a for a, b in zip(bounds, bounds[1:]))

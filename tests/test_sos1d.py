@@ -327,7 +327,7 @@ class TestLukacsPairs:
             raise AssertionError("the polish ran")
 
         p = ChebPoly(1, {(0,): 0.1, (1,): 0.3, (3,): -0.4})
-        cell, (point,) = lowest_grid_cell(p, 1025)
+        cell, (point,) = lowest_grid_cell(p, 2049)
         monkeypatch.setattr(chebpoly, "_golden_min", no_call)
         with pytest.raises(NotNonnegative) as err:
             lukacs_decompose(p)
@@ -336,12 +336,13 @@ class TestLukacsPairs:
 
     def test_gate_reports_the_polished_minimum(self, monkeypatch):
         """With GATE_TOL halfway between -cell / sum |c| and -lo / sum |c|
-        (about 0.57377, sum |c| = 0.8), the lowest cell -0.4590148 lies above
-        the floor and the polished minimum -0.4590170 below it: the cell is
+        (about 0.5737710, sum |c| = 0.8), the lowest cell -0.4590166 of the
+        2049-point grid lies above the floor and the polished minimum
+        -0.4590170 below it: the cell is
         polished, and the refusal reports the polished minimum."""
         p = ChebPoly(1, {(0,): 0.1, (1,): 0.3, (3,): -0.4})
-        cell = lowest_grid_cell(p, 1025)[0]
-        lo, (loc,) = chebpoly.grid_extrema(p, 1025)[:2]
+        cell = lowest_grid_cell(p, 2049)[0]
+        lo, (loc,) = chebpoly.grid_extrema(p)[:2]
         tol = -(cell + lo) / (2.0 * abs_sum(p))
         assert lo < -tol * abs_sum(p) <= cell
         monkeypatch.setattr(chebpoly, "GATE_TOL", tol)
@@ -358,10 +359,10 @@ class TestLukacsPairs:
         for _ in range(16):
             p = ChebPoly(1, {(k,): rng.standard_normal()
                              for k in range(int(rng.integers(2, 9)))})
-            p = p.shift(-chebpoly.grid_extrema(p, 1025)[0] + rng.uniform(-0.1, 0.02))
-            lo = chebpoly.grid_extrema(p, 1025)[0]
+            p = p.shift(-chebpoly.grid_extrema(p)[0] + rng.uniform(-0.1, 0.02))
+            lo = chebpoly.grid_extrema(p)[0]
             norm = abs_sum(p)
-            cell = lowest_grid_cell(p, 1025)[0]
+            cell = lowest_grid_cell(p, 2049)[0]
             tols = [chebpoly.GATE_TOL, 1e-2]
             if lo < 0.0:        # the middle of the polish band, then above it
                 tols += [-(cell + lo) / (2.0 * norm), -2.0 * lo / norm]
