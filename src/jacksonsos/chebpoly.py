@@ -57,28 +57,22 @@ def _require_finite(coeffs: dict) -> None:
 
 
 def _terms(num_vars: int, coeffs: dict) -> dict:
-    """The nonzero terms of ``coeffs``, float-valued.  Every key must be
-    ``num_vars`` nonnegative integers, not bools, or ValueError names it;
-    numpy integers become int.  Keys of plain ints, as any polynomial holds,
-    are checked in bulk, without a Python loop over the terms."""
-    entries = list(itertools.chain.from_iterable(coeffs))
-    if not (set(map(type, entries)) <= {int} and min(entries, default=0) >= 0
-            and set(map(len, coeffs)) <= {num_vars}):
+    """The nonzero terms of ``coeffs``, float-valued.  Every key must be a
+    tuple of ``num_vars`` nonnegative integers, not bools, or ValueError
+    names it; numpy integers become int.  Tuples of plain ints, as any
+    polynomial holds, are checked in bulk, without a Python loop per term."""
+    ok = set(map(type, coeffs)) <= {tuple} and set(map(len, coeffs)) <= {num_vars}
+    if ok:
+        entries = list(itertools.chain.from_iterable(coeffs))
+        ok = set(map(type, entries)) <= {int} and min(entries, default=0) >= 0
+    if not ok:
         for key in coeffs:
-            if len(key) != num_vars or not all(
+            if not isinstance(key, tuple) or len(key) != num_vars or not all(
                     isinstance(k, numbers.Integral) and not isinstance(k, bool) and k >= 0
                     for k in key):
                 raise ValueError(f"bad multidegree {key!r} for {num_vars} variables")
         coeffs = {tuple(map(int, k)): c for k, c in coeffs.items()}
-    return {tuple(k): float(c) for k, c in coeffs.items() if c != 0.0}
-
-
-def _from_canon(cls, num_vars: int, coeffs: dict):
-    """``cls(num_vars, coeffs)`` for :func:`_canon` of the terms of checked
-    polynomials, without construction's second check and copy."""
-    p = object.__new__(cls)
-    p.num_vars, p.coeffs = num_vars, coeffs
-    return p
+    return {k: float(c) for k, c in coeffs.items() if c != 0.0}
 
 
 def _canon(coeffs: dict) -> dict:
@@ -192,7 +186,7 @@ class ChebPoly:
         out = dict(self.coeffs)
         for k, c in other.coeffs.items():
             out[k] = out.get(k, 0.0) + c
-        return _from_canon(ChebPoly, self.num_vars, _canon(out))
+        return ChebPoly(self.num_vars, _canon(out))
 
     def __sub__(self, other: "ChebPoly") -> "ChebPoly":
         return self + other.scale(-1.0)
@@ -202,8 +196,7 @@ class ChebPoly:
 
     def scale(self, a: float) -> "ChebPoly":
         a = float(a)
-        return _from_canon(ChebPoly, self.num_vars,
-                           _canon({k: a * c for k, c in self.coeffs.items()}))
+        return ChebPoly(self.num_vars, _canon({k: a * c for k, c in self.coeffs.items()}))
 
     def shift(self, a: float) -> "ChebPoly":
         """Add the constant ``a``: ``self + ChebPoly.constant(num_vars, a)``,
@@ -211,14 +204,14 @@ class ChebPoly:
         out = dict(self.coeffs)
         key = (0,) * self.num_vars
         out[key] = out.get(key, 0.0) + float(a)
-        return _from_canon(ChebPoly, self.num_vars, _canon(out))
+        return ChebPoly(self.num_vars, _canon(out))
 
     # -- products ------------------------------------------------------------
 
     def __mul__(self, other: "ChebPoly") -> "ChebPoly":
         """Pointwise product, via T_a T_b = (T_{a+b} + T_{|a-b|}) / 2 per axis."""
         self._require_same_vars(other)
-        return _from_canon(ChebPoly, self.num_vars, _expand(
+        return ChebPoly(self.num_vars, _expand(
             (ca * cb, [((a + b, 1.0),) if a == 0 or b == 0
                        else ((a + b, 0.5), (abs(a - b), 0.5))
                        for a, b in zip(ka, kb)])
@@ -402,14 +395,14 @@ def _cheb_as_xpow(k: int) -> tuple:
 
 def cheb_from_monomial(p: MonoPoly) -> ChebPoly:
     """Re-express a power-basis polynomial in the tensor Chebyshev basis."""
-    return _from_canon(ChebPoly, p.num_vars, _expand((a, [_xpow_as_cheb(e) for e in key])
-                                                     for key, a in p.coeffs.items()))
+    return ChebPoly(p.num_vars, _expand((a, [_xpow_as_cheb(e) for e in key])
+                                        for key, a in p.coeffs.items()))
 
 
 def mono_from_cheb(p: ChebPoly) -> MonoPoly:
     """Re-express a Chebyshev-basis polynomial in the power basis."""
-    return _from_canon(MonoPoly, p.num_vars, _expand((c, [_cheb_as_xpow(k) for k in kappa])
-                                                     for kappa, c in p.coeffs.items()))
+    return MonoPoly(p.num_vars, _expand((c, [_cheb_as_xpow(k) for k in kappa])
+                                        for kappa, c in p.coeffs.items()))
 
 
 def enumerate_multidegrees(n: int, d: int) -> list[Multidegree]:

@@ -44,7 +44,7 @@ import numpy as np
 from numpy.polynomial.chebyshev import chebroots
 
 from .chebpoly import DROP_TOL, RESIDUAL_TOL, ChebPoly, _relative_residual, gate_witness
-from .jackson import _kernel_amplitudes
+from .jackson import _integral_degree, _kernel_amplitudes
 
 _MODULUS_BAND = 1e-7      # |z| within this of 1 counts as an on-circle root
 _ANGLE_TOLS = (1e-5, 1e-3)  # clustering tolerances tried for on-circle roots
@@ -439,6 +439,7 @@ def decompose_kernel_slices(r: int, ys) -> tuple:
     Chebyshev rows, and ``v[t]`` of shape (2, M) the sigma_1 squares
     (v_c, v_s), with M = ceil(r / 2).
     """
+    r = _integral_degree(r)
     if r < 0:
         raise ValueError("need r >= 0")
     ys = np.asarray(ys, dtype=float)

@@ -1057,16 +1057,21 @@ class TestKernelLowerBound:
         assert (rep.fmin_est, rep.fmax_est) == (1.0, 3.0)
 
     def test_polish_memory_follows_terms(self):
+        """A bound row's range and constants (its setup, before any node is
+        evaluated) stay sparse: f's range is grid_extrema's, min f = -5 and
+        max f = 5 are found, and the constants are the theorem's."""
         # 5 sparse terms of degree 24: a dense coefficient tensor would be ~78 MB
         f5 = ChebPoly(5, {tuple(24 * (i == j) for i in range(5)): 1.0 for j in range(5)})
         tracemalloc.start()
         try:
-            lo, _, hi, _ = grid_extrema(f5)
+            got = certificate_module._range_and_constants(f5, 24)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 2 ** 22
-        assert lo <= hi
+        lo, _, hi, _ = grid_extrema(f5)
+        assert got == (lo, hi, theorem_threshold(5, 24), constant_C(5, 24).sharpest)
+        assert (lo, hi) == (-5.0, 5.0)
 
 
 class TestRateSweep:

@@ -33,12 +33,14 @@ from helpers import demo_f, random_cheb
 
 
 class TestMalformedKeys:
-    """Both polynomial classes refuse a key that is not num_vars nonnegative
-    integers, naming it; a zero coefficient does not hide a bad key."""
+    """Both polynomial classes refuse a key that is not a tuple of num_vars
+    nonnegative integers, naming it; a zero coefficient does not hide a bad
+    key."""
 
     @pytest.mark.parametrize("cls", [ChebPoly, MonoPoly])
     @pytest.mark.parametrize("key", [(1,), (1, 0, 0), (1.5, 0), (1.0, 0), (-1, 0),
-                                     (True, 0), (0, np.float64(2)), (0, np.int64(-1))])
+                                     (True, 0), (0, np.float64(2)), (0, np.int64(-1)),
+                                     3, None, "12"])
     @pytest.mark.parametrize("coeff", [1.0, 0.0])
     def test_refused_naming_the_key(self, cls, key, coeff):
         with pytest.raises(ValueError, match=re.escape(f"bad multidegree {key!r}")):

@@ -24,6 +24,7 @@ from jacksonsos.kernelop import (
     lemma_bounds_check,
     theorem_threshold,
 )
+from jacksonsos.sos1d import decompose_kernel_slice, decompose_kernel_slices
 
 from helpers import demo_f, random_cheb
 
@@ -256,6 +257,8 @@ _DEGREE_TAKERS = [
     pytest.param(lambda r: apply_forward(demo_f(), r), id="apply_forward"),
     pytest.param(lambda r: apply_inverse(demo_f(), r), id="apply_inverse"),
     pytest.param(lambda r: deviation_bound_exact(demo_f(), r), id="deviation_bound_exact"),
+    pytest.param(lambda r: decompose_kernel_slices(r, [0.3, -0.6]), id="decompose_kernel_slices"),
+    pytest.param(lambda r: decompose_kernel_slice(r, 0.3), id="decompose_kernel_slice"),
 ]
 
 
