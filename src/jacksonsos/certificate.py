@@ -156,7 +156,8 @@ class SchmudgenCertificate:
         if not 1 <= self.num_vars <= MAX_VARS:
             raise ValueError(f"{self.num_vars} variables; need 1 to {MAX_VARS}")
         self.r = _integral_degree(self.r)
-        shape = np.shape(self.weights)
+        self.weights = np.asarray(self.weights, dtype=float)
+        shape = self.weights.shape
         m = shape[0] if shape else 0
         if shape != (m,) * self.num_vars:
             raise ValueError(f"weights of shape {shape} for {self.num_vars} variables; "
@@ -280,7 +281,7 @@ def certify(f: ChebPoly, eta: float, r: int) -> SchmudgenCertificate:
 
     # constants are fixed points of the operator: certify them directly
     const = target.coeffs.get((0,) * n, 0.0)
-    if all(k == (0,) * n for k in target.coeffs):
+    if not any(target.per_variable_degrees()):
         if const < 0.0:
             raise NotCertifiable(
                 f"constant target {const:.3e} is negative", min_value=const

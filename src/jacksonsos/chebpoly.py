@@ -8,9 +8,10 @@ polynomial of the first kind, ``T_k(cos t) = cos(k t)``.  The companion
 class :class:`MonoPoly` uses the same storage for the ordinary power basis
 ``x^kappa`` and exists for parsing and reporting.
 
-All operations are pure: they never mutate their inputs and return values
-in canonical sparse form (no stored zeros, and no coefficients tinier than
-``DROP_TOL`` relative to the largest one).
+Polynomials are immutable values: the constructor checks the terms and
+measures the per-variable degrees once, and stores the map read-only.  All
+operations return values in canonical sparse form (no stored zeros, and no
+coefficients tinier than ``DROP_TOL`` relative to the largest one).
 """
 
 from __future__ import annotations
@@ -18,8 +19,9 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 from numpy.polynomial import chebyshev as _ncheb
@@ -56,11 +58,12 @@ def _require_finite(coeffs: dict) -> None:
         raise ValueError("polynomial coefficient is not finite")
 
 
-def _terms(num_vars: int, coeffs: dict) -> dict:
-    """The nonzero terms of ``coeffs``, float-valued.  Every key must be a
-    tuple of ``num_vars`` nonnegative integers, not bools, or ValueError
-    names it; numpy integers become int.  Tuples of plain ints, as any
-    polynomial holds, are checked in bulk, without a Python loop per term."""
+def _terms(num_vars: int, coeffs) -> tuple[dict, tuple]:
+    """The nonzero terms of ``coeffs``, float-valued and finite, and their
+    per-variable degrees.  Every key must be a tuple of ``num_vars``
+    nonnegative integers, not bools, or ValueError names it; numpy integers
+    become int.  Tuples of plain ints, as any polynomial holds, are checked
+    in bulk, without a Python loop per term, and give the degrees."""
     ok = set(map(type, coeffs)) <= {tuple} and set(map(len, coeffs)) <= {num_vars}
     if ok:
         entries = list(itertools.chain.from_iterable(coeffs))
@@ -72,7 +75,11 @@ def _terms(num_vars: int, coeffs: dict) -> dict:
                     for k in key):
                 raise ValueError(f"bad multidegree {key!r} for {num_vars} variables")
         coeffs = {tuple(map(int, k)): c for k, c in coeffs.items()}
-    return {k: float(c) for k, c in coeffs.items() if c != 0.0}
+    terms = {k: float(c) for k, c in coeffs.items() if c != 0.0}
+    _require_finite(terms)
+    if not ok or len(terms) < len(coeffs):
+        entries = list(itertools.chain.from_iterable(terms))
+    return terms, tuple(max(entries[i::num_vars], default=0) for i in range(num_vars))
 
 
 def _canon(coeffs: dict) -> dict:
@@ -118,32 +125,62 @@ def _t_table(x: np.ndarray, d: int) -> np.ndarray:
     return table
 
 
-@dataclass(slots=True)
-class ChebPoly:
-    """Polynomial ``sum_kappa c_kappa T_kappa`` in ``num_vars`` variables.
-
-    The empty coefficient map is the zero polynomial.  Inner-product
-    coefficients against the product Chebyshev probability measure are
-    ``c_kappa * 2**(-hamming_weight(kappa))``; plain basis coefficients are
-    stored so that addition, multiplication and evaluation stay factor-free.
-    """
+@dataclass(slots=True, frozen=True)
+class _Poly:
+    """An immutable polynomial in ``num_vars`` variables: ``coeffs`` is a
+    read-only map from multidegrees to nonzero coefficients, checked by
+    :func:`_terms`, which also measures ``_degrees``, the per-variable
+    degrees.  The empty map is the zero polynomial."""
 
     num_vars: int
-    coeffs: dict
+    coeffs: MappingProxyType
+    _degrees: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.num_vars < 1:
             raise ValueError("num_vars must be >= 1")
-        self.coeffs = _terms(self.num_vars, self.coeffs)
-        _require_finite(self.coeffs)
+        terms, degrees = _terms(self.num_vars, self.coeffs)
+        object.__setattr__(self, "coeffs", MappingProxyType(terms))
+        object.__setattr__(self, "_degrees", degrees)
+
+    def __reduce__(self):
+        # a mappingproxy does not pickle: rebuild through the constructor
+        return type(self), (self.num_vars, self.coeffs.copy())
+
+    @classmethod
+    def constant(cls, num_vars: int, value: float):
+        return cls(num_vars, {(0,) * num_vars: float(value)})
+
+    def degree(self) -> int:
+        """Total degree; 0 for the zero polynomial."""
+        return max(map(total_degree, self.coeffs), default=0)
+
+    def per_variable_degrees(self) -> tuple[int, ...]:
+        """Largest exponent of each variable over the stored terms."""
+        return self._degrees
+
+    def _point(self, point) -> list:
+        """``point`` as a list of floats, one per variable."""
+        pt = [float(t) for t in point]
+        if len(pt) != self.num_vars:
+            raise ValueError(f"dimension mismatch: point has {len(pt)} entries, "
+                             f"polynomial has {self.num_vars} variables")
+        return pt
+
+
+@dataclass(slots=True, frozen=True)
+class ChebPoly(_Poly):
+    """Polynomial ``sum_kappa c_kappa T_kappa`` in ``num_vars`` variables.
+
+    Inner-product coefficients against the product Chebyshev probability
+    measure are ``c_kappa * 2**(-hamming_weight(kappa))``; plain basis
+    coefficients are stored so that addition, multiplication and evaluation
+    stay factor-free.
+    """
 
     @classmethod
     def zero(cls, num_vars: int) -> "ChebPoly":
         return cls(num_vars, {})
-
-    @classmethod
-    def constant(cls, num_vars: int, value: float) -> "ChebPoly":
-        return cls(num_vars, {(0,) * num_vars: float(value)})
 
     @classmethod
     def basis(cls, num_vars: int, kappa: Multidegree) -> "ChebPoly":
@@ -154,21 +191,6 @@ class ChebPoly:
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def degree(self) -> int:
-        """Total degree; 0 for the zero polynomial."""
-        if not self.coeffs:
-            return 0
-        return max(total_degree(k) for k in self.coeffs)
-
-    def per_variable_degrees(self) -> tuple[int, ...]:
-        """Largest exponent of each variable over the stored terms."""
-        degs = [0] * self.num_vars
-        for kappa in self.coeffs:
-            for i, k in enumerate(kappa):
-                if k > degs[i]:
-                    degs[i] = k
-        return tuple(degs)
 
     def max_abs_coeff(self) -> float:
         return max((abs(c) for c in self.coeffs.values()), default=0.0)
@@ -183,7 +205,7 @@ class ChebPoly:
 
     def __add__(self, other: "ChebPoly") -> "ChebPoly":
         self._require_same_vars(other)
-        out = dict(self.coeffs)
+        out = self.coeffs.copy()
         for k, c in other.coeffs.items():
             out[k] = out.get(k, 0.0) + c
         return ChebPoly(self.num_vars, _canon(out))
@@ -201,7 +223,7 @@ class ChebPoly:
     def shift(self, a: float) -> "ChebPoly":
         """Add the constant ``a``: ``self + ChebPoly.constant(num_vars, a)``,
         bit for bit, canonicalized once."""
-        out = dict(self.coeffs)
+        out = self.coeffs.copy()
         key = (0,) * self.num_vars
         out[key] = out.get(key, 0.0) + float(a)
         return ChebPoly(self.num_vars, _canon(out))
@@ -238,16 +260,11 @@ class ChebPoly:
 
     def eval(self, point) -> float:
         """Evaluate at a single point (allowed outside the cube)."""
-        pt = [float(t) for t in point]
-        if len(pt) != self.num_vars:
-            raise ValueError(
-                f"dimension mismatch: point has {len(pt)} entries, "
-                f"polynomial has {self.num_vars} variables"
-            )
+        pt = self._point(point)
         if not self.coeffs:
             return 0.0
         with np.errstate(over="ignore", invalid="ignore"):    # far outside the cube
-            table = _t_table(np.array(pt), max(self.per_variable_degrees())).tolist()
+            table = _t_table(np.array(pt), max(self._degrees)).tolist()
         total = 0.0
         for kappa, c in self.coeffs.items():
             term = c
@@ -308,7 +325,7 @@ class ChebPoly:
         n = self.num_vars
         keys = np.array(list(self.coeffs), dtype=np.intp)
         cs = np.fromiter(self.coeffs.values(), dtype=float, count=len(keys))
-        degs = keys.max(axis=0)
+        degs = self._degrees
         # prefix[i][t]: term t's (k_0 .. k_{i-1}) numbered among the distinct ones
         prefix = [np.zeros(len(keys), dtype=np.intp)]
         for i in range(n - 1):
@@ -338,32 +355,12 @@ class ChebPoly:
             yield a, vals.reshape(shape[:-1] + (width,))
 
 
-@dataclass(slots=True)
-class MonoPoly:
+@dataclass(slots=True, frozen=True)
+class MonoPoly(_Poly):
     """Polynomial ``sum_alpha a_alpha x^alpha`` in the power basis."""
 
-    num_vars: int
-    coeffs: dict
-
-    def __post_init__(self):
-        if self.num_vars < 1:
-            raise ValueError("num_vars must be >= 1")
-        self.coeffs = _terms(self.num_vars, self.coeffs)
-        _require_finite(self.coeffs)
-
-    @classmethod
-    def constant(cls, num_vars: int, value: float) -> "MonoPoly":
-        return cls(num_vars, {(0,) * num_vars: float(value)})
-
-    def degree(self) -> int:
-        if not self.coeffs:
-            return 0
-        return max(total_degree(k) for k in self.coeffs)
-
     def eval(self, point) -> float:
-        pt = [float(t) for t in point]
-        if len(pt) != self.num_vars:
-            raise ValueError("dimension mismatch")
+        pt = self._point(point)
         total = 0.0
         for alpha, a in self.coeffs.items():
             term = a

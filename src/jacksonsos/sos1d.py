@@ -288,7 +288,7 @@ def _spectral_factor(p: ChebPoly) -> np.ndarray:
 
 def _dense(q: ChebPoly) -> np.ndarray:
     """Coefficients c_0..c_deg of a univariate polynomial; empty for zero."""
-    out = np.zeros(q.degree() + 1 if q.coeffs else 0)
+    out = np.zeros(q.per_variable_degrees()[0] + 1 if q.coeffs else 0)
     for (k,), c in q.coeffs.items():
         out[k] = c
     return out

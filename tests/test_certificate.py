@@ -739,29 +739,36 @@ class TestNodeCount:
         assert counts == [m, m, m]
         assert set(report.argmin) <= set(original(len(cert.weights)).tolist())
 
-    def test_f_degrees_walked_once_per_call(self, monkeypatch):
-        """certify and rate_sweep walk f's per-variable degrees once for the
-        degree check and the node rule; the other walks are apply_inverse's
-        (one per r) and the polish's (one per polished cell).  A sweep takes
-        f's total degree once, for its theorem constants."""
+    def test_terms_checked_once_per_polynomial_built(self, monkeypatch):
+        """The term check (``chebpoly._terms``) runs once per polynomial
+        built, and measures its degrees, which are read from then on without
+        a walk: certify builds the shift and apply_inverse's result, a sweep
+        apply_inverse's result per r.  A sweep takes f's total degree once,
+        for its theorem constants."""
         f = demo_f()
+        assert f.per_variable_degrees() is f.per_variable_degrees()
         calls = Counter()
-        for name in ("per_variable_degrees", "degree"):
-            def counted(self, original=getattr(ChebPoly, name), name=name):
-                calls[name] += 1
-                return original(self)
+        original = chebpoly_module._terms
 
-            monkeypatch.setattr(ChebPoly, name, counted)
+        def counted(*args):
+            calls["_terms"] += 1
+            return original(*args)
+
+        def degree(self, original=ChebPoly.degree):
+            calls["degree"] += 1
+            return original(self)
+
+        monkeypatch.setattr(chebpoly_module, "_terms", counted)
+        monkeypatch.setattr(ChebPoly, "degree", degree)
         certify(f, 0.1, 7)
-        assert calls["per_variable_degrees"] <= 3
+        assert calls["_terms"] == 2
         calls.clear()
         with pytest.raises(NotCertifiable):        # at g's lowest grid cell, unpolished
             certify(f, 0.1, 5)
-        assert calls["per_variable_degrees"] <= 2
+        assert calls["_terms"] == 2
         calls.clear()
         rate_sweep(f, range(20, 100, 8))
-        assert calls["per_variable_degrees"] <= 13
-        assert calls["degree"] == 1
+        assert calls == {"_terms": 10, "degree": 1}
 
     @pytest.mark.parametrize("n, r", [(1, 7), (2, 5), (3, 3)])
     def test_r_plus_one_node_certificates_still_load(self, n, r):
@@ -811,6 +818,15 @@ class TestVerifyTampering:
         assert report.valid
         # two squares of each kind at each of the two nodes with W > 0
         assert cert.squares_per_subset() == {(): 4, (0,): 4}
+
+    def test_list_weights_verify_like_the_array(self):
+        """Weights given as a list (the demo's r = 7 weights ``.tolist()``)
+        used to build a certificate whose verify raised AttributeError."""
+        f, cert = self._base()
+        listed = SchmudgenCertificate(num_vars=1, r=7, eta=0.1,
+                                      weights=cert.weights.tolist(), residual=0.0)
+        assert listed.weights.tobytes() == cert.weights.tobytes()
+        assert verify(listed, f) == verify(cert, f)
 
     def test_term_beyond_reconstruction_counts_in_full(self):
         """The hand-built r = 2 certificate reconstructs 1 + T_2 / 4 with three
@@ -1019,11 +1035,10 @@ class TestKernelLowerBound:
     def test_nan_coefficient_rejected(self):
         with pytest.raises(ValueError, match="not finite"):
             kernel_lower_bound(ChebPoly(1, {(0,): math.nan, (2,): 1.0}), 8)
-        # a NaN written into the map after construction is refused too
+        # a polynomial is immutable: a NaN cannot be written in after construction
         f = ChebPoly(1, {(0,): -5.0, (2,): 1.0})
-        f.coeffs[(0,)] = math.nan
-        with pytest.raises(ValueError, match="not finite"):
-            kernel_lower_bound(f, 8)
+        with pytest.raises(TypeError):
+            f.coeffs[(0,)] = math.nan
 
     def test_grid_budget_checked_before_evaluation(self, grid_budget_enforced, monkeypatch):
         """r = 30 on a degree-1 product of 6 variables needs 16^6 nodes.

@@ -1,6 +1,9 @@
 """Tests for the tensor Chebyshev polynomial algebra."""
 
+import copy
+import dataclasses
 import math
+import pickle
 import re
 import tracemalloc
 
@@ -62,6 +65,35 @@ class TestMalformedKeys:
         assert ChebPoly.basis(2, [np.int64(1), 0]).coeffs == {(1, 0): 1.0}
         with pytest.raises(ValueError, match=re.escape("bad multidegree (1.5,) for 1")):
             ChebPoly.basis(1, (1.5,))
+
+
+class TestImmutable:
+    """A polynomial is an immutable value: its checked terms cannot be
+    changed after construction, and it survives pickling and copying."""
+
+    @pytest.mark.parametrize("cls", [ChebPoly, MonoPoly])
+    def test_terms_cannot_be_written(self, cls):
+        """A key written after construction used to skip the check: (1,) on
+        a 2-variable p made p.eval([0.3, 0.2]) read 0.9 and eval_grid fail."""
+        p = cls(2, {(1, 0): 1.0})
+        with pytest.raises(TypeError):
+            p.coeffs[(1,)] = 2.0
+        with pytest.raises(TypeError):
+            del p.coeffs[(1, 0)]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            p.coeffs = {(1,): 2.0}
+        assert p.coeffs == {(1, 0): 1.0}
+        assert p.per_variable_degrees() == (1, 0)
+
+    @pytest.mark.parametrize("cls", [ChebPoly, MonoPoly])
+    def test_pickle_and_deepcopy(self, cls):
+        p = cls(2, {(1, 0): 1.5, (0, 3): -2.0})
+        for q in (pickle.loads(pickle.dumps(p)), copy.deepcopy(p)):
+            assert q == p
+            assert type(q) is cls
+            assert q.per_variable_degrees() == (1, 3)
+            with pytest.raises(TypeError):
+                q.coeffs[(0, 0)] = 1.0
 
 
 class TestMultidegrees:
