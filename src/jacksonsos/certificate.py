@@ -294,13 +294,14 @@ def certify(f: ChebPoly, eta: float, r: int) -> SchmudgenCertificate:
     unsmoothed = apply_inverse(target, r)
 
     gvals, least, node = _node_values(unsmoothed, m)
-    weights = (1.0 / m ** n) * gvals
-    if weights.min() < -NODE_CLAMP:
+    # the least weight is the least value's: a positive scale keeps the order
+    if (1.0 / m ** n) * least < -NODE_CLAMP:
         raise NotCertifiable(
             f"unsmoothed polynomial is {least:.6e} at node {node}",
             min_value=least,
             location=node,
         )
+    weights = (1.0 / m ** n) * gvals
     weights[weights <= 0.0] = 0.0
 
     witness = gate_witness(unsmoothed, target)

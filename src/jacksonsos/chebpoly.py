@@ -22,6 +22,7 @@ import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial import chebyshev as _ncheb
@@ -178,6 +179,9 @@ class ChebPoly(_Poly):
     stay factor-free.
     """
 
+    #: the grid evaluation plan, built on first use (:meth:`_eval_plan`)
+    _plan: _Plan = field(default=None, init=False, repr=False, compare=False)
+
     @classmethod
     def zero(cls, num_vars: int) -> "ChebPoly":
         return cls(num_vars, {})
@@ -279,14 +283,17 @@ class ChebPoly(_Poly):
         """Evaluate on the tensor grid spanned by the 1-D arrays ``axes``.
 
         Sum factorization over the sparse terms, one axis at a time from the
-        last.  After axes i+1 .. n-1 are done, each row holds the sum, on
-        their grid, of the terms sharing one prefix (k_0 .. k_i).  Axis i
-        scatters the rows into (k_0 .. k_{i-1}, k_i, grid) and contracts
-        k_i with the T_k(axes[i]) table, which merges the rows that share
-        k_0 .. k_{i-1}.  The scattered array has (distinct k_0 .. k_{i-1})
-        x (distinct k_i) x grid entries, each count at most the number of
-        terms, and never prod(d_i + 1).  The last axis adds the terms in map
-        order, so a one-variable grid is the plain term-by-term sum.
+        last, each axis one matrix product with its T_k table.  The last axis
+        multiplies the (prefix, k_{n-1}) coefficient matrix of the plan
+        (:func:`_build_plan`), one row per distinct prefix (k_0 .. k_{n-2}),
+        by T_0 .. T_{d_{n-1}} on its axis; the plan is built on the first
+        evaluation and kept with the polynomial.  After axes i+1 .. n-1 are
+        done, each row holds the sum, on their grid, of the terms sharing
+        one prefix (k_0 .. k_i).  Axis i scatters the rows into (k_0 ..
+        k_{i-1}, k_i, grid) and contracts k_i with the T_k(axes[i]) table,
+        which merges the rows that share k_0 .. k_{i-1}.  The scattered array
+        has (distinct k_0 .. k_{i-1}) x (distinct k_i) x grid entries, each
+        count at most the number of terms, and never prod(d_i + 1).
 
         A memoized axis (:func:`chebyshev_nodes`, :func:`lobatto_axis`) is
         read from its cached T_k table (:func:`_axis_table`).
@@ -294,65 +301,110 @@ class ChebPoly(_Poly):
         return next(self.eval_blocks(axes, 0))[1]
 
     def eval_blocks(self, axes, cols: int):
-        """Yield ``(offset, values)``: :meth:`eval_grid` of ``axes`` in blocks
-        of ``cols`` last-axis points (one block when ``cols`` is 0), ``offset``
-        the block's first last-axis index.
+        """Yield ``(offset, values)``: :meth:`eval_grid` of ``axes`` in
+        ceil(points / ``cols``) blocks of last-axis points, none wider than
+        ``cols`` and their widths apart by at most 1 (one block when ``cols``
+        is 0); ``offset`` is the block's first last-axis index.
 
-        The last axis's term sums are formed once, on the whole last axis,
-        and every block contracts the other axes on its slice of them, so a
-        block holds about its own share of the grid.  A block's values are
-        :meth:`eval_grid` of the block's own grid, bit for bit; the products
-        with the other axes' tables may round in the last bit otherwise than
-        on the whole grid.
+        Each block multiplies the last axis's coefficient matrix by a
+        contiguous copy of its own columns of the T_k table, and contracts
+        the other axes on the product, so a block holds about its own share
+        of the grid.  A block's values are :meth:`eval_grid` of the block's
+        own grid, bit for bit; they may round in the last bit otherwise than
+        the same points of the whole grid.
         """
         if len(axes) != self.num_vars:
             raise ValueError("one axis array per variable required")
         return self._eval_tables([np.atleast_1d(np.asarray(a, dtype=float))
                                   for a in axes], cols)
 
+    def _eval_plan(self) -> "_Plan":
+        """This polynomial's :func:`_build_plan`, built on first use and
+        kept: a polynomial never changes, so neither does its plan."""
+        plan = self._plan
+        if plan is None:
+            plan = _build_plan(self)
+            object.__setattr__(self, "_plan", plan)
+        return plan
+
     def _eval_tables(self, axes: list, cols: int):
         """The one grid evaluator behind :meth:`eval_blocks`: the blocks of
         the grid of the 1-D float arrays ``axes``, axis i read from
         ``_axis_table(axes[i], d)``, the rows T_0 .. T_D (D >= d) on that
-        axis, d = deg_{x_i} p.  Rows past d are never read."""
+        axis, d = deg_{x_i} p, and the terms from the plan
+        (:meth:`_eval_plan`).  Rows past d are never read."""
         shape = tuple(a.size for a in axes)
-        cols = cols or max(shape[-1], 1)
-        offsets = range(0, max(shape[-1], 1), cols)
+        bounds = _block_bounds(shape[-1], cols)
         if not self.coeffs:
-            for a in offsets:
-                yield a, np.zeros(shape[:-1] + (min(cols, shape[-1] - a),))
+            for a, b in zip(bounds, bounds[1:]):
+                yield a, np.zeros(shape[:-1] + (b - a,))
             return
-        n = self.num_vars
-        keys = np.array(list(self.coeffs), dtype=np.intp)
-        cs = np.fromiter(self.coeffs.values(), dtype=float, count=len(keys))
+        plan = self._eval_plan()
         degs = self._degrees
-        # prefix[i][t]: term t's (k_0 .. k_{i-1}) numbered among the distinct ones
-        prefix = [np.zeros(len(keys), dtype=np.intp)]
-        for i in range(n - 1):
-            code = prefix[-1] * (degs[i] + 1) + keys[:, i]
-            prefix.append(np.unique(code, return_inverse=True)[1])
-
-        table = _axis_table(axes[-1], degs[-1])
-        last = np.zeros((prefix[-1].max() + 1, shape[-1]))
-        for row, k, c in zip(prefix[-1].tolist(), keys[:, -1].tolist(), cs.tolist()):
-            last[row] += c * table[k]
-
-        # axis i's step: rows, their k_i slots and the T_k(axes[i]) table
-        steps = []
-        for i in range(n - 2, -1, -1):
-            _, rep = np.unique(prefix[i + 1], return_index=True)   # a term per row
-            kset, kidx = np.unique(keys[rep, i], return_inverse=True)
-            steps.append((prefix[i][rep], kidx, (prefix[i].max() + 1, kset.size),
-                          _axis_table(axes[i], degs[i]).T[:, kset]))
-        for a in offsets:
-            vals = last[:, a:a + cols]
-            width = points = vals.shape[1]
-            for rows, kidx, size, table in steps:
-                scattered = np.zeros(size + (points,))
-                scattered[rows, kidx] = vals
+        t_last = _axis_table(axes[-1], degs[-1])[:degs[-1] + 1]
+        # axis i's step: each row's slot in (rows, k_i) and the T_k(axes[i]) table
+        tables = [(slots, size, _axis_table(axes[i], degs[i]).T[:, kset])
+                  for i, slots, size, kset in plan.steps]
+        for a, b in zip(bounds, bounds[1:]):
+            vals = plan.last @ np.ascontiguousarray(t_last[:, a:b])
+            points = b - a
+            for slots, size, table in tables:
+                scattered = np.zeros((size[0] * size[1], points))
+                scattered[slots] = vals
                 points *= len(table)
-                vals = (table @ scattered).reshape(size[0], points)
-            yield a, vals.reshape(shape[:-1] + (width,))
+                vals = (table @ scattered.reshape(size + (-1,))).reshape(size[0], points)
+            yield a, vals.reshape(shape[:-1] + (b - a,))
+
+
+def _block_bounds(points: int, cols: int) -> list:
+    """Bounds of ceil(points / cols) near-equal blocks of ``points`` (one
+    block when ``cols`` is 0): the first points % blocks are one wider."""
+    count = max(1, -(-points // cols)) if cols else 1
+    width, wider = divmod(points, count)
+    return [j * width + min(j, wider) for j in range(count + 1)]
+
+
+class _Plan(NamedTuple):
+    """What grid evaluation and the polish read of a polynomial's terms."""
+
+    keys: np.ndarray        # (terms, n) multidegrees, in map order
+    cs: np.ndarray          # (terms,) coefficients, in map order
+    last: np.ndarray        # (prefix rows, d_{n-1} + 1) coefficients; None if no terms
+    steps: tuple            # (i, slot of each row, (rows, distinct k_i), distinct k_i)
+
+
+def _build_plan(p: "ChebPoly") -> _Plan:
+    """The terms of p as arrays, and the scatters of :meth:`ChebPoly.eval_grid`.
+
+    Row j of ``last`` holds, at column k, the coefficient of the term with
+    the j-th distinct prefix (k_0 .. k_{n-2}) and k_{n-1} = k.  Axis i's step,
+    for i = n-2 down to 0, gives each row that axis i+1 leaves, one per
+    distinct (k_0 .. k_i), its slot in the scattered (distinct k_0 ..
+    k_{i-1}, distinct k_i) rows.  The plan is kept with its polynomial and
+    shared by every caller, which must not write to its arrays.
+    """
+    n = p.num_vars
+    keys = np.array(list(p.coeffs), dtype=np.intp).reshape(-1, n)
+    cs = np.fromiter(p.coeffs.values(), dtype=float, count=len(keys))
+    if not len(keys):
+        return _Plan(keys, cs, None, ())
+    degs = p.per_variable_degrees()
+    # prefix[i][t]: term t's (k_0 .. k_{i-1}) numbered among the count[i] distinct ones
+    prefix, count = [np.zeros(len(keys), dtype=np.intp)], [1]
+    for i in range(n - 1):
+        distinct, inverse = np.unique(prefix[-1] * (degs[i] + 1) + keys[:, i],
+                                      return_inverse=True)
+        prefix.append(inverse)
+        count.append(distinct.size)
+    width = degs[-1] + 1
+    last = np.zeros(count[-1] * width)
+    last[prefix[-1] * width + keys[:, -1]] = cs
+    steps = []
+    for i in range(n - 2, -1, -1):
+        _, rep = np.unique(prefix[i + 1], return_index=True)   # a term per row
+        kset, kidx = np.unique(keys[rep, i], return_inverse=True)
+        steps.append((i, prefix[i][rep] * kset.size + kidx, (count[i], kset.size), kset))
+    return _Plan(keys, cs, last.reshape(count[-1], width), tuple(steps))
 
 
 @dataclass(slots=True, frozen=True)
@@ -578,8 +630,8 @@ def _refine(p: ChebPoly, axis: np.ndarray, idx, start_val: float, sign: float):
     best_v, best_x = sign * start_val, list(x)
     n = p.num_vars
     degs = p.per_variable_degrees()
-    kappas = np.array(list(p.coeffs), dtype=np.intp).reshape(-1, n)
-    cs = np.fromiter(p.coeffs.values(), dtype=float, count=len(p.coeffs))
+    plan = p._eval_plan()
+    kappas, cs = plan.keys, plan.cs
     stale = [True] * n
     for _ in range(_POLISH_ROUNDS):
         for j in range(n):
@@ -610,10 +662,12 @@ def _refine(p: ChebPoly, axis: np.ndarray, idx, start_val: float, sign: float):
 def grid_blocks(p: ChebPoly, points: int):
     """``(offset, values)`` over the tensor grid of ``lobatto_axis(points)``.
 
-    The grid (within ``POINT_BUDGET``) comes in blocks of last-axis points,
-    about 2^16 values and at least one point each, so that no grid-sized
-    array is held; ``offset`` is the block's first last-axis index.  The
-    blocks are those of :meth:`ChebPoly.eval_blocks` on the memoized axis.
+    The grid (within ``POINT_BUDGET``) comes in ceil(points / cap) blocks of
+    last-axis points of near-equal width, cap = max(1, 2^16 // points^(n-1))
+    the widest block of at most 2^16 values, so that no grid-sized array is
+    held (257^2: 129 + 128 columns; 65^3: 5 x 13); ``offset`` is the
+    block's first last-axis index.  The blocks are those of
+    :meth:`ChebPoly.eval_blocks` on the memoized axis.
     """
     n = p.num_vars
     check_point_budget(points, n)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -28,14 +29,23 @@ def _check_degree(d: int, r: int) -> None:
         raise ValueError(f"per-variable degree {d} exceeds kernel degree {r}")
 
 
+@lru_cache(maxsize=1024)
+def _lambdas(lam, r: int, d: int) -> tuple:
+    """``(lam(0, r), .., lam(d, r))``, memoized.  The eigenvalue function is
+    part of the key, so a kernel that replaces ``jackson_lambda`` in this
+    module is never served the values of another."""
+    return tuple(lam(k, r) for k in range(d + 1))
+
+
 def _eigenpairs(p: ChebPoly, r: int):
     """Yield ``(kappa, c, lambda_kappa)`` for every stored term of ``p``; only
-    lambda_0 .. lambda_d are built, d the largest per-variable degree.
-    Raises ``ValueError`` when r is not an integer or d exceeds it."""
+    lambda_0 .. lambda_d are used, d the largest per-variable degree, read
+    from a memo keyed by (r, d).  Raises ``ValueError`` when r is not an
+    integer or d exceeds it."""
     r = _integral_degree(r)
     d = max(p.per_variable_degrees())
     _check_degree(d, r)
-    lams = [jackson_lambda(k, r) for k in range(d + 1)]
+    lams = _lambdas(jackson_lambda, r, d)
     for kappa, c in p.coeffs.items():
         lam = 1.0
         for k in kappa:

@@ -277,10 +277,26 @@ class TestCertify:
             certify(demo_f(), 0.1, r)
         assert len(calls) == (0 if r == 5 else 1)
 
+    @pytest.mark.parametrize("r, refusal", [(12, "at node"), (19, "reaches"), (20, None)])
+    def test_a_rung_builds_one_plan(self, monkeypatch, r, refusal):
+        """The node step, the gate's scan and its polish share the plan of
+        g = K_r^{-1}(f + eta), built once; f + eta only gives the floor."""
+        built = []
+        build = chebpoly_module._build_plan
+        monkeypatch.setattr(chebpoly_module, "_build_plan",
+                            lambda p: built.append(p) or build(p))
+        f = demo_f()
+        if refusal:
+            with pytest.raises(NotCertifiable, match=refusal):
+                certify(f, 0.01, r)
+        else:
+            certify(f, 0.01, r)
+        assert built == [apply_inverse(f.shift(0.01), r)]
+
     def test_gate_holds_one_grid_array_at_a_time(self):
-        # the 65^3 gate grid is read in blocks of 15 last-axis points (0.5 MiB
-        # each, about 1.1 MiB peak with eval_grid's own temporaries); the whole
-        # grid's values alone would take 2.1 MiB
+        # the 65^3 gate grid is read in 5 blocks of 13 last-axis points (0.4
+        # MiB each, about 0.9 MiB peak with eval_grid's own temporaries); the
+        # whole grid's values alone would take 2.1 MiB
         f = _smoothed_square(3, 4)
         tracemalloc.start()
         try:

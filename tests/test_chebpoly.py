@@ -19,6 +19,7 @@ from jacksonsos.chebpoly import (
     _canon,
     _golden_min,
     _refine,
+    _scan_points,
     _t_table,
     cheb_from_monomial,
     chebyshev_nodes,
@@ -94,6 +95,29 @@ class TestImmutable:
             assert q.per_variable_degrees() == (1, 3)
             with pytest.raises(TypeError):
                 q.coeffs[(0, 0)] = 1.0
+
+    def test_plan_is_built_once(self, monkeypatch):
+        """The node grid, the Lobatto scans and their polish share the plan
+        the first evaluation built."""
+        built = []
+        build = chebpoly._build_plan
+        monkeypatch.setattr(chebpoly, "_build_plan", lambda p: built.append(p) or build(p))
+        p = random_cheb(np.random.default_rng(4), 2, 4)
+        first = p.eval_grid([chebyshev_nodes(5)] * 2)
+        grid_extrema(p)
+        gate_witness(p, p)
+        assert p.eval_grid([chebyshev_nodes(5)] * 2).tobytes() == first.tobytes()
+        assert built == [p]
+
+    def test_pickle_deepcopy_and_equality_ignore_the_plan(self):
+        p = random_cheb(np.random.default_rng(5), 3, 3)
+        grid = p.eval_grid([lobatto_axis(9)] * 3)
+        assert p._plan is not None
+        assert p == ChebPoly(3, p.coeffs.copy())
+        assert "_plan" not in repr(p)
+        for q in (pickle.loads(pickle.dumps(p)), copy.deepcopy(p)):
+            assert q == p and q._plan is None
+            assert q.eval_grid([lobatto_axis(9)] * 3).tobytes() == grid.tobytes()
 
 
 class TestMultidegrees:
@@ -254,16 +278,20 @@ class TestEvaluation:
 
     @pytest.mark.parametrize("n, d, points", [(1, 9, 33), (2, 5, 17), (3, 3, 9)])
     def test_eval_blocks_are_their_own_grids(self, n, d, points):
-        """Blocks of 1, 4 and all last-axis points tile eval_grid; each is
+        """Blocks of at most 1, 4, 7 and all last-axis points tile eval_grid,
+        ceil(points / cols) of them, their widths apart by at most 1; each is
         eval_grid of its own grid bit for bit, and one block is the grid."""
         p = random_cheb(np.random.default_rng(90 + n), n, d)
         axis = lobatto_axis(points)
         grid = p.eval_grid([axis] * n)
-        for cols in (1, 4, points):
+        for cols in (1, 4, 7, points):
             blocks = list(p.eval_blocks([axis] * n, cols))
-            assert [a for a, _ in blocks] == list(range(0, points, cols))
+            widths = [vals.shape[-1] for _, vals in blocks]
+            assert len(blocks) == -(-points // cols) and sum(widths) == points
+            assert max(widths) <= cols and max(widths) - min(widths) <= 1
+            assert [a for a, _ in blocks] == np.cumsum([0] + widths[:-1]).tolist()
             for a, vals in blocks:
-                own = p.eval_grid([axis] * (n - 1) + [axis[a:a + cols]])
+                own = p.eval_grid([axis] * (n - 1) + [axis[a:a + vals.shape[-1]]])
                 assert vals.tobytes() == own.tobytes()
             tiled = np.concatenate([v for _, v in blocks], axis=-1)
             np.testing.assert_allclose(tiled, grid, rtol=0, atol=1e-14 * p.max_abs_coeff())
@@ -271,15 +299,32 @@ class TestEvaluation:
         zero = list(ChebPoly.zero(2).eval_blocks([np.ones(2), np.ones(5)], 2))
         assert [(a, v.shape) for a, v in zero] == [(0, (2, 2)), (2, (2, 2)), (4, (2, 1))]
 
-    def test_eval_grid_univariate_is_term_by_term_sum(self):
-        """One variable: the terms add in map order, bit for bit."""
-        rng = np.random.default_rng(7)
-        p = ChebPoly(1, {(k,): rng.standard_normal() for k in (3, 0, 6, 1, 5)})
-        ax = lobatto_axis(129)
-        expected = np.zeros(ax.size)
-        for (k,), c in p.coeffs.items():
-            expected += c * np.polynomial.chebyshev.chebvander(ax, 6)[:, k]
-        assert np.array_equal(p.eval_grid([ax]), expected)
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("memoized", [True, False], ids=["memoized", "plain"])
+    def test_blocks_match_numpy_chebgrid(self, n, memoized):
+        """Every block, for every block width, against numpy's chebval,
+        chebgrid2d and chebgrid3d of the dense coefficient array, on random
+        sparse maps, to 1e-13 sum |c|."""
+        oracle = (npcheb.chebval, npcheb.chebgrid2d, npcheb.chebgrid3d)[n - 1]
+        rng = np.random.default_rng(130 + n)
+        d = (12, 6, 4)[n - 1]
+        axes = [chebyshev_nodes(m) for m in (9, 7, 6)[:n]]
+        if not memoized:
+            axes = [rng.uniform(-1.0, 1.0, a.size) for a in axes]
+        for _ in range(4):
+            keys = [k for k in enumerate_multidegrees(n, d) if rng.random() < 0.4]
+            p = ChebPoly(n, {keys[i]: rng.standard_normal() for i in rng.permutation(len(keys))})
+            dense = np.zeros([g + 1 for g in p.per_variable_degrees()])
+            for kappa, c in p.coeffs.items():
+                dense[kappa] = c
+            tol = 1e-13 * sum(abs(c) for c in p.coeffs.values())
+            size = axes[-1].size
+            for cols in range(size + 1):
+                for a, vals in p.eval_blocks(axes, cols):
+                    block = axes[:-1] + [axes[-1][a:a + vals.shape[-1]]]
+                    expected = oracle(*block, dense)
+                    assert vals.shape == expected.shape
+                    assert np.max(np.abs(vals - expected), initial=0.0) <= tol
 
     def test_eval_grid_memory_follows_terms(self):
         """A sparse degree-24 map in 5 variables never goes dense on a 9^5 grid."""
@@ -489,22 +534,36 @@ class TestLobattoGrids:
     @pytest.mark.parametrize("n, d, points", [(1, 9, 4097), (2, 5, 257), (3, 3, 65)])
     def test_blocks_are_eval_grids_of_their_own(self, monkeypatch, n, d, points):
         """grid_blocks gives eval_blocks' blocks, each eval_grid of its own
-        grid bit for bit, thin last block included (257^2: 255 + 2 columns,
-        65^3: 4 x 15 + 5), and from a table grown past p's degree too."""
+        grid bit for bit, in blocks of near-equal width (257^2: 129 + 128
+        columns, 65^3: 5 x 13), and from a table grown past p's degree too."""
         p = random_cheb(np.random.default_rng(110 + n), n, d)
         axis = lobatto_axis(points)
         _fresh_table(monkeypatch, axis)
         cols = max(1, 2 ** 16 // points ** (n - 1))
         expected = list(p.eval_blocks([axis.copy()] * n, cols))    # tables of its own
-        assert n == 1 or expected[-1][1].shape[-1] < cols
+        assert [v.shape[-1] for _, v in expected] == {1: [4097], 2: [129, 128], 3: [13] * 5}[n]
         for grow in (0, 3 * d):
             _axis_table(axis, grow)
             blocks = list(grid_blocks(p, points))
             assert [a for a, _ in blocks] == [a for a, _ in expected]
             for (a, vals), (_, own) in zip(blocks, expected):
                 assert vals.tobytes() == own.tobytes()
-                sub = p.eval_grid([axis] * (n - 1) + [axis[a:a + cols]])
+                sub = p.eval_grid([axis] * (n - 1) + [axis[a:a + vals.shape[-1]]])
                 assert vals.tobytes() == sub.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_block_widths_are_balanced(self, n):
+        """grid_blocks splits the last axis into ceil(points / cap) blocks,
+        cap = max(1, 2^16 // points^(n-1)), whose widths are apart by at most
+        1 and none above the cap, at the scan's count and at others."""
+        p = ChebPoly(n, {(1,) * n: 1.0})
+        for points in {_scan_points(n), 2, 3, 9, 17, 40}:
+            if points ** n > 2 * 10 ** 6:     # keeps the test small
+                continue
+            cap = max(1, 2 ** 16 // points ** (n - 1))
+            widths = [v.shape[-1] for _, v in grid_blocks(p, points)]
+            assert len(widths) == -(-points // cap) and sum(widths) == points
+            assert max(widths) <= cap and max(widths) - min(widths) <= 1
 
 
 class TestNodeGrids:

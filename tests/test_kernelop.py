@@ -115,6 +115,30 @@ class TestInverse:
         assert apply_inverse(f, 200).coeffs == expected
         assert len(calls) <= 7
 
+    @pytest.mark.parametrize("warm", [2, 9])
+    def test_memo_warm_for_another_degree(self, warm):
+        """With the memo warm at (r, d') for a lower and a higher d', every
+        coefficient is still c / prod_i jackson_lambda(kappa_i, r) (multi_lambda),
+        bit for bit."""
+        rng = np.random.default_rng(8)
+        r = 31
+        apply_inverse(random_cheb(rng, 1, warm), r)
+        f = random_cheb(rng, 2, 5)
+        expected = {k: c / multi_lambda(k, r) for k, c in f.coeffs.items()}
+        for _ in range(2):      # the memo is filled at (r, 5), then read
+            assert apply_inverse(f, r).coeffs == expected
+
+    def test_memo_serves_no_other_kernel(self, monkeypatch):
+        """A kernel swapped in for jackson_lambda is read even when the memo
+        is warm for the same (r, d), and Jackson's again once it is undone."""
+        f = random_cheb(np.random.default_rng(9), 1, 6)
+        jackson_coeffs = apply_inverse(f, 20).coeffs
+        monkeypatch.setattr(kernelop, "jackson_lambda", lambda k, r: 1.0 - k / (r + 1))
+        assert apply_inverse(f, 20).coeffs == {
+            kappa: c / (1.0 - kappa[0] / 21) for kappa, c in f.coeffs.items()}
+        monkeypatch.undo()
+        assert apply_inverse(f, 20).coeffs == jackson_coeffs
+
 
 class TestAgainstMultiLambda:
     def test_coefficientwise_equal(self):
