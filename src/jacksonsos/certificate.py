@@ -36,6 +36,7 @@ from .chebpoly import (
     _relative_residual,
     check_point_budget,
     chebyshev_nodes,
+    gate_floor,
     gate_witness,
     grid_extrema,
 )
@@ -48,9 +49,6 @@ from .sos1d import (decompose_kernel_slice, decompose_kernel_slices,  # noqa: F4
 
 #: most variables a certificate may have: numpy's array rank limit
 MAX_VARS = 64
-
-#: node weights more negative than this abort; values in [-NODE_CLAMP, 0) drop
-NODE_CLAMP = 1e-12
 
 
 class NotCertifiable(Exception):
@@ -72,13 +70,12 @@ class ResidualTooLarge(Exception):
 
 
 def _check_slices(r: int, m: int, n: int) -> None:
-    """Refuse a kernel degree no m-node identity makes exact, a table of
+    """Refuse a kernel degree r no m-node identity makes exact, a table of
     kernel-slice factors (m nodes, 2 factors, r + 2 coefficients) past
     ``POINT_BUDGET``, and a reconstruction of w^n coefficients past it, w =
     r + 1 + r % 2 the width of a split slice."""
-    if not 0 <= r <= 2 * m - 1:
-        raise ValueError(f"kernel degree {r} on {m} nodes per axis; "
-                         f"need 0 <= r <= 2m - 1")
+    if r > 2 * m - 1:
+        raise ValueError(f"kernel degree {r} on {m} nodes per axis; need r <= 2m - 1")
     if 2 * m * (r + 2) > POINT_BUDGET:
         raise ValueError(f"kernel-slice table of {m} x 2 x {r + 2} entries "
                          f"exceeds budget {POINT_BUDGET}")
@@ -252,29 +249,28 @@ def certify(f: ChebPoly, eta: float, r: int) -> SchmudgenCertificate:
        ceil((r + d + 1) / 2), the table of kernel-slice factors or the
        (r + 1 + r % 2)^n coefficients of the reconstruction exceed
        ``POINT_BUDGET``;
-    2. node weights: raises :class:`NotCertifiable` when a weight g / m^n,
-       g = K_r^{-1}(f + eta) at a node, lies below -``NODE_CLAMP``; it
-       reports the least node value of g and its node;
+    2. node values: raises :class:`NotCertifiable` when g =
+       K_r^{-1}(f + eta) lies below the floor -``GATE_TOL`` * sum |c| of
+       f + eta (``chebpoly.gate_floor``, a bound on max |f + eta| over the
+       cube) at a node; it reports the least node value of g and its node.
+       A node value in [floor, 0) gets weight 0;
     3. the Lobatto gate, the paper's sufficient condition
        (``chebpoly.gate_witness``): raises :class:`NotCertifiable` when the
        polished grid minimum of g on the Chebyshev-Lobatto grid of
-       ``chebpoly._scan_points(n)`` points per axis lies below the floor
-       -``GATE_TOL`` * sum |c| of f + eta, a bound on max |f + eta|
-       over the cube.  The refusal reports g's lowest grid cell and its
+       ``chebpoly._scan_points(n)`` points per axis lies below the same
+       floor.  The refusal reports g's lowest grid cell and its
        Lobatto point when that cell is already below the floor, with no
        polish; else the polished minimum and its point;
     4. residual: raises :class:`ResidualTooLarge` if the assembled identity
        fails to reconstruct f + eta within ``RESIDUAL_TOL``.
 
-    A rung refused by its node weights scans no Lobatto grid.  Kernel
+    A rung refused at its nodes scans no Lobatto grid.  Kernel
     slices split in closed form, so no slice can fail.  A constant f + eta
     is certified on one node at r = 0, since K_0 = 1, once f's degree passes.
     """
     n = f.num_vars
     eta = float(eta)
     r = _integral_degree(r)
-    if r < 0:
-        raise ValueError("need r >= 0")
     d = max(f.per_variable_degrees())
     _check_degree(d, r)         # on f: the shift can drop f's top terms
     target = f.shift(eta)
@@ -292,10 +288,10 @@ def certify(f: ChebPoly, eta: float, r: int) -> SchmudgenCertificate:
     m = _node_count(d, r, n)
     _check_slices(r, m, n)
     unsmoothed = apply_inverse(target, r)
+    floor = gate_floor(target)
 
     gvals, least, node = _node_values(unsmoothed, m)
-    # the least weight is the least value's: a positive scale keeps the order
-    if (1.0 / m ** n) * least < -NODE_CLAMP:
+    if least < floor:
         raise NotCertifiable(
             f"unsmoothed polynomial is {least:.6e} at node {node}",
             min_value=least,
@@ -304,7 +300,7 @@ def certify(f: ChebPoly, eta: float, r: int) -> SchmudgenCertificate:
     weights = (1.0 / m ** n) * gvals
     weights[weights <= 0.0] = 0.0
 
-    witness = gate_witness(unsmoothed, target)
+    witness = gate_witness(unsmoothed, floor)
     if witness is not None:
         gmin, gloc = witness
         raise NotCertifiable(

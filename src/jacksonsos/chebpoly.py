@@ -689,15 +689,22 @@ def _scan(p: ChebPoly, signs) -> tuple:
     return lobatto_axis(points), [min(cells[k::len(signs)]) for k in range(len(signs))]
 
 
-#: relative tolerance of the sampled nonnegativity gate: :func:`gate_witness`
-#: refuses below -GATE_TOL times sum |c| of its scale polynomial
+#: the one nonnegativity tolerance, relative: a value below
+#: :func:`gate_floor` of its scale polynomial counts as negative
 GATE_TOL = 1e-10
 
 
-def gate_witness(p: ChebPoly, scale: ChebPoly):
+def gate_floor(scale: ChebPoly) -> float:
+    """-``GATE_TOL`` * sum |c| of ``scale``, a bound on max |scale| over the
+    cube: the floor below which a value of a polynomial on that scale counts
+    as negative, in whatever units ``scale`` is given."""
+    return -GATE_TOL * math.fsum(map(abs, scale.coeffs.values()))
+
+
+def gate_witness(p: ChebPoly, floor: float):
     """The sampled nonnegativity gate of ``p``: ``None`` when it passes, else
-    ``(value, point)``, a point of the cube where p lies below the floor
-    -``GATE_TOL`` * sum |c| of ``scale`` (a bound on max |scale| there).
+    ``(value, point)``, a point of the cube where p lies below ``floor``
+    (:func:`gate_floor` of p's scale polynomial).
 
     The scan's lowest cell (:func:`_scan`) below the floor is the witness,
     its value and Lobatto point: the polish could only lower it.  Any other
@@ -705,7 +712,6 @@ def gate_witness(p: ChebPoly, scale: ChebPoly):
     the witness.  Either way p is refused exactly when its polished grid
     minimum lies below the floor.
     """
-    floor = -GATE_TOL * math.fsum(map(abs, scale.coeffs.values()))
     axis, ((low, idx),) = _scan(p, (1.0,))
     if low < floor:
         return low, tuple(float(axis[i]) for i in idx)

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -26,19 +27,21 @@ from .chebpoly import Multidegree, _t_table
 
 
 def _integral_degree(r) -> int:
-    """``r`` as an int: refuse a kernel degree that is a bool or not integral
-    (7.0 and 7.5 alike); numpy integers pass.  Every public function that
-    takes a kernel degree checks it here, a plain int without the ABC check."""
+    """``r`` as an int: refuse a kernel degree that is a bool, not integral
+    (7.0 and 7.5 alike) or negative; numpy integers pass.  Every public
+    function that takes a kernel degree checks it here, a plain int without
+    the ABC check."""
     if type(r) is not int and (isinstance(r, bool) or not isinstance(r, numbers.Integral)):
         raise ValueError(f"kernel degree {r!r} is not an integer")
-    return int(r)
+    r = int(r)
+    if r < 0:
+        raise ValueError(f"kernel degree {r} is negative")
+    return r
 
 
 def jackson_lambda(k: int, r: int) -> float:
     """Damping coefficient lambda_k for degree parameter r (0 <= k <= r)."""
     r = _integral_degree(r)
-    if r < 0:
-        raise ValueError("need r >= 0")
     if k < 0 or k > r:
         raise ValueError(f"need 0 <= k <= r, got k={k}, r={r}")
     if k == 0:
@@ -46,6 +49,14 @@ def jackson_lambda(k: int, r: int) -> float:
     theta = math.pi / (r + 2)
     return ((r + 2 - k) * math.cos(k * theta)
             + math.sin(k * theta) * math.cos(theta) / math.sin(theta)) / (r + 2)
+
+
+@lru_cache(maxsize=1024)
+def _lambdas(r: int, d: int) -> tuple:
+    """``(lambda_0, .., lambda_d)`` of the degree-r kernel, 0 <= d <= r, from
+    :func:`jackson_lambda` and memoized by (r, d): the one eigenvalue table
+    that the spectrum, the kernel expansion and the operator read."""
+    return tuple(jackson_lambda(k, r) for k in range(d + 1))
 
 
 def _kernel_amplitudes(r: int) -> np.ndarray:
@@ -73,27 +84,21 @@ class JacksonSpectrum:
 def spectrum(r: int) -> JacksonSpectrum:
     """All damping coefficients for degree parameter ``r``."""
     r = _integral_degree(r)
-    if r < 0:
-        raise ValueError("need r >= 0")
-    lambdas = tuple(jackson_lambda(k, r) for k in range(r + 1))
-    return JacksonSpectrum(r=r, theta_r=math.pi / (r + 2), lambdas=lambdas)
+    return JacksonSpectrum(r=r, theta_r=math.pi / (r + 2), lambdas=_lambdas(r, r))
 
 
 def multi_lambda(kappa: Multidegree, r: int) -> float:
     """Eigenvalue of the multivariate operator: prod_i lambda_{kappa_i}."""
     r = _integral_degree(r)
-    out = 1.0
-    for k in kappa:
-        if k > r:
-            raise ValueError(f"multidegree entry {k} exceeds degree parameter {r}")
-        if k:
-            out *= jackson_lambda(k, r)
-    return out
+    if not all(0 <= k <= r for k in kappa):
+        raise ValueError(f"multidegree {tuple(kappa)} has an entry outside 0..{r}")
+    lams = _lambdas(r, max(kappa, default=0))
+    return math.prod((lams[k] for k in kappa), start=1.0)   # times lambda_0 = 1.0 is exact
 
 
 def _kernel_coeffs(r: int) -> np.ndarray:
     """Coefficients (1, 2*lambda_1, ..., 2*lambda_r) of the kernel expansion."""
-    coef = 2.0 * np.array(spectrum(r).lambdas)
+    coef = 2.0 * np.array(_lambdas(r, r))
     coef[0] = 1.0
     return coef
 
@@ -102,8 +107,6 @@ def kernel_eval_1d(r: int, x, y):
     """Evaluate K_r(x, y); broadcasts over array-valued x and y, and is a
     float when both are scalars."""
     r = _integral_degree(r)
-    if r < 0:
-        raise ValueError("need r >= 0")
     scalar = np.ndim(x) == 0 and np.ndim(y) == 0
     x = np.array(x, dtype=float, ndmin=1)
     y = np.array(y, dtype=float, ndmin=1)

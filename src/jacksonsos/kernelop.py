@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .chebpoly import ChebPoly, enumerate_multidegrees, grid_extrema, hamming_weight
 # spectrum is no longer called here, but stays importable from this module
 # for callers that wrap it here (bench/tracing.py)
-from .jackson import _integral_degree, jackson_lambda, multi_lambda, spectrum  # noqa: F401
+from .jackson import _integral_degree, _lambdas, multi_lambda, spectrum  # noqa: F401
 
 
 def _check_degree(d: int, r: int) -> None:
@@ -29,23 +28,15 @@ def _check_degree(d: int, r: int) -> None:
         raise ValueError(f"per-variable degree {d} exceeds kernel degree {r}")
 
 
-@lru_cache(maxsize=1024)
-def _lambdas(lam, r: int, d: int) -> tuple:
-    """``(lam(0, r), .., lam(d, r))``, memoized.  The eigenvalue function is
-    part of the key, so a kernel that replaces ``jackson_lambda`` in this
-    module is never served the values of another."""
-    return tuple(lam(k, r) for k in range(d + 1))
-
-
 def _eigenpairs(p: ChebPoly, r: int):
     """Yield ``(kappa, c, lambda_kappa)`` for every stored term of ``p``; only
     lambda_0 .. lambda_d are used, d the largest per-variable degree, read
-    from a memo keyed by (r, d).  Raises ``ValueError`` when r is not an
-    integer or d exceeds it."""
+    from the memo ``jackson._lambdas`` keyed by (r, d).  Raises
+    ``ValueError`` when r is not a nonnegative integer or d exceeds it."""
     r = _integral_degree(r)
     d = max(p.per_variable_degrees())
     _check_degree(d, r)
-    lams = _lambdas(jackson_lambda, r, d)
+    lams = _lambdas(r, d)
     for kappa, c in p.coeffs.items():
         lam = 1.0
         for k in kappa:

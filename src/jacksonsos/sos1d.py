@@ -43,7 +43,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.chebyshev import chebroots
 
-from .chebpoly import DROP_TOL, RESIDUAL_TOL, ChebPoly, _relative_residual, gate_witness
+from .chebpoly import (DROP_TOL, RESIDUAL_TOL, ChebPoly, _relative_residual, gate_floor,
+                       gate_witness)
 from .jackson import _integral_degree, _kernel_amplitudes
 
 _MODULUS_BAND = 1e-7      # |z| within this of 1 counts as an on-circle root
@@ -221,7 +222,7 @@ def _gate(p: ChebPoly) -> None:
     cell and its Lobatto point when that cell is already below, and the
     polished minimum and its point otherwise (``chebpoly.gate_witness``).
     """
-    witness = gate_witness(p, p)
+    witness = gate_witness(p, gate_floor(p))
     if witness is not None:
         lo, (loc,) = witness
         raise NotNonnegative(f"grid minimum {lo:.3e} at x={loc:.6f} below tolerance",
@@ -440,8 +441,6 @@ def decompose_kernel_slices(r: int, ys) -> tuple:
     (v_c, v_s), with M = ceil(r / 2).
     """
     r = _integral_degree(r)
-    if r < 0:
-        raise ValueError("need r >= 0")
     ys = np.asarray(ys, dtype=float)
     if ys.ndim != 1:
         raise ValueError("slice points must be a 1-D sequence")

@@ -14,8 +14,8 @@ from jacksonsos import certificate as certificate_module
 from jacksonsos import chebpoly as chebpoly_module
 from jacksonsos import kernelop, sos1d
 from jacksonsos.certificate import (
-    NODE_CLAMP,
     NotCertifiable,
+    ResidualTooLarge,
     SchmudgenCertificate,
     certify,
     corollary_degree,
@@ -382,11 +382,14 @@ class TestCertify:
         assert len(polish) == 1 and scanned == [g]
 
     def test_gate_decides_as_the_polished_rule(self, monkeypatch):
-        """On a seeded corpus, certify refuses exactly when the node weights
-        fail, or the polished grid minimum of g lies below the floor -tol
-        sum |c| of f + eta, on both paths of the gate.  The random rungs
-        whose weights pass dip at x = -1, where the polish cannot go lower,
-        so _band_f's inner dip is added for a refusal after the polish."""
+        """On a seeded corpus, certify refuses exactly when the least node
+        value or the polished grid minimum of g lies below the one floor
+        -tol sum |c| of f + eta, on both paths of the gate.  The random rungs
+        whose node values pass dip at x = -1, where the polish cannot go
+        lower, so _band_f's inner dip is added for a refusal after the
+        polish.  A tolerance far above GATE_TOL zeroes node values large
+        enough to break the identity, so a rung it passes may still fail its
+        residual check; at GATE_TOL none does."""
         rng = np.random.default_rng(22)
         cases = [(_band_f(), 0.02, 15)]
         for n in (1, 2):
@@ -402,60 +405,103 @@ class TestCertify:
             norm = abs_sum(target)
             g = apply_inverse(target, r)
             m = (r + max(f.per_variable_degrees()) + 2) // 2
-            nodes_pass = g.eval_grid([chebyshev_nodes(m)] * n).min() / m ** n >= -NODE_CLAMP
+            least = g.eval_grid([chebyshev_nodes(m)] * n).min()
             gmin = grid_extrema(g)[0]
             cell = lowest_grid_cell(g, points)[0]
             tols = [GATE_TOL, 1e-2, 3e-2]
             if gmin < 0.0:      # the middle of the polish band, then above it
                 tols += [-(cell + gmin) / (2.0 * norm), -2.0 * gmin / norm]
             for tol in tols:
-                rule = nodes_pass and not gmin < -tol * norm
+                floor = -tol * norm
+                rule = not least < floor and not gmin < floor
                 monkeypatch.setattr(chebpoly_module, "GATE_TOL", tol)
                 try:
                     certify(f, eta, r)
-                    accepted = True
+                    passed = True
                 except NotCertifiable:
-                    accepted = False
-                assert accepted == rule, (n, eta, r, tol)
-                if nodes_pass:
-                    paths.add((cell < -tol * norm, accepted))
+                    passed = False
+                except ResidualTooLarge:
+                    assert tol != GATE_TOL, (n, eta, r)
+                    passed = True
+                assert passed == rule, (n, eta, r, tol)
+                if not least < floor:
+                    paths.add((cell < floor, passed))
         assert paths == {(True, False), (False, False), (False, True)}
 
     def test_node_refusal_builds_no_lobatto_grid(self, monkeypatch):
-        """A rung whose node weights go negative is refused before the gate,
-        at the node and with the value that kernel_lower_bound reports."""
+        """A rung whose node values go negative is refused before the gate,
+        at the node and with the value that kernel_lower_bound reports, in
+        whatever units c the demo is given."""
         def no_gate(*args, **kwargs):
             raise AssertionError("a Lobatto gate grid was built")
 
-        f = demo_f()
-        bound = kernel_lower_bound(f, 12)
+        bounds = {c: kernel_lower_bound(demo_f().scale(c), 12) for c in (1e-12, 1.0, 1e9)}
         monkeypatch.setattr(certificate_module, "gate_witness", no_gate)
         monkeypatch.setattr(chebpoly_module, "grid_blocks", no_gate)
-        with pytest.raises(NotCertifiable, match="at node") as err:
-            certify(f, 0.01, 12)
-        assert err.value.location == bound.argmin
-        assert err.value.min_value == pytest.approx(bound.lambda_star + 0.01, rel=1e-12)
-        assert str(err.value) == (f"unsmoothed polynomial is {err.value.min_value:.6e} "
-                                  f"at node {bound.argmin}")
+        for c, bound in bounds.items():
+            f = demo_f().scale(c)
+            with pytest.raises(NotCertifiable, match="at node") as err:
+                certify(f, 0.01 * c, 12)
+            assert err.value.location == bound.argmin, c
+            assert err.value.min_value == pytest.approx(bound.lambda_star + 0.01 * c, rel=1e-12)
+            assert str(err.value) == (f"unsmoothed polynomial is {err.value.min_value:.6e} "
+                                      f"at node {bound.argmin}")
 
     @pytest.mark.parametrize("eta, first", [(0.1, 6), (0.01, 20), (0.003, 39)])
     def test_decisions_are_the_gate_and_node_rule(self, eta, first):
         """certify accepts exactly when both the Lobatto gate and the node
-        weights accept, whichever it checks first (the bench's ladder ends)."""
+        values pass the one floor, whichever it checks first (the bench's
+        ladder ends)."""
         f = demo_f()
-        norm = abs_sum(f.shift(eta))
+        floor = -GATE_TOL * abs_sum(f.shift(eta))
         for r in range(4, first + 1):
             g = apply_inverse(f.shift(eta), r)
             m = (r + f.degree() + 2) // 2
-            weights = (1.0 / m) * g.eval_grid([chebyshev_nodes(m)])
-            rule = (grid_extrema(g)[0] >= -GATE_TOL * norm
-                    and weights.min() >= -NODE_CLAMP)
+            rule = (grid_extrema(g)[0] >= floor
+                    and g.eval_grid([chebyshev_nodes(m)]).min() >= floor)
             try:
                 certify(f, eta, r)
                 accepted = True
             except NotCertifiable:
                 accepted = False
             assert accepted == rule == (r == first), r
+
+
+#: units of f from 1e-12 to 1e12
+_UNITS = [10.0 ** k for k in range(-12, 13, 3)]
+
+
+def _node_square() -> ChebPoly:
+    """K_8((x - y)^2) at y = chebyshev_nodes(6)[2], one of certify's m = 6
+    nodes at r = 8: g = (x - y)^2 is zero at that node up to rounding of
+    about 1e-16 times the units of f, of either sign."""
+    y = float(chebyshev_nodes(6)[2])
+    return apply_forward(ChebPoly(1, {(0,): 0.5 + y * y, (1,): -2.0 * y, (2,): 0.5}), 8)
+
+
+class TestUnits:
+    """The node values and the Lobatto gate compare g with one floor,
+    -GATE_TOL sum |c| of f + eta, so certify decides alike in any units."""
+
+    def test_floor_is_relative(self):
+        for c in _UNITS:
+            target = demo_f().scale(c).shift(0.01 * c)
+            assert chebpoly_module.gate_floor(target) == -GATE_TOL * abs_sum(target), c
+
+    @pytest.mark.parametrize("c", _UNITS)
+    def test_zero_at_a_node_is_certified(self, c):
+        f = _node_square().scale(c)
+        cert = certify(f, 0.0, 8)
+        assert len(cert.weights) == 6
+        assert verify(cert, f).valid
+
+    @pytest.mark.parametrize("c", _UNITS)
+    def test_negative_node_is_refused_at_the_node(self, c):
+        """The demo at eta = 0.01 and r = 12 dips below zero at a node by
+        1.3e-3 times the units of f: refused there, never at the gate."""
+        with pytest.raises(NotCertifiable, match="at node") as err:
+            certify(demo_f().scale(c), 0.01 * c, 12)
+        assert err.value.min_value == pytest.approx(-1.313367e-3 * c, rel=1e-6)
 
 
 class TestDefaultGrids:
@@ -517,13 +563,14 @@ class TestFactoredForm:
     @pytest.mark.parametrize("n, r", [(1, 7), (1, 6), (2, 4), (3, 3), (2, 0)])
     def test_row_count_is_checked_on_construction(self, n, r):
         """The m rows of a certificate are derived from (r, m), so construction
-        refuses a degree no m-node identity makes exact: r outside 0..2m - 1."""
+        refuses a degree no m-node identity makes exact, r past 2m - 1, and
+        a negative one as every kernel degree check does."""
         f = _smoothed_square(n, r) if r else ChebPoly.constant(n, 0.3)
         cert = certify(f, 0.0, r)
         m = len(cert.weights)
-        for bad in (-1, 2 * m):
-            with pytest.raises(ValueError, match=f"^kernel degree {bad} on {m} nodes "
-                               "per axis; need 0 <= r <= 2m - 1$"):
+        for bad, message in ((-1, "is negative"),
+                             (2 * m, f"on {m} nodes per axis; need r <= 2m - 1")):
+            with pytest.raises(ValueError, match=f"^kernel degree {bad} {message}$"):
                 SchmudgenCertificate(n, bad, cert.eta, cert.weights, cert.residual)
         SchmudgenCertificate(n, 2 * m - 1, cert.eta, cert.weights, cert.residual)
 
@@ -1230,7 +1277,8 @@ class TestHeadlineRate:
 
     def _slope(self, monkeypatch, amplitudes, lam) -> tuple:
         monkeypatch.setattr(sos1d, "_kernel_amplitudes", amplitudes)
-        monkeypatch.setattr(kernelop, "jackson_lambda", lam)
+        monkeypatch.setattr(kernelop, "_lambdas",
+                            lambda r, d: tuple(lam(k, r) for k in range(d + 1)))
         rs = [_least_certifying_r(demo_f(), eta) for eta in self.ETAS]
         return rs, float(np.polyfit(np.log(self.ETAS), np.log(rs), 1)[0])
 

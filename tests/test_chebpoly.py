@@ -24,6 +24,7 @@ from jacksonsos.chebpoly import (
     cheb_from_monomial,
     chebyshev_nodes,
     enumerate_multidegrees,
+    gate_floor,
     gate_witness,
     grid_blocks,
     grid_extrema,
@@ -105,7 +106,7 @@ class TestImmutable:
         p = random_cheb(np.random.default_rng(4), 2, 4)
         first = p.eval_grid([chebyshev_nodes(5)] * 2)
         grid_extrema(p)
-        gate_witness(p, p)
+        gate_witness(p, gate_floor(p))
         assert p.eval_grid([chebyshev_nodes(5)] * 2).tobytes() == first.tobytes()
         assert built == [p]
 
@@ -525,10 +526,10 @@ class TestLobattoGrids:
         sizes = _counting_t_table(monkeypatch)
         p = random_cheb(np.random.default_rng(5), 2, 4)
         p = p.shift(2.0 * p.max_abs_coeff() * len(p.coeffs))    # passes, polished
-        assert gate_witness(p, p) is None
+        assert gate_witness(p, gate_floor(p)) is None
         assert sizes.count(points) == 1
         sizes.clear()
-        assert gate_witness(p, p) is None
+        assert gate_witness(p, gate_floor(p)) is None
         assert sizes and points not in sizes
 
     @pytest.mark.parametrize("n, d, points", [(1, 9, 4097), (2, 5, 257), (3, 3, 65)])
@@ -695,7 +696,6 @@ class TestGridExtrema:
         """
         monkeypatch.setattr(chebpoly, "_scan_points", lambda _: points)
         monkeypatch.setattr(chebpoly, "_POLISH_ROUNDS", 0)
-        monkeypatch.setattr(chebpoly, "GATE_TOL", -math.inf)
         axis = lobatto_axis(points)
         tied = ChebPoly.basis(n, (2, 2) + (0,) * (n - 2))
         for p in (tied, random_cheb(np.random.default_rng(70 + n), n, 4)):
@@ -703,7 +703,7 @@ class TestGridExtrema:
             cells = [tuple(float(axis[i]) for i in np.unravel_index(int(pick(vals)), vals.shape))
                      for pick in (np.argmin, np.argmax)]
             assert grid_extrema(p) == (vals.min(), cells[0], vals.max(), cells[1])
-            assert gate_witness(p, p) == (vals.min(), cells[0])
+            assert gate_witness(p, math.inf) == (vals.min(), cells[0])
         assert grid_extrema(tied)[1][:2] == (-1.0, float(axis[points // 2]))
 
     def test_polish_memory_follows_terms(self):

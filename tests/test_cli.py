@@ -322,10 +322,12 @@ class TestCertificateFromDict:
 
     @pytest.mark.parametrize("r", [-1, 12, 10 ** 9])
     def test_kernel_degree_out_of_range(self, r):
-        """No identity on m = 6 nodes is exact past r = 2m - 1 = 11."""
+        """No identity on m = 6 nodes is exact past r = 2m - 1 = 11, and no
+        kernel degree is negative."""
         data = self._data(1)
         data["r"] = r
-        with pytest.raises(ValueError, match=f"kernel degree {r} on 6 nodes per axis"):
+        message = "is negative" if r < 0 else "on 6 nodes per axis"
+        with pytest.raises(ValueError, match=f"kernel degree {r} {message}"):
             certificate_from_dict(data)
 
     def test_slice_table_out_of_budget(self):

@@ -220,7 +220,7 @@ class TestPropertyReport:
     def test_dirichlet_kernel_is_refused(self, monkeypatch):
         """With every lambda_k = 1 the kernel is Dirichlet's, which goes
         negative (-8.9 at r = 20, against K_r(1, 1) = 41): refused."""
-        monkeypatch.setattr(jackson, "jackson_lambda", lambda k, r: 1.0)
+        monkeypatch.setattr(jackson, "_lambdas", lambda r, d: (1.0,) * (d + 1))
         report = verify_prop21(20, 1, 101)
         assert report.kernel_min < -1.0
         assert not report.nonneg_ok and not report.ok

@@ -110,10 +110,10 @@ class TestInverse:
             calls.append(k)
             return jackson_lambda(k, r)
 
-        monkeypatch.setattr(kernelop, "jackson_lambda", counting, raising=False)
+        jackson._lambdas.cache_clear()
         monkeypatch.setattr(jackson, "jackson_lambda", counting)
         assert apply_inverse(f, 200).coeffs == expected
-        assert len(calls) <= 7
+        assert calls == list(range(7))
 
     @pytest.mark.parametrize("warm", [2, 9])
     def test_memo_warm_for_another_degree(self, warm):
@@ -129,11 +129,13 @@ class TestInverse:
             assert apply_inverse(f, r).coeffs == expected
 
     def test_memo_serves_no_other_kernel(self, monkeypatch):
-        """A kernel swapped in for jackson_lambda is read even when the memo
-        is warm for the same (r, d), and Jackson's again once it is undone."""
+        """A kernel's table swapped in for the memo is read even when the
+        memo is warm for the same (r, d), and Jackson's again once it is
+        undone."""
         f = random_cheb(np.random.default_rng(9), 1, 6)
         jackson_coeffs = apply_inverse(f, 20).coeffs
-        monkeypatch.setattr(kernelop, "jackson_lambda", lambda k, r: 1.0 - k / (r + 1))
+        monkeypatch.setattr(kernelop, "_lambdas",
+                            lambda r, d: tuple(1.0 - k / (r + 1) for k in range(d + 1)))
         assert apply_inverse(f, 20).coeffs == {
             kappa: c / (1.0 - kappa[0] / 21) for kappa, c in f.coeffs.items()}
         monkeypatch.undo()
@@ -288,12 +290,19 @@ _DEGREE_TAKERS = [
 
 class TestKernelDegreeChecks:
     """Every public function that takes a kernel degree refuses one that is
-    not an integer, naming it; numpy integers pass as the int they hold."""
+    not an integer or is negative, naming it; numpy integers pass as the int
+    they hold."""
 
     @pytest.mark.parametrize("call", _DEGREE_TAKERS)
     @pytest.mark.parametrize("r", [7.5, 7.0, True])
     def test_non_integral_degree_refused(self, call, r):
         with pytest.raises(ValueError, match=f"^kernel degree {r!r} is not an integer$"):
+            call(r)
+
+    @pytest.mark.parametrize("call", _DEGREE_TAKERS)
+    @pytest.mark.parametrize("r", [-1, np.int64(-1)])
+    def test_negative_degree_refused(self, call, r):
+        with pytest.raises(ValueError, match="^kernel degree -1 is negative$"):
             call(r)
 
     @pytest.mark.parametrize("call", _DEGREE_TAKERS)

@@ -524,7 +524,7 @@ class TestKernelSlices:
             decompose_kernel_slice(3, 1.5)
 
     def test_rejects_negative_degree(self):
-        with pytest.raises(ValueError, match="need r >= 0"):
+        with pytest.raises(ValueError, match="^kernel degree -1 is negative$"):
             decompose_kernel_slice(-1, 0.0)
 
     def test_slice_polynomial_matches_loop_reference(self):
@@ -669,7 +669,7 @@ class TestSliceBatches:
         assert u.shape == (0, 2, 3) and v.shape == (0, 2, 2)
 
     @pytest.mark.parametrize("r, ys, message", [
-        (-1, [0.0], "need r >= 0"),
+        (-1, [0.0], "kernel degree -1 is negative"),
         (3, [0.2, 1.5], "slice point 1.5 outside \\[-1, 1\\]"),
         (3, [-1.0000000000000002], "slice point -1.0000000000000002 outside"),
         (3, [0.5, math.nan], "slice point nan outside \\[-1, 1\\]"),
