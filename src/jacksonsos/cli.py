@@ -35,7 +35,8 @@ from .certificate import (
 from .chebpoly import ChebPoly, MonoPoly, cheb_from_monomial, chebyshev_nodes
 from .jackson import _kernel_coeffs, spectrum, verify_prop21
 from .kernelop import apply_forward, apply_inverse
-from .sos1d import decompose_kernel_slices, lukacs_decompose, split_coeffs
+from .sos1d import (IllConditioned, NotNonnegative, decompose_kernel_slices,
+                    lukacs_decompose, split_coeffs)
 
 EXIT_OK = 0
 EXIT_NOT_CERTIFIABLE = 2
@@ -379,16 +380,25 @@ def _check_sos(level: str, seed: int) -> dict:
     rng = np.random.default_rng(seed)
     count = 200 if level == "full" else 30
     half = 12 if level == "full" else 8
-    worst = 0.0
+    weight = ChebPoly(1, {(0,): 0.5, (2,): -0.5})
+    inputs = []
     for _ in range(count):
         du = int(rng.integers(0, half + 1))
         dv = int(rng.integers(0, half))
         u = ChebPoly(1, {(k,): rng.standard_normal() for k in range(du + 1)})
         v = ChebPoly(1, {(k,): rng.standard_normal() for k in range(dv + 1)})
-        weight = ChebPoly(1, {(0,): 0.5, (2,): -0.5})
-        p = u * u + weight * (v * v)
-        pair = lukacs_decompose(p)
-        worst = max(worst, pair.residual)
+        inputs.append(u * u + weight * (v * v))
+    for a in (-0.9, -0.6, 0.3, 0.9):
+        linear = ChebPoly(1, {(0,): -a, (1,): 1.0})
+        square = linear * linear
+        inputs += [square * square * square, weight * (square * square)]
+    worst = 0.0
+    for p in inputs:
+        try:
+            worst = max(worst, lukacs_decompose(p).residual)
+        except (IllConditioned, NotNonnegative) as exc:
+            return {"name": "sos_reconstruction", "ok": False,
+                    "detail": f"decomposition refused: {exc}"}
     r_max = 30 if level == "full" else 10
     n_y = 50 if level == "full" else 10
     ys = chebyshev_nodes(n_y)

@@ -158,8 +158,8 @@ def verify_prop21(r: int, d: int, grid: int = 201) -> SpectralPropertyReport:
     1 <= k <= d, whose least margin is ``decay_margin`` (0 at d = 0).
     """
     r = _integral_degree(r)
-    if d > r:
-        raise ValueError("need d <= r")
+    if not 0 <= d <= r:
+        raise ValueError(f"need 0 <= d <= r, got d={d}, r={r}")
     axis = np.cos(np.linspace(0.0, math.pi, grid))
     kvals = kernel_eval_1d(r, axis[:, None], axis[None, :])
     kernel_min = float(np.min(kvals))

@@ -11,14 +11,18 @@ Chebyshev coefficients of p are the cosine coefficients of the nonnegative
 trigonometric polynomial p(cos t), whose spectral factor h (a real
 polynomial in z with |h(e^{it})|^2 = p(cos t)) has one root from each
 reciprocal pair of roots of the palindromic z^d p((z + 1/z) / 2) inside
-the closed unit disc.  Those pairs are x -/+ sqrt(x^2 - 1) over the d roots
-x of p itself, which are the eigenvalues of p's d x d Chebyshev colleague
-matrix (I. J. Good, Q. J. Math. 12, 1961), so no 2d x 2d power-basis
-companion matrix is formed.  A factor of odd degree is multiplied by z,
-which keeps its modulus on the circle and makes its degree even; splitting
-h by frequency parity then yields u and v as dense Chebyshev coefficient
-arrays, returned as ``LukacsPair(u, v)`` by ``lukacs_decompose``.  Both
-public tools take an arbitrary input, so both first run the one sampled
+the closed unit disc.  Those pairs are s and 1/s, s = x + sqrt(x^2 - 1)
+with |s| >= 1, over the d roots x of p itself, which are the eigenvalues of
+p's d x d Chebyshev colleague matrix (I. J. Good, Q. J. Math. 12, 1961), so
+no 2d x 2d power-basis companion matrix is formed.  A root x off [-1, 1]
+gives 1/s.  A root on [-1, 1] (|s| within ``_MODULUS_BAND`` of 1) puts both
+s and 1/s on the circle; all of these are sorted by angle and paired with
+their neighbours, each pair giving one root on the circle at its mean angle,
+so roots of any multiplicity pair up with no clustering tolerance.  A factor
+of odd degree is multiplied by z, which keeps its modulus on the circle and
+makes its degree even; splitting h by frequency parity then yields u and v
+as dense Chebyshev coefficient arrays, returned as ``LukacsPair(u, v)`` by
+``lukacs_decompose``.  Both public tools take an arbitrary input, so both first run the one sampled
 nonnegativity gate, on the 2049-point Lobatto grid of every univariate scan
 (``chebpoly._scan_points``), with the floor -``chebpoly.GATE_TOL`` times
 sum |c| of the input.  Both accept what they build by the library's one
@@ -48,7 +52,6 @@ from .chebpoly import (DROP_TOL, RESIDUAL_TOL, ChebPoly, _relative_residual, gat
 from .jackson import _integral_degree, _kernel_amplitudes
 
 _MODULUS_BAND = 1e-7      # |z| within this of 1 counts as an on-circle root
-_ANGLE_TOLS = (1e-5, 1e-3)  # clustering tolerances tried for on-circle roots
 
 
 class NotNonnegative(ValueError):
@@ -61,40 +64,27 @@ class NotNonnegative(ValueError):
 
 
 class IllConditioned(ArithmeticError):
-    """Root clustering or cancellation spoiled the requested tolerance."""
+    """Two paired on-circle roots are antipodal, or rounding in the roots
+    spoiled the factorization residual."""
 
 
-def _cluster_circle_roots(roots: np.ndarray, angle_tol: float):
-    """Group on-circle roots into even-sized clusters; None if impossible.
+def _pair_circle_roots(roots: np.ndarray) -> np.ndarray:
+    """One root on the unit circle for each pair of neighbours of ``roots``.
 
-    Each cluster of size 2s contributes s copies of a representative placed
-    exactly on the unit circle at the cluster's circular mean angle.
+    ``roots`` (even in count) are sorted by angle, and the cycle starts
+    after the widest gap between neighbours, so a pair that straddles angle
+    pi stays together.  Each pair of neighbours gives one root at the pair's
+    mean angle.
     """
     if roots.size == 0:
-        return []
-    order = np.argsort(np.angle(roots))
-    roots = roots[order]
-    angles = np.angle(roots)
-    breaks = [i for i in range(1, roots.size)
-              if angles[i] - angles[i - 1] > angle_tol]
-    clusters = []
-    prev = 0
-    for b in breaks + [roots.size]:
-        clusters.append(list(range(prev, b)))
-        prev = b
-    # wrap-around: merge the first and last cluster when they touch mod 2 pi
-    if len(clusters) > 1 and (angles[0] + 2.0 * math.pi - angles[-1]) <= angle_tol:
-        clusters[0] = clusters.pop() + clusters[0]
-    reps = []
-    for cluster in clusters:
-        if len(cluster) % 2:
-            return None
-        mean = np.sum(roots[cluster])
-        if mean == 0:
-            return None
-        rep = mean / abs(mean)
-        reps.extend([rep] * (len(cluster) // 2))
-    return reps
+        return roots
+    roots = roots[np.argsort(np.angle(roots))]
+    gaps = np.diff(np.angle(roots), append=np.angle(roots[0]) + 2.0 * math.pi)
+    roots = np.roll(roots, -1 - int(np.argmax(gaps)))
+    mean = roots[0::2] + roots[1::2]
+    if np.any(mean == 0):
+        raise IllConditioned("on-circle roots pair up across the circle")
+    return mean / np.abs(mean)
 
 
 def _autocorrelation(h: np.ndarray, d: int) -> np.ndarray:
@@ -149,7 +139,8 @@ def _polish_factor(h: np.ndarray, q: np.ndarray, iters: int = 6) -> np.ndarray:
 
 
 def _circle_roots(q: np.ndarray) -> np.ndarray:
-    """The 2 deg q roots in z of z^deg q * q((z + 1/z) / 2), inside first.
+    """The deg q roots in z of z^deg q * q((z + 1/z) / 2) on or outside the
+    unit circle; their reciprocals are the other deg q.
 
     The deg q roots x of the Chebyshev series are the eigenvalues of its
     colleague matrix; each maps to the reciprocal pair 1/s and s, where
@@ -157,8 +148,7 @@ def _circle_roots(q: np.ndarray) -> np.ndarray:
     """
     x = chebroots(q).astype(complex)
     w = np.sqrt(x * x - 1.0)
-    s = np.where(np.abs(x + w) >= np.abs(x - w), x + w, x - w)
-    return np.concatenate([1.0 / s, s])
+    return np.where(np.abs(x + w) >= np.abs(x - w), x + w, x - w)
 
 
 def _expand(roots: np.ndarray) -> np.ndarray:
@@ -201,7 +191,8 @@ def fejer_riesz(q) -> np.ndarray:
         If the gate of :func:`lukacs_decompose` refuses the input as a
         Chebyshev series, with the same message, value and location.
     IllConditioned
-        If root pairing fails or the factorization residual is too large.
+        If two paired on-circle roots are antipodal, or the factorization
+        residual exceeds ``chebpoly.RESIDUAL_TOL``.
     """
     q = np.asarray(q, dtype=float)
     if q.ndim != 1 or q.size == 0:
@@ -233,35 +224,17 @@ def _spectral_factor(p: ChebPoly) -> np.ndarray:
     """:func:`fejer_riesz` of a univariate ``p`` that passed the gate."""
     if p.is_zero():
         return np.zeros(1)
-    q = _dense(p)
-    scale = float(np.max(np.abs(q)))
-    # trim trailing coefficients that are negligible relative to the rest
+    q = _cut(_dense(p))
     dq = q.size - 1
-    while dq > 0 and abs(q[dq]) <= 1e-13 * scale:
-        dq -= 1
-    q = q[: dq + 1]
-
     if dq == 0:
         return np.array([math.sqrt(max(q[0], 0.0))])
 
-    roots = _circle_roots(q)
-
-    moduli = np.abs(roots)
-    on_circle = np.abs(moduli - 1.0) <= _MODULUS_BAND
-    inside = roots[(moduli < 1.0) & ~on_circle]
-    reps = None
-    for tol in _ANGLE_TOLS:
-        reps = _cluster_circle_roots(roots[on_circle], tol)
-        if reps is not None:
-            break
-    if reps is None:
-        raise IllConditioned("on-circle roots do not pair up evenly")
-    selected = np.concatenate([inside, np.asarray(reps, dtype=complex)]) \
-        if reps else inside
-    if selected.size != dq:
-        raise IllConditioned(
-            f"selected {selected.size} roots for a degree-{dq} factor"
-        )
+    # a root x of p on [-1, 1] puts s and 1/s on the circle; both are paired
+    s = _circle_roots(q)
+    on_circle = np.abs(s) - 1.0 <= _MODULUS_BAND
+    selected = np.concatenate([
+        1.0 / s[~on_circle],
+        _pair_circle_roots(np.concatenate([s[on_circle], 1.0 / s[on_circle]]))])
 
     h = _expand(selected)
 

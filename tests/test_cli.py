@@ -563,6 +563,36 @@ class TestSelftest:
         assert calls == [(r, r, 101) for r in range(1, 61)]
         assert check["name"] == "spectral_bounds" and check["ok"] is False
 
+    @pytest.mark.parametrize("level", ["quick", "full"])
+    def test_sos_check_covers_repeated_roots(self, monkeypatch, level):
+        """(x - a)^6 and (1 - x^2)(x - a)^4 for a = -0.9, -0.6, 0.3, 0.9 are
+        decomposed at both levels."""
+        seen = []
+        decompose = cli.lukacs_decompose
+
+        def recording(p):
+            seen.append(p)
+            return decompose(p)
+
+        monkeypatch.setattr(cli, "lukacs_decompose", recording)
+        check = cli._check_sos(level, 0)
+        assert check["ok"] is True
+        chebfromroots = np.polynomial.chebyshev.chebfromroots
+        for a in (-0.9, -0.6, 0.3, 0.9):
+            for want in (chebfromroots([a] * 6), -chebfromroots([-1.0, 1.0] + [a] * 4)):
+                assert any(p.degree() == 6 and np.allclose(
+                    [p.coeffs.get((k,), 0.0) for k in range(7)], want, rtol=0, atol=1e-14)
+                    for p in seen), (a, want)
+
+    def test_sos_refusal_fails_the_check(self, monkeypatch):
+        def refusing(p):
+            raise sos1d.IllConditioned("factorization residual 2.0e-07 exceeds 1e-08")
+
+        monkeypatch.setattr(cli, "lukacs_decompose", refusing)
+        check = cli._check_sos("quick", 0)
+        assert check["name"] == "sos_reconstruction" and check["ok"] is False
+        assert "factorization residual 2.0e-07" in check["detail"]
+
     def test_full_quadrature_check(self):
         check = cli._check_quadrature("full")
         assert check["name"] == "quadrature_exactness"

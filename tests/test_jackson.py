@@ -75,18 +75,15 @@ class TestDampingCoefficients:
                 assert 0.0 < lams[k] <= 1.0
                 assert 1.0 - lams[k] <= math.pi ** 2 * k ** 2 / (r + 2) ** 2 + 1e-15
 
-    def test_monotonicity_informational(self):
-        """Not asserted: log any (k, r) where lambda decreases as r grows."""
-        violations = []
-        for k in range(1, 11):
-            prev = None
-            for r in range(k, 201):
-                lam = jackson_lambda(k, r)
-                if prev is not None and lam < prev - 1e-15:
-                    violations.append((k, r))
-                prev = lam
-        print(f"monotonicity-in-r violations for k<=10, r<=200: {violations[:5]}"
-              f" (count={len(violations)})")
+    def test_lambda_never_falls_as_r_rises(self):
+        """lambda_k(r) <= lambda_k(r + 1) for k <= 40 and max(k, 1) <= r < 4000,
+        exactly in floating point: a degree plan that bisects on r rests on it."""
+        falls = []
+        for k in range(41):
+            lams = [jackson_lambda(k, r) for r in range(max(k, 1), 4001)]
+            falls += [(k, max(k, 1) + i) for i, (a, b) in enumerate(zip(lams, lams[1:]))
+                      if not a <= b]
+        assert falls == []
 
 
 class TestMultiLambda:
@@ -194,6 +191,11 @@ class TestPropertyReport:
     def test_requires_d_le_r(self):
         with pytest.raises(ValueError):
             verify_prop21(3, 4)
+
+    @pytest.mark.parametrize("d", [-1, -5])
+    def test_refuses_negative_degree(self, d):
+        with pytest.raises(ValueError, match="need 0 <= d <= r"):
+            verify_prop21(5, d)
 
     @pytest.mark.parametrize("r, d", [(5, 4), (40, 12), (200, 10)])
     def test_decay_margin_is_per_k(self, r, d):

@@ -211,9 +211,10 @@ class TestFejerRiesz:
             lau[d + 1:] += 0.5 * q[1:]
             lau[: d][::-1] += 0.5 * q[1:]
             expected = np.roots(lau[::-1])
-            got = sos1d._circle_roots(q)
-            assert got.size == 2 * d
-            assert np.all(np.abs(got[:d]) <= 1.0 + 1e-12)
+            outer = sos1d._circle_roots(q)
+            assert outer.size == d
+            assert np.all(np.abs(outer) >= 1.0 - 1e-12)
+            got = np.concatenate([outer, 1.0 / outer])
             for z in expected:
                 assert np.min(np.abs(got - z)) <= 1e-8 * max(1.0, abs(z))
 
@@ -449,6 +450,87 @@ class TestLukacsPairs:
                     <= 1e-13 * np.max(np.abs(want), initial=1.0)
         one = sos1d._split_even(h[0, 0])
         assert all(a.tobytes() == b.tobytes() for a, b in zip(one, (u[0, 0], v[0, 0])))
+
+
+def _repeated_root_input(rng, kind: int) -> np.ndarray:
+    """Chebyshev coefficients of a nonnegative input with repeated roots, from
+    k = 1..5 roots a_i uniform in [-1, 1]: (0) prod (x - a_i)^2 with a_2..a_k
+    within 10^U(-6, -1) of a_1; (1) (1 + x) prod (x - a_i)^2; (2) prod
+    (x - a_i)^4; (3) prod (x - a_i)^2 plus 10^U(-14, -6) max |c|; (4) (1 - x^2)
+    prod (x - a_i)^2; (5) u^2 + (1 - x^2) v^2 with up to 12 and 11 random
+    coefficients."""
+    k = int(rng.integers(1, 6))
+    a = rng.uniform(-1.0, 1.0, k)
+    if kind == 0:
+        a[1:] = np.clip(a[0] + rng.choice([-1.0, 1.0], k - 1)
+                        * 10.0 ** rng.uniform(-6, -1, k - 1), -1.0, 1.0)
+    if kind == 5:
+        return split_coeffs(rng.standard_normal(int(rng.integers(1, 13))),
+                            rng.standard_normal(int(rng.integers(1, 12))))
+    c = npcheb.chebfromroots(np.repeat(a, 4 if kind == 2 else 2))
+    if kind == 1:
+        c = npcheb.chebmul(c, [1.0, 1.0])
+    elif kind == 3:
+        c[0] += 10.0 ** rng.uniform(-14, -6) * np.max(np.abs(c))
+    elif kind == 4:
+        c = npcheb.chebmul(c, [0.5, 0.0, -0.5])
+    return c
+
+
+def _dense_poly(c) -> ChebPoly:
+    return ChebPoly(1, {(k,): float(v) for k, v in enumerate(c)})
+
+
+class TestRepeatedRoots:
+    """Roots on [-1, 1] of any multiplicity pair up by angle on the circle."""
+
+    @pytest.mark.parametrize("a", np.round(np.arange(-0.95, 0.96, 0.05), 2))
+    def test_sixth_power(self, a):
+        c = npcheb.chebfromroots([a] * 6)
+        p = _dense_poly(c)
+        assert lukacs_decompose(p).residual <= RESIDUAL_TOL
+        h = fejer_riesz(c)
+        assert _relative_residual(sos1d._autocorrelation(h, 6), p) <= RESIDUAL_TOL
+
+    @pytest.mark.parametrize("roots", [[0.0, 0.0], [-1.0] * 3, [0.9] * 2 + [-0.9] * 4],
+                             ids=["x^2", "(x+1)^3", "(x-0.9)^2(x+0.9)^4"])
+    def test_edge_inputs(self, roots):
+        """x^2 puts its roots at angles +-pi/2; (x + 1)^3 pairs across angle pi."""
+        p = _dense_poly(npcheb.chebfromroots(roots))
+        pair = lukacs_decompose(p)
+        assert pair.residual <= RESIDUAL_TOL
+        assert pair.residual == _relative_residual(split_coeffs(pair.u, pair.v), p)
+
+    def test_corpus(self):
+        """At most 1% of 600 seeded repeated-root inputs refused, every
+        refusal a factorization residual, and every pair within RESIDUAL_TOL."""
+        rng = np.random.default_rng(36)
+        refused = []
+        for trial in range(600):
+            p = _dense_poly(_repeated_root_input(rng, trial % 6))
+            try:
+                pair = lukacs_decompose(p)
+            except IllConditioned as err:
+                refused.append(str(err))
+                continue
+            assert pair.residual <= RESIDUAL_TOL
+            assert pair.residual == _relative_residual(split_coeffs(pair.u, pair.v), p)
+        assert len(refused) <= 6, refused
+        assert all(m.startswith("factorization residual") for m in refused), refused
+
+    def test_pairs_across_angle_pi(self):
+        """Neighbours by angle pair up, and the cut after the widest gap keeps
+        a pair that straddles pi together."""
+        eps = 1e-3
+        roots = np.exp(1j * np.array([np.pi - eps, -np.pi + 2 * eps, 0.5, 0.5 + eps]))
+        got = sos1d._pair_circle_roots(roots)
+        expected = np.exp(1j * np.array([0.5 + eps / 2, np.pi + eps / 2]))
+        assert got.size == 2
+        assert all(np.min(np.abs(got - z)) <= 1e-14 for z in expected)
+
+    def test_antipodal_pair_is_refused(self):
+        with pytest.raises(IllConditioned):
+            sos1d._pair_circle_roots(np.array([1.0 + 0j, -1.0 + 0j]))
 
 
 class TestPreorderPairs:
