@@ -265,8 +265,6 @@ class ChebPoly(_Poly):
     def eval(self, point) -> float:
         """Evaluate at a single point (allowed outside the cube)."""
         pt = self._point(point)
-        if not self.coeffs:
-            return 0.0
         with np.errstate(over="ignore", invalid="ignore"):    # far outside the cube
             table = _t_table(np.array(pt), max(self._degrees)).tolist()
         total = 0.0
@@ -282,18 +280,18 @@ class ChebPoly(_Poly):
     def eval_grid(self, axes) -> np.ndarray:
         """Evaluate on the tensor grid spanned by the 1-D arrays ``axes``.
 
-        Sum factorization over the sparse terms, one axis at a time from the
-        last, each axis one matrix product with its T_k table.  The last axis
-        multiplies the (prefix, k_{n-1}) coefficient matrix of the plan
-        (:func:`_build_plan`), one row per distinct prefix (k_0 .. k_{n-2}),
-        by T_0 .. T_{d_{n-1}} on its axis; the plan is built on the first
-        evaluation and kept with the polynomial.  After axes i+1 .. n-1 are
-        done, each row holds the sum, on their grid, of the terms sharing
-        one prefix (k_0 .. k_i).  Axis i scatters the rows into (k_0 ..
-        k_{i-1}, k_i, grid) and contracts k_i with the T_k(axes[i]) table,
-        which merges the rows that share k_0 .. k_{i-1}.  The scattered array
-        has (distinct k_0 .. k_{i-1}) x (distinct k_i) x grid entries, each
-        count at most the number of terms, and never prod(d_i + 1).
+        Sum factorization, one axis at a time from the last, each axis one
+        matrix product with its T_k table.  The plan (:func:`_build_plan`)
+        holds the polynomial's dense coefficient block, one row per
+        combination of the distinct k_i of axes 0 .. n-2 and one column per
+        k_{n-1} = 0 .. d_{n-1}; it is built on the first evaluation and kept
+        with the polynomial.  The last axis multiplies the block by
+        T_0 .. T_{d_{n-1}} on its axis, and axis i = n-2 .. 0 contracts its
+        distinct k_i with their columns of the T_k(axes[i]) table.  The
+        block has at most prod(d_i + 1) entries, no more than the m^n nodes
+        (m >= d_i + 1) that certify and the lower bounds check against
+        ``POINT_BUDGET`` before they evaluate; a block over the budget is
+        refused with ValueError.
 
         A memoized axis (:func:`chebyshev_nodes`, :func:`lobatto_axis`) is
         read from its cached T_k table (:func:`_axis_table`).
@@ -306,7 +304,7 @@ class ChebPoly(_Poly):
         ``cols`` and their widths apart by at most 1 (one block when ``cols``
         is 0); ``offset`` is the block's first last-axis index.
 
-        Each block multiplies the last axis's coefficient matrix by a
+        Each block multiplies the plan's coefficient block by a
         contiguous copy of its own columns of the T_k table, and contracts
         the other axes on the product, so a block holds about its own share
         of the grid.  A block's values are :meth:`eval_grid` of the block's
@@ -331,28 +329,21 @@ class ChebPoly(_Poly):
         """The one grid evaluator behind :meth:`eval_blocks`: the blocks of
         the grid of the 1-D float arrays ``axes``, axis i read from
         ``_axis_table(axes[i], d)``, the rows T_0 .. T_D (D >= d) on that
-        axis, d = deg_{x_i} p, and the terms from the plan
+        axis, d = deg_{x_i} p, and the coefficients from the plan's block
         (:meth:`_eval_plan`).  Rows past d are never read."""
         shape = tuple(a.size for a in axes)
-        bounds = _block_bounds(shape[-1], cols)
-        if not self.coeffs:
-            for a, b in zip(bounds, bounds[1:]):
-                yield a, np.zeros(shape[:-1] + (b - a,))
-            return
         plan = self._eval_plan()
         degs = self._degrees
         t_last = _axis_table(axes[-1], degs[-1])[:degs[-1] + 1]
-        # axis i's step: each row's slot in (rows, k_i) and the T_k(axes[i]) table
-        tables = [(slots, size, _axis_table(axes[i], degs[i]).T[:, kset])
-                  for i, slots, size, kset in plan.steps]
+        # axis i's T_k(axes[i]) table, one column per distinct k_i, from n-2 down
+        tables = [_axis_table(axes[i], degs[i]).T[:, kset]
+                  for i, kset in reversed(list(enumerate(plan.ksets)))]
+        bounds = _block_bounds(shape[-1], cols)
         for a, b in zip(bounds, bounds[1:]):
-            vals = plan.last @ np.ascontiguousarray(t_last[:, a:b])
-            points = b - a
-            for slots, size, table in tables:
-                scattered = np.zeros((size[0] * size[1], points))
-                scattered[slots] = vals
-                points *= len(table)
-                vals = (table @ scattered.reshape(size + (-1,))).reshape(size[0], points)
+            vals = plan.block @ np.ascontiguousarray(t_last[:, a:b])
+            for table in tables:
+                k = table.shape[1]
+                vals = table @ vals.reshape(len(vals) // k, k, -1)
             yield a, vals.reshape(shape[:-1] + (b - a,))
 
 
@@ -369,42 +360,34 @@ class _Plan(NamedTuple):
 
     keys: np.ndarray        # (terms, n) multidegrees, in map order
     cs: np.ndarray          # (terms,) coefficients, in map order
-    last: np.ndarray        # (prefix rows, d_{n-1} + 1) coefficients; None if no terms
-    steps: tuple            # (i, slot of each row, (rows, distinct k_i), distinct k_i)
+    ksets: tuple            # distinct k_i of axes 0 .. n-2, ascending
+    block: np.ndarray       # (prod |ksets[i]|, d_{n-1} + 1) coefficients
 
 
 def _build_plan(p: "ChebPoly") -> _Plan:
-    """The terms of p as arrays, and the scatters of :meth:`ChebPoly.eval_grid`.
-
-    Row j of ``last`` holds, at column k, the coefficient of the term with
-    the j-th distinct prefix (k_0 .. k_{n-2}) and k_{n-1} = k.  Axis i's step,
-    for i = n-2 down to 0, gives each row that axis i+1 leaves, one per
-    distinct (k_0 .. k_i), its slot in the scattered (distinct k_0 ..
-    k_{i-1}, distinct k_i) rows.  The plan is kept with its polynomial and
-    shared by every caller, which must not write to its arrays.
-    """
+    """The terms of p as arrays, and the coefficient block of
+    :meth:`ChebPoly.eval_grid`: row j is the j-th combination, in C order,
+    of one k_i from each of ``ksets`` (axes 0 .. n-2), column k is
+    k_{n-1} = k, and an entry no term has is 0.  The zero polynomial is the
+    one term 0 T_0.  The block grows with the product of the distinct
+    degrees per axis, not with the number of terms: one of more than
+    ``POINT_BUDGET`` entries is refused with ValueError.  The plan is kept
+    with its polynomial and shared by every caller, which must not write to
+    its arrays."""
     n = p.num_vars
-    keys = np.array(list(p.coeffs), dtype=np.intp).reshape(-1, n)
-    cs = np.fromiter(p.coeffs.values(), dtype=float, count=len(keys))
-    if not len(keys):
-        return _Plan(keys, cs, None, ())
-    degs = p.per_variable_degrees()
-    # prefix[i][t]: term t's (k_0 .. k_{i-1}) numbered among the count[i] distinct ones
-    prefix, count = [np.zeros(len(keys), dtype=np.intp)], [1]
-    for i in range(n - 1):
-        distinct, inverse = np.unique(prefix[-1] * (degs[i] + 1) + keys[:, i],
-                                      return_inverse=True)
-        prefix.append(inverse)
-        count.append(distinct.size)
-    width = degs[-1] + 1
-    last = np.zeros(count[-1] * width)
-    last[prefix[-1] * width + keys[:, -1]] = cs
-    steps = []
-    for i in range(n - 2, -1, -1):
-        _, rep = np.unique(prefix[i + 1], return_index=True)   # a term per row
-        kset, kidx = np.unique(keys[rep, i], return_inverse=True)
-        steps.append((i, prefix[i][rep] * kset.size + kidx, (count[i], kset.size), kset))
-    return _Plan(keys, cs, last.reshape(count[-1], width), tuple(steps))
+    terms = p.coeffs or {(0,) * n: 0.0}
+    keys = np.array(list(terms), dtype=np.intp).reshape(-1, n)
+    cs = np.fromiter(terms.values(), dtype=float, count=len(keys))
+    found = [np.unique(keys[:, i], return_inverse=True) for i in range(n - 1)]
+    ksets = tuple(kset for kset, _ in found)
+    shape = tuple(kset.size for kset in ksets) + (p.per_variable_degrees()[-1] + 1,)
+    size = math.prod(shape)
+    if size > POINT_BUDGET:
+        raise ValueError(
+            f"evaluation block of {size} coefficients exceeds budget {POINT_BUDGET}")
+    block = np.zeros(shape)
+    block[tuple(row for _, row in found) + (keys[:, -1],)] = cs
+    return _Plan(keys, cs, ksets, block.reshape(-1, shape[-1]))
 
 
 @dataclass(slots=True, frozen=True)

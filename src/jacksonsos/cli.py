@@ -32,7 +32,7 @@ from .certificate import (
     rate_sweep,
     verify,
 )
-from .chebpoly import ChebPoly, MonoPoly, cheb_from_monomial, chebyshev_nodes
+from .chebpoly import POINT_BUDGET, ChebPoly, MonoPoly, cheb_from_monomial, chebyshev_nodes
 from .jackson import _kernel_coeffs, spectrum, verify_prop21
 from .kernelop import apply_forward, apply_inverse
 from .sos1d import (IllConditioned, NotNonnegative, decompose_kernel_slices,
@@ -327,6 +327,9 @@ def cmd_bound(args) -> int:
 def cmd_figure1(args) -> int:
     if args.samples < 1:
         raise ValueError("--samples must be at least 1")
+    if args.samples + 1 > POINT_BUDGET:
+        raise ValueError(f"--samples asks for {args.samples + 1} rows, "
+                         f"over budget {POINT_BUDGET}")
     shifted = cheb_from_monomial(demo_polynomial()).shift(0.1)
     xs = np.linspace(-1.0, 1.0, args.samples + 1)
     curves = [p.eval_grid([xs]).tolist()
@@ -337,6 +340,8 @@ def cmd_figure1(args) -> int:
 
 
 def cmd_inspect_kernel(args) -> int:
+    if args.r + 1 > POINT_BUDGET:
+        raise ValueError(f"--r asks for {args.r + 1} rows, over budget {POINT_BUDGET}")
     _write_csv(args.out, ["k", "lambda"],
                ([k, repr(lam)] for k, lam in enumerate(spectrum(args.r).lambdas)))
     return EXIT_OK
@@ -388,17 +393,26 @@ def _check_sos(level: str, seed: int) -> dict:
         u = ChebPoly(1, {(k,): rng.standard_normal() for k in range(du + 1)})
         v = ChebPoly(1, {(k,): rng.standard_normal() for k in range(dv + 1)})
         inputs.append(u * u + weight * (v * v))
+    repeated = []
     for a in (-0.9, -0.6, 0.3, 0.9):
         linear = ChebPoly(1, {(0,): -a, (1,): 1.0})
         square = linear * linear
-        inputs += [square * square * square, weight * (square * square)]
-    worst = 0.0
-    for p in inputs:
+        repeated += [square * square * square, weight * (square * square)]
+    pairs = []
+    for p in inputs + repeated + [p.scale(2.0 ** -40) for p in repeated]:
         try:
-            worst = max(worst, lukacs_decompose(p).residual)
+            pairs.append(lukacs_decompose(p))
         except (IllConditioned, NotNonnegative) as exc:
             return {"name": "sos_reconstruction", "ok": False,
                     "detail": f"decomposition refused: {exc}"}
+    worst = max(pair.residual for pair in pairs)
+    # the units of p decide nothing: 2^-40 p splits into 2^-20 times p's u and v
+    k = len(repeated)
+    for one, tiny in zip(pairs[-2 * k:-k], pairs[-k:]):
+        if not (np.array_equal(tiny.u, 2.0 ** -20 * one.u)
+                and np.array_equal(tiny.v, 2.0 ** -20 * one.v)):
+            return {"name": "sos_reconstruction", "ok": False,
+                    "detail": "2^-40 p does not split into 2^-20 times p's u and v"}
     r_max = 30 if level == "full" else 10
     n_y = 50 if level == "full" else 10
     ys = chebyshev_nodes(n_y)

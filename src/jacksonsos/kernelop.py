@@ -164,7 +164,7 @@ def lemma_bounds_check(n: int, d: int, r: int, samples: int = 10,
     random polynomials normalized to sup norm <= 1, every inner-product
     coefficient satisfies |p_kappa| <= 2^(-w(kappa)/2).
     """
-    if r < max(d, 1):
+    if not 1 <= d <= r:
         raise ValueError("need r >= d >= 1")
     worst_decay = 0.0
     worst_inverse = 0.0

@@ -133,7 +133,7 @@ def _polish_factor(h: np.ndarray, q: np.ndarray, iters: int = 6) -> np.ndarray:
             best, best_res = nxt, nres
         else:
             break
-        if best_res <= 1e-15 * max(1.0, float(np.linalg.norm(q))):
+        if best_res <= 1e-15 * float(np.linalg.norm(q)):
             break
     return best
 

@@ -247,6 +247,16 @@ class TestCertify:
         with pytest.raises(ValueError, match="251\\^3 points exceeds budget"):
             certify(f3, 0.0, 250)
 
+    def test_node_budget_checked_before_the_block(self, grid_budget_enforced):
+        """16 terms (j, .., j) in 6 variables have a coefficient block past
+        POINT_BUDGET; at r = 15 certify and kernel_lower_bound refuse their
+        16^6 nodes first, before any grid evaluation builds the block."""
+        f6 = ChebPoly(6, {(j,) * 6: 1.0 for j in range(16)})
+        for run in (lambda: certify(f6, 0.0, 15), lambda: kernel_lower_bound(f6, 15)):
+            with pytest.raises(ValueError, match="^grid of 16\\^6 points exceeds budget"):
+                run()
+        assert f6._plan is None
+
     def test_node_budget_checked_before_gate(self, monkeypatch):
         # the node step and the gate both start with a grid evaluation, and
         # every grid evaluation goes through ChebPoly._eval_tables

@@ -51,6 +51,11 @@ class TestMalformedKeys:
         with pytest.raises(ValueError, match=re.escape(f"bad multidegree {key!r}")):
             cls(2, {(0, 0): 2.0, key: coeff})
 
+    @pytest.mark.parametrize("cls", [ChebPoly, MonoPoly])
+    def test_no_variables(self, cls):
+        with pytest.raises(ValueError, match="^num_vars must be >= 1$"):
+            cls(0, {})
+
     def test_short_key_no_longer_evaluates(self):
         """A 1-entry key of a 2-variable polynomial used to evaluate as a
         product over the first axis only: 0.06 on the grid [[0.3], [0.2]]."""
@@ -655,6 +660,15 @@ class TestGridExtrema:
     def test_min_points(self):
         with pytest.raises(ValueError):
             lobatto_axis(1)
+
+    def test_block_budget_guard(self):
+        """16 terms (j, .., j) in 6 variables make a 16^6-entry coefficient
+        block, past POINT_BUDGET, though the scan's 14^6 grid is within it."""
+        p = ChebPoly(6, {(j,) * 6: 1.0 for j in range(16)})
+        with pytest.raises(ValueError, match=f"^evaluation block of {16 ** 6} coefficients "
+                                             f"exceeds budget {chebpoly.POINT_BUDGET}$"):
+            grid_extrema(p)
+        assert p._plan is None
 
     @pytest.mark.parametrize("n, d, points", [(1, 8, 33), (2, 5, 17), (3, 3, 9)])
     def test_polished_extrema_are_values_of_p(self, monkeypatch, n, d, points):

@@ -12,7 +12,7 @@ import pytest
 from jacksonsos import certificate as certificate_module
 from jacksonsos import cli, sos1d
 from jacksonsos.certificate import ResidualTooLarge, certify, verify
-from jacksonsos.chebpoly import ChebPoly, MonoPoly, cheb_from_monomial
+from jacksonsos.chebpoly import POINT_BUDGET, ChebPoly, MonoPoly, cheb_from_monomial
 from jacksonsos.kernelop import apply_forward
 from jacksonsos.cli import (
     EXIT_NOT_CERTIFIABLE,
@@ -121,6 +121,21 @@ class TestParser:
         with pytest.raises(PolynomialSyntaxError, match="not finite") as err:
             parse_polynomial(text)
         assert err.value.position == position
+
+    @pytest.mark.parametrize("text, message", [
+        ("2^3", "expected '+' or '-' between terms (at position 1)"),
+        ("1/x1", "expected denominator (at position 2)"),
+        ("1/0", "zero denominator (at position 2)"),
+        ("x1 * + 1", "expected factor after '*' (at position 5)"),
+        ("1 + * 2", "expected a term (at position 4)"),
+    ])
+    def test_refusal_message_and_position(self, text, message, capsys):
+        with pytest.raises(PolynomialSyntaxError) as err:
+            parse_polynomial(text)
+        assert str(err.value) == message
+        assert err.value.position == int(message.rsplit(" ", 1)[1][:-1])
+        assert main(["bound", "--poly", text, "--r", "4"]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"jacksonsos: error: {message}\n"
 
 
 class TestCertifyCommand:
@@ -236,6 +251,13 @@ class TestCertificateFromDict:
             return certificate_to_dict(certify(demo_f(), 0.1, 7))
         f = cheb_from_monomial(MonoPoly(2, {(0, 0): 1.0, (1, 1): 0.2}))
         return certificate_to_dict(certify(f, 0.0, 3))
+
+    def test_ragged_weights(self):
+        data = self._data()
+        data["weights"] = [data["weights"][:2], data["weights"][2:5]]
+        with pytest.raises(ValueError, match="^certificate weights must be a flat "
+                                             "list of finite numbers$"):
+            certificate_from_dict(data)
 
     def test_wrong_weight_count(self):
         data = self._data()
@@ -432,6 +454,18 @@ class TestBoundCommand:
         assert len(rows) == 1
         assert float(rows[0]["gap"]) == pytest.approx(0.0, abs=1e-15)
 
+    @pytest.mark.parametrize("sweep, message", [
+        ("8:16", "sweep must look like A:B:STEP"),
+        ("8:4:1", "sweep needs A <= B and STEP > 0"),
+        ("8:16:0", "sweep needs A <= B and STEP > 0"),
+    ])
+    def test_bad_sweep_usage_error(self, tmp_path, capsys, sweep, message):
+        out = tmp_path / "rows.csv"
+        code = main(["bound", "--poly", DEMO, "--r-sweep", sweep, "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == f"jacksonsos: error: {message}\n"
+        assert not out.exists()
+
     def test_r_below_degree_usage_error(self, tmp_path, capsys):
         out = tmp_path / "rows.csv"
         for degrees in (["--r", "3"], ["--r-sweep", "2:10:1"]):
@@ -525,6 +559,19 @@ class TestFigureCommand:
         assert not out.exists()
 
 
+    def test_samples_over_budget_usage_error(self, tmp_path, capsys, monkeypatch):
+        """POINT_BUDGET samples make POINT_BUDGET + 1 rows: refused before any
+        curve is evaluated."""
+        monkeypatch.setattr(cli, "apply_inverse", None)
+        out = tmp_path / "fig.csv"
+        code = main(["figure1", "--samples", str(POINT_BUDGET), "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"jacksonsos: error: --samples asks for {POINT_BUDGET + 1} rows, "
+            f"over budget {POINT_BUDGET}\n")
+        assert not out.exists()
+
+
 class TestInspectKernel:
     def test_table(self, tmp_path):
         out = tmp_path / "k.csv"
@@ -534,6 +581,18 @@ class TestInspectKernel:
         assert len(rows) == 6
         assert float(rows[0]["lambda"]) == 1.0
         assert float(rows[4]["lambda"]) == pytest.approx(0.1938434, abs=2e-6)
+
+    def test_r_over_budget_usage_error(self, tmp_path, capsys, monkeypatch):
+        """r = POINT_BUDGET makes POINT_BUDGET + 1 rows: refused before any
+        lambda_k is computed."""
+        monkeypatch.setattr(cli, "spectrum", None)
+        out = tmp_path / "k.csv"
+        code = main(["inspect-kernel", "--r", str(POINT_BUDGET), "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"jacksonsos: error: --r asks for {POINT_BUDGET + 1} rows, "
+            f"over budget {POINT_BUDGET}\n")
+        assert not out.exists()
 
 
 class TestSelftest:

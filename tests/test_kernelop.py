@@ -245,6 +245,13 @@ class TestLemmaBounds:
         assert report.worst_decay <= report.decay_bound
         assert report.worst_inverse <= report.inverse_bound
 
+    @pytest.mark.parametrize("d, r", [(3, 2), (1, 0), (0, 2)])
+    def test_r_below_d_refused(self, d, r):
+        """d = 0 used to pass this check, run every sample and fail later in
+        theorem_threshold."""
+        with pytest.raises(ValueError, match="^need r >= d >= 1$"):
+            lemma_bounds_check(1, d, r)
+
     def test_zero_multidegree_trivial(self):
         # kappa = 0 contributes |1 - lambda_0| = 0, within any bound
         assert abs(1.0 - jackson_lambda(0, 7)) == 0.0

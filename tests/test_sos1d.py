@@ -113,6 +113,11 @@ class TestFejerRiesz:
     def test_constant(self):
         assert list(fejer_riesz([1.0])) == [1.0]
 
+    @pytest.mark.parametrize("q", [[], [[1.0, 0.5]]], ids=["empty", "2-D"])
+    def test_not_a_coefficient_sequence(self, q):
+        with pytest.raises(ValueError, match="^expected a nonempty 1-D coefficient sequence$"):
+            fejer_riesz(q)
+
     def test_one_plus_cos(self):
         h = fejer_riesz([1.0, 1.0])
         theta = np.linspace(0, math.pi, 64)
@@ -517,6 +522,26 @@ class TestRepeatedRoots:
             assert pair.residual == _relative_residual(split_coeffs(pair.u, pair.v), p)
         assert len(refused) <= 6, refused
         assert all(m.startswith("factorization residual") for m in refused), refused
+
+    def test_corpus_decisions_do_not_depend_on_units(self):
+        """The corpus scaled by 2^-40, which is exact, gets the same decisions,
+        and every pair u, v scales by exactly 2^-20: the factor's polish stops
+        relative to |q|, so an input below |q| = 1 is not held to an absolute
+        stop (trial 110 was accepted at scale 1 and refused at 2^-40)."""
+        rng = np.random.default_rng(36)
+        for trial in range(600):
+            c = _repeated_root_input(rng, trial % 6)
+            pairs = []
+            for scale in (1.0, 2.0 ** -40):
+                try:
+                    pairs.append(lukacs_decompose(_dense_poly(scale * c)))
+                except IllConditioned:
+                    pairs.append(None)
+            one, tiny = pairs
+            assert (one is None) == (tiny is None), trial
+            if one is not None:
+                assert np.array_equal(tiny.u, 2.0 ** -20 * one.u), trial
+                assert np.array_equal(tiny.v, 2.0 ** -20 * one.v), trial
 
     def test_pairs_across_angle_pi(self):
         """Neighbours by angle pair up, and the cut after the widest gap keeps
